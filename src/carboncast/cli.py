@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
+import functools
 import io
+import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 import yaml
@@ -19,22 +25,18 @@ import yaml
 from . import units
 from .catalog import resolve_catalogs
 from .operational import StorageWorkload
-from .pipeline import EstimateRequest, LifecyclePlan, Overrides, estimate, estimate_lifecycle, sweep
+from .pipeline import EstimateRequest, LifecyclePlan, estimate, estimate_lifecycle, sweep
 from .types import (
-    ArchKind,
     CarbonReport,
     CatalogError,
     DataCenterProfile,
-    ExpertGroup,
     FleetEntry,
     HardwareFleet,
     LlmArchitecture,
     ModelError,
-    Phase,
-    ScalingConstants,
     validate_architecture,
 )
-from .validation import run_validation
+from .validation import GROUPS, run_validation
 
 SCHEMA_VERSION = 1
 
@@ -49,85 +51,114 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Config parsing. Each _parse_* helper checks its allowed keys and coerces
-# values, building the path string as it descends.
+# Config parsing. Each config section builds one dataclass: its keys are the
+# dataclass's fields and each value is coerced through the field's annotated
+# type, so the dataclasses stay the one place that names keys and defaults.
 # --------------------------------------------------------------------------
 
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or value is None:
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value))
-    except ValueError:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+# Keys a config may leave out although the field has no default.
+_CONFIG_DEFAULTS = {
+    (LlmArchitecture, "name"): "unnamed",
+    (DataCenterProfile, "name"): "inline",
+    (EstimateRequest, "tokens"): 0.0,
+    (StorageWorkload, "stored_tb"): 0.0,
+    (StorageWorkload, "transferred_tb"): 0.0,
+    (StorageWorkload, "duration_days"): 0.0,
+}
+# Config keys whose name differs from the field they fill.
+_CONFIG_KEYS = {(EstimateRequest, "arch"): "architecture"}
+# Fields only library callers set.
+_NOT_CONFIG = {(EstimateRequest, "anchors"), (EstimateRequest, "others_fraction")}
 
 
-def _opt_num(mapping: dict, key: str, path: str) -> float | None:
-    if key not in mapping or mapping[key] is None:
-        return None
-    return _num(mapping[key], f"{path}.{key}")
-
-
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _check_keys(mapping: dict, allowed, path: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping) - set(allowed)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"{path}.{key}: unknown key")
 
 
-_ARCH_KEYS = {
-    "name", "kind", "hidden_size", "layer_count", "vocab_size", "head_count",
-    "head_dim", "ff_size", "moe_fraction", "expert_groups", "ff_stacks",
-    "explicit_param_count", "base_model_param_count",
-}
-
-
-def _parse_arch(doc: dict, path: str) -> LlmArchitecture:
-    _check_keys(doc, _ARCH_KEYS, path)
-    if "kind" not in doc:
-        raise ConfigError(f"{path}.kind: required")
+def _num(tp: type, value, path: str):
+    """A finite float, or a whole int when ``tp`` is int; numeric strings count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        kind = ArchKind(str(doc["kind"]))
+        number = float(value)
     except ValueError:
-        valid = ", ".join(k.value for k in ArchKind)
-        raise ConfigError(f"{path}.kind: must be one of {valid}") from None
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if tp is int:
+        if not number.is_integer():
+            raise ConfigError(f"{path}: expected a whole number, got {value!r}")
+        return int(number)
+    return number
 
-    groups = []
-    for i, g in enumerate(doc.get("expert_groups") or []):
-        gpath = f"{path}.expert_groups[{i}]"
-        _check_keys(g, {"layer_fraction", "expert_count"}, gpath)
-        groups.append(ExpertGroup(
-            layer_fraction=_num(g.get("layer_fraction"), f"{gpath}.layer_fraction"),
-            expert_count=int(_num(g.get("expert_count"), f"{gpath}.expert_count")),
-        ))
 
-    def opt_int(key):
-        v = _opt_num(doc, key, path)
-        return None if v is None else int(v)
+def _coerce(tp, value, path: str):
+    """Convert one config value to the annotated field type ``tp``."""
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if dataclasses.is_dataclass(tp):
+        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        items = [] if value is None else value
+        if not isinstance(items, list):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(items))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            valid = ", ".join(m.value for m in tp)
+            raise ConfigError(f"{path}: must be one of {valid}") from None
+    if tp is str:
+        return str(value)
+    return _num(tp, value, path)
 
-    arch = LlmArchitecture(
-        name=str(doc.get("name", "unnamed")),
-        kind=kind,
-        hidden_size=int(_opt_num(doc, "hidden_size", path) or 0),
-        layer_count=int(_opt_num(doc, "layer_count", path) or 0),
-        vocab_size=int(_opt_num(doc, "vocab_size", path) or 0),
-        head_count=opt_int("head_count"),
-        head_dim=opt_int("head_dim"),
-        ff_size=opt_int("ff_size"),
-        moe_fraction=_opt_num(doc, "moe_fraction", path),
-        expert_groups=tuple(groups),
-        ff_stacks=int(_opt_num(doc, "ff_stacks", path) or 1),
-        explicit_param_count=opt_int("explicit_param_count"),
-        base_model_param_count=opt_int("base_model_param_count"),
-    )
-    problems = validate_architecture(arch)
-    if problems:
-        raise ConfigError(f"{path}: " + "; ".join(problems))
-    return arch
+
+@functools.cache
+def _config_fields(cls) -> dict[str, tuple[dataclasses.Field, object]]:
+    """Config key -> (field, resolved annotation); resolving hints is slow."""
+    hints = typing.get_type_hints(cls)
+    return {_CONFIG_KEYS.get((cls, f.name), f.name): (f, hints[f.name])
+            for f in dataclasses.fields(cls) if (cls, f.name) not in _NOT_CONFIG}
+
+
+def _read(cls, doc, path: str, **special):
+    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``.
+
+    ``special`` maps a config key to a ``reader(value, path)`` that replaces
+    the type-driven coercion, for values that are catalog lookups.
+    """
+    fields = _config_fields(cls)
+    _check_keys(doc, fields, path)
+    kwargs = {}
+    for key, (f, tp) in fields.items():
+        kpath = f"{path}.{key}"
+        if key in doc:
+            reader = special.get(key)
+            kwargs[f.name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
+        elif (cls, f.name) in _CONFIG_DEFAULTS:
+            kwargs[f.name] = _CONFIG_DEFAULTS[cls, f.name]
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{kpath}: required")
+    try:
+        obj = cls(**kwargs)
+    except (CatalogError, ModelError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if cls is LlmArchitecture:
+        problems = validate_architecture(obj)
+        if problems:
+            raise ConfigError(f"{path}: " + "; ".join(problems))
+    return obj
 
 
 def _parse_fleet(doc, units_by_name, path: str) -> HardwareFleet:
@@ -140,7 +171,7 @@ def _parse_fleet(doc, units_by_name, path: str) -> HardwareFleet:
         name = str(entry.get("unit", ""))
         if name not in units_by_name:
             raise ConfigError(f"{epath}.unit: unknown hardware unit {name!r}")
-        count = int(_num(entry.get("count"), f"{epath}.count"))
+        count = _num(int, entry.get("count"), f"{epath}.count")
         try:
             entries.append(FleetEntry(units_by_name[name], count))
         except CatalogError as exc:
@@ -156,107 +187,14 @@ def _parse_data_center(doc, centers_by_name, path: str) -> DataCenterProfile:
         if doc not in centers_by_name:
             raise ConfigError(f"{path}: unknown data center {doc!r}")
         return centers_by_name[doc]
-    _check_keys(doc, {"name", "pue", "carbon_intensity", "cfe"}, path)
-    try:
-        return DataCenterProfile(
-            name=str(doc.get("name", "inline")),
-            pue=_num(doc.get("pue"), f"{path}.pue"),
-            carbon_intensity=_num(doc.get("carbon_intensity"), f"{path}.carbon_intensity"),
-            cfe=_opt_num(doc, "cfe", path) or 0.0,
-        )
-    except CatalogError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_storage(doc, path: str) -> StorageWorkload:
-    _check_keys(doc, {"stored_tb", "transferred_tb", "duration_days",
-                      "storage_w_per_tb", "transfer_w_per_tb"}, path)
-    kwargs = dict(
-        stored_tb=_num(doc.get("stored_tb", 0), f"{path}.stored_tb"),
-        transferred_tb=_num(doc.get("transferred_tb", 0), f"{path}.transferred_tb"),
-        duration_days=_num(doc.get("duration_days", 0), f"{path}.duration_days"),
-    )
-    for key in ("storage_w_per_tb", "transfer_w_per_tb"):
-        v = _opt_num(doc, key, path)
-        if v is not None:
-            kwargs[key] = v
-    try:
-        return StorageWorkload(**kwargs)
-    except ModelError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-_REQUEST_KEYS = {
-    "phase", "architecture", "tokens", "fleet", "data_center", "storage",
-    "overrides", "device_memory_gb", "server_size", "scaling",
-}
-_OVERRIDE_KEYS = {"measured_flops", "efficiency", "device_count", "system_power_watts"}
-_SCALING_KEYS = {"A", "B", "alpha", "beta", "E"}
+    return _read(DataCenterProfile, doc, path)
 
 
 def _parse_request(doc: dict, catalogs, path: str) -> EstimateRequest:
     units_by_name, centers_by_name = catalogs
-    _check_keys(doc, _REQUEST_KEYS, path)
-
-    phase_name = str(doc.get("phase", "training"))
-    try:
-        phase = Phase(phase_name)
-    except ValueError:
-        raise ConfigError(f"{path}.phase: unknown phase {phase_name!r}") from None
-
-    if "architecture" not in doc:
-        raise ConfigError(f"{path}.architecture: required")
-    arch = _parse_arch(doc["architecture"], f"{path}.architecture")
-
-    if "fleet" not in doc:
-        raise ConfigError(f"{path}.fleet: required")
-    fleet = _parse_fleet(doc["fleet"], units_by_name, f"{path}.fleet")
-
-    if "data_center" not in doc:
-        raise ConfigError(f"{path}.data_center: required")
-    dc = _parse_data_center(doc["data_center"], centers_by_name, f"{path}.data_center")
-
-    overrides = Overrides()
-    if "overrides" in doc and doc["overrides"] is not None:
-        odoc = doc["overrides"]
-        _check_keys(odoc, _OVERRIDE_KEYS, f"{path}.overrides")
-        dev = _opt_num(odoc, "device_count", f"{path}.overrides")
-        overrides = Overrides(
-            measured_flops=_opt_num(odoc, "measured_flops", f"{path}.overrides"),
-            efficiency=_opt_num(odoc, "efficiency", f"{path}.overrides"),
-            device_count=None if dev is None else int(dev),
-            system_power_watts=_opt_num(odoc, "system_power_watts", f"{path}.overrides"),
-        )
-
-    scaling = ScalingConstants()
-    if "scaling" in doc and doc["scaling"] is not None:
-        sdoc = doc["scaling"]
-        _check_keys(sdoc, _SCALING_KEYS, f"{path}.scaling")
-        defaults = ScalingConstants()
-        scaling = ScalingConstants(
-            A=_opt_num(sdoc, "A", f"{path}.scaling") or defaults.A,
-            B=_opt_num(sdoc, "B", f"{path}.scaling") or defaults.B,
-            alpha=_opt_num(sdoc, "alpha", f"{path}.scaling") or defaults.alpha,
-            beta=_opt_num(sdoc, "beta", f"{path}.scaling") or defaults.beta,
-            E=_opt_num(sdoc, "E", f"{path}.scaling") or defaults.E,
-        )
-
-    storage = None
-    if "storage" in doc and doc["storage"] is not None:
-        storage = _parse_storage(doc["storage"], f"{path}.storage")
-
-    return EstimateRequest(
-        arch=arch,
-        tokens=_opt_num(doc, "tokens", path) or 0.0,
-        fleet=fleet,
-        data_center=dc,
-        phase=phase,
-        scaling=scaling,
-        overrides=overrides,
-        storage=storage,
-        device_memory_gb=_opt_num(doc, "device_memory_gb", path) or 32.0,
-        server_size=int(_opt_num(doc, "server_size", path) or 8),
-    )
+    return _read(EstimateRequest, doc, path,
+                 fleet=lambda value, p: _parse_fleet(value, units_by_name, p),
+                 data_center=lambda value, p: _parse_data_center(value, centers_by_name, p))
 
 
 def _load_config(path: str, top_key: str) -> dict:
@@ -368,20 +306,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_lifecycle(args) -> int:
     catalogs = resolve_catalogs(args.catalog)
     doc = _load_config(args.config, "lifecycle")
-    _check_keys(doc, {"training", "inference_share", "experimentation_share", "storage"},
-                "lifecycle")
-    if "training" not in doc:
-        raise ConfigError("lifecycle.training: required")
-    training = _parse_request(doc["training"], catalogs, "lifecycle.training")
-    storage = None
-    if doc.get("storage") is not None:
-        storage = _parse_storage(doc["storage"], "lifecycle.storage")
-    plan = LifecyclePlan(
-        training=training,
-        inference_share=_opt_num(doc, "inference_share", "lifecycle") or 0.0,
-        experimentation_share=_opt_num(doc, "experimentation_share", "lifecycle") or 0.0,
-        storage=storage,
-    )
+    plan = _read(LifecyclePlan, doc, "lifecycle",
+                 training=lambda value, p: _parse_request(value, catalogs, p))
     report = estimate_lifecycle(plan)
     text = _format_report_csv(report) if args.format == "csv" else _format_report_table(report)
     _emit(text, args.out)
@@ -391,8 +317,8 @@ def _cmd_lifecycle(args) -> int:
 def _cmd_sweep(args) -> int:
     catalogs = resolve_catalogs(args.catalog)
     doc = _load_config(args.config, "sweep")
-    _check_keys(doc, {"grid", "fleet", "data_center", "device_memory_gb", "server_size"},
-                "sweep")
+    sizing_keys = ("device_memory_gb", "server_size")
+    _check_keys(doc, {"grid", "fleet", "data_center", *sizing_keys}, "sweep")
     grid_doc = doc.get("grid")
     if not isinstance(grid_doc, list) or not grid_doc:
         raise ConfigError("sweep.grid: must be a non-empty list")
@@ -409,14 +335,12 @@ def _cmd_sweep(args) -> int:
         _check_keys(point, {"architecture", "tokens"}, ppath)
         if "architecture" not in point:
             raise ConfigError(f"{ppath}.architecture: required")
-        arch = _parse_arch(point["architecture"], f"{ppath}.architecture")
-        grid.append((arch, _num(point.get("tokens"), f"{ppath}.tokens")))
+        arch = _read(LlmArchitecture, point["architecture"], f"{ppath}.architecture")
+        grid.append((arch, _num(float, point.get("tokens"), f"{ppath}.tokens")))
 
-    points, errors = sweep(
-        grid, fleet, dc,
-        device_memory_gb=_opt_num(doc, "device_memory_gb", "sweep") or 32.0,
-        server_size=int(_opt_num(doc, "server_size", "sweep") or 8),
-    )
+    hints = typing.get_type_hints(sweep)
+    sizing = {k: _num(hints[k], doc[k], f"sweep.{k}") for k in sizing_keys if k in doc}
+    points, errors = sweep(grid, fleet, dc, **sizing)
     for name, reason in errors:
         print(f"skipped {name}: {reason}", file=sys.stderr)
     text = _format_sweep_csv(points)
@@ -429,6 +353,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.only is not None and args.only not in GROUPS:
+        raise ConfigError(f"--only: unknown validation group {args.only!r}; "
+                          f"choose from {', '.join(sorted(GROUPS))}")
     rows = run_validation(only=args.only)
     name_w = max(len(f"{r.group}/{r.name}") for r in rows)
     print(f"{'fixture':<{name_w}}  {'predicted':>12} {'expected':>12} "
@@ -508,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "catalog":
             return _cmd_catalog(args)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except CatalogError as exc:

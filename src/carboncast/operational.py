@@ -142,7 +142,10 @@ def inference_latency(param_count: float, batch_tokens: float,
 
 def storage_energy(workload: StorageWorkload) -> StorageEnergy:
     """Energy to hold and move data over the phase, split by cause."""
-    hours = workload.duration_days * 24.0
-    storage_wh = workload.stored_tb * workload.storage_w_per_tb * hours
-    transfer_wh = workload.transferred_tb * workload.transfer_w_per_tb * hours
-    return StorageEnergy(storage_mwh=storage_wh / 1e6, transfer_mwh=transfer_wh / 1e6)
+    seconds = units.days_to_seconds(workload.duration_days)
+    return StorageEnergy(
+        storage_mwh=units.watt_seconds_to_mwh(
+            workload.stored_tb * workload.storage_w_per_tb, seconds),
+        transfer_mwh=units.watt_seconds_to_mwh(
+            workload.transferred_tb * workload.transfer_w_per_tb, seconds),
+    )

@@ -247,15 +247,10 @@ def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
     wall_seconds = tr.duration_seconds * activity
 
     hardware_mwh = tr.hardware_energy_mwh * activity
-    oper = operational_carbon(hardware_mwh, plan.training.data_center,
-                              device_time_seconds=wall_seconds)
 
-    fleet = _with_accelerator_count(
-        plan.training.fleet,
-        plan.training.overrides.device_count
-        if plan.training.overrides.device_count is not None
-        else (plan.training.fleet.accelerator.count if plan.training.fleet.accelerator else 1),
-    )
+    fleet = plan.training.fleet
+    if plan.training.overrides.device_count is not None:
+        fleet = _with_accelerator_count(fleet, plan.training.overrides.device_count)
     emb = fleet_embodied(fleet, wall_seconds,
                          others_fraction=plan.training.others_fraction)
 
@@ -268,17 +263,15 @@ def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
         items.append(LineItem(unit="storage", count=1, energy_mwh=s.total_mwh))
         duration += units.days_to_seconds(plan.storage.duration_days)
 
-    total_hardware = hardware_mwh + storage_mwh
-    total_oper_energy = total_hardware * plan.training.data_center.pue
-    total_oper_tco2 = total_oper_energy * plan.training.data_center.carbon_intensity
+    oper = operational_carbon(hardware_mwh + storage_mwh, plan.training.data_center)
     return CarbonReport(
         phase=Phase.LIFECYCLE,
         duration_seconds=duration,
-        hardware_energy_mwh=total_hardware,
-        operational_energy_mwh=total_oper_energy,
-        operational_tco2=total_oper_tco2,
+        hardware_energy_mwh=oper.hardware_energy_mwh,
+        operational_energy_mwh=oper.operational_energy_mwh,
+        operational_tco2=oper.operational_tco2,
         embodied_tco2=emb.total_tco2,
-        total_tco2=total_oper_tco2 + emb.total_tco2,
+        total_tco2=oper.operational_tco2 + emb.total_tco2,
         hardware_efficiency=tr.hardware_efficiency,
         test_loss=tr.test_loss,
         parallelism=tr.parallelism,

@@ -271,9 +271,10 @@ class DataCenterProfile:
     cfe: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pue < 1.0:
+        # Written so that NaN fails too.
+        if not (self.pue >= 1.0):
             raise CatalogError(f"{self.name}: pue must be >= 1.0")
-        if self.carbon_intensity < 0.0:
+        if not (self.carbon_intensity >= 0.0):
             raise CatalogError(f"{self.name}: carbon_intensity must be >= 0")
         if not (0.0 <= self.cfe <= 1.0):
             raise CatalogError(f"{self.name}: cfe must lie in [0, 1]")

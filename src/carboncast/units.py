@@ -9,12 +9,10 @@ SECONDS_PER_DAY = 86_400.0
 DAYS_PER_YEAR = 365.25
 SECONDS_PER_YEAR = DAYS_PER_YEAR * SECONDS_PER_DAY
 
-JOULES_PER_KWH = 3.6e6
 JOULES_PER_MWH = 3.6e9
 
 ZETTA = 1e21
 TERA = 1e12
-GIGA = 1e9
 
 
 def joules_to_mwh(joules: float) -> float:
@@ -23,10 +21,6 @@ def joules_to_mwh(joules: float) -> float:
 
 def mwh_to_joules(mwh: float) -> float:
     return mwh * JOULES_PER_MWH
-
-
-def mwh_to_kwh(mwh: float) -> float:
-    return mwh * 1000.0
 
 
 def watt_seconds_to_mwh(watts: float, seconds: float) -> float:

@@ -304,7 +304,7 @@ def _efficiency_rows() -> list[ValidationRow]:
                           round(est.efficiency, 4), fx["expected"], fx["tol"], "fraction")]
 
 
-_GROUPS = {
+GROUPS = {
     "parameters": _param_rows,
     "training": _training_rows,
     "days": _days_rows,
@@ -317,11 +317,11 @@ _GROUPS = {
 
 def run_validation(only: str | None = None) -> list[ValidationRow]:
     """Evaluate every embedded fixture (or one group) and return the matrix."""
-    if only is not None and only not in _GROUPS:
-        raise KeyError(f"unknown validation group {only!r}; "
-                       f"choose from {', '.join(sorted(_GROUPS))}")
+    if only is not None and only not in GROUPS:
+        raise ValueError(f"unknown validation group {only!r}; "
+                         f"choose from {', '.join(sorted(GROUPS))}")
     rows: list[ValidationRow] = []
-    for group, fn in _GROUPS.items():
+    for group, fn in GROUPS.items():
         if only is None or group == only:
             rows.extend(fn())
     return rows

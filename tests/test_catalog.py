@@ -50,6 +50,12 @@ class TestDataCenterCatalog:
         assert profiles[0].carbon_intensity == 0.394
         assert profiles[0].pue == 1.1
 
+    def test_nan_cell_rejected(self):
+        text = (",".join(catalog.DATACENTER_FIELDS) + "\n"
+                "nan-dc,nan,0.394,0.97\n")
+        with pytest.raises(CatalogError, match="row 2: nan-dc: pue"):
+            catalog.load_datacenters(io.StringIO(text))
+
     def test_round_trip(self):
         profiles = catalog.default_datacenters()
         again = catalog.load_datacenters(io.StringIO(catalog.dump_datacenters(profiles)))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from carboncast import validation
+from carboncast import cli, validation
 from carboncast.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_MODEL_ERROR,
@@ -105,6 +105,51 @@ class TestEstimateCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, code, message", [
+        (" count: 10000", " count: 10000.5", EXIT_CONFIG_ERROR,
+         "estimate.fleet[0].count: expected a whole number"),
+        ("tokens: 3.0e+11", "tokens: .inf", EXIT_CONFIG_ERROR,
+         "estimate.tokens: expected a finite number"),
+        ("pue: 1.1", "pue: .nan", EXIT_CONFIG_ERROR,
+         "estimate.data_center.pue: expected a finite number"),
+        ("    name: gpt3", "    name: gpt3\n    hidden_size: true", EXIT_CONFIG_ERROR,
+         "estimate.architecture.hidden_size: expected a number, got True"),
+        ("carbon_intensity: 0.429", "carbon_intensity: low", EXIT_CONFIG_ERROR,
+         "estimate.data_center.carbon_intensity: expected a number, got 'low'"),
+        pytest.param("explicit_param_count: 175000000000", "explicit_param_count: 1" + "0" * 400,
+                     EXIT_CONFIG_ERROR, "estimate.architecture.explicit_param_count: expected a "
+                     "finite", id="int-beyond-float-range"),
+        ("kind: dense_gpt", "kind: sparse", EXIT_CONFIG_ERROR,
+         "estimate.architecture.kind: must be one of"),
+        ("phase: training", "phase: pretraining", EXIT_CONFIG_ERROR,
+         "estimate.phase: must be one of"),
+        ("  architecture:\n    name: gpt3\n    kind: dense_gpt\n"
+         "    explicit_param_count: 175000000000\n", "", EXIT_CONFIG_ERROR,
+         "estimate.architecture: required"),
+        ("  tokens:", "  device_memory_gb: 0\n  tokens:", EXIT_MODEL_ERROR,
+         "[efficiency-model] device_memory_gb must be positive"),
+        ("  tokens:", "  scaling: {alpha: 0}\n  tokens:", EXIT_CONFIG_ERROR,
+         "estimate.scaling: scaling constant alpha must be positive"),
+        ("  tokens:", "  server_size: 2.5\n  tokens:", EXIT_CONFIG_ERROR,
+         "estimate.server_size: expected a whole number"),
+        ("  tokens:", "  anchors: [[1.0e+9, 0.3]]\n  tokens:", EXIT_CONFIG_ERROR,
+         "estimate.anchors: unknown key"),
+        ("  tokens:", "  others_fraction: 0.1\n  tokens:", EXIT_CONFIG_ERROR,
+         "estimate.others_fraction: unknown key"),
+    ])
+    def test_config_values_checked_at_their_path(self, tmp_path, capsys, old, new, code,
+                                                 message):
+        assert old in GPT3_CONFIG
+        config = write_config(tmp_path, GPT3_CONFIG.replace(old, new))
+        assert main(["estimate", "--config", config]) == code
+        assert message in capsys.readouterr().err
+
+    def test_readme_config_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Config format", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert main(["estimate", "--config", write_config(tmp_path, block)]) == EXIT_OK
+
     def test_byte_identical_outputs_across_runs(self, tmp_path):
         config = write_config(tmp_path, GPT3_CONFIG)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -202,6 +247,13 @@ class TestValidateCommand:
 
     def test_unknown_group_rejected(self, capsys):
         assert main(["validate", "--only", "nonsense"]) == EXIT_CONFIG_ERROR
+
+    def test_key_error_from_a_bug_propagates(self, monkeypatch):
+        def broken(only=None):
+            raise KeyError("bug")
+        monkeypatch.setattr(cli, "run_validation", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["validate"])
 
     def test_tampered_fixture_fails(self, capsys, monkeypatch):
         tampered = validation.NOOR_EXPECTED_STORAGE_MWH

@@ -1,5 +1,7 @@
 """Domain-type invariants and unit conversions."""
 
+import math
+
 import pytest
 
 from carboncast import units
@@ -113,6 +115,12 @@ class TestDataCenter:
     def test_negative_intensity_rejected(self):
         with pytest.raises(CatalogError, match="carbon_intensity"):
             DataCenterProfile(name="dc", pue=1.1, carbon_intensity=-0.1)
+
+    @pytest.mark.parametrize("fname", ["pue", "carbon_intensity"])
+    def test_nan_rejected(self, fname):
+        values = {"pue": 1.1, "carbon_intensity": 0.4, fname: math.nan}
+        with pytest.raises(CatalogError, match=fname):
+            DataCenterProfile(name="dc", **values)
 
 
 class TestCarbonReport:
