@@ -9,7 +9,9 @@ Cloud regions; user catalogs can extend or shadow them (later wins, by name).
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 import os
 from importlib import resources
 from pathlib import Path
@@ -28,10 +30,17 @@ ANCHOR_FIELDS = ["param_count", "efficiency"]
 CATALOG_DIR_ENV = "CARBONCAST_CATALOG_DIR"
 
 
-def _opt_float(cell: str | None) -> float | None:
+def _float(cell: str, label: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {cell.strip()!r}")
+    return value
+
+
+def _opt_float(cell: str | None, label: str) -> float | None:
     if cell is None or cell.strip() == "":
         return None
-    return float(cell)
+    return _float(cell, label)
 
 
 def _fmt(value: float | None) -> str:
@@ -63,18 +72,24 @@ def load_hardware(source: TextIO | str | Path) -> list[HardwareUnit]:
             continue
         try:
             cells = dict(zip(HARDWARE_FIELDS, row))
+            name = cells["name"].strip()
+
+            def num(key: str) -> float | None:
+                return _opt_float(cells.get(key), f"{name}: {key}")
+
+            lifetime = num("lifetime_years")
             units.append(HardwareUnit(
-                name=cells["name"].strip(),
+                name=name,
                 role=HardwareRole(cells["role"].strip().lower()),
-                peak_tflops=_opt_float(cells.get("peak_tflops")),
-                tdp_watts=_opt_float(cells.get("tdp_watts")),
-                avg_system_power_watts=_opt_float(cells.get("avg_system_power_watts")),
-                die_area_mm2=_opt_float(cells.get("die_area_mm2")),
-                cpa=_opt_float(cells.get("cpa")),
+                peak_tflops=num("peak_tflops"),
+                tdp_watts=num("tdp_watts"),
+                avg_system_power_watts=num("avg_system_power_watts"),
+                die_area_mm2=num("die_area_mm2"),
+                cpa=num("cpa"),
                 cpa_basis=(cells.get("cpa_basis") or "").strip() or None,
-                capacity_gb=_opt_float(cells.get("capacity_gb")),
-                embodied_kg_override=_opt_float(cells.get("embodied_kg_override")),
-                lifetime_years=_opt_float(cells.get("lifetime_years")) or 5.0,
+                capacity_gb=num("capacity_gb"),
+                embodied_kg_override=num("embodied_kg_override"),
+                lifetime_years=5.0 if lifetime is None else lifetime,
             ))
         except (ValueError, KeyError) as exc:
             raise CatalogError(f"hardware catalog row {lineno}: {exc}") from exc
@@ -94,11 +109,13 @@ def load_datacenters(source: TextIO | str | Path) -> list[DataCenterProfile]:
             continue
         try:
             cells = dict(zip(DATACENTER_FIELDS, row))
+            name = cells["name"].strip()
             profiles.append(DataCenterProfile(
-                name=cells["name"].strip(),
-                pue=float(cells["pue"]),
-                carbon_intensity=float(cells["carbon_intensity_kg_per_kwh"]),
-                cfe=_opt_float(cells.get("cfe")) or 0.0,
+                name=name,
+                pue=_float(cells["pue"], f"{name}: pue"),
+                carbon_intensity=_float(cells["carbon_intensity_kg_per_kwh"],
+                                        f"{name}: carbon_intensity_kg_per_kwh"),
+                cfe=_opt_float(cells.get("cfe"), f"{name}: cfe") or 0.0,
             ))
         except (ValueError, KeyError) as exc:
             raise CatalogError(f"data-center catalog row {lineno}: {exc}") from exc
@@ -117,7 +134,7 @@ def load_anchors(source: TextIO | str | Path) -> list[tuple[float, float]]:
         if not row or all(c.strip() == "" for c in row):
             continue
         try:
-            anchors.append((float(row[0]), float(row[1])))
+            anchors.append((_float(row[0], "param_count"), _float(row[1], "efficiency")))
         except (ValueError, IndexError) as exc:
             raise CatalogError(f"anchor table row {lineno}: {exc}") from exc
     return anchors
@@ -166,20 +183,24 @@ class _NonClosing:
         return None
 
 
-def _packaged(name: str) -> str:
-    return resources.files("carboncast.data").joinpath(name).read_text(encoding="utf-8")
+@functools.cache
+def _packaged(name: str, loader) -> tuple:
+    """A packaged table, parsed once per process. Callers copy it into a
+    fresh list, so no caller can change what the next one gets."""
+    text = resources.files("carboncast.data").joinpath(name).read_text(encoding="utf-8")
+    return tuple(loader(io.StringIO(text)))
 
 
 def default_hardware() -> list[HardwareUnit]:
-    return load_hardware(io.StringIO(_packaged("hardware.csv")))
+    return list(_packaged("hardware.csv", load_hardware))
 
 
 def default_datacenters() -> list[DataCenterProfile]:
-    return load_datacenters(io.StringIO(_packaged("datacenters.csv")))
+    return list(_packaged("datacenters.csv", load_datacenters))
 
 
 def default_anchors() -> list[tuple[float, float]]:
-    return load_anchors(io.StringIO(_packaged("efficiency_anchors.csv")))
+    return list(_packaged("efficiency_anchors.csv", load_anchors))
 
 
 def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[

@@ -14,6 +14,8 @@ and storage shares) and the design-space sweep with Pareto dominance flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from math import inf
 
 from . import units
 from .efficiency import (
@@ -32,7 +34,7 @@ from .operational import (
     operational_carbon,
     storage_energy,
 )
-from .params import count_params
+from .params import ParameterCount, count_params
 from .scaling import test_loss
 from .types import (
     CarbonReport,
@@ -120,24 +122,32 @@ def _flop_param_count(arch, full_count: int) -> float:
     )
 
 
-def _stage(name: str):
+class _stage:
     """Re-raise model errors with the failing pipeline stage named."""
-    class _Ctx:
-        def __enter__(self):
-            return self
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, ModelError):
-                raise ModelError(f"[{name}] {exc}") from exc
-            return False
+    __slots__ = ("name",)
 
-    return _Ctx()
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None and issubclass(exc_type, ModelError):
+            raise ModelError(f"[{self.name}] {exc}") from exc
+        return False
 
 
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req)
+    return _estimate(req)[0]
+
+
+def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
+    """A training or inference estimate, with the parameter count it used."""
     if req.phase not in (Phase.TRAINING, Phase.INFERENCE):
         raise ModelError(f"estimate() handles training/inference/storage, not {req.phase}")
 
@@ -198,7 +208,7 @@ def estimate(req: EstimateRequest) -> CarbonReport:
         emb = fleet_embodied(fleet, seconds, others_fraction=req.others_fraction)
 
     items = _merge_line_items(line_items, emb)
-    return CarbonReport(
+    report = CarbonReport(
         phase=req.phase,
         duration_seconds=seconds,
         hardware_energy_mwh=oper.hardware_energy_mwh,
@@ -211,6 +221,7 @@ def estimate(req: EstimateRequest) -> CarbonReport:
         parallelism=plan,
         line_items=items,
     )
+    return report, pcount
 
 
 def _estimate_storage(req: EstimateRequest) -> CarbonReport:
@@ -310,8 +321,7 @@ def sweep(
                 phase=Phase.TRAINING, scaling=constants, anchors=anchors,
                 device_memory_gb=device_memory_gb, server_size=server_size,
             )
-            report = estimate(req)
-            pcount = count_params(arch)
+            report, pcount = _estimate(req)
             points.append(SweepPoint(
                 name=arch.name, param_count=pcount.total, tokens=tokens,
                 test_loss=report.test_loss, training_tco2=report.operational_tco2,
@@ -320,20 +330,27 @@ def sweep(
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 
     points.sort(key=lambda p: (p.test_loss, p.training_tco2, p.name))
-    flagged = [replace(p, dominated=_is_dominated(p, points)) for p in points]
+    flagged = [replace(p, dominated=d) for p, d in zip(points, _dominance_flags(points))]
     return flagged, errors
 
 
-def _is_dominated(point: SweepPoint, points: list[SweepPoint]) -> bool:
-    for other in points:
-        if other is point:
-            continue
-        if (other.test_loss <= point.test_loss
-                and other.training_tco2 <= point.training_tco2
-                and (other.test_loss < point.test_loss
-                     or other.training_tco2 < point.training_tco2)):
-            return True
-    return False
+def _dominance_flags(points: list[SweepPoint]) -> list[bool]:
+    """Pareto dominance flags of points sorted by (test_loss, training_tco2).
+
+    One pass over the groups of equal loss, as in the 2-D maxima method of
+    Kung, Luccio and Preparata (J. ACM 1975). A point is dominated by an
+    earlier group's point that has no more carbon, or by a point of its own
+    group that has strictly less. Equal (loss, carbon) pairs do not
+    dominate each other.
+    """
+    flags: list[bool] = []
+    best = inf  # lowest carbon among points of strictly lower loss
+    for _, group in groupby(points, key=lambda p: p.test_loss):
+        carbons = [p.training_tco2 for p in group]
+        lowest = carbons[0]
+        flags.extend(best <= c or lowest < c for c in carbons)
+        best = min(best, lowest)
+    return flags
 
 
 def _powered_subfleet(fleet: HardwareFleet, accel_power_override: float | None) -> HardwareFleet:

@@ -36,6 +36,24 @@ class TestHardwareCatalog:
         with pytest.raises(CatalogError, match="peak_tflops"):
             catalog.load_hardware(io.StringIO(text))
 
+    def test_zero_lifetime_rejected_blank_defaulted(self):
+        head = ",".join(catalog.HARDWARE_FIELDS) + "\n"
+        with pytest.raises(CatalogError, match="row 2: zero: lifetime_years must be > 0"):
+            catalog.load_hardware(io.StringIO(head + "zero,accelerator,125,300,,815,1.2,area,,,0\n"))
+        blank = catalog.load_hardware(io.StringIO(head + "blank,accelerator,125,300,,815,1.2,area,,,\n"))
+        assert blank[0].lifetime_years == 5.0
+
+    @pytest.mark.parametrize("column, row", [
+        ("peak_tflops", "x,accelerator,nan,300,,815,1.2,area,,,5"),
+        ("tdp_watts", "x,accelerator,125,inf,,815,1.2,area,,,5"),
+        ("cpa", "x,accelerator,125,300,,815,-inf,area,,,5"),
+        ("lifetime_years", "x,accelerator,125,300,,815,1.2,area,,,NaN"),
+    ])
+    def test_non_finite_cell_rejected(self, column, row):
+        text = ",".join(catalog.HARDWARE_FIELDS) + "\n" + row + "\n"
+        with pytest.raises(CatalogError, match=f"row 2: x: {column} must be finite"):
+            catalog.load_hardware(io.StringIO(text))
+
     def test_round_trip_preserves_fields(self):
         units = catalog.default_hardware()
         again = catalog.load_hardware(io.StringIO(catalog.dump_hardware(units)))
@@ -54,6 +72,16 @@ class TestDataCenterCatalog:
         text = (",".join(catalog.DATACENTER_FIELDS) + "\n"
                 "nan-dc,nan,0.394,0.97\n")
         with pytest.raises(CatalogError, match="row 2: nan-dc: pue"):
+            catalog.load_datacenters(io.StringIO(text))
+
+    @pytest.mark.parametrize("row, column", [
+        ("dc,inf,0.394,0.97", "pue"),
+        ("dc,1.1,inf,0.97", "carbon_intensity_kg_per_kwh"),
+        ("dc,1.1,0.394,nan", "cfe"),
+    ])
+    def test_non_finite_cell_rejected(self, row, column):
+        text = ",".join(catalog.DATACENTER_FIELDS) + "\n" + row + "\n"
+        with pytest.raises(CatalogError, match=f"row 2: dc: {column} must be finite"):
             catalog.load_datacenters(io.StringIO(text))
 
     def test_round_trip(self):
@@ -78,6 +106,22 @@ class TestDefaults:
     def test_default_anchor_table(self):
         anchors = catalog.default_anchors()
         assert (175e9, 0.47) in anchors
+
+    @pytest.mark.parametrize("row, column", [
+        ("nan,0.4", "param_count"), ("1e9,inf", "efficiency")])
+    def test_non_finite_anchor_rejected(self, row, column):
+        with pytest.raises(CatalogError, match=f"anchor table row 3: {column} must be finite"):
+            catalog.load_anchors(io.StringIO(f"param_count,efficiency\n1e9,0.3\n{row}\n"))
+
+    @pytest.mark.parametrize("load", [
+        catalog.default_hardware, catalog.default_datacenters, catalog.default_anchors])
+    def test_default_tables_come_back_as_fresh_lists(self, load):
+        first = load()
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        assert load() == expected
+        assert load() is not load()
 
     def test_env_var_extends_catalog(self, tmp_path, monkeypatch):
         custom = tmp_path / "hardware.csv"

@@ -4,12 +4,14 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carboncast import units
+from carboncast import catalog, pipeline, units
 from carboncast.pipeline import (
     EstimateRequest,
     LifecyclePlan,
     Overrides,
+    SweepPoint,
     estimate,
     estimate_lifecycle,
     sweep,
@@ -299,6 +301,69 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             sweep([], self.fleet(), self.grid_dc())
+
+
+def brute_force_flags(pairs):
+    """O(n^2) Pareto definition over (loss, carbon) pairs."""
+    return [any(ql <= l and qc <= c and (ql < l or qc < c) for ql, qc in pairs)
+            for l, c in pairs]
+
+
+def one_pass_flags(pairs):
+    points = sorted((SweepPoint(name=f"p{i}", param_count=1, tokens=1.0,
+                                test_loss=l, training_tco2=c)
+                     for i, (l, c) in enumerate(pairs)),
+                    key=lambda p: (p.test_loss, p.training_tco2, p.name))
+    flags = pipeline._dominance_flags(points)
+    return [(p.test_loss, p.training_tco2) for p in points], flags
+
+
+class TestDominanceFlags:
+    @pytest.mark.parametrize("pairs", [
+        [(1.0, 1.0)],                                  # a single point
+        [(1.0, 1.0), (1.0, 1.0)],                      # equal pairs
+        [(1.0, 2.0), (1.0, 1.0), (1.0, 1.0)],          # equal losses
+        [(2.0, 1.0), (1.0, 1.0)],                      # equal carbon
+        [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)],          # a frontier
+        [(1.0, 3.0), (2.0, 3.0), (2.0, 1.0), (3.0, 1.0), (3.0, 0.5)],
+        [(1.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 9.0)],
+    ])
+    def test_matches_the_definition_on_hand_cases(self, pairs):
+        ordered, flags = one_pass_flags(pairs)
+        assert flags == brute_force_flags(ordered)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40))
+    def test_matches_the_definition(self, pairs):
+        # Small integer ranges make equal losses and equal pairs common.
+        ordered, flags = one_pass_flags([(float(l), float(c)) for l, c in pairs])
+        assert flags == brute_force_flags(ordered)
+
+
+class TestSweepCosts:
+    def test_one_parameter_count_per_valid_point(self, monkeypatch):
+        calls = []
+        real = pipeline.count_params
+
+        def counting(arch, *args, **kwargs):
+            calls.append(arch.name)
+            return real(arch, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "count_params", counting)
+        rng = random.Random(61)
+        grid = [(dense_arch(f"m{i}", 10 ** rng.uniform(9, 11)), 10 ** rng.uniform(10, 12))
+                for i in range(20)]
+        grid.append((dense_arch("no-tokens", 1e9), 0.0))
+        points, errors = sweep(grid, HardwareFleet.of((v100(), 1)), dc())
+        assert len(points) == 20 and [name for name, _ in errors] == ["no-tokens"]
+        assert sorted(calls) == sorted(p.name for p in points)
+
+    def test_estimate_is_the_same_before_and_after_the_anchor_cache_is_warm(self):
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
+                              fleet=HardwareFleet.of((v100(), 64)), data_center=dc())
+        catalog._packaged.cache_clear()
+        cold = estimate(req)
+        assert estimate(req) == cold
 
 
 class TestAcceleratorComparison:
