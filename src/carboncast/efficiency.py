@@ -12,10 +12,15 @@ on either side of it. Three pieces model this:
   parallelism at 64 and data parallelism at 1 to bound all-to-all traffic.
 
 * :func:`optimal_efficiency` predicts the efficiency *at* the optimum from
-  an anchor table of published (param_count, efficiency) measurements, via a
-  degree-2 polynomial in log10(P), falling back to piecewise-linear
-  interpolation when fewer than three anchors exist. Expert-routed models
-  reach about 80% of their dense base's optimum (extra host-device swaps).
+  an anchor table of published (param_count, efficiency) measurements. With
+  three or more anchors it fits a degree-2 polynomial in log10(P) by least
+  squares, solved by QR with modified Gram-Schmidt on centred log sizes
+  (Bjorck, BIT 1967); with one or two it interpolates linearly in log10(P),
+  flat beyond the ends. Every anchor is checked first: its param count must
+  be finite and positive and used by no other anchor, and its efficiency
+  must lie in (0, 1]; a bad anchor raises ModelError naming its index.
+  Expert-routed models reach about 80% of their dense base's optimum (extra
+  host-device swaps).
 
 * :func:`efficiency_at_count` degrades the optimum when the actual fleet
   size differs from n: undersupply scales efficiency by re/n; oversupply
@@ -29,8 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .catalog import default_anchors
 from .types import ModelError, ParallelismPlan
@@ -153,23 +156,36 @@ def optimal_efficiency(
     ``anchors`` are (param_count, efficiency) pairs; the packaged table is
     used when omitted. Three or more anchors get a degree-2 least-squares
     fit in log10(param_count); one or two fall back to piecewise-linear
-    interpolation (flat beyond the ends); zero is an error.
+    interpolation (flat beyond the ends); zero is an error. A bad anchor
+    raises :class:`ModelError` naming its index.
     """
-    if param_count <= 0:
-        raise ModelError("param_count must be positive")
+    if not (0.0 < param_count < math.inf):
+        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
     if anchors is None:
         anchors = default_anchors()
     if not anchors:
         raise ModelError("efficiency anchor table is empty")
 
+    seen: dict[float, int] = {}
+    for i, (p, e) in enumerate(anchors):
+        # Written so that NaN fails too.
+        if not (0.0 < p < math.inf):
+            raise ModelError(f"efficiency anchor {i}: param_count must be finite and > 0, got {p!r}")
+        if not (0.0 < e <= 1.0):
+            raise ModelError(f"efficiency anchor {i}: efficiency must lie in (0, 1], got {e!r}")
+        j = seen.setdefault(math.log10(p), i)
+        if j != i:
+            raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
+
     pts = sorted(anchors)
+    xs = [math.log10(p) for p, _ in pts]
+    ys = [e for _, e in pts]
     x = math.log10(param_count)
     if len(pts) >= 3:
-        coeffs = np.polyfit([math.log10(p) for p, _ in pts], [e for _, e in pts], 2)
-        eff = float(np.polyval(coeffs, x))
+        eff = _quadratic_fit_at(xs, ys, x)
         source = EfficiencySource.REGRESSION
     else:
-        eff = float(np.interp(x, [math.log10(p) for p, _ in pts], [e for _, e in pts]))
+        eff = _interp(xs, ys, x)
         source = EfficiencySource.ANCHOR
 
     if is_moe:
@@ -177,6 +193,45 @@ def optimal_efficiency(
     eff = min(1.0, max(1e-6, eff))
     count = at_device_count if at_device_count is not None else optimal_device_count(param_count)
     return EfficiencyEstimate(efficiency=eff, at_device_count=count, source=source)
+
+
+def _interp(xs: list[float], ys: list[float], x: float) -> float:
+    """Linear interpolation through one or two points with increasing
+    ``xs``, flat beyond both ends: ``numpy.interp``'s arithmetic, bit for bit."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    return slope * (x - xs[0]) + ys[0]
+
+
+def _quadratic_fit_at(xs: list[float], ys: list[float], x: float) -> float:
+    """Value at ``x`` of the least-squares parabola through (xs, ys).
+
+    Modified Gram-Schmidt on the columns 1, t, t^2 of the centred
+    t = xs - mean, with ys carried as a fourth column so that it meets the
+    same rounding as the basis. Unlike the normal equations, this does not
+    square the condition number of the fit.
+    """
+    mean = sum(xs) / len(xs)
+    ts = [xi - mean for xi in xs]
+    cols = [[1.0] * len(ts), ts, [t * t for t in ts], list(ys)]
+    r = [[0.0] * 4 for _ in range(3)]
+    for k in range(3):
+        norm = math.sqrt(sum(v * v for v in cols[k]))
+        if norm == 0.0:
+            raise ModelError("efficiency anchors are too close in size to fit a parabola")
+        q = cols[k] = [v / norm for v in cols[k]]
+        r[k][k] = norm
+        for j in range(k + 1, 4):
+            r[k][j] = sum(a * b for a, b in zip(q, cols[j]))
+            cols[j] = [b - r[k][j] * a for a, b in zip(q, cols[j])]
+    c2 = r[2][3] / r[2][2]
+    c1 = (r[1][3] - r[1][2] * c2) / r[1][1]
+    c0 = (r[0][3] - r[0][1] * c1 - r[0][2] * c2) / r[0][0]
+    t = x - mean
+    return (c2 * t + c1) * t + c0
 
 
 def efficiency_at_count(

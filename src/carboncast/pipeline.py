@@ -314,8 +314,8 @@ def sweep(
     errors: list[tuple[str, str]] = []
     for arch, tokens in grid:
         try:
-            if tokens <= 0:
-                raise ModelError("sweep points need a positive token count")
+            if not (0 < tokens < inf):
+                raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
             req = EstimateRequest(
                 arch=arch, tokens=tokens, fleet=fleet, data_center=data_center,
                 phase=Phase.TRAINING, scaling=constants, anchors=anchors,

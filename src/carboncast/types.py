@@ -11,6 +11,7 @@ a run immediately.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -186,6 +187,12 @@ class HardwareUnit:
     lifetime_years: float = 5.0
 
     def __post_init__(self) -> None:
+        for fname in ("peak_tflops", "tdp_watts", "avg_system_power_watts", "die_area_mm2",
+                      "cpa", "capacity_gb", "embodied_kg_override", "lifetime_years"):
+            value = getattr(self, fname)
+            # Written so that NaN fails too.
+            if value is not None and not (0.0 <= value < math.inf):
+                raise CatalogError(f"{self.name}: {fname} must be finite and >= 0, got {value!r}")
         if self.role is HardwareRole.ACCELERATOR:
             if self.peak_tflops is None or self.peak_tflops <= 0:
                 raise CatalogError(f"{self.name}: peak_tflops must be > 0 for accelerators")
@@ -350,9 +357,13 @@ class CarbonReport:
     line_items: tuple[LineItem, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for fname in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
+                      "operational_tco2", "embodied_tco2", "total_tco2",
+                      "hardware_efficiency", "test_loss"):
+            value = getattr(self, fname)
+            # Written so that NaN fails too; checked first, since NaN or inf
+            # also breaks the additivity check below with a misleading message.
+            if value is not None and not (0.0 <= value < math.inf):
+                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
         if self.total_tco2 != self.operational_tco2 + self.embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")
-        for fname in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
-                      "operational_tco2", "embodied_tco2"):
-            if getattr(self, fname) < 0:
-                raise ModelError(f"{fname} must be >= 0")

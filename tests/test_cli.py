@@ -1,5 +1,8 @@
 """CLI surface: configs, formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -270,3 +273,14 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         assert "V100" in out
         assert "us-central1" in out
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # A fresh interpreter, so that no other test's imports count.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, carboncast.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,14 @@
 """Parallelism planner and hardware-efficiency model."""
 
+import io
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from carboncast import catalog
 from carboncast.efficiency import (
     EfficiencySource,
     efficiency_at_count,
@@ -93,6 +98,105 @@ class TestOptimalEfficiency:
     def test_empty_anchor_table_is_an_error(self):
         with pytest.raises(ModelError, match="anchor"):
             optimal_efficiency(175e9, anchors=[])
+
+    @pytest.mark.parametrize("anchors, message", [
+        ([(0.0, 0.5)], "anchor 0: param_count must be finite and > 0"),
+        ([(1e9, 0.5), (-5.0, 0.5)], "anchor 1: param_count must be finite and > 0"),
+        ([(math.nan, 0.5)], "anchor 0: param_count must be finite and > 0"),
+        ([(math.inf, 0.5)], "anchor 0: param_count must be finite and > 0"),
+        ([(1e9, math.nan)], r"anchor 0: efficiency must lie in \(0, 1\]"),
+        ([(1e9, 0.5), (1e10, 1.5)], r"anchor 1: efficiency must lie in \(0, 1\]"),
+        ([(1e9, 0.0)], r"anchor 0: efficiency must lie in \(0, 1\]"),
+        ([(1e9, -0.1)], r"anchor 0: efficiency must lie in \(0, 1\]"),
+        ([(1e9, math.inf)], r"anchor 0: efficiency must lie in \(0, 1\]"),
+        ([(1e9, 0.4), (1e9, 0.5)], "anchor 1: param_count 1000000000.0 duplicates anchor 0"),
+        ([(1e9, 0.4), (1e10, 0.5), (1e9, 0.45)], "anchor 2: .* duplicates anchor 0"),
+        ([(1e9, 0.4), (1e9, 0.5), (1e9, 0.45)], "anchor 1: .* duplicates anchor 0"),
+    ])
+    def test_bad_anchor_is_named_by_index(self, anchors, message):
+        with pytest.raises(ModelError, match=message):
+            optimal_efficiency(175e9, anchors=anchors)
+
+    def test_bad_rows_from_an_anchor_csv_are_rejected(self):
+        for row in ("0,0.5", "-5,0.5", "1e9,1.5"):
+            anchors = catalog.load_anchors(io.StringIO(f"param_count,efficiency\n{row}\n"))
+            with pytest.raises(ModelError, match="anchor 0"):
+                optimal_efficiency(175e9, anchors=anchors)
+
+    def test_anchors_too_close_in_size_to_fit_are_an_error(self):
+        # Distinct sizes whose log10 values differ in the last bits leave
+        # no room for a parabola; a near-singular fit must not divide by 0.
+        anchors = [(4.566235431958031e-189, 0.07045772463134176),
+                   (8.62341169998063e+40, 0.5642455160000153),
+                   (8.623411699980716e+40, 0.45867446055313077)]
+        with pytest.raises(ModelError, match="too close"):
+            optimal_efficiency(23757761929.454338, anchors=anchors)
+
+    @pytest.mark.parametrize("param_count", [0.0, -1.0, math.nan, math.inf])
+    def test_param_count_must_be_finite_and_positive(self, param_count):
+        with pytest.raises(ModelError, match="param_count"):
+            optimal_efficiency(param_count)
+
+
+class TestInterpolation:
+    def test_one_anchor_is_a_constant(self):
+        for p in (1e3, 1e9, 175e9, 1e15):
+            est = optimal_efficiency(p, anchors=[(175e9, 0.47)])
+            assert est.efficiency == 0.47
+            assert est.source is EfficiencySource.ANCHOR
+
+    def test_query_on_an_anchor_returns_its_value_exactly(self):
+        anchors = [(1.3e9, 0.5123456789), (7.7e11, 0.4111111111)]
+        for p, e in anchors:
+            assert optimal_efficiency(p, anchors=anchors).efficiency == e
+
+    def test_flat_beyond_both_ends(self):
+        anchors = [(1e10, 0.45), (1e9, 0.52)]
+        for p in (1e3, 1e8, 9.99e8):
+            assert optimal_efficiency(p, anchors=anchors).efficiency == 0.52
+        for p in (1.01e10, 1e12, 1e20):
+            assert optimal_efficiency(p, anchors=anchors).efficiency == 0.45
+
+    def test_linear_in_log_size_between_anchors(self):
+        anchors = [(1e9, 0.52), (1e11, 0.42)]
+        assert optimal_efficiency(1e10, anchors=anchors).efficiency == pytest.approx(0.47, rel=1e-15)
+
+
+def exact_quadratic_fit_at(points, x):
+    """Exact least-squares parabola through (log10 p, e), evaluated at log10 x,
+    from the normal equations in rational arithmetic."""
+    xs = [Fraction(math.log10(p)) for p, _ in points]
+    ys = [Fraction(e) for _, e in points]
+    moments = [sum(v ** k for v in xs) for k in range(5)]
+    rows = [[moments[i + j] for j in range(3)] + [sum(y * v ** i for v, y in zip(xs, ys))]
+            for i in range(3)]
+    for c in range(3):
+        for r in range(c + 1, 3):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    coeffs = [Fraction(0)] * 3
+    for r in (2, 1, 0):
+        known = sum(rows[r][j] * coeffs[j] for j in range(r + 1, 3))
+        coeffs[r] = (rows[r][3] - known) / rows[r][r]
+    t = Fraction(math.log10(x))
+    return coeffs[0] + coeffs[1] * t + coeffs[2] * t * t
+
+
+# Tables like the benchmark's: 3-5 anchors, log-uniform over 1 B - 1 T.
+anchor_tables = st.lists(
+    st.tuples(st.floats(9.0, 12.0).map(lambda e: 10.0 ** e), st.floats(0.38, 0.52)),
+    min_size=3, max_size=5, unique_by=lambda a: math.log10(a[0]))
+
+
+class TestRegression:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(anchor_tables, st.floats(8.0, math.log10(1.6e12)).map(lambda e: 10.0 ** e))
+    def test_fit_matches_exact_least_squares(self, anchors, query):
+        est = optimal_efficiency(query, anchors=anchors)
+        want = exact_quadratic_fit_at(sorted(anchors), query)
+        assert est.source is EfficiencySource.REGRESSION
+        if Fraction(1, 10**6) < want < 1:  # away from the clamp
+            assert abs(Fraction(est.efficiency) - want) <= Fraction(1, 10**8) * want
 
 
 class TestOffOptimalEfficiency:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: published rows, overrides, lifecycle, sweeps."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -96,6 +97,18 @@ class TestEstimate:
         )
         again = estimate(pinned)
         assert again == base
+
+    @pytest.mark.parametrize("change, fname", [
+        ({"tokens": math.nan}, "duration_seconds"),
+        ({"overrides": Overrides(efficiency=math.nan)}, "duration_seconds"),
+        ({"overrides": Overrides(measured_flops=math.inf)}, "duration_seconds"),
+        ({"overrides": Overrides(system_power_watts=math.inf)}, "hardware_energy_mwh"),
+    ])
+    def test_non_finite_inputs_fail_naming_the_report_field(self, change, fname):
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
+                              fleet=HardwareFleet.of((v100(), 171)), data_center=dc())
+        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+            estimate(dataclasses.replace(req, **change))
 
     def test_deterministic_reports(self):
         req = training_request(TRAINING_FIXTURES[0])
@@ -289,6 +302,13 @@ class TestSweep:
         assert len(points) == 1
         assert len(errors) == 1
         assert errors[0][0] == "headless"
+
+    @pytest.mark.parametrize("tokens", [0.0, -1e9, math.inf, math.nan])
+    def test_tokens_must_be_finite_and_positive(self, tokens):
+        grid = [(dense_arch("fine", 5e9), 100e9), (dense_arch("bad", 5e9), tokens)]
+        points, errors = sweep(grid, self.fleet(), self.grid_dc())
+        assert [p.name for p in points] == ["fine"]
+        assert errors == [("bad", f"sweep points need a finite positive token count, got {tokens!r}")]
 
     def test_ordering_is_deterministic(self):
         rng = random.Random(59)

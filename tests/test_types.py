@@ -90,6 +90,18 @@ class TestHardwareUnit:
             HardwareUnit(name="x", role=HardwareRole.OTHER,
                          embodied_kg_override=1.0, lifetime_years=0.0)
 
+    @pytest.mark.parametrize("fname, value", [
+        ("peak_tflops", math.nan), ("tdp_watts", math.inf), ("tdp_watts", -5.0),
+        ("avg_system_power_watts", math.nan), ("die_area_mm2", math.inf), ("cpa", -1.0),
+        ("capacity_gb", math.nan), ("embodied_kg_override", -math.inf),
+        ("lifetime_years", math.nan), ("lifetime_years", math.inf),
+    ])
+    def test_numbers_must_be_finite_and_non_negative(self, fname, value):
+        fields = {"peak_tflops": 125.0, "tdp_watts": 300.0, "die_area_mm2": 815.0,
+                  "cpa": 1.2, "cpa_basis": "area", fname: value}
+        with pytest.raises(CatalogError, match=f"^gpu: {fname} must be finite and >= 0"):
+            HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, **fields)
+
 
 class TestFleet:
     def test_single_accelerator_only(self):
@@ -129,6 +141,20 @@ class TestCarbonReport:
             CarbonReport(phase=Phase.TRAINING, duration_seconds=1.0,
                          hardware_energy_mwh=1.0, operational_energy_mwh=1.1,
                          operational_tco2=2.0, embodied_tco2=1.0, total_tco2=2.5)
+
+    @pytest.mark.parametrize("fname, value", [
+        ("duration_seconds", math.nan), ("hardware_energy_mwh", math.inf),
+        ("operational_energy_mwh", -1.0), ("hardware_efficiency", math.nan),
+        ("test_loss", math.inf),
+        # NaN and inf totals break additivity too, but are named for what they are.
+        ("operational_tco2", math.nan), ("embodied_tco2", math.inf), ("total_tco2", math.inf),
+    ])
+    def test_numbers_must_be_finite_and_non_negative(self, fname, value):
+        fields = {"duration_seconds": 1.0, "hardware_energy_mwh": 1.0,
+                  "operational_energy_mwh": 1.1, "operational_tco2": 2.0,
+                  "embodied_tco2": 1.0, "total_tco2": 3.0, fname: value}
+        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+            CarbonReport(phase=Phase.TRAINING, **fields)
 
 
 class TestUnits:
