@@ -44,7 +44,6 @@ DEFAULT_DEVICE_MEMORY_GB = 32.0   # published 175 B optimum assumed 32 GB parts
 # Training state per parameter under mixed precision: fp16 weights + grads,
 # fp32 master weights + two optimizer moments.
 TRAINING_BYTES_PER_PARAM = 16.0
-INFERENCE_BYTES_PER_PARAM = 2.0
 
 DEFAULT_EXPERT_PARALLELISM = 64
 MOE_EFFICIENCY_DISCOUNT = 0.80
@@ -91,8 +90,6 @@ def plan_parallelism(
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB,
     server_size: int = DEFAULT_SERVER_SIZE,
     target_device_count: int | None = None,
-    bytes_per_param: float = TRAINING_BYTES_PER_PARAM,
-    expert_parallelism: int = DEFAULT_EXPERT_PARALLELISM,
     max_model_parallel: int | None = None,
 ) -> ParallelismPlan:
     """Optimal parallelism degrees for a model of ``param_count`` parameters.
@@ -110,7 +107,7 @@ def plan_parallelism(
         raise ModelError("server_size must be >= 1")
 
     mem_bytes = device_memory_gb * 1e9
-    state_bytes = bytes_per_param * param_count
+    state_bytes = TRAINING_BYTES_PER_PARAM * param_count
 
     # Tensor parallelism: smallest power of two (capped at z) whose share of
     # the model state fits in one device; z itself when nothing fits.
@@ -135,7 +132,7 @@ def plan_parallelism(
     if is_moe:
         # d pinned to 1: expert all-to-alls already saturate the fabric.
         return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=1,
-                               expert=expert_parallelism, is_moe=True)
+                               expert=DEFAULT_EXPERT_PARALLELISM, is_moe=True)
 
     target = target_device_count if target_device_count is not None \
         else optimal_device_count(param_count)
@@ -148,7 +145,6 @@ def optimal_efficiency(
     param_count: float,
     is_moe: bool = False,
     anchors: list[tuple[float, float]] | None = None,
-    moe_discount: float = MOE_EFFICIENCY_DISCOUNT,
     at_device_count: int | None = None,
 ) -> EfficiencyEstimate:
     """Efficiency at the optimal parallelism setting for this model size.
@@ -189,7 +185,7 @@ def optimal_efficiency(
         source = EfficiencySource.ANCHOR
 
     if is_moe:
-        eff *= moe_discount
+        eff *= MOE_EFFICIENCY_DISCOUNT
     eff = min(1.0, max(1e-6, eff))
     count = at_device_count if at_device_count is not None else optimal_device_count(param_count)
     return EfficiencyEstimate(efficiency=eff, at_device_count=count, source=source)

@@ -32,10 +32,6 @@ class EmbodiedResult:
     others_tco2: float
     total_tco2: float
 
-    @property
-    def named_tco2(self) -> float:
-        return sum(item.attributed_tco2 for item in self.per_unit)
-
 
 def chip_embodied(unit: HardwareUnit) -> float:
     """Manufacturing kgCO2eq for a single unit, by its active pricing basis."""

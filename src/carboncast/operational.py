@@ -13,6 +13,7 @@ hardware efficiency. Mixing the two in one fleet is fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from . import units
 from .types import DataCenterProfile, HardwareFleet, LineItem, ModelError
@@ -25,7 +26,6 @@ class OperationalResult:
     hardware_energy_mwh: float
     operational_energy_mwh: float
     operational_tco2: float
-    device_time_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,10 @@ class StorageWorkload:
     def __post_init__(self) -> None:
         for fname in ("stored_tb", "transferred_tb", "duration_days",
                       "storage_w_per_tb", "transfer_w_per_tb"):
-            if getattr(self, fname) < 0:
-                raise ModelError(f"{fname} must be >= 0")
+            value = getattr(self, fname)
+            # Written so that NaN fails too.
+            if not (0.0 <= value < inf):
+                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ def hardware_energy(
 def operational_carbon(
     hardware_energy_mwh: float,
     data_center: DataCenterProfile,
-    device_time_seconds: float | None = None,
 ) -> OperationalResult:
     """Uplift hardware energy by PUE and convert to tonnes of CO2eq.
 
@@ -126,7 +127,6 @@ def operational_carbon(
         hardware_energy_mwh=hardware_energy_mwh,
         operational_energy_mwh=oper_mwh,
         operational_tco2=tco2,
-        device_time_seconds=device_time_seconds,
     )
 
 

@@ -7,8 +7,9 @@ finally their sum. Any stage can be short-circuited by a measured override
 (FLOPs, efficiency, device count, per-device power); supplying the value the
 model would have computed changes nothing.
 
-Also here: lifecycle composition (training plus inference, experimentation
-and storage shares) and the design-space sweep with Pareto dominance flags.
+Also here: the lifecycle, a weighted sum of phase reports (training, which
+also stands for inference and experimentation, plus storage), and the
+design-space sweep with Pareto dominance flags.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .efficiency import (
     optimal_efficiency,
     plan_parallelism,
 )
-from .embodied import OTHERS_FRACTION, EmbodiedResult, fleet_embodied
+from .embodied import OTHERS_FRACTION, fleet_embodied
 from .flops import inference_flops, training_flops
 from .operational import (
     StorageWorkload,
@@ -83,7 +84,8 @@ class LifecyclePlan:
     ``inference_share`` and ``experimentation_share`` scale the training
     phase's device time (the fleet stays powered serving those activities);
     storage is its own workload. Published activity ratios vary by operator
-    and are inputs here, not defaults.
+    and are inputs here, not defaults. ``training`` must be a training-phase
+    request without a storage workload of its own.
     """
 
     training: EstimateRequest
@@ -92,8 +94,17 @@ class LifecyclePlan:
     storage: StorageWorkload | None = None
 
     def __post_init__(self) -> None:
-        if self.inference_share < 0 or self.experimentation_share < 0:
-            raise ModelError("lifecycle shares must be >= 0")
+        for fname in ("inference_share", "experimentation_share"):
+            value = getattr(self, fname)
+            # Written so that NaN fails too.
+            if not (0.0 <= value < inf):
+                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+        if self.training.phase is not Phase.TRAINING:
+            raise ModelError(f"training request has phase {self.training.phase.value}, "
+                             "expected training")
+        if self.training.storage is not None:
+            raise ModelError("training request carries storage; give it as the "
+                             "lifecycle's storage instead")
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class _stage:
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
-        return _estimate_storage(req)
+        return _estimate_storage(req.storage, req.data_center)
     return _estimate(req)[0]
 
 
@@ -200,14 +211,16 @@ def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
         # only; a measured accelerator system power already covers their
         # draw (host CPU, DRAM, network and so on).
         powered = _powered_subfleet(fleet, req.overrides.system_power_watts)
-        energy_mwh, line_items = hardware_energy(
+        energy_mwh, energy_items = hardware_energy(
             powered, seconds, eff, power_override_watts=req.overrides.system_power_watts)
-        oper = operational_carbon(energy_mwh, req.data_center, device_time_seconds=seconds)
+        oper = operational_carbon(energy_mwh, req.data_center)
 
     with _stage("embodied-carbon"):
         emb = fleet_embodied(fleet, seconds, others_fraction=req.others_fraction)
 
-    items = _merge_line_items(line_items, emb)
+    rows = [(i.unit, i.count, i.energy_mwh, 0.0) for i in energy_items]
+    rows += [(e.unit, e.count, 0.0, e.attributed_tco2) for e in emb.per_unit]
+    rows.append(("others", 0, 0.0, emb.others_tco2))
     report = CarbonReport(
         phase=req.phase,
         duration_seconds=seconds,
@@ -219,17 +232,18 @@ def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
         hardware_efficiency=eff,
         test_loss=loss,
         parallelism=plan,
-        line_items=items,
+        line_items=_sum_line_items(rows),
     )
     return report, pcount
 
 
-def _estimate_storage(req: EstimateRequest) -> CarbonReport:
-    if req.storage is None:
+def _estimate_storage(storage: StorageWorkload | None,
+                      data_center: DataCenterProfile) -> CarbonReport:
+    if storage is None:
         raise ModelError("[operational-carbon] storage phase needs a storage workload")
-    energy = storage_energy(req.storage)
-    seconds = units.days_to_seconds(req.storage.duration_days)
-    oper = operational_carbon(energy.total_mwh, req.data_center, device_time_seconds=seconds)
+    energy = storage_energy(storage)
+    seconds = units.days_to_seconds(storage.duration_days)
+    oper = operational_carbon(energy.total_mwh, data_center)
     return CarbonReport(
         phase=Phase.STORAGE,
         duration_seconds=seconds,
@@ -246,48 +260,59 @@ def _estimate_storage(req: EstimateRequest) -> CarbonReport:
 
 
 def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
-    """Compose training, inference, experimentation and storage.
+    """A lifecycle report: the weighted sum of its phase reports.
 
     Inference and experimentation are modeled as extra wall-clock on the
-    training fleet, scaled by their shares; embodied carbon is attributed
-    over the combined wall-clock. With all shares at zero and no storage
-    this reduces exactly to the training estimate.
+    training fleet, so the training report counts ``1 + inference_share +
+    experimentation_share`` times; a storage report counts once. With both
+    shares at zero and no storage the numbers are the training estimate's.
     """
-    tr = estimate(plan.training)
     activity = 1.0 + plan.inference_share + plan.experimentation_share
-    wall_seconds = tr.duration_seconds * activity
-
-    hardware_mwh = tr.hardware_energy_mwh * activity
-
-    fleet = plan.training.fleet
-    if plan.training.overrides.device_count is not None:
-        fleet = _with_accelerator_count(fleet, plan.training.overrides.device_count)
-    emb = fleet_embodied(fleet, wall_seconds,
-                         others_fraction=plan.training.others_fraction)
-
-    storage_mwh = 0.0
-    items = list(tr.line_items)
-    duration = wall_seconds
+    parts = [(activity, estimate(plan.training))]
     if plan.storage is not None:
-        s = storage_energy(plan.storage)
-        storage_mwh = s.total_mwh
-        items.append(LineItem(unit="storage", count=1, energy_mwh=s.total_mwh))
-        duration += units.days_to_seconds(plan.storage.duration_days)
+        parts.append((1.0, _estimate_storage(plan.storage, plan.training.data_center)))
+    return _sum_reports(parts)
 
-    oper = operational_carbon(hardware_mwh + storage_mwh, plan.training.data_center)
+
+def _sum_reports(parts: list[tuple[float, CarbonReport]]) -> CarbonReport:
+    """The lifecycle report of (weight, phase report) parts: durations,
+    energies, carbon and line items are weighted sums; hardware efficiency,
+    test loss and plan are the first (training) part's."""
+    duration = hardware = facility = operational = embodied = 0.0
+    for w, r in parts:
+        duration += w * r.duration_seconds
+        hardware += w * r.hardware_energy_mwh
+        facility += w * r.operational_energy_mwh
+        operational += w * r.operational_tco2
+        embodied += w * r.embodied_tco2
+    training = parts[0][1]
     return CarbonReport(
         phase=Phase.LIFECYCLE,
         duration_seconds=duration,
-        hardware_energy_mwh=oper.hardware_energy_mwh,
-        operational_energy_mwh=oper.operational_energy_mwh,
-        operational_tco2=oper.operational_tco2,
-        embodied_tco2=emb.total_tco2,
-        total_tco2=oper.operational_tco2 + emb.total_tco2,
-        hardware_efficiency=tr.hardware_efficiency,
-        test_loss=tr.test_loss,
-        parallelism=tr.parallelism,
-        line_items=tuple(items),
+        hardware_energy_mwh=hardware,
+        operational_energy_mwh=facility,
+        operational_tco2=operational,
+        embodied_tco2=embodied,
+        total_tco2=operational + embodied,
+        hardware_efficiency=training.hardware_efficiency,
+        test_loss=training.test_loss,
+        parallelism=training.parallelism,
+        line_items=_sum_line_items((i.unit, i.count, w * i.energy_mwh, w * i.embodied_tco2)
+                                   for w, r in parts for i in r.line_items),
     )
+
+
+def _sum_line_items(rows) -> tuple[LineItem, ...]:
+    """Line items from (unit, count, energy_mwh, embodied_tco2) rows, summed
+    by unit. A unit keeps the order and the count of its first row.
+    """
+    merged: dict[str, list] = {}
+    for unit, count, energy, embodied in rows:
+        acc = merged.setdefault(unit, [count, 0.0, 0.0])
+        acc[1] += energy
+        acc[2] += embodied
+    return tuple(LineItem(unit, count, energy, embodied)
+                 for unit, (count, energy, embodied) in merged.items())
 
 
 def sweep(
@@ -370,17 +395,3 @@ def _with_accelerator_count(fleet: HardwareFleet, count: int) -> HardwareFleet:
         return fleet
     entries = tuple(replace(e, count=count) if e is accel else e for e in fleet.entries)
     return HardwareFleet(entries)
-
-
-def _merge_line_items(energy_items: list[LineItem],
-                      emb: EmbodiedResult) -> tuple[LineItem, ...]:
-    by_unit = {item.unit: item for item in energy_items}
-    merged: dict[str, LineItem] = dict(by_unit)
-    for e in emb.per_unit:
-        if e.unit in merged:
-            merged[e.unit] = replace(merged[e.unit], embodied_tco2=e.attributed_tco2)
-        else:
-            merged[e.unit] = LineItem(unit=e.unit, count=e.count,
-                                      embodied_tco2=e.attributed_tco2)
-    merged["others"] = LineItem(unit="others", count=0, embodied_tco2=emb.others_tco2)
-    return tuple(merged.values())

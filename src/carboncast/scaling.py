@@ -6,8 +6,7 @@ terms, one shrinking with parameter count P and one with training tokens D:
     L(P, D) = A / P^alpha + B / D^beta + E
 
 An expert-routed model with P total parameters behaves like a dense model
-of P / moe_param_discount parameters (default discount 8), so the law is
-evaluated at that effective size.
+of P / 8 parameters, so the law is evaluated at that effective size.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ MOE_PARAM_DISCOUNT = 8.0
 class LossPrediction:
     loss: float
     effective_params: float
-    constants: ScalingConstants
 
 
 def test_loss(
@@ -34,7 +32,6 @@ def test_loss(
     token_count: float,
     constants: ScalingConstants = DEFAULT_CONSTANTS,
     moe: bool = False,
-    moe_param_discount: float = MOE_PARAM_DISCOUNT,
 ) -> LossPrediction:
     """Predicted test loss in nats for a model of ``param_count`` parameters
     trained on ``token_count`` tokens. Strictly greater than the floor E for
@@ -44,14 +41,12 @@ def test_loss(
         raise ModelError(f"param_count must be positive, got {param_count}")
     if token_count <= 0:
         raise ModelError(f"token_count must be positive, got {token_count}")
-    if moe_param_discount <= 0:
-        raise ModelError("moe_param_discount must be positive")
 
-    effective = param_count / moe_param_discount if moe else float(param_count)
+    effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)
     loss = (constants.A / effective ** constants.alpha
             + constants.B / token_count ** constants.beta
             + constants.E)
-    return LossPrediction(loss=loss, effective_params=effective, constants=constants)
+    return LossPrediction(loss=loss, effective_params=effective)
 
 
 test_loss.__test__ = False  # keep pytest from collecting the public name

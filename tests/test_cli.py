@@ -179,6 +179,20 @@ class TestLifecycleCommand:
         share = float(record["embodied_tco2"]) / float(record["total_tco2"])
         assert 0.24 <= share <= 0.35
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("    phase: training", "    phase: inference",
+         "config error: lifecycle: training request has phase inference"),
+        ("    tokens: 7.0e+12", "    tokens: 7.0e+12\n    storage: {stored_tb: 1, duration_days: 30}",
+         "config error: lifecycle: training request carries storage"),
+    ])
+    def test_training_request_checked(self, tmp_path, capsys, old, new, message):
+        text = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
+        assert old in text
+        code = main(["lifecycle", "--config", write_config(tmp_path, text.replace(old, new)),
+                     "--catalog", str(DOCS_EXAMPLES / "xlm_cluster_hardware.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_four_point_grid(self, tmp_path, capsys):

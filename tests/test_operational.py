@@ -1,5 +1,6 @@
 """Operational model: execution time, fleet energy, carbon, storage."""
 
+import math
 import random
 
 import pytest
@@ -151,3 +152,11 @@ class TestStorageEnergy:
     def test_negative_fields_rejected(self):
         with pytest.raises(ModelError):
             StorageWorkload(stored_tb=-1, transferred_tb=0, duration_days=1)
+
+    @pytest.mark.parametrize("fname", ["stored_tb", "transferred_tb", "duration_days",
+                                       "storage_w_per_tb", "transfer_w_per_tb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected_by_name(self, fname, value):
+        fields = {"stored_tb": 1.0, "transferred_tb": 1.0, "duration_days": 1.0, fname: value}
+        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+            StorageWorkload(**fields)

@@ -239,6 +239,106 @@ class TestLifecycle:
         assert 0.24 <= share <= 0.35
 
 
+def mixed_request(**change):
+    """A training request on a powered accelerator, a TDP-priced CPU and an
+    SSD that counts for embodied carbon only."""
+    fleet = HardwareFleet.of(
+        (v100(330), 171),
+        (HardwareUnit(name="CPU", role=HardwareRole.CPU, tdp_watts=205,
+                      die_area_mm2=147, cpa=1.0, cpa_basis="area"), 16),
+        (HardwareUnit(name="SSD", role=HardwareRole.SSD, embodied_kg_override=576.0), 16),
+    )
+    req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9, fleet=fleet,
+                          data_center=dc(), overrides=Overrides(device_count=200))
+    return dataclasses.replace(req, **change)
+
+
+STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
+
+
+def cpu_listed_twice():
+    entries = mixed_request().fleet.entries
+    return mixed_request(fleet=HardwareFleet(entries + entries[1:2]))
+
+
+class TestPhaseSum:
+    @pytest.mark.parametrize("report", [
+        pytest.param(lambda: estimate(mixed_request()), id="training"),
+        pytest.param(lambda: estimate(mixed_request(phase=Phase.INFERENCE, tokens=1e12)),
+                     id="inference"),
+        pytest.param(lambda: estimate(mixed_request(phase=Phase.STORAGE, storage=STORAGE)),
+                     id="storage"),
+        pytest.param(lambda: estimate_lifecycle(LifecyclePlan(mixed_request(), 1.0, 0.5)),
+                     id="lifecycle"),
+        pytest.param(lambda: estimate_lifecycle(LifecyclePlan(mixed_request(), 1.0, 0.5, STORAGE)),
+                     id="lifecycle-with-storage"),
+        pytest.param(lambda: estimate(cpu_listed_twice()), id="unit-listed-twice"),
+        pytest.param(lambda: estimate_lifecycle(LifecyclePlan(cpu_listed_twice(), 1.0, 0.5)),
+                     id="lifecycle-unit-listed-twice"),
+    ])
+    def test_line_items_add_up_to_the_report(self, report):
+        r = report()
+        assert math.isclose(sum(i.energy_mwh for i in r.line_items), r.hardware_energy_mwh,
+                            rel_tol=1e-12)
+        assert math.isclose(sum(i.embodied_tco2 for i in r.line_items), r.embodied_tco2,
+                            rel_tol=1e-12)
+
+    def test_zero_shares_without_storage_is_the_training_report(self):
+        req = mixed_request()
+        lifecycle = estimate_lifecycle(LifecyclePlan(training=req))
+        assert lifecycle == dataclasses.replace(estimate(req), phase=Phase.LIFECYCLE)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(inference=st.floats(0, 5), experimentation=st.floats(0, 5),
+           tokens=st.floats(1e9, 1e13), devices=st.integers(1, 2000),
+           storage=st.none() | st.builds(StorageWorkload, stored_tb=st.floats(0, 100),
+                                         transferred_tb=st.floats(0, 500),
+                                         duration_days=st.floats(0, 365)))
+    def test_lifecycle_is_the_weighted_sum_of_its_phase_reports(
+            self, inference, experimentation, tokens, devices, storage):
+        req = mixed_request(tokens=tokens, overrides=Overrides(device_count=devices))
+        got = estimate_lifecycle(LifecyclePlan(req, inference, experimentation, storage))
+        training = estimate(req)
+        parts = [(1.0 + inference + experimentation, training)]
+        if storage is not None:
+            parts.append((1.0, estimate(mixed_request(phase=Phase.STORAGE, storage=storage))))
+
+        for name in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
+                     "operational_tco2", "embodied_tco2", "total_tco2"):
+            want = sum(w * getattr(r, name) for w, r in parts)
+            assert math.isclose(getattr(got, name), want, rel_tol=1e-12), name
+        want_items: dict[str, list[float]] = {}
+        for w, r in parts:
+            for item in r.line_items:
+                acc = want_items.setdefault(item.unit, [0.0, 0.0])
+                acc[0] += w * item.energy_mwh
+                acc[1] += w * item.embodied_tco2
+        assert [i.unit for i in got.line_items] == list(want_items)
+        for item in got.line_items:
+            energy, embodied = want_items[item.unit]
+            assert math.isclose(item.energy_mwh, energy, rel_tol=1e-12)
+            assert math.isclose(item.embodied_tco2, embodied, rel_tol=1e-12)
+        assert got.phase is Phase.LIFECYCLE
+        assert (got.hardware_efficiency, got.test_loss, got.parallelism) == (
+            training.hardware_efficiency, training.test_loss, training.parallelism)
+
+
+class TestLifecyclePlanChecks:
+    @pytest.mark.parametrize("fname", ["inference_share", "experimentation_share"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_shares_must_be_finite_and_non_negative(self, fname, value):
+        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+            LifecyclePlan(training=mixed_request(), **{fname: value})
+
+    def test_training_request_must_be_a_training_phase(self):
+        with pytest.raises(ModelError, match="training request has phase inference"):
+            LifecyclePlan(training=mixed_request(phase=Phase.INFERENCE))
+
+    def test_training_request_must_not_carry_storage(self):
+        with pytest.raises(ModelError, match="training request carries storage"):
+            LifecyclePlan(training=mixed_request(storage=STORAGE))
+
+
 class TestSweep:
     def fleet(self):
         return HardwareFleet.of((v100(), 1))
