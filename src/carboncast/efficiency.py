@@ -12,7 +12,8 @@ on either side of it. Three pieces model this:
   parallelism at 64 and data parallelism at 1 to bound all-to-all traffic.
 
 * :func:`optimal_efficiency` predicts the efficiency *at* the optimum from
-  an anchor table of published (param_count, efficiency) measurements. With
+  an anchor table of published (param_count, efficiency) measurements,
+  which :func:`fit_anchors` checks and fits once per table. With
   three or more anchors it fits a degree-2 polynomial in log10(P) by least
   squares, solved by QR with modified Gram-Schmidt on centred log sizes
   (Bjorck, BIT 1967); with one or two it interpolates linearly in log10(P),
@@ -101,8 +102,11 @@ def plan_parallelism(
     """
     if param_count <= 0:
         raise ModelError("param_count must be positive")
-    if device_memory_gb <= 0:
+    # Written so that NaN fails too.
+    if not (device_memory_gb > 0.0):
         raise ModelError("device_memory_gb must be positive")
+    if device_memory_gb == math.inf:
+        raise ModelError("device_memory_gb must be finite")
     if server_size < 1:
         raise ModelError("server_size must be >= 1")
 
@@ -119,7 +123,11 @@ def plan_parallelism(
             break
         t *= 2
 
-    pipeline = max(1, math.ceil(state_bytes / (tensor * mem_bytes)))
+    depth = state_bytes / (tensor * mem_bytes)
+    if depth == math.inf:
+        raise ModelError(f"the pipeline depth for {param_count:.6g} parameters in "
+                         f"{device_memory_gb!r} GB devices overflows a float")
+    pipeline = max(1, math.ceil(depth))
 
     if max_model_parallel is not None and tensor * pipeline > max_model_parallel:
         per_device = state_bytes / max_model_parallel / 1e9
@@ -144,19 +152,65 @@ def plan_parallelism(
 def optimal_efficiency(
     param_count: float,
     is_moe: bool = False,
-    anchors: list[tuple[float, float]] | None = None,
+    anchors: list[tuple[float, float]] | AnchorCurve | None = None,
     at_device_count: int | None = None,
 ) -> EfficiencyEstimate:
     """Efficiency at the optimal parallelism setting for this model size.
 
-    ``anchors`` are (param_count, efficiency) pairs; the packaged table is
-    used when omitted. Three or more anchors get a degree-2 least-squares
-    fit in log10(param_count); one or two fall back to piecewise-linear
-    interpolation (flat beyond the ends); zero is an error. A bad anchor
-    raises :class:`ModelError` naming its index.
+    ``anchors`` are (param_count, efficiency) pairs, fitted here by
+    :func:`fit_anchors` (the packaged table when omitted), or an
+    :class:`AnchorCurve` that ``fit_anchors`` made earlier, so that callers
+    evaluating many sizes against one table fit it once.
     """
     if not (0.0 < param_count < math.inf):
         raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
+    curve = anchors if isinstance(anchors, AnchorCurve) else fit_anchors(anchors)
+    count = at_device_count if at_device_count is not None else optimal_device_count(param_count)
+    return EfficiencyEstimate(efficiency=curve.at(param_count, is_moe), at_device_count=count,
+                              source=curve.source)
+
+
+class AnchorCurve:
+    """An anchor table, checked and fitted by :func:`fit_anchors`.
+
+    A regression curve holds its least-squares parabola as ``(mean, c0, c1,
+    c2)`` in t = log10(P) - mean; an interpolated one holds its one or two
+    anchors as increasing log10 sizes ``xs`` and their efficiencies ``ys``.
+    """
+
+    __slots__ = ("source", "xs", "ys", "parabola")
+
+    def __init__(self, source: EfficiencySource, xs: tuple[float, ...] = (),
+                 ys: tuple[float, ...] = (),
+                 parabola: tuple[float, float, float, float] | None = None) -> None:
+        self.source = source
+        self.xs = xs
+        self.ys = ys
+        self.parabola = parabola
+
+    def at(self, param_count: float, is_moe: bool = False) -> float:
+        """Efficiency at the optimum for ``param_count`` parameters, with the
+        MoE discount applied and the result clamped to [1e-6, 1]."""
+        x = math.log10(param_count)
+        if self.parabola is None:
+            eff = _interp(self.xs, self.ys, x)
+        else:
+            mean, c0, c1, c2 = self.parabola
+            t = x - mean
+            eff = (c2 * t + c1) * t + c0
+        if is_moe:
+            eff *= MOE_EFFICIENCY_DISCOUNT
+        return min(1.0, max(1e-6, eff))
+
+
+def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve:
+    """Check, sort and fit an anchor table; the packaged one when omitted.
+
+    Three or more anchors get a degree-2 least-squares fit in
+    log10(param_count); one or two fall back to piecewise-linear
+    interpolation (flat beyond the ends); zero is an error. A bad anchor
+    raises :class:`ModelError` naming its index.
+    """
     if anchors is None:
         anchors = default_anchors()
     if not anchors:
@@ -174,24 +228,14 @@ def optimal_efficiency(
             raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
 
     pts = sorted(anchors)
-    xs = [math.log10(p) for p, _ in pts]
-    ys = [e for _, e in pts]
-    x = math.log10(param_count)
+    xs = tuple([math.log10(p) for p, _ in pts])
+    ys = tuple([e for _, e in pts])
     if len(pts) >= 3:
-        eff = _quadratic_fit_at(xs, ys, x)
-        source = EfficiencySource.REGRESSION
-    else:
-        eff = _interp(xs, ys, x)
-        source = EfficiencySource.ANCHOR
-
-    if is_moe:
-        eff *= MOE_EFFICIENCY_DISCOUNT
-    eff = min(1.0, max(1e-6, eff))
-    count = at_device_count if at_device_count is not None else optimal_device_count(param_count)
-    return EfficiencyEstimate(efficiency=eff, at_device_count=count, source=source)
+        return AnchorCurve(EfficiencySource.REGRESSION, parabola=_quadratic_fit(xs, ys))
+    return AnchorCurve(EfficiencySource.ANCHOR, xs, ys)
 
 
-def _interp(xs: list[float], ys: list[float], x: float) -> float:
+def _interp(xs: tuple[float, ...], ys: tuple[float, ...], x: float) -> float:
     """Linear interpolation through one or two points with increasing
     ``xs``, flat beyond both ends: ``numpy.interp``'s arithmetic, bit for bit."""
     if x <= xs[0]:
@@ -202,8 +246,9 @@ def _interp(xs: list[float], ys: list[float], x: float) -> float:
     return slope * (x - xs[0]) + ys[0]
 
 
-def _quadratic_fit_at(xs: list[float], ys: list[float], x: float) -> float:
-    """Value at ``x`` of the least-squares parabola through (xs, ys).
+def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, float, float, float]:
+    """The least-squares parabola through (xs, ys), as ``(mean, c0, c1, c2)``
+    with value (c2 * t + c1) * t + c0 at t = x - mean.
 
     Modified Gram-Schmidt on the columns 1, t, t^2 of the centred
     t = xs - mean, with ys carried as a fourth column so that it meets the
@@ -226,8 +271,7 @@ def _quadratic_fit_at(xs: list[float], ys: list[float], x: float) -> float:
     c2 = r[2][3] / r[2][2]
     c1 = (r[1][3] - r[1][2] * c2) / r[1][1]
     c0 = (r[0][3] - r[0][1] * c1 - r[0][2] * c2) / r[0][0]
-    t = x - mean
-    return (c2 * t + c1) * t + c0
+    return mean, c0, c1, c2
 
 
 def efficiency_at_count(

@@ -6,6 +6,11 @@ per-unit figure overrides the pricing. A workload is charged the fraction of
 each unit's lifetime it occupies, and the named units are topped up by an
 "others" share covering motherboard, chassis, PSU and the like, which is a
 fixed fraction of the final total (15% in published teardowns).
+
+Embodied carbon is therefore a per-second rate times device-seconds: count
+times chip kg over lifetime, times execution time. The pipeline takes a
+fleet's rates from :func:`fleet_embodied` over one second, once per fleet,
+and scales them for each estimate.
 """
 
 from __future__ import annotations

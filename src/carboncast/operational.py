@@ -8,6 +8,11 @@ Power accounting per fleet entry follows one of two paths. When a measured
 average system power is available it already reflects real utilization, so
 it multiplies time directly. Otherwise the chip TDP is derated by the
 hardware efficiency. Mixing the two in one fleet is fine.
+
+Energy is therefore a per-second rate times device-seconds: measured watts
+plus TDP watts times efficiency, times count, times execution time. The
+pipeline takes a fleet's rates from :func:`hardware_energy` over one second
+at full efficiency, once per fleet, and scales them for each estimate.
 """
 
 from __future__ import annotations
@@ -92,9 +97,10 @@ def hardware_energy(
         raise ModelError("execution_seconds must be >= 0")
     total_j = 0.0
     items = []
+    accel = fleet.accelerator
     for entry in fleet.entries:
         unit = entry.unit
-        override = power_override_watts if entry is fleet.accelerator else None
+        override = power_override_watts if entry is accel else None
         avg = override if override is not None else unit.avg_system_power_watts
         if avg is not None:
             watts, eff = avg, 1.0

@@ -139,7 +139,20 @@ def count_params(
     arch: LlmArchitecture,
     force_moe_equation: ParameterEquation | None = None,
 ) -> ParameterCount:
-    """Parameter count for any architecture; explicit counts pass through."""
+    """Parameter count for any architecture; explicit counts pass through.
+
+    Every later stage computes in floats, so a count beyond the float range
+    is a :class:`ModelError` here.
+    """
+    try:
+        pcount = _count(arch, force_moe_equation)
+        float(pcount.total)
+    except OverflowError:
+        raise ModelError(f"{arch.name}: parameter count is beyond the float range") from None
+    return pcount
+
+
+def _count(arch: LlmArchitecture, force_moe_equation: ParameterEquation | None) -> ParameterCount:
     if arch.explicit_param_count is not None:
         return ParameterCount(int(arch.explicit_param_count), ParameterEquation.EXPLICIT)
 

@@ -7,6 +7,12 @@ finally their sum. Any stage can be short-circuited by a measured override
 (FLOPs, efficiency, device count, per-device power); supplying the value the
 model would have computed changes nothing.
 
+What depends only on the fleet, the overrides and the anchor table is
+worked out once, in a ``_Setting``: the fitted anchor curve and the fleet's
+energy and embodied carbon per second. Each estimate then runs its own model
+stages and multiplies its execution seconds by those rates. ``estimate()``
+makes a setting per call; ``sweep()`` makes one for all its points.
+
 Also here: the lifecycle, a weighted sum of phase reports (training, which
 also stands for inference and experimentation, plus storage), and the
 design-space sweep with Pareto dominance flags.
@@ -14,15 +20,18 @@ design-space sweep with Pareto dominance flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 from math import inf
+from operator import itemgetter
 
 from . import units
 from .efficiency import (
     DEFAULT_DEVICE_MEMORY_GB,
     DEFAULT_SERVER_SIZE,
+    AnchorCurve,
     efficiency_at_count,
+    fit_anchors,
     optimal_efficiency,
     plan_parallelism,
 )
@@ -40,6 +49,7 @@ from .scaling import test_loss
 from .types import (
     CarbonReport,
     DataCenterProfile,
+    FleetEntry,
     HardwareFleet,
     LineItem,
     LlmArchitecture,
@@ -58,6 +68,11 @@ class Overrides:
     device_count: int | None = None
     system_power_watts: float | None = None
 
+    def __post_init__(self) -> None:
+        # Written so that NaN fails too.
+        if self.efficiency is not None and not (0.0 < self.efficiency <= 1.0):
+            raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+
 
 @dataclass(frozen=True)
 class EstimateRequest:
@@ -75,6 +90,13 @@ class EstimateRequest:
     server_size: int = DEFAULT_SERVER_SIZE
     anchors: list[tuple[float, float]] | None = None
     others_fraction: float = OTHERS_FRACTION
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails too.
+        if not (0.0 <= self.tokens < inf):
+            raise ModelError(f"tokens must be finite and >= 0, got {self.tokens!r}")
+        if not (0.0 <= self.others_fraction < 1.0):
+            raise ModelError(f"others_fraction must lie in [0, 1), got {self.others_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +129,7 @@ class LifecyclePlan:
                              "lifecycle's storage instead")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     name: str
     param_count: int
@@ -121,12 +143,16 @@ def _flop_param_count(arch, full_count: int) -> float:
     """Parameter count that drives FLOPs: the dense base model for MoE."""
     if not arch.is_moe:
         return float(full_count)
-    if arch.base_model_param_count is not None:
-        return float(arch.base_model_param_count)
-    if arch.hidden_size > 0 and arch.layer_count > 0 and arch.vocab_size > 0:
-        # Dense counterpart of the expert model.
-        return float(12 * arch.layer_count * arch.hidden_size ** 2
-                     + arch.vocab_size * arch.hidden_size)
+    try:
+        if arch.base_model_param_count is not None:
+            return float(arch.base_model_param_count)
+        if arch.hidden_size > 0 and arch.layer_count > 0 and arch.vocab_size > 0:
+            # Dense counterpart of the expert model.
+            return float(12 * arch.layer_count * arch.hidden_size ** 2
+                         + arch.vocab_size * arch.hidden_size)
+    except OverflowError:
+        raise ModelError(f"{arch.name}: dense base parameter count is beyond the float "
+                         "range") from None
     raise ModelError(
         f"{arch.name}: MoE FLOPs need base_model_param_count "
         "(or h, l, V to derive the dense counterpart)"
@@ -154,11 +180,96 @@ def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req.storage, req.data_center)
-    return _estimate(req)[0]
+    return _estimate(req, _Setting(req.fleet, req.overrides, req.anchors, req.others_fraction))[0]
 
 
-def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
-    """A training or inference estimate, with the parameter count it used."""
+class _Setting:
+    """What estimates on one fleet, set of overrides and anchor table share.
+
+    The anchor curve and the fleet's per-second rates are worked out at their
+    first use, where an estimate without them would have met their faults,
+    and then reused. ``sweep()`` makes one setting for all its points;
+    ``estimate()`` makes one per call.
+    """
+
+    __slots__ = ("fleet", "accel", "device_count", "power_watts", "anchors", "others_fraction",
+                 "_curve", "_rates")
+
+    def __init__(self, fleet: HardwareFleet, overrides: Overrides,
+                 anchors: list[tuple[float, float]] | None, others_fraction: float) -> None:
+        self.fleet = fleet
+        self.accel = fleet.accelerator
+        self.device_count = overrides.device_count
+        if self.device_count is None and self.accel is not None:
+            self.device_count = self.accel.count
+        self.power_watts = overrides.system_power_watts
+        self.anchors = anchors
+        self.others_fraction = others_fraction
+        self._curve: AnchorCurve | list[tuple[float, float]] | None = None
+        self._rates: tuple[dict[str, list], float] | None = None
+
+    def curve(self) -> AnchorCurve | list[tuple[float, float]] | None:
+        """The fitted anchor curve, for ``optimal_efficiency``. A table that
+        does not fit is handed on as it is: ``optimal_efficiency`` then raises
+        its fault for each estimate, after checking its own input."""
+        if self._curve is None:
+            try:
+                self._curve = fit_anchors(self.anchors)
+            except ModelError:
+                self._curve = self.anchors
+        return self._curve
+
+    def rates(self) -> tuple[dict[str, list], float]:
+        if self._rates is None:
+            self._rates = _fleet_rates(self.fleet, self.device_count, self.power_watts,
+                                       self.others_fraction)
+        return self._rates
+
+
+def _fleet_rates(fleet: HardwareFleet, device_count: int, power_watts: float | None,
+                 others_fraction: float) -> tuple[dict[str, list], float]:
+    """Energy and embodied carbon per second of execution of ``fleet`` with
+    ``device_count`` accelerators and, when ``power_watts`` is given, that
+    measured power per accelerator: ``hardware_energy`` at full efficiency
+    and ``fleet_embodied``, each over one second.
+
+    Returns the units, mapping each unit name to [count, measured MWh/s, TDP
+    MWh/s at full efficiency, embodied tCO2/s] (powered units first, then
+    the rest, each in fleet order, then the ``others`` share); and the
+    fleet's embodied tCO2/s, named units plus others.
+    """
+    accel = fleet.accelerator
+    if accel.count != device_count:
+        resized = FleetEntry(accel.unit, device_count)
+        fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
+        accel = resized
+    # Units without a power figure ride along for embodied accounting only;
+    # a measured accelerator system power already covers their draw (host
+    # CPU, DRAM, network and so on).
+    powered, measured = [], []
+    for e in fleet.entries:
+        # As hardware_energy decides: a measured draw is used as it is, a TDP
+        # is scaled by each estimate's efficiency.
+        m = e.unit.avg_system_power_watts is not None or (e is accel and power_watts is not None)
+        if m or e.unit.tdp_watts is not None:
+            powered.append(e)
+            measured.append(m)
+    powered_fleet = fleet if len(powered) == len(fleet.entries) else HardwareFleet(tuple(powered))
+    _, draw = hardware_energy(powered_fleet, 1.0, 1.0, power_override_watts=power_watts)
+    emb = fleet_embodied(fleet, 1.0, others_fraction=others_fraction)
+
+    merged: dict[str, list] = {}
+    for m, item in zip(measured, draw):
+        merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])[1 if m else 2] += item.energy_mwh
+    for item in emb.per_unit:
+        merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])[3] += item.attributed_tco2
+    merged.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += emb.others_tco2
+    return merged, emb.total_tco2
+
+
+def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, ParameterCount]:
+    """A training or inference estimate, with the parameter count it used.
+    ``setting`` is made from ``req``'s fleet, overrides and anchor table."""
     if req.phase not in (Phase.TRAINING, Phase.INFERENCE):
         raise ModelError(f"estimate() handles training/inference/storage, not {req.phase}")
 
@@ -180,7 +291,7 @@ def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
                       else inference_flops(p_flops, req.tokens))
             flops = budget.total_flops
 
-    accel = req.fleet.accelerator
+    accel = setting.accel
     if accel is None:
         raise ModelError("[efficiency-model] fleet has no accelerator entry")
 
@@ -189,13 +300,12 @@ def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
             pcount.total, is_moe=arch.is_moe,
             device_memory_gb=req.device_memory_gb, server_size=req.server_size,
         )
-        actual_devices = (req.overrides.device_count
-                          if req.overrides.device_count is not None else accel.count)
+        actual_devices = setting.device_count
         if req.overrides.efficiency is not None:
             eff = req.overrides.efficiency
         else:
             base_for_eff = _flop_param_count(arch, pcount.total) if arch.is_moe else pcount.total
-            opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=req.anchors,
+            opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=setting.curve(),
                                      at_device_count=plan.device_count)
             if actual_devices == plan.device_count:
                 eff = opt.efficiency
@@ -203,36 +313,27 @@ def _estimate(req: EstimateRequest) -> tuple[CarbonReport, ParameterCount]:
                 eff = efficiency_at_count(actual_devices, plan.device_count,
                                           opt.efficiency).efficiency
 
-    fleet = _with_accelerator_count(req.fleet, actual_devices)
+    rates, embodied_per_s = setting.rates()
     with _stage("operational-carbon"):
         seconds = 0.0 if flops == 0 else device_time(
             flops, actual_devices, accel.unit.peak_tflops, eff)
-        # Units without a power figure ride along for embodied accounting
-        # only; a measured accelerator system power already covers their
-        # draw (host CPU, DRAM, network and so on).
-        powered = _powered_subfleet(fleet, req.overrides.system_power_watts)
-        energy_mwh, energy_items = hardware_energy(
-            powered, seconds, eff, power_override_watts=req.overrides.system_power_watts)
-        oper = operational_carbon(energy_mwh, req.data_center)
+        items = tuple([LineItem(unit, count, (measured + tdp * eff) * seconds, embodied * seconds)
+                       for unit, (count, measured, tdp, embodied) in rates.items()])
+        oper = operational_carbon(sum([i.energy_mwh for i in items]), req.data_center)
 
-    with _stage("embodied-carbon"):
-        emb = fleet_embodied(fleet, seconds, others_fraction=req.others_fraction)
-
-    rows = [(i.unit, i.count, i.energy_mwh, 0.0) for i in energy_items]
-    rows += [(e.unit, e.count, 0.0, e.attributed_tco2) for e in emb.per_unit]
-    rows.append(("others", 0, 0.0, emb.others_tco2))
+    embodied = embodied_per_s * seconds
     report = CarbonReport(
         phase=req.phase,
         duration_seconds=seconds,
         hardware_energy_mwh=oper.hardware_energy_mwh,
         operational_energy_mwh=oper.operational_energy_mwh,
         operational_tco2=oper.operational_tco2,
-        embodied_tco2=emb.total_tco2,
-        total_tco2=oper.operational_tco2 + emb.total_tco2,
+        embodied_tco2=embodied,
+        total_tco2=oper.operational_tco2 + embodied,
         hardware_efficiency=eff,
         test_loss=loss,
         parallelism=plan,
-        line_items=_sum_line_items(rows),
+        line_items=items,
     )
     return report, pcount
 
@@ -334,8 +435,10 @@ def sweep(
     if not grid:
         raise ModelError("sweep grid is empty")
     constants = scaling if scaling is not None else ScalingConstants()
+    overrides = Overrides()
+    setting = _Setting(fleet, overrides, anchors, OTHERS_FRACTION)
 
-    points: list[SweepPoint] = []
+    rows: list[tuple[float, float, str, int, float]] = []
     errors: list[tuple[str, str]] = []
     for arch, tokens in grid:
         try:
@@ -343,24 +446,25 @@ def sweep(
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
             req = EstimateRequest(
                 arch=arch, tokens=tokens, fleet=fleet, data_center=data_center,
-                phase=Phase.TRAINING, scaling=constants, anchors=anchors,
+                phase=Phase.TRAINING, scaling=constants, overrides=overrides, anchors=anchors,
                 device_memory_gb=device_memory_gb, server_size=server_size,
             )
-            report, pcount = _estimate(req)
-            points.append(SweepPoint(
-                name=arch.name, param_count=pcount.total, tokens=tokens,
-                test_loss=report.test_loss, training_tco2=report.operational_tco2,
-            ))
+            report, pcount = _estimate(req, setting)
+            rows.append((report.test_loss, report.operational_tco2, arch.name, pcount.total, tokens))
         except ModelError as exc:
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 
-    points.sort(key=lambda p: (p.test_loss, p.training_tco2, p.name))
-    flagged = [replace(p, dominated=d) for p, d in zip(points, _dominance_flags(points))]
-    return flagged, errors
+    rows.sort(key=itemgetter(0, 1, 2))
+    points = [SweepPoint(name=name, param_count=count, tokens=tokens, test_loss=loss,
+                         training_tco2=carbon, dominated=dominated)
+              for (loss, carbon, name, count, tokens), dominated
+              in zip(rows, _dominance_flags(rows))]
+    return points, errors
 
 
-def _dominance_flags(points: list[SweepPoint]) -> list[bool]:
-    """Pareto dominance flags of points sorted by (test_loss, training_tco2).
+def _dominance_flags(rows) -> list[bool]:
+    """Pareto dominance flags of (test_loss, training_tco2, ...) rows sorted
+    by loss, then carbon.
 
     One pass over the groups of equal loss, as in the 2-D maxima method of
     Kung, Luccio and Preparata (J. ACM 1975). A point is dominated by an
@@ -370,28 +474,9 @@ def _dominance_flags(points: list[SweepPoint]) -> list[bool]:
     """
     flags: list[bool] = []
     best = inf  # lowest carbon among points of strictly lower loss
-    for _, group in groupby(points, key=lambda p: p.test_loss):
-        carbons = [p.training_tco2 for p in group]
+    for _, group in groupby(rows, key=itemgetter(0)):
+        carbons = [row[1] for row in group]
         lowest = carbons[0]
         flags.extend(best <= c or lowest < c for c in carbons)
         best = min(best, lowest)
     return flags
-
-
-def _powered_subfleet(fleet: HardwareFleet, accel_power_override: float | None) -> HardwareFleet:
-    accel = fleet.accelerator
-    kept = tuple(
-        e for e in fleet.entries
-        if e.unit.avg_system_power_watts is not None
-        or e.unit.tdp_watts is not None
-        or (e is accel and accel_power_override is not None)
-    )
-    return HardwareFleet(kept)
-
-
-def _with_accelerator_count(fleet: HardwareFleet, count: int) -> HardwareFleet:
-    accel = fleet.accelerator
-    if accel is None or accel.count == count:
-        return fleet
-    entries = tuple(replace(e, count=count) if e is accel else e for e in fleet.entries)
-    return HardwareFleet(entries)

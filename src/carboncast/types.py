@@ -279,10 +279,11 @@ class DataCenterProfile:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
-        if not (self.pue >= 1.0):
-            raise CatalogError(f"{self.name}: pue must be >= 1.0")
-        if not (self.carbon_intensity >= 0.0):
-            raise CatalogError(f"{self.name}: carbon_intensity must be >= 0")
+        if not (1.0 <= self.pue < math.inf):
+            raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {self.pue!r}")
+        if not (0.0 <= self.carbon_intensity < math.inf):
+            raise CatalogError(f"{self.name}: carbon_intensity must be finite and >= 0, "
+                               f"got {self.carbon_intensity!r}")
         if not (0.0 <= self.cfe <= 1.0):
             raise CatalogError(f"{self.name}: cfe must lie in [0, 1]")
 
@@ -302,8 +303,11 @@ class ScalingConstants:
 
     def __post_init__(self) -> None:
         for fname in ("A", "B", "alpha", "beta", "E"):
-            if getattr(self, fname) <= 0:
-                raise ModelError(f"scaling constant {fname} must be positive")
+            value = getattr(self, fname)
+            # Written so that NaN fails too.
+            if not (0.0 < value < math.inf):
+                raise ModelError(f"scaling constant {fname} must be positive and finite, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,12 @@ class TestEstimateCommand:
          "estimate.scaling: scaling constant alpha must be positive"),
         ("  tokens:", "  server_size: 2.5\n  tokens:", EXIT_CONFIG_ERROR,
          "estimate.server_size: expected a whole number"),
+        ("efficiency: 0.197", "efficiency: 1.5", EXIT_CONFIG_ERROR,
+         "estimate.overrides: efficiency must lie in (0, 1], got 1.5"),
+        ("efficiency: 0.197", "efficiency: 0", EXIT_CONFIG_ERROR,
+         "estimate.overrides: efficiency must lie in (0, 1], got 0.0"),
+        ("tokens: 3.0e+11", "tokens: -5", EXIT_CONFIG_ERROR,
+         "estimate: tokens must be finite and >= 0, got -5.0"),
         ("  tokens:", "  anchors: [[1.0e+9, 0.3]]\n  tokens:", EXIT_CONFIG_ERROR,
          "estimate.anchors: unknown key"),
         ("  tokens:", "  others_fraction: 0.1\n  tokens:", EXIT_CONFIG_ERROR,

@@ -3,30 +3,33 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carboncast import catalog, pipeline, units
+from carboncast import catalog, efficiency, pipeline, units
 from carboncast.pipeline import (
     EstimateRequest,
     LifecyclePlan,
     Overrides,
-    SweepPoint,
     estimate,
     estimate_lifecycle,
     sweep,
 )
-from carboncast.operational import StorageWorkload
+from carboncast.embodied import fleet_embodied
+from carboncast.operational import StorageWorkload, hardware_energy
 from carboncast.types import (
     ArchKind,
     DataCenterProfile,
+    ExpertGroup,
     HardwareFleet,
     HardwareRole,
     HardwareUnit,
     LlmArchitecture,
     ModelError,
     Phase,
+    ScalingConstants,
 )
 from carboncast.validation import TRAINING_FIXTURES, training_request
 
@@ -38,6 +41,11 @@ def v100(avg_watts=None):
                         die_area_mm2=815, cpa=1.2, cpa_basis="area")
 
 
+def cpu():
+    return HardwareUnit(name="CPU", role=HardwareRole.CPU, tdp_watts=205,
+                        die_area_mm2=147, cpa=1.0, cpa_basis="area")
+
+
 def dc(pue=1.1, ci=0.429):
     return DataCenterProfile(name="dc", pue=pue, carbon_intensity=ci)
 
@@ -45,6 +53,28 @@ def dc(pue=1.1, ci=0.429):
 def dense_arch(name, params):
     return LlmArchitecture(name=name, kind=ArchKind.DENSE_GPT,
                            explicit_param_count=int(params))
+
+
+# Architectures whose counts a float cannot hold, or whose pipeline depth it
+# cannot hold, with the error each one gives.
+BEYOND_FLOAT_RANGE = [
+    pytest.param(LlmArchitecture(name="huge", kind=ArchKind.DENSE_GPT, hidden_size=10 ** 160,
+                                 layer_count=2, vocab_size=10),
+                 "[parameter-model] huge: parameter count is beyond the float range",
+                 id="dense"),
+    pytest.param(LlmArchitecture(name="huge", kind=ArchKind.MOE, hidden_size=10 ** 160,
+                                 layer_count=2, moe_fraction=0.5,
+                                 expert_groups=(ExpertGroup(1.0, 8),)),
+                 "[parameter-model] huge: parameter count is beyond the float range",
+                 id="moe"),
+    pytest.param(LlmArchitecture(name="huge", kind=ArchKind.MOE, explicit_param_count=10 ** 9,
+                                 base_model_param_count=10 ** 400),
+                 "[flop-model] huge: dense base parameter count is beyond the float range",
+                 id="moe-base"),
+    pytest.param(dense_arch("huge", 1e308),
+                 "[efficiency-model] the pipeline depth for 1e+308 parameters in 32.0 GB "
+                 "devices overflows a float", id="pipeline-depth"),
+]
 
 
 class TestEstimate:
@@ -98,17 +128,55 @@ class TestEstimate:
         again = estimate(pinned)
         assert again == base
 
-    @pytest.mark.parametrize("change, fname", [
-        ({"tokens": math.nan}, "duration_seconds"),
-        ({"overrides": Overrides(efficiency=math.nan)}, "duration_seconds"),
-        ({"overrides": Overrides(measured_flops=math.inf)}, "duration_seconds"),
-        ({"overrides": Overrides(system_power_watts=math.inf)}, "hardware_energy_mwh"),
+    # Overrides and scaling constants are given as keyword arguments, since
+    # some of them fail on construction.
+    @pytest.mark.parametrize("change, message", [
+        ({"tokens": math.nan}, "tokens must be finite and >= 0, got nan"),
+        ({"overrides": {"efficiency": math.nan}}, "efficiency must lie in (0, 1], got nan"),
+        ({"overrides": {"measured_flops": math.inf}}, "duration_seconds must be finite and >= 0"),
+        ({"overrides": {"system_power_watts": math.inf}},
+         "hardware_energy_mwh must be finite and >= 0"),
+        ({"device_memory_gb": math.nan}, "[efficiency-model] device_memory_gb must be positive"),
+        ({"device_memory_gb": math.inf}, "[efficiency-model] device_memory_gb must be finite"),
+        ({"scaling": {"A": math.nan}}, "scaling constant A must be positive and finite, got nan"),
+        ({"scaling": {"beta": math.inf}},
+         "scaling constant beta must be positive and finite, got inf"),
     ])
-    def test_non_finite_inputs_fail_naming_the_report_field(self, change, fname):
+    def test_non_finite_inputs_fail_naming_the_report_field(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
                               fleet=HardwareFleet.of((v100(), 171)), data_center=dc())
-        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+        with pytest.raises(ModelError, match="^" + re.escape(message)):
+            if "overrides" in change:
+                change = {**change, "overrides": Overrides(**change["overrides"])}
+            if "scaling" in change:
+                change = {**change, "scaling": ScalingConstants(**change["scaling"])}
             estimate(dataclasses.replace(req, **change))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"tokens": -1.0}, "tokens must be finite and >= 0, got -1.0"),
+        ({"tokens": math.inf}, "tokens must be finite and >= 0, got inf"),
+        ({"others_fraction": 1.0}, "others_fraction must lie in [0, 1), got 1.0"),
+        ({"others_fraction": math.nan}, "others_fraction must lie in [0, 1), got nan"),
+    ])
+    def test_requests_reject_bad_inputs_by_name(self, change, message):
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
+                              fleet=HardwareFleet.of((v100(), 171)), data_center=dc())
+        with pytest.raises(ModelError, match="^" + re.escape(message)):
+            dataclasses.replace(req, **change)
+
+    @pytest.mark.parametrize("value", [1.5, 0.0, -0.1, math.inf])
+    def test_efficiency_override_must_lie_in_zero_one(self, value):
+        with pytest.raises(ModelError, match=r"^efficiency must lie in \(0, 1\]"):
+            Overrides(efficiency=value)
+        assert Overrides(efficiency=1.0).efficiency == 1.0
+
+    @pytest.mark.parametrize("phase", [Phase.TRAINING, Phase.INFERENCE])
+    @pytest.mark.parametrize("arch, message", BEYOND_FLOAT_RANGE)
+    def test_counts_beyond_the_float_range_name_the_stage(self, arch, message, phase):
+        req = EstimateRequest(arch=arch, tokens=1e9, fleet=HardwareFleet.of((v100(), 8)),
+                              data_center=dc(), phase=phase)
+        with pytest.raises(ModelError, match="^" + re.escape(message)):
+            estimate(req)
 
     def test_deterministic_reports(self):
         req = training_request(TRAINING_FIXTURES[0])
@@ -410,6 +478,39 @@ class TestSweep:
         assert [p.name for p in points] == ["fine"]
         assert errors == [("bad", f"sweep points need a finite positive token count, got {tokens!r}")]
 
+    @pytest.mark.parametrize("fleet, anchors, fault", [
+        (HardwareFleet.of((cpu(), 8)), None, "fleet has no accelerator entry"),
+        (HardwareFleet.of((v100(), 1)), [(1e9, 0.5), (1e10, 1.5)],
+         "efficiency anchor 1: efficiency must lie in (0, 1], got 1.5"),
+        (HardwareFleet.of((v100(), 1)), [], "efficiency anchor table is empty"),
+    ])
+    def test_setting_faults_are_met_at_their_stage(self, fleet, anchors, fault):
+        no_base = LlmArchitecture(name="no-base", kind=ArchKind.MOE,
+                                  explicit_param_count=int(100e9))
+        zero_base = LlmArchitecture(name="zero-base", kind=ArchKind.MOE,
+                                    explicit_param_count=int(100e9), base_model_param_count=0)
+        grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9), (dense_arch("b", 6e9), 100e9),
+                (zero_base, 100e9)]
+        points, errors = sweep(grid, fleet, self.grid_dc(), anchors=anchors)
+        assert points == []
+        # The zero base fails its own check before the anchor table is read.
+        zero_base_fault = (fault if anchors is None else
+                           "param_count must be finite and positive, got 0.0")
+        assert errors == [
+            ("a", f"[efficiency-model] {fault}"),
+            ("no-base", "[flop-model] no-base: MoE FLOPs need base_model_param_count "
+                        "(or h, l, V to derive the dense counterpart)"),
+            ("b", f"[efficiency-model] {fault}"),
+            ("zero-base", f"[efficiency-model] {zero_base_fault}"),
+        ]
+
+    @pytest.mark.parametrize("arch, message", BEYOND_FLOAT_RANGE)
+    def test_point_beyond_the_float_range_is_one_error_row(self, arch, message):
+        grid = [(dense_arch("fine", 5e9), 100e9), (arch, 100e9)]
+        points, errors = sweep(grid, self.fleet(), self.grid_dc())
+        assert [p.name for p in points] == ["fine"]
+        assert errors == [("huge", message)]
+
     def test_ordering_is_deterministic(self):
         rng = random.Random(59)
         grid = [(dense_arch(f"m{i}", 10 ** rng.uniform(9, 11)),
@@ -430,12 +531,8 @@ def brute_force_flags(pairs):
 
 
 def one_pass_flags(pairs):
-    points = sorted((SweepPoint(name=f"p{i}", param_count=1, tokens=1.0,
-                                test_loss=l, training_tco2=c)
-                     for i, (l, c) in enumerate(pairs)),
-                    key=lambda p: (p.test_loss, p.training_tco2, p.name))
-    flags = pipeline._dominance_flags(points)
-    return [(p.test_loss, p.training_tco2) for p in points], flags
+    ordered = sorted(pairs)
+    return ordered, pipeline._dominance_flags(ordered)
 
 
 class TestDominanceFlags:
@@ -460,7 +557,125 @@ class TestDominanceFlags:
         assert flags == brute_force_flags(ordered)
 
 
+HOST_UNITS = {
+    "cpu": cpu(),  # TDP only
+    "dram": HardwareUnit(name="DRAM", role=HardwareRole.DRAM, avg_system_power_watts=40.0,
+                         embodied_kg_override=102.4),  # measured power
+    "ssd": HardwareUnit(name="SSD", role=HardwareRole.SSD,
+                        embodied_kg_override=576.0),  # no power figure
+}
+
+
+@st.composite
+def sweep_settings(draw):
+    """A fleet, an anchor table and a grid with broken points, for sweep()."""
+    accel = v100(draw(st.sampled_from([None, 330.0])))
+    hosts = draw(st.lists(st.sampled_from(sorted(HOST_UNITS)), max_size=4))  # repeats list a unit twice
+    fleet = HardwareFleet.of((accel, draw(st.integers(1, 4096))),
+                             *((HOST_UNITS[h], draw(st.integers(1, 512))) for h in hosts))
+    anchors = draw(st.none() | st.lists(
+        st.tuples(st.floats(9.0, 12.0).map(lambda e: 10.0 ** e), st.floats(0.3, 0.6)),
+        min_size=1, max_size=5, unique_by=lambda a: math.log10(a[0])))
+    grid = []
+    for i in range(draw(st.integers(1, 8))):
+        params = 10 ** draw(st.floats(8.0, 12.5))
+        tokens = 10 ** draw(st.floats(9.0, 13.0))
+        kind = draw(st.sampled_from(["dense", "moe", "moe-without-base", "encdec-without-heads",
+                                     "beyond-float-range"]))
+        arch = {
+            "dense": dense_arch(f"p{i}", params),
+            "moe": LlmArchitecture(name=f"p{i}", kind=ArchKind.MOE,
+                                   explicit_param_count=int(params),
+                                   base_model_param_count=int(params / 16)),
+            "moe-without-base": LlmArchitecture(name=f"p{i}", kind=ArchKind.MOE,
+                                                explicit_param_count=int(params)),
+            "encdec-without-heads": LlmArchitecture(name=f"p{i}", kind=ArchKind.DENSE_ENCDEC,
+                                                    hidden_size=512, layer_count=4,
+                                                    vocab_size=100),
+            "beyond-float-range": LlmArchitecture(name=f"p{i}", kind=ArchKind.DENSE_GPT,
+                                                  hidden_size=10 ** 160, layer_count=2,
+                                                  vocab_size=10),
+        }[kind]
+        grid.append((arch, tokens))
+    return fleet, anchors, grid
+
+
+class TestFleetRates:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(measured=st.sampled_from([None, 330.0]), count=st.integers(1, 4096),
+           hosts=st.lists(st.tuples(st.sampled_from(sorted(HOST_UNITS)), st.integers(1, 512)),
+                          max_size=4),
+           devices=st.none() | st.integers(1, 4096),
+           power=st.none() | st.floats(100.0, 700.0), tokens=st.floats(1e9, 1e13))
+    def test_energy_and_embodied_match_the_stage_functions(self, measured, count, hosts,
+                                                           devices, power, tokens):
+        # The estimate prices its fleet per second; hardware_energy and
+        # fleet_embodied over the report's duration are the reference.
+        accel = v100(measured)
+        units_ = [(HOST_UNITS[h], n) for h, n in hosts]
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=tokens,
+                              fleet=HardwareFleet.of((accel, count), *units_), data_center=dc(),
+                              overrides=Overrides(device_count=devices, system_power_watts=power))
+        r = estimate(req)
+        at_count = [(accel, devices if devices is not None else count)] + units_
+        powered = HardwareFleet.of(*((u, n) for u, n in at_count if u.name != "SSD"))
+        energy, _ = hardware_energy(powered, r.duration_seconds, r.hardware_efficiency,
+                                    power_override_watts=power)
+        embodied = fleet_embodied(HardwareFleet.of(*at_count), r.duration_seconds)
+        assert math.isclose(r.hardware_energy_mwh, energy, rel_tol=1e-14)
+        assert math.isclose(r.embodied_tco2, embodied.total_tco2, rel_tol=1e-14)
+
+
+class TestSweepMatchesEstimate:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sweep_settings())
+    def test_points_and_error_rows_match_estimate(self, setting):
+        fleet, anchors, grid = setting
+        want, want_errors = {}, []
+        for arch, tokens in grid:
+            try:
+                r = estimate(EstimateRequest(arch=arch, tokens=tokens, fleet=fleet,
+                                             data_center=dc(), anchors=anchors))
+                want[arch.name] = (r.test_loss, r.operational_tco2)
+            except ModelError as exc:
+                want_errors.append((arch.name, str(exc)))
+        points, errors = sweep(grid, fleet, dc(), anchors=anchors)
+        assert errors == want_errors
+        assert sorted(p.name for p in points) == sorted(want)
+        for p in points:
+            loss, carbon = want[p.name]
+            assert math.isclose(p.test_loss, loss, rel_tol=1e-14)
+            assert math.isclose(p.training_tco2, carbon, rel_tol=1e-14)
+
+
 class TestSweepCosts:
+    @pytest.mark.parametrize("anchors", [None, [(1e9, 0.4), (3e10, 0.5), (2e11, 0.45)]])
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_fleet_and_anchor_table_are_priced_once_per_sweep(self, monkeypatch, n, anchors):
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+
+        for name in ("fleet_embodied", "hardware_energy", "fit_anchors"):
+            count(pipeline, name)
+        count(efficiency, "default_anchors")
+        rng = random.Random(67)
+        grid = [(dense_arch(f"m{i}", 10 ** rng.uniform(9, 11)), 10 ** rng.uniform(10, 12))
+                for i in range(n)]
+        fleet = HardwareFleet.of((v100(), 64), (cpu(), 8),
+                                 (HOST_UNITS["ssd"], 4), (cpu(), 2))
+        points, errors = sweep(grid, fleet, dc(), anchors=anchors)
+        assert len(points) == n and errors == []
+        assert calls == {"fleet_embodied": 1, "hardware_energy": 1, "fit_anchors": 1,
+                         "default_anchors": int(anchors is None)}
+
     def test_one_parameter_count_per_valid_point(self, monkeypatch):
         calls = []
         real = pipeline.count_params
