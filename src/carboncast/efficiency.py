@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .catalog import default_anchors
 from .types import ModelError, ParallelismPlan
@@ -80,8 +81,9 @@ class EfficiencyEstimate:
 
 def optimal_device_count(param_count: float) -> int:
     """Device count at the efficiency optimum, scaled from the 175 B anchor."""
-    if param_count <= 0:
-        raise ModelError("param_count must be positive")
+    # Written so that NaN fails too.
+    if not (0.0 < param_count < math.inf):
+        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
     return max(1, round(param_count * _OPTIMAL_DEVICES_PER_PARAM))
 
 
@@ -100,9 +102,9 @@ def plan_parallelism(
     optimum is used. ``max_model_parallel`` optionally caps tensor*pipeline;
     a model that cannot fit under the cap raises with the memory it needs.
     """
-    if param_count <= 0:
-        raise ModelError("param_count must be positive")
     # Written so that NaN fails too.
+    if not (0.0 < param_count < math.inf):
+        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
     if not (device_memory_gb > 0.0):
         raise ModelError("device_memory_gb must be positive")
     if device_memory_gb == math.inf:
@@ -216,7 +218,7 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
     if not anchors:
         raise ModelError("efficiency anchor table is empty")
 
-    seen: dict[float, int] = {}
+    seen: dict[float, int] = {}  # log10(param_count) -> anchor index
     for i, (p, e) in enumerate(anchors):
         # Written so that NaN fails too.
         if not (0.0 < p < math.inf):
@@ -227,10 +229,10 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
         if j != i:
             raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
 
-    pts = sorted(anchors)
-    xs = tuple([math.log10(p) for p, _ in pts])
-    ys = tuple([e for _, e in pts])
-    if len(pts) >= 3:
+    # The sizes are distinct, so sorting their logs sorts the anchors.
+    xs = tuple(sorted(seen))
+    ys = tuple([anchors[seen[x]][1] for x in xs])
+    if len(xs) >= 3:
         return AnchorCurve(EfficiencySource.REGRESSION, parabola=_quadratic_fit(xs, ys))
     return AnchorCurve(EfficiencySource.ANCHOR, xs, ys)
 
@@ -260,14 +262,16 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
     cols = [[1.0] * len(ts), ts, [t * t for t in ts], list(ys)]
     r = [[0.0] * 4 for _ in range(3)]
     for k in range(3):
-        norm = math.sqrt(sum(v * v for v in cols[k]))
+        col, rk = cols[k], r[k]
+        norm = math.sqrt(sum(map(mul, col, col)))
         if norm == 0.0:
             raise ModelError("efficiency anchors are too close in size to fit a parabola")
-        q = cols[k] = [v / norm for v in cols[k]]
-        r[k][k] = norm
+        q = cols[k] = [v / norm for v in col]
+        rk[k] = norm
         for j in range(k + 1, 4):
-            r[k][j] = sum(a * b for a, b in zip(q, cols[j]))
-            cols[j] = [b - r[k][j] * a for a, b in zip(q, cols[j])]
+            cj = cols[j]
+            rkj = rk[j] = sum(map(mul, q, cj))
+            cols[j] = [b - rkj * a for a, b in zip(q, cj)]
     c2 = r[2][3] / r[2][2]
     c1 = (r[1][3] - r[1][2] * c2) / r[1][1]
     c0 = (r[0][3] - r[0][1] * c1 - r[0][2] * c2) / r[0][0]

@@ -10,7 +10,9 @@ fixed fraction of the final total (15% in published teardowns).
 Embodied carbon is therefore a per-second rate times device-seconds: count
 times chip kg over lifetime, times execution time. The pipeline takes a
 fleet's rates from :func:`fleet_embodied` over one second, once per fleet,
-and scales them for each estimate.
+reading each unit's item in the same pass that applies the shared power rule
+(:func:`carboncast.operational.unit_power`), and scales them for each
+estimate.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ it multiplies time directly. Otherwise the chip TDP is derated by the
 hardware efficiency. Mixing the two in one fleet is fine.
 
 Energy is therefore a per-second rate times device-seconds: measured watts
-plus TDP watts times efficiency, times count, times execution time. The
-pipeline takes a fleet's rates from :func:`hardware_energy` over one second
-at full efficiency, once per fleet, and scales them for each estimate.
+plus TDP watts times efficiency, times count, times execution time. Which
+figure an entry draws is decided in one place, :func:`unit_power`;
+:func:`hardware_energy` and the pipeline's per-second fleet rates, worked
+out once per fleet and scaled for each estimate, both apply it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import inf
 
 from . import units
-from .types import DataCenterProfile, HardwareFleet, LineItem, ModelError
+from .types import DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,22 @@ def device_time(total_flops: float, device_count: int,
     return total_flops / denom
 
 
+def unit_power(unit: HardwareUnit,
+               override_watts: float | None = None) -> tuple[float, bool] | None:
+    """The watts one ``unit`` draws and whether they are measured.
+
+    A measured average system power (``override_watts`` when given, else the
+    unit's own) is used as it is; otherwise the TDP, which the caller scales
+    by the hardware efficiency. ``None`` for a unit with neither figure.
+    """
+    watts = override_watts if override_watts is not None else unit.avg_system_power_watts
+    if watts is not None:
+        return watts, True
+    if unit.tdp_watts is not None:
+        return unit.tdp_watts, False
+    return None
+
+
 def hardware_energy(
     fleet: HardwareFleet,
     execution_seconds: float,
@@ -100,16 +117,13 @@ def hardware_energy(
     accel = fleet.accelerator
     for entry in fleet.entries:
         unit = entry.unit
-        override = power_override_watts if entry is accel else None
-        avg = override if override is not None else unit.avg_system_power_watts
-        if avg is not None:
-            watts, eff = avg, 1.0
-        elif unit.tdp_watts is not None:
-            watts, eff = unit.tdp_watts, efficiency
-        else:
+        power = unit_power(unit, power_override_watts if entry is accel else None)
+        if power is None:
             raise ModelError(
                 f"{unit.name}: no power figure (needs avg_system_power_watts or tdp_watts)"
             )
+        watts, measured = power
+        eff = 1.0 if measured else efficiency
         joules = watts * eff * entry.count * execution_seconds
         total_j += joules
         items.append(LineItem(unit=unit.name, count=entry.count,

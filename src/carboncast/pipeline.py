@@ -9,9 +9,12 @@ model would have computed changes nothing.
 
 What depends only on the fleet, the overrides and the anchor table is
 worked out once, in a ``_Setting``: the fitted anchor curve and the fleet's
-energy and embodied carbon per second. Each estimate then runs its own model
-stages and multiplies its execution seconds by those rates. ``estimate()``
-makes a setting per call; ``sweep()`` makes one for all its points.
+energy and embodied carbon per second. The energy rates follow the power rule
+that ``hardware_energy`` also applies, ``operational.unit_power``; the
+embodied rates are ``fleet_embodied`` over one second. Each estimate then
+runs its own model stages and multiplies its execution seconds by those
+rates. ``estimate()`` makes a setting per call; ``sweep()`` makes one for all
+its points.
 
 Also here: the lifecycle, a weighted sum of phase reports (training, which
 also stands for inference and experimentation, plus storage), and the
@@ -40,9 +43,9 @@ from .flops import inference_flops, training_flops
 from .operational import (
     StorageWorkload,
     device_time,
-    hardware_energy,
     operational_carbon,
     storage_energy,
+    unit_power,
 )
 from .params import ParameterCount, count_params
 from .scaling import test_loss
@@ -72,6 +75,10 @@ class Overrides:
         # Written so that NaN fails too.
         if self.efficiency is not None and not (0.0 < self.efficiency <= 1.0):
             raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+        count = self.device_count
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
+                                  or count < 1):
+            raise ModelError(f"device_count must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -159,23 +166,6 @@ def _flop_param_count(arch, full_count: int) -> float:
     )
 
 
-class _stage:
-    """Re-raise model errors with the failing pipeline stage named."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None and issubclass(exc_type, ModelError):
-            raise ModelError(f"[{self.name}] {exc}") from exc
-        return False
-
-
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
@@ -221,47 +211,45 @@ class _Setting:
 
     def rates(self) -> tuple[dict[str, list], float]:
         if self._rates is None:
-            self._rates = _fleet_rates(self.fleet, self.device_count, self.power_watts,
-                                       self.others_fraction)
+            self._rates = _fleet_rates(self.fleet, self.accel, self.device_count,
+                                       self.power_watts, self.others_fraction)
         return self._rates
 
 
-def _fleet_rates(fleet: HardwareFleet, device_count: int, power_watts: float | None,
-                 others_fraction: float) -> tuple[dict[str, list], float]:
-    """Energy and embodied carbon per second of execution of ``fleet`` with
-    ``device_count`` accelerators and, when ``power_watts`` is given, that
-    measured power per accelerator: ``hardware_energy`` at full efficiency
-    and ``fleet_embodied``, each over one second.
+def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
+                 power_watts: float | None, others_fraction: float
+                 ) -> tuple[dict[str, list], float]:
+    """Energy and embodied carbon per second of execution of ``fleet``, whose
+    accelerator entry is ``accel``, with ``device_count`` accelerators and,
+    when ``power_watts`` is given, that measured power per accelerator: each
+    unit's draw by ``unit_power`` at full efficiency, and ``fleet_embodied``
+    over one second.
 
     Returns the units, mapping each unit name to [count, measured MWh/s, TDP
     MWh/s at full efficiency, embodied tCO2/s] (powered units first, then
     the rest, each in fleet order, then the ``others`` share); and the
     fleet's embodied tCO2/s, named units plus others.
     """
-    accel = fleet.accelerator
     if accel.count != device_count:
         resized = FleetEntry(accel.unit, device_count)
         fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
         accel = resized
+    emb = fleet_embodied(fleet, 1.0, others_fraction=others_fraction)
+    merged: dict[str, list] = {}
     # Units without a power figure ride along for embodied accounting only;
     # a measured accelerator system power already covers their draw (host
     # CPU, DRAM, network and so on).
-    powered, measured = [], []
-    for e in fleet.entries:
-        # As hardware_energy decides: a measured draw is used as it is, a TDP
-        # is scaled by each estimate's efficiency.
-        m = e.unit.avg_system_power_watts is not None or (e is accel and power_watts is not None)
-        if m or e.unit.tdp_watts is not None:
-            powered.append(e)
-            measured.append(m)
-    powered_fleet = fleet if len(powered) == len(fleet.entries) else HardwareFleet(tuple(powered))
-    _, draw = hardware_energy(powered_fleet, 1.0, 1.0, power_override_watts=power_watts)
-    emb = fleet_embodied(fleet, 1.0, others_fraction=others_fraction)
-
-    merged: dict[str, list] = {}
-    for m, item in zip(measured, draw):
-        merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])[1 if m else 2] += item.energy_mwh
-    for item in emb.per_unit:
+    unpowered = []
+    for e, item in zip(fleet.entries, emb.per_unit):
+        power = unit_power(e.unit, power_watts if e is accel else None)
+        if power is None:
+            unpowered.append(item)
+            continue
+        watts, measured = power
+        row = merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])
+        row[1 if measured else 2] += units.joules_to_mwh(watts * item.count)
+        row[3] += item.attributed_tco2
+    for item in unpowered:
         merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])[3] += item.attributed_tco2
     merged.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += emb.others_tco2
     return merged, emb.total_tco2
@@ -274,35 +262,38 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
         raise ModelError(f"estimate() handles training/inference/storage, not {req.phase}")
 
     arch = req.arch
-    with _stage("parameter-model"):
+    overrides = req.overrides
+    # A model error is re-raised with the stage it was met in named; the
+    # fleet's rates are the setting's, and their faults carry no stage.
+    stage = "parameter-model"
+    try:
         pcount = count_params(arch)
 
-    loss = None
-    if req.phase is Phase.TRAINING and req.tokens > 0:
-        with _stage("scaling-law"):
+        loss = None
+        if req.phase is Phase.TRAINING and req.tokens > 0:
+            stage = "scaling-law"
             loss = test_loss(pcount.total, req.tokens, req.scaling, moe=arch.is_moe).loss
 
-    with _stage("flop-model"):
-        if req.overrides.measured_flops is not None:
-            flops = req.overrides.measured_flops
+        stage = "flop-model"
+        if overrides.measured_flops is not None:
+            flops = overrides.measured_flops
         else:
             p_flops = _flop_param_count(arch, pcount.total)
             budget = (training_flops(p_flops, req.tokens) if req.phase is Phase.TRAINING
                       else inference_flops(p_flops, req.tokens))
             flops = budget.total_flops
 
-    accel = setting.accel
-    if accel is None:
-        raise ModelError("[efficiency-model] fleet has no accelerator entry")
-
-    with _stage("efficiency-model"):
+        stage = "efficiency-model"
+        accel = setting.accel
+        if accel is None:
+            raise ModelError("fleet has no accelerator entry")
         plan = plan_parallelism(
             pcount.total, is_moe=arch.is_moe,
             device_memory_gb=req.device_memory_gb, server_size=req.server_size,
         )
         actual_devices = setting.device_count
-        if req.overrides.efficiency is not None:
-            eff = req.overrides.efficiency
+        if overrides.efficiency is not None:
+            eff = overrides.efficiency
         else:
             base_for_eff = _flop_param_count(arch, pcount.total) if arch.is_moe else pcount.total
             opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=setting.curve(),
@@ -313,13 +304,19 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
                 eff = efficiency_at_count(actual_devices, plan.device_count,
                                           opt.efficiency).efficiency
 
-    rates, embodied_per_s = setting.rates()
-    with _stage("operational-carbon"):
+        stage = None
+        rates, embodied_per_s = setting.rates()
+
+        stage = "operational-carbon"
         seconds = 0.0 if flops == 0 else device_time(
             flops, actual_devices, accel.unit.peak_tflops, eff)
         items = tuple([LineItem(unit, count, (measured + tdp * eff) * seconds, embodied * seconds)
                        for unit, (count, measured, tdp, embodied) in rates.items()])
         oper = operational_carbon(sum([i.energy_mwh for i in items]), req.data_center)
+    except ModelError as exc:
+        if stage is None:
+            raise
+        raise ModelError(f"[{stage}] {exc}") from exc
 
     embodied = embodied_per_s * seconds
     report = CarbonReport(

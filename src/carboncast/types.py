@@ -340,6 +340,12 @@ class LineItem:
     embodied_tco2: float = 0.0
 
 
+# CarbonReport's float fields, in the order they are checked.
+_REPORT_FLOATS = ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
+                  "operational_tco2", "embodied_tco2", "total_tco2", "hardware_efficiency",
+                  "test_loss")
+
+
 @dataclass(frozen=True)
 class CarbonReport:
     """Final projection for one phase (or a whole lifecycle).
@@ -361,10 +367,10 @@ class CarbonReport:
     line_items: tuple[LineItem, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for fname in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
-                      "operational_tco2", "embodied_tco2", "total_tco2",
-                      "hardware_efficiency", "test_loss"):
-            value = getattr(self, fname)
+        for fname, value in zip(_REPORT_FLOATS, (
+                self.duration_seconds, self.hardware_energy_mwh, self.operational_energy_mwh,
+                self.operational_tco2, self.embodied_tco2, self.total_tco2,
+                self.hardware_efficiency, self.test_loss)):
             # Written so that NaN fails too; checked first, since NaN or inf
             # also breaks the additivity check below with a misleading message.
             if value is not None and not (0.0 <= value < math.inf):

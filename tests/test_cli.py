@@ -139,6 +139,10 @@ class TestEstimateCommand:
          "estimate.overrides: efficiency must lie in (0, 1], got 1.5"),
         ("efficiency: 0.197", "efficiency: 0", EXIT_CONFIG_ERROR,
          "estimate.overrides: efficiency must lie in (0, 1], got 0.0"),
+        ("device_count: 10000", "device_count: 0", EXIT_CONFIG_ERROR,
+         "estimate.overrides: device_count must be an integer >= 1, got 0"),
+        ("device_count: 10000", "device_count: -4", EXIT_CONFIG_ERROR,
+         "estimate.overrides: device_count must be an integer >= 1, got -4"),
         ("tokens: 3.0e+11", "tokens: -5", EXIT_CONFIG_ERROR,
          "estimate: tokens must be finite and >= 0, got -5.0"),
         ("  tokens:", "  anchors: [[1.0e+9, 0.3]]\n  tokens:", EXIT_CONFIG_ERROR,

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,13 @@ class TestPlanner:
         assert plan.tensor == 1
         assert plan.pipeline == 1
         assert plan.data == 40
+
+    @pytest.mark.parametrize("fn", [plan_parallelism, optimal_device_count])
+    @pytest.mark.parametrize("param_count", [0.0, -1.0, math.nan, math.inf])
+    def test_param_count_must_be_finite_and_positive(self, fn, param_count):
+        message = f"param_count must be finite and positive, got {param_count!r}"
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            fn(param_count)
 
     def test_unfittable_model_reports_memory_need(self):
         with pytest.raises(ModelError, match="GB per device"):

@@ -157,11 +157,19 @@ class TestEstimate:
         ({"tokens": math.inf}, "tokens must be finite and >= 0, got inf"),
         ({"others_fraction": 1.0}, "others_fraction must lie in [0, 1), got 1.0"),
         ({"others_fraction": math.nan}, "others_fraction must lie in [0, 1), got nan"),
+        ({"overrides": {"device_count": 0, "efficiency": 0.5}},
+         "device_count must be an integer >= 1, got 0"),
+        ({"overrides": {"device_count": -8}}, "device_count must be an integer >= 1, got -8"),
+        ({"overrides": {"device_count": 2.5}}, "device_count must be an integer >= 1, got 2.5"),
+        ({"overrides": {"device_count": True}},
+         "device_count must be an integer >= 1, got True"),
     ])
     def test_requests_reject_bad_inputs_by_name(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
                               fleet=HardwareFleet.of((v100(), 171)), data_center=dc())
         with pytest.raises(ModelError, match="^" + re.escape(message)):
+            if "overrides" in change:
+                change = {**change, "overrides": Overrides(**change["overrides"])}
             dataclasses.replace(req, **change)
 
     @pytest.mark.parametrize("value", [1.5, 0.0, -0.1, math.inf])
@@ -215,14 +223,31 @@ class TestEstimate:
         with pytest.raises(ModelError, match="base_model_param_count"):
             estimate(req)
 
-    def test_errors_name_the_failing_stage(self):
-        bad = LlmArchitecture(name="broken", kind=ArchKind.DENSE_ENCDEC,
-                              hidden_size=512, layer_count=4, vocab_size=100)
-        req = EstimateRequest(arch=bad, tokens=1e9,
-                              fleet=HardwareFleet.of((v100(330), 8)),
-                              data_center=dc())
-        with pytest.raises(ModelError, match=r"\[parameter-model\]"):
-            estimate(req)
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"arch": LlmArchitecture(name="broken", kind=ArchKind.DENSE_ENCDEC,
+                                              hidden_size=512, layer_count=4, vocab_size=100)},
+                     "[parameter-model] broken: parameter model needs head_count, head_dim, "
+                     "ff_size for kind dense_encdec", id="parameter-model"),
+        pytest.param({"arch": dense_arch("zero", 0)},
+                     "[scaling-law] param_count must be positive, got 0", id="scaling-law"),
+        pytest.param({"arch": LlmArchitecture(name="opaque", kind=ArchKind.MOE, hidden_size=1024,
+                                              layer_count=24, moe_fraction=0.5,
+                                              expert_groups=(ExpertGroup(1.0, 64),))},
+                     "[flop-model] opaque: MoE FLOPs need base_model_param_count (or h, l, V to "
+                     "derive the dense counterpart)", id="flop-model"),
+        pytest.param({"device_memory_gb": 0.0},
+                     "[efficiency-model] device_memory_gb must be positive", id="efficiency-model"),
+        pytest.param({"overrides": Overrides(system_power_watts=-100.0)},
+                     "[operational-carbon] hardware_energy_mwh must be >= 0",
+                     id="operational-carbon"),
+        pytest.param({"fleet": HardwareFleet.of((cpu(), 8))},
+                     "[efficiency-model] fleet has no accelerator entry", id="no-accelerator"),
+    ])
+    def test_errors_name_the_failing_stage(self, change, message):
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=1e9,
+                              fleet=HardwareFleet.of((v100(330), 8)), data_center=dc())
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            estimate(dataclasses.replace(req, **change))
 
     def test_inference_phase_batch(self):
         a100 = HardwareUnit(name="A100", role=HardwareRole.ACCELERATOR,
@@ -663,7 +688,7 @@ class TestSweepCosts:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
 
-        for name in ("fleet_embodied", "hardware_energy", "fit_anchors"):
+        for name in ("fleet_embodied", "unit_power", "fit_anchors"):
             count(pipeline, name)
         count(efficiency, "default_anchors")
         rng = random.Random(67)
@@ -673,7 +698,8 @@ class TestSweepCosts:
                                  (HOST_UNITS["ssd"], 4), (cpu(), 2))
         points, errors = sweep(grid, fleet, dc(), anchors=anchors)
         assert len(points) == n and errors == []
-        assert calls == {"fleet_embodied": 1, "hardware_energy": 1, "fit_anchors": 1,
+        # The power rule runs once per fleet entry, not once per point.
+        assert calls == {"fleet_embodied": 1, "unit_power": len(fleet.entries), "fit_anchors": 1,
                          "default_anchors": int(anchors is None)}
 
     def test_one_parameter_count_per_valid_point(self, monkeypatch):
