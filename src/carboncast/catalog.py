@@ -4,6 +4,10 @@ Catalog files are plain UTF-8 CSV with a header row, '.' decimals and no
 thousands separators. A blank cell means "absent". The packaged defaults in
 ``carboncast/data`` cover the commonly published accelerators and Google
 Cloud regions; user catalogs can extend or shadow them (later wins, by name).
+
+Every loader reads a text stream through one row reader: it checks the
+header's stripped cells, skips blank rows and names the row of any fault.
+:func:`resolve_catalogs` tells a user file's table by those same cells.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .types import CatalogError, DataCenterProfile, HardwareRole, HardwareUnit
 
@@ -43,144 +47,79 @@ def _opt_float(cell: str | None, label: str) -> float | None:
     return _float(cell, label)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _table(fh: TextIO, fields: list[str], label: str, build: Callable[[list[str]], object]) -> list:
+    """The rows of the catalog table in ``fh``, each made by ``build``.
+
+    An empty stream is an empty table. Otherwise the header's stripped cells
+    must be ``fields``; blank rows are skipped, and a row whose cells
+    ``build`` rejects raises CatalogError as ``<label> row N: <fault>``.
+    """
+    rows = csv.reader(fh)
+    header = next(rows, None)
+    if header is None:
+        return []
+    if [c.strip() for c in header] != fields:
+        raise CatalogError(f"{label}: bad header {header!r}, expected {fields!r}")
+    out = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        try:
+            out.append(build(row))
+        except (ValueError, KeyError, IndexError) as exc:
+            raise CatalogError(f"{label} row {lineno}: {exc}") from exc
+    return out
 
 
-def _check_header(got: list[str] | None, want: list[str], label: str) -> None:
-    if got is None:
-        raise CatalogError(f"{label}: empty file has no header")
-    if [c.strip() for c in got] != want:
-        raise CatalogError(f"{label}: bad header {got!r}, expected {want!r}")
+def _hardware_row(row: list[str]) -> HardwareUnit:
+    cells = dict(zip(HARDWARE_FIELDS, row))
+    name = cells["name"].strip()
+
+    def num(key: str) -> float | None:
+        return _opt_float(cells.get(key), f"{name}: {key}")
+
+    lifetime = num("lifetime_years")
+    return HardwareUnit(
+        name=name,
+        role=HardwareRole(cells["role"].strip().lower()),
+        peak_tflops=num("peak_tflops"),
+        tdp_watts=num("tdp_watts"),
+        avg_system_power_watts=num("avg_system_power_watts"),
+        die_area_mm2=num("die_area_mm2"),
+        cpa=num("cpa"),
+        cpa_basis=(cells.get("cpa_basis") or "").strip() or None,
+        capacity_gb=num("capacity_gb"),
+        embodied_kg_override=num("embodied_kg_override"),
+        lifetime_years=5.0 if lifetime is None else lifetime,
+    )
 
 
-def load_hardware(source: TextIO | str | Path) -> list[HardwareUnit]:
+def _datacenter_row(row: list[str]) -> DataCenterProfile:
+    cells = dict(zip(DATACENTER_FIELDS, row))
+    name = cells["name"].strip()
+    return DataCenterProfile(
+        name=name,
+        pue=_float(cells["pue"], f"{name}: pue"),
+        carbon_intensity=_float(cells["carbon_intensity_kg_per_kwh"],
+                                f"{name}: carbon_intensity_kg_per_kwh"),
+        cfe=_opt_float(cells.get("cfe"), f"{name}: cfe") or 0.0,
+    )
+
+
+def load_hardware(fh: TextIO) -> list[HardwareUnit]:
     """Parse a hardware catalog. Raises CatalogError with the row number."""
-    with _open(source) as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        return []
-    _check_header(rows[0], HARDWARE_FIELDS, "hardware catalog")
-    units = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        try:
-            cells = dict(zip(HARDWARE_FIELDS, row))
-            name = cells["name"].strip()
-
-            def num(key: str) -> float | None:
-                return _opt_float(cells.get(key), f"{name}: {key}")
-
-            lifetime = num("lifetime_years")
-            units.append(HardwareUnit(
-                name=name,
-                role=HardwareRole(cells["role"].strip().lower()),
-                peak_tflops=num("peak_tflops"),
-                tdp_watts=num("tdp_watts"),
-                avg_system_power_watts=num("avg_system_power_watts"),
-                die_area_mm2=num("die_area_mm2"),
-                cpa=num("cpa"),
-                cpa_basis=(cells.get("cpa_basis") or "").strip() or None,
-                capacity_gb=num("capacity_gb"),
-                embodied_kg_override=num("embodied_kg_override"),
-                lifetime_years=5.0 if lifetime is None else lifetime,
-            ))
-        except (ValueError, KeyError) as exc:
-            raise CatalogError(f"hardware catalog row {lineno}: {exc}") from exc
-    return units
+    return _table(fh, HARDWARE_FIELDS, "hardware catalog", _hardware_row)
 
 
-def load_datacenters(source: TextIO | str | Path) -> list[DataCenterProfile]:
+def load_datacenters(fh: TextIO) -> list[DataCenterProfile]:
     """Parse a data-center catalog (carbon intensity in kg/kWh)."""
-    with _open(source) as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return []
-    _check_header(rows[0], DATACENTER_FIELDS, "data-center catalog")
-    profiles = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        try:
-            cells = dict(zip(DATACENTER_FIELDS, row))
-            name = cells["name"].strip()
-            profiles.append(DataCenterProfile(
-                name=name,
-                pue=_float(cells["pue"], f"{name}: pue"),
-                carbon_intensity=_float(cells["carbon_intensity_kg_per_kwh"],
-                                        f"{name}: carbon_intensity_kg_per_kwh"),
-                cfe=_opt_float(cells.get("cfe"), f"{name}: cfe") or 0.0,
-            ))
-        except (ValueError, KeyError) as exc:
-            raise CatalogError(f"data-center catalog row {lineno}: {exc}") from exc
-    return profiles
+    return _table(fh, DATACENTER_FIELDS, "data-center catalog", _datacenter_row)
 
 
-def load_anchors(source: TextIO | str | Path) -> list[tuple[float, float]]:
+def load_anchors(fh: TextIO) -> list[tuple[float, float]]:
     """Parse an efficiency anchor table: param_count,efficiency pairs."""
-    with _open(source) as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return []
-    _check_header(rows[0], ANCHOR_FIELDS, "anchor table")
-    anchors = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        try:
-            anchors.append((_float(row[0], "param_count"), _float(row[1], "efficiency")))
-        except (ValueError, IndexError) as exc:
-            raise CatalogError(f"anchor table row {lineno}: {exc}") from exc
-    return anchors
-
-
-def dump_hardware(units: Iterable[HardwareUnit]) -> str:
-    """Serialize units so that load(dump(x)) round-trips field-for-field."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HARDWARE_FIELDS)
-    for u in units:
-        writer.writerow([
-            u.name, u.role.value, _fmt(u.peak_tflops), _fmt(u.tdp_watts),
-            _fmt(u.avg_system_power_watts), _fmt(u.die_area_mm2), _fmt(u.cpa),
-            u.cpa_basis or "", _fmt(u.capacity_gb), _fmt(u.embodied_kg_override),
-            _fmt(u.lifetime_years),
-        ])
-    return out.getvalue()
-
-
-def dump_datacenters(profiles: Iterable[DataCenterProfile]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(DATACENTER_FIELDS)
-    for p in profiles:
-        writer.writerow([p.name, _fmt(p.pue), _fmt(p.carbon_intensity), _fmt(p.cfe)])
-    return out.getvalue()
-
-
-def _open(source: TextIO | str | Path):
-    if hasattr(source, "read"):
-        return _NonClosing(source)  # type: ignore[arg-type]
-    return open(source, "r", encoding="utf-8", newline="")
-
-
-class _NonClosing:
-    """Context wrapper that leaves caller-owned file objects open."""
-
-    def __init__(self, fh: TextIO) -> None:
-        self._fh = fh
-
-    def __enter__(self) -> TextIO:
-        return self._fh
-
-    def __exit__(self, *exc) -> None:
-        return None
+    return _table(fh, ANCHOR_FIELDS, "anchor table",
+                  lambda row: (_float(row[0], "param_count"), _float(row[1], "efficiency")))
 
 
 @functools.cache
@@ -224,13 +163,12 @@ def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[
 
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        header = text.splitlines()[0].strip() if text.strip() else ""
-        if header == ",".join(HARDWARE_FIELDS):
-            for u in load_hardware(io.StringIO(text)):
-                units[u.name] = u
-        elif header == ",".join(DATACENTER_FIELDS):
-            for p in load_datacenters(io.StringIO(text)):
-                centers[p.name] = p
+        # The same stripped header cells that the loaders check.
+        header = [c.strip() for c in next(csv.reader(io.StringIO(text)), [])]
+        if header == HARDWARE_FIELDS:
+            units.update((u.name, u) for u in load_hardware(io.StringIO(text)))
+        elif header == DATACENTER_FIELDS:
+            centers.update((p.name, p) for p in load_datacenters(io.StringIO(text)))
         else:
             raise CatalogError(f"{path}: header matches no known catalog schema")
     return units, centers

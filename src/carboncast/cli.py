@@ -68,7 +68,7 @@ _CONFIG_DEFAULTS = {
 # Config keys whose name differs from the field they fill.
 _CONFIG_KEYS = {(EstimateRequest, "arch"): "architecture"}
 # Fields only library callers set.
-_NOT_CONFIG = {(EstimateRequest, "anchors"), (EstimateRequest, "others_fraction")}
+_NOT_CONFIG = {(EstimateRequest, "anchors")}
 
 
 def _check_keys(mapping: dict, allowed, path: str) -> None:
@@ -398,18 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="YAML config path")
+    for name, text in (("estimate", "project one phase"),
+                       ("lifecycle", "project a whole lifecycle"),
+                       ("sweep", "evaluate a design grid with Pareto flags (CSV)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--catalog", action="append", default=[],
                        help="extra catalog CSV (repeatable, later wins)")
-        p.add_argument("--format", choices=["table", "csv"], default="table")
+        if name != "sweep":
+            p.add_argument("--format", choices=["table", "csv"], default="table")
         p.add_argument("--out", default=None, help="write output to a file")
-
-    add_common(sub.add_parser("estimate", help="project one phase"))
-    add_common(sub.add_parser("lifecycle", help="project a whole lifecycle"))
-    p_sweep = sub.add_parser("sweep", help="evaluate a design grid with Pareto flags")
-    add_common(p_sweep)
     p_val = sub.add_parser("validate", help="run the embedded validation fixtures")
     p_val.add_argument("--only", default=None,
                        help="run one fixture group (parameters, training, days, "

@@ -8,8 +8,9 @@ on either side of it. Three pieces model this:
   expert) degrees. Tensor parallelism grows first, in powers of two up to
   the server size z (intra-server links are the cheap ones); pipeline depth
   then grows until the model state fits in device memory; data parallelism
-  supplies the remaining global scale. Expert-routed plans fix expert
-  parallelism at 64 and data parallelism at 1 to bound all-to-all traffic.
+  fills out the published devices-per-parameter optimum (175 B on about
+  1.5K devices). Expert-routed plans fix expert parallelism at 64 and data
+  parallelism at 1 to bound all-to-all traffic.
 
 * :func:`optimal_efficiency` predicts the efficiency *at* the optimum from
   an anchor table of published (param_count, efficiency) measurements,
@@ -25,8 +26,8 @@ on either side of it. Three pieces model this:
 
 * :func:`efficiency_at_count` degrades the optimum when the actual fleet
   size differs from n: undersupply scales efficiency by re/n; oversupply
-  decays it hyperbolically toward a floor. The oversupply floor gamma2 is
-  calibrated to the published 175 B point (10K devices achieving 19.7%
+  decays it hyperbolically toward a floor. The oversupply floor ``GAMMA2``
+  is calibrated to the published 175 B point (10K devices achieving 19.7%
   against a 1.5K-device optimum of 47%).
 """
 
@@ -54,8 +55,6 @@ MOE_EFFICIENCY_DISCOUNT = 0.80
 # 175 B -> ~1.5K devices operating point.
 _OPTIMAL_DEVICES_PER_PARAM = 1500.0 / 175e9
 
-GAMMA0 = 1.0     # undersupply slope; 1.0 keeps eff continuous at re = n
-GAMMA1 = 1.0     # oversupply decay
 GAMMA2 = 0.1265  # oversupply floor, calibrated from the 10K-device 175 B point
 
 
@@ -69,14 +68,11 @@ class EfficiencySource(enum.Enum):
 @dataclass(frozen=True)
 class EfficiencyEstimate:
     efficiency: float
-    at_device_count: int
     source: EfficiencySource
 
     def __post_init__(self) -> None:
         if not (0.0 < self.efficiency <= 1.0):
             raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if self.at_device_count < 1:
-            raise ModelError("at_device_count must be >= 1")
 
 
 def optimal_device_count(param_count: float) -> int:
@@ -92,15 +88,11 @@ def plan_parallelism(
     is_moe: bool = False,
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB,
     server_size: int = DEFAULT_SERVER_SIZE,
-    target_device_count: int | None = None,
-    max_model_parallel: int | None = None,
 ) -> ParallelismPlan:
     """Optimal parallelism degrees for a model of ``param_count`` parameters.
 
-    ``target_device_count`` sets the global scale for dense plans (data
-    parallelism absorbs it); when omitted, the published devices-per-param
-    optimum is used. ``max_model_parallel`` optionally caps tensor*pipeline;
-    a model that cannot fit under the cap raises with the memory it needs.
+    Dense plans reach the published devices-per-param optimum
+    (:func:`optimal_device_count`) through data parallelism.
     """
     # Written so that NaN fails too.
     if not (0.0 < param_count < math.inf):
@@ -131,22 +123,12 @@ def plan_parallelism(
                          f"{device_memory_gb!r} GB devices overflows a float")
     pipeline = max(1, math.ceil(depth))
 
-    if max_model_parallel is not None and tensor * pipeline > max_model_parallel:
-        per_device = state_bytes / max_model_parallel / 1e9
-        raise ModelError(
-            f"model needs {per_device:.1f} GB per device across "
-            f"{max_model_parallel} model-parallel devices; only "
-            f"{device_memory_gb:.1f} GB available"
-        )
-
     if is_moe:
         # d pinned to 1: expert all-to-alls already saturate the fabric.
         return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=1,
                                expert=DEFAULT_EXPERT_PARALLELISM, is_moe=True)
 
-    target = target_device_count if target_device_count is not None \
-        else optimal_device_count(param_count)
-    data = max(1, round(target / (tensor * pipeline)))
+    data = max(1, round(optimal_device_count(param_count) / (tensor * pipeline)))
     return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=data,
                            expert=1, is_moe=False)
 
@@ -155,7 +137,6 @@ def optimal_efficiency(
     param_count: float,
     is_moe: bool = False,
     anchors: list[tuple[float, float]] | AnchorCurve | None = None,
-    at_device_count: int | None = None,
 ) -> EfficiencyEstimate:
     """Efficiency at the optimal parallelism setting for this model size.
 
@@ -167,9 +148,7 @@ def optimal_efficiency(
     if not (0.0 < param_count < math.inf):
         raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
     curve = anchors if isinstance(anchors, AnchorCurve) else fit_anchors(anchors)
-    count = at_device_count if at_device_count is not None else optimal_device_count(param_count)
-    return EfficiencyEstimate(efficiency=curve.at(param_count, is_moe), at_device_count=count,
-                              source=curve.source)
+    return EfficiencyEstimate(efficiency=curve.at(param_count, is_moe), source=curve.source)
 
 
 class AnchorCurve:
@@ -278,18 +257,12 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
     return mean, c0, c1, c2
 
 
-def efficiency_at_count(
-    actual_devices: int,
-    optimal_devices: int,
-    optimal_eff: float,
-    gamma0: float = GAMMA0,
-    gamma1: float = GAMMA1,
-    gamma2: float = GAMMA2,
-) -> EfficiencyEstimate:
+def efficiency_at_count(actual_devices: int, optimal_devices: int,
+                        optimal_eff: float) -> EfficiencyEstimate:
     """Efficiency when running on ``actual_devices`` instead of the optimum.
 
-    Below the optimum: gamma0 * (re/n) * eff_n. Above it:
-    gamma1 * (n/re) * eff_n + gamma2. At it: eff_n unchanged.
+    Below the optimum: (re/n) * eff_n. Above it: (n/re) * eff_n + GAMMA2.
+    At it: eff_n unchanged.
     """
     if actual_devices < 1 or optimal_devices < 1:
         raise ModelError("device counts must be >= 1")
@@ -300,9 +273,8 @@ def efficiency_at_count(
     if re == n:
         eff = optimal_eff
     elif re < n:
-        eff = gamma0 * (re / n) * optimal_eff
+        eff = (re / n) * optimal_eff
     else:
-        eff = gamma1 * (n / re) * optimal_eff + gamma2
+        eff = (n / re) * optimal_eff + GAMMA2
     eff = min(1.0, max(1e-9, eff))
-    return EfficiencyEstimate(efficiency=eff, at_device_count=re,
-                              source=EfficiencySource.SCALED)
+    return EfficiencyEstimate(efficiency=eff, source=EfficiencySource.SCALED)

@@ -4,8 +4,9 @@ A chip's embodied footprint is its die area times the fab's carbon per cm^2
 (or capacity times carbon per GB for memory and storage), unless a measured
 per-unit figure overrides the pricing. A workload is charged the fraction of
 each unit's lifetime it occupies, and the named units are topped up by an
-"others" share covering motherboard, chassis, PSU and the like, which is a
-fixed fraction of the final total (15% in published teardowns).
+"others" share covering motherboard, chassis, PSU and the like, which is
+``OTHERS_FRACTION`` of the final total (15% in published teardowns). As in
+the published validations, no utilization derate is applied.
 
 Embodied carbon is therefore a per-second rate times device-seconds: count
 times chip kg over lifetime, times execution time. The pipeline takes a
@@ -29,7 +30,6 @@ OTHERS_FRACTION = 0.15
 class EmbodiedItem:
     unit: str
     count: int
-    chip_kg: float
     attributed_tco2: float
 
 
@@ -52,25 +52,14 @@ def chip_embodied(unit: HardwareUnit) -> float:
     raise ModelError(f"{unit.name}: no embodied pricing basis")
 
 
-def fleet_embodied(
-    fleet: HardwareFleet,
-    execution_seconds: float,
-    others_fraction: float = OTHERS_FRACTION,
-    utilization: float | None = None,
-) -> EmbodiedResult:
+def fleet_embodied(fleet: HardwareFleet, execution_seconds: float) -> EmbodiedResult:
     """Embodied carbon a workload of ``execution_seconds`` is charged for.
 
-    Per unit: count * chip_kg * (time / lifetime). ``utilization`` optionally
-    divides the attribution (a fleet busy 60% of its life spreads its
-    embodied cost over fewer useful seconds); published validations do not
-    apply it, so it defaults to off.
+    Per unit: count * chip kg * (time / lifetime); the named units' sum is
+    then the ``1 - OTHERS_FRACTION`` share of the total.
     """
     if execution_seconds < 0:
         raise ModelError("execution_seconds must be >= 0")
-    if not (0.0 <= others_fraction < 1.0):
-        raise ModelError("others_fraction must lie in [0, 1)")
-    if utilization is not None and not (0.0 < utilization <= 1.0):
-        raise ModelError("utilization must lie in (0, 1]")
 
     items = []
     for entry in fleet.entries:
@@ -79,15 +68,11 @@ def fleet_embodied(
         if lifetime_s <= 0:
             raise ModelError(f"{unit.name}: lifetime must be positive")
         share = execution_seconds / lifetime_s
-        if utilization is not None:
-            share /= utilization
         kg = chip_embodied(unit)
-        items.append(EmbodiedItem(
-            unit=unit.name, count=entry.count, chip_kg=kg,
-            attributed_tco2=entry.count * kg * share / 1000.0,
-        ))
+        items.append(EmbodiedItem(unit=unit.name, count=entry.count,
+                                  attributed_tco2=entry.count * kg * share / 1000.0))
 
     named = sum(item.attributed_tco2 for item in items)
-    total = named / (1.0 - others_fraction)
+    total = named / (1.0 - OTHERS_FRACTION)
     return EmbodiedResult(per_unit=tuple(items), others_tco2=total - named,
                           total_tco2=total)

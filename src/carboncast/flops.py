@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .types import ModelError, Phase
+from .types import ModelError
 
 TRAINING_FLOPS_PER_PARAM_TOKEN = 6.0
 INFERENCE_FLOPS_PER_PARAM_TOKEN = 2.0
@@ -20,11 +20,6 @@ INFERENCE_FLOPS_PER_PARAM_TOKEN = 2.0
 @dataclass(frozen=True)
 class FlopBudget:
     total_flops: float
-    phase: Phase
-
-    @property
-    def zettaflops(self) -> float:
-        return self.total_flops / 1e21
 
 
 def training_flops(param_count: float, token_count: float) -> FlopBudget:
@@ -35,14 +30,13 @@ def training_flops(param_count: float, token_count: float) -> FlopBudget:
     """
     _check(param_count, token_count)
     forward = INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count
-    return FlopBudget(3.0 * forward, Phase.TRAINING)
+    return FlopBudget(3.0 * forward)
 
 
 def inference_flops(param_count: float, token_count: float) -> FlopBudget:
     """Total inference FLOPs = 2 * P * D."""
     _check(param_count, token_count)
-    return FlopBudget(INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count,
-                      Phase.INFERENCE)
+    return FlopBudget(INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count)
 
 
 def _check(param_count: float, token_count: float) -> None:

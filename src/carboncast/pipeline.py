@@ -38,7 +38,7 @@ from .efficiency import (
     optimal_efficiency,
     plan_parallelism,
 )
-from .embodied import OTHERS_FRACTION, fleet_embodied
+from .embodied import fleet_embodied
 from .flops import inference_flops, training_flops
 from .operational import (
     StorageWorkload,
@@ -96,14 +96,14 @@ class EstimateRequest:
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB
     server_size: int = DEFAULT_SERVER_SIZE
     anchors: list[tuple[float, float]] | None = None
-    others_fraction: float = OTHERS_FRACTION
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
         if not (0.0 <= self.tokens < inf):
             raise ModelError(f"tokens must be finite and >= 0, got {self.tokens!r}")
-        if not (0.0 <= self.others_fraction < 1.0):
-            raise ModelError(f"others_fraction must lie in [0, 1), got {self.others_fraction!r}")
+        if self.phase not in (Phase.TRAINING, Phase.INFERENCE, Phase.STORAGE):
+            raise ModelError("phase must be training, inference or storage, got " + (
+                self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req.storage, req.data_center)
-    return _estimate(req, _Setting(req.fleet, req.overrides, req.anchors, req.others_fraction))[0]
+    return _estimate(req, _Setting(req.fleet, req.overrides, req.anchors))[0]
 
 
 class _Setting:
@@ -182,11 +182,10 @@ class _Setting:
     ``estimate()`` makes one per call.
     """
 
-    __slots__ = ("fleet", "accel", "device_count", "power_watts", "anchors", "others_fraction",
-                 "_curve", "_rates")
+    __slots__ = ("fleet", "accel", "device_count", "power_watts", "anchors", "_curve", "_rates")
 
     def __init__(self, fleet: HardwareFleet, overrides: Overrides,
-                 anchors: list[tuple[float, float]] | None, others_fraction: float) -> None:
+                 anchors: list[tuple[float, float]] | None) -> None:
         self.fleet = fleet
         self.accel = fleet.accelerator
         self.device_count = overrides.device_count
@@ -194,7 +193,6 @@ class _Setting:
             self.device_count = self.accel.count
         self.power_watts = overrides.system_power_watts
         self.anchors = anchors
-        self.others_fraction = others_fraction
         self._curve: AnchorCurve | list[tuple[float, float]] | None = None
         self._rates: tuple[dict[str, list], float] | None = None
 
@@ -211,14 +209,12 @@ class _Setting:
 
     def rates(self) -> tuple[dict[str, list], float]:
         if self._rates is None:
-            self._rates = _fleet_rates(self.fleet, self.accel, self.device_count,
-                                       self.power_watts, self.others_fraction)
+            self._rates = _fleet_rates(self.fleet, self.accel, self.device_count, self.power_watts)
         return self._rates
 
 
 def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
-                 power_watts: float | None, others_fraction: float
-                 ) -> tuple[dict[str, list], float]:
+                 power_watts: float | None) -> tuple[dict[str, list], float]:
     """Energy and embodied carbon per second of execution of ``fleet``, whose
     accelerator entry is ``accel``, with ``device_count`` accelerators and,
     when ``power_watts`` is given, that measured power per accelerator: each
@@ -234,7 +230,7 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
         resized = FleetEntry(accel.unit, device_count)
         fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
         accel = resized
-    emb = fleet_embodied(fleet, 1.0, others_fraction=others_fraction)
+    emb = fleet_embodied(fleet, 1.0)
     merged: dict[str, list] = {}
     # Units without a power figure ride along for embodied accounting only;
     # a measured accelerator system power already covers their draw (host
@@ -258,9 +254,6 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
 def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, ParameterCount]:
     """A training or inference estimate, with the parameter count it used.
     ``setting`` is made from ``req``'s fleet, overrides and anchor table."""
-    if req.phase not in (Phase.TRAINING, Phase.INFERENCE):
-        raise ModelError(f"estimate() handles training/inference/storage, not {req.phase}")
-
     arch = req.arch
     overrides = req.overrides
     # A model error is re-raised with the stage it was met in named; the
@@ -296,8 +289,7 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
             eff = overrides.efficiency
         else:
             base_for_eff = _flop_param_count(arch, pcount.total) if arch.is_moe else pcount.total
-            opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=setting.curve(),
-                                     at_device_count=plan.device_count)
+            opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=setting.curve())
             if actual_devices == plan.device_count:
                 eff = opt.efficiency
             else:
@@ -433,7 +425,7 @@ def sweep(
         raise ModelError("sweep grid is empty")
     constants = scaling if scaling is not None else ScalingConstants()
     overrides = Overrides()
-    setting = _Setting(fleet, overrides, anchors, OTHERS_FRACTION)
+    setting = _Setting(fleet, overrides, anchors)
 
     rows: list[tuple[float, float, str, int, float]] = []
     errors: list[tuple[str, str]] = []

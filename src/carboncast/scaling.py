@@ -24,7 +24,6 @@ MOE_PARAM_DISCOUNT = 8.0
 @dataclass(frozen=True)
 class LossPrediction:
     loss: float
-    effective_params: float
 
 
 def test_loss(
@@ -46,7 +45,7 @@ def test_loss(
     loss = (constants.A / effective ** constants.alpha
             + constants.B / token_count ** constants.beta
             + constants.E)
-    return LossPrediction(loss=loss, effective_params=effective)
+    return LossPrediction(loss=loss)
 
 
 test_loss.__test__ = False  # keep pytest from collecting the public name

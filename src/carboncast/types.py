@@ -44,7 +44,6 @@ class Phase(enum.Enum):
     TRAINING = "training"
     INFERENCE = "inference"
     STORAGE = "storage"
-    EXPERIMENTATION = "experimentation"
     LIFECYCLE = "lifecycle"
 
 

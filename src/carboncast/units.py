@@ -19,10 +19,6 @@ def joules_to_mwh(joules: float) -> float:
     return joules / JOULES_PER_MWH
 
 
-def mwh_to_joules(mwh: float) -> float:
-    return mwh * JOULES_PER_MWH
-
-
 def watt_seconds_to_mwh(watts: float, seconds: float) -> float:
     return joules_to_mwh(watts * seconds)
 

@@ -1,4 +1,4 @@
-"""Catalog parsing, serialization round-trips and packaged defaults."""
+"""Catalog parsing, packaged defaults and catalog resolution."""
 
 import io
 
@@ -54,11 +54,6 @@ class TestHardwareCatalog:
         with pytest.raises(CatalogError, match=f"row 2: x: {column} must be finite"):
             catalog.load_hardware(io.StringIO(text))
 
-    def test_round_trip_preserves_fields(self):
-        units = catalog.default_hardware()
-        again = catalog.load_hardware(io.StringIO(catalog.dump_hardware(units)))
-        assert again == units
-
 
 class TestDataCenterCatalog:
     def test_us_central1_row(self):
@@ -83,11 +78,6 @@ class TestDataCenterCatalog:
         text = ",".join(catalog.DATACENTER_FIELDS) + "\n" + row + "\n"
         with pytest.raises(CatalogError, match=f"row 2: dc: {column} must be finite"):
             catalog.load_datacenters(io.StringIO(text))
-
-    def test_round_trip(self):
-        profiles = catalog.default_datacenters()
-        again = catalog.load_datacenters(io.StringIO(catalog.dump_datacenters(profiles)))
-        assert again == profiles
 
 
 class TestDefaults:
@@ -145,3 +135,27 @@ class TestDefaults:
         )
         units, _ = catalog.resolve_catalogs([override])
         assert units["V100"].peak_tflops == 999
+
+    @pytest.mark.parametrize("header", [
+        ",".join(catalog.DATACENTER_FIELDS),
+        "name, pue, carbon_intensity_kg_per_kwh, cfe",
+        '"name","pue","carbon_intensity_kg_per_kwh","cfe"',
+    ])
+    def test_user_catalog_header_read_as_the_loader_reads_it(self, tmp_path, header):
+        path = tmp_path / "dc.csv"
+        path.write_text(header + "\nmy-dc,1.2,0.3,0.5\n", encoding="utf-8")
+        loaded = catalog.load_datacenters(io.StringIO(path.read_text(encoding="utf-8")))
+        _, centers = catalog.resolve_catalogs([path])
+        assert centers["my-dc"] == loaded[0]
+
+    @pytest.mark.parametrize("text", ["", "\n", "name,pue\nmy-dc,1.2\n"])
+    def test_unknown_header_rejected(self, tmp_path, text):
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CatalogError, match="header matches no known catalog schema"):
+            catalog.resolve_catalogs([path])
+
+    def test_bad_header_message(self):
+        with pytest.raises(CatalogError, match=r"^anchor table: bad header \['size', 'eff'\], "
+                                               r"expected \['param_count', 'efficiency'\]$"):
+            catalog.load_anchors(io.StringIO("size,eff\n1e9,0.3\n"))

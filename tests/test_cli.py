@@ -126,6 +126,10 @@ class TestEstimateCommand:
          "estimate.architecture.kind: must be one of"),
         ("phase: training", "phase: pretraining", EXIT_CONFIG_ERROR,
          "estimate.phase: must be one of"),
+        ("phase: training", "phase: experimentation", EXIT_CONFIG_ERROR,
+         "estimate.phase: must be one of"),
+        ("phase: training", "phase: lifecycle", EXIT_CONFIG_ERROR,
+         "estimate: phase must be training, inference or storage, got lifecycle"),
         ("  architecture:\n    name: gpt3\n    kind: dense_gpt\n"
          "    explicit_param_count: 175000000000\n", "", EXIT_CONFIG_ERROR,
          "estimate.architecture: required"),

@@ -39,22 +39,12 @@ class TestPlanner:
             assert plan.data == 1
             assert plan.device_count == plan.tensor * plan.pipeline
 
-    def test_single_device_model_takes_requested_scale(self):
-        plan = plan_parallelism(1e9, device_memory_gb=32.0, target_device_count=40)
-        assert plan.tensor == 1
-        assert plan.pipeline == 1
-        assert plan.data == 40
-
     @pytest.mark.parametrize("fn", [plan_parallelism, optimal_device_count])
     @pytest.mark.parametrize("param_count", [0.0, -1.0, math.nan, math.inf])
     def test_param_count_must_be_finite_and_positive(self, fn, param_count):
         message = f"param_count must be finite and positive, got {param_count!r}"
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
             fn(param_count)
-
-    def test_unfittable_model_reports_memory_need(self):
-        with pytest.raises(ModelError, match="GB per device"):
-            plan_parallelism(175e9, device_memory_gb=32.0, max_model_parallel=16)
 
     def test_moe_needs_no_more_devices_than_dense(self):
         rng = random.Random(23)
@@ -241,7 +231,8 @@ class TestOffOptimalEfficiency:
         assert abs(above - at) < eff_n / n + 0.1265 + 1e-9
 
     def test_result_capped_at_one(self):
-        assert efficiency_at_count(2, 1, 1.0, gamma2=0.9).efficiency == 1.0
+        # (1000 / 1001) * 1.0 + GAMMA2 is above 1.
+        assert efficiency_at_count(1001, 1000, 1.0).efficiency == 1.0
 
 
 def test_optimal_device_count_scales_from_published_anchor():

@@ -6,7 +6,7 @@ import pytest
 
 from carboncast import units
 from carboncast.embodied import chip_embodied, fleet_embodied
-from carboncast.types import HardwareFleet, HardwareRole, HardwareUnit, ModelError
+from carboncast.types import HardwareFleet, HardwareRole, HardwareUnit
 from carboncast.validation import XLM_EMBODIED_FLEET, XLM_TRAINING_DAYS
 
 
@@ -77,15 +77,6 @@ class TestFleetEmbodied:
             assert twice.total_tco2 == pytest.approx(2 * once.total_tco2, rel=1e-12)
             for a, b in zip(once.per_unit, twice.per_unit):
                 assert b.attributed_tco2 == pytest.approx(2 * a.attributed_tco2, rel=1e-12)
-
-    def test_utilization_divisor_is_off_by_default(self):
-        plain = fleet_embodied(XLM_EMBODIED_FLEET, 1e6)
-        derated = fleet_embodied(XLM_EMBODIED_FLEET, 1e6, utilization=0.6)
-        assert derated.total_tco2 == pytest.approx(plain.total_tco2 / 0.6)
-
-    def test_others_fraction_bounds(self):
-        with pytest.raises(ModelError, match="others_fraction"):
-            fleet_embodied(XLM_EMBODIED_FLEET, 1.0, others_fraction=1.0)
 
     def test_zero_lifetime_rejected(self):
         # The unit type itself refuses nonpositive lifetimes.

@@ -155,8 +155,8 @@ class TestEstimate:
     @pytest.mark.parametrize("change, message", [
         ({"tokens": -1.0}, "tokens must be finite and >= 0, got -1.0"),
         ({"tokens": math.inf}, "tokens must be finite and >= 0, got inf"),
-        ({"others_fraction": 1.0}, "others_fraction must lie in [0, 1), got 1.0"),
-        ({"others_fraction": math.nan}, "others_fraction must lie in [0, 1), got nan"),
+        ({"phase": Phase.LIFECYCLE}, "phase must be training, inference or storage, got lifecycle"),
+        ({"phase": "training"}, "phase must be training, inference or storage, got 'training'"),
         ({"overrides": {"device_count": 0, "efficiency": 0.5}},
          "device_count must be an integer >= 1, got 0"),
         ({"overrides": {"device_count": -8}}, "device_count must be an integer >= 1, got -8"),

@@ -1,9 +1,10 @@
-"""Domain-type invariants and unit conversions."""
+"""Domain-type invariants, unit conversions and the public surface."""
 
 import math
 
 import pytest
 
+import carboncast
 from carboncast import units
 from carboncast.types import (
     ArchKind,
@@ -167,10 +168,18 @@ class TestUnits:
     def test_watt_seconds_to_mwh_and_back_is_identity(self):
         for watts, seconds in [(330.0, 1_278_720.0), (1.0, 1.0), (2.5e6, 9.87e5)]:
             mwh = units.watt_seconds_to_mwh(watts, seconds)
-            joules = units.mwh_to_joules(mwh)
-            assert abs(joules - watts * seconds) <= 1e-12 * watts * seconds
+            assert mwh == units.joules_to_mwh(watts * seconds)
+            assert abs(mwh * units.JOULES_PER_MWH - watts * seconds) <= 1e-12 * watts * seconds
 
     def test_day_and_year_arithmetic(self):
         assert units.days_to_seconds(1) == 86_400
         assert units.seconds_to_days(units.days_to_seconds(20.4)) == pytest.approx(20.4)
         assert units.years_to_seconds(5) == pytest.approx(5 * 365.25 * 86_400)
+
+
+def test_star_import_gives_every_public_name_once():
+    # A name left in __all__ after its object is deleted breaks the star import.
+    namespace: dict = {}
+    exec("from carboncast import *", namespace)
+    assert len(set(carboncast.__all__)) == len(carboncast.__all__)
+    assert set(carboncast.__all__) <= namespace.keys()
