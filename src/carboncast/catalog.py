@@ -147,7 +147,8 @@ def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[
 ]:
     """Build name-indexed catalogs: packaged defaults, then the directory
     named by $CARBONCAST_CATALOG_DIR (hardware.csv / datacenters.csv), then
-    any explicit extra paths. Later sources win on name collisions.
+    any explicit extra paths. Later sources win on name collisions. A file
+    that cannot be read as UTF-8 text raises CatalogError naming its path.
     """
     units = {u.name: u for u in default_hardware()}
     centers = {p.name: p for p in default_datacenters()}
@@ -162,7 +163,10 @@ def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[
     paths.extend(Path(p) for p in extra_paths)
 
     for path in paths:
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CatalogError(f"{path}: cannot read catalog: {exc}") from None
         # The same stripped header cells that the loaders check.
         header = [c.strip() for c in next(csv.reader(io.StringIO(text)), [])]
         if header == HARDWARE_FIELDS:

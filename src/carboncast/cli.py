@@ -398,10 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (("estimate", "project one phase"),
-                       ("lifecycle", "project a whole lifecycle"),
-                       ("sweep", "evaluate a design grid with Pareto flags (CSV)")):
+    for name, run, text in (("estimate", _cmd_estimate, "project one phase"),
+                            ("lifecycle", _cmd_lifecycle, "project a whole lifecycle"),
+                            ("sweep", _cmd_sweep,
+                             "evaluate a design grid with Pareto flags (CSV)")):
         p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--catalog", action="append", default=[],
                        help="extra catalog CSV (repeatable, later wins)")
@@ -409,30 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["table", "csv"], default="table")
         p.add_argument("--out", default=None, help="write output to a file")
     p_val = sub.add_parser("validate", help="run the embedded validation fixtures")
+    p_val.set_defaults(run=_cmd_validate)
     p_val.add_argument("--only", default=None,
                        help="run one fixture group (parameters, training, days, "
                             "embodied, storage, inference, efficiency)")
     p_cat = sub.add_parser("catalog", help="list known hardware and data centers")
+    p_cat.set_defaults(run=_cmd_catalog)
     p_cat.add_argument("action", choices=["list"])
     p_cat.add_argument("--catalog", action="append", default=[])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "lifecycle":
-            return _cmd_lifecycle(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -442,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
-    return EXIT_OK
 
 
 if __name__ == "__main__":

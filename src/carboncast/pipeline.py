@@ -8,13 +8,14 @@ finally their sum. Any stage can be short-circuited by a measured override
 model would have computed changes nothing.
 
 What depends only on the fleet, the overrides and the anchor table is
-worked out once, in a ``_Setting``: the fitted anchor curve and the fleet's
-energy and embodied carbon per second. The energy rates follow the power rule
-that ``hardware_energy`` also applies, ``operational.unit_power``; the
-embodied rates are ``fleet_embodied`` over one second. Each estimate then
-runs its own model stages and multiplies its execution seconds by those
-rates. ``estimate()`` makes a setting per call; ``sweep()`` makes one for all
-its points.
+worked out once, up front, in a ``_Setting``: the fitted anchor curve and
+the fleet's energy and embodied carbon per second. The energy rates follow
+the power rule that ``hardware_energy`` also applies,
+``operational.unit_power``; the embodied rates are ``fleet_embodied`` over
+one second. Each estimate then runs its own model stages and multiplies its
+execution seconds by those rates, so every fault it meets is named by its
+stage. ``estimate()`` makes a setting per call; ``sweep()`` makes one for
+all its points.
 
 Also here: the lifecycle, a weighted sum of phase reports (training, which
 also stands for inference and experimentation, plus storage), and the
@@ -32,7 +33,6 @@ from . import units
 from .efficiency import (
     DEFAULT_DEVICE_MEMORY_GB,
     DEFAULT_SERVER_SIZE,
-    AnchorCurve,
     efficiency_at_count,
     fit_anchors,
     optimal_efficiency,
@@ -47,7 +47,7 @@ from .operational import (
     storage_energy,
     unit_power,
 )
-from .params import ParameterCount, count_params
+from .params import ParameterCount, count_dense_gpt, count_params
 from .scaling import test_loss
 from .types import (
     CarbonReport,
@@ -147,7 +147,8 @@ class SweepPoint:
 
 
 def _flop_param_count(arch, full_count: int) -> float:
-    """Parameter count that drives FLOPs: the dense base model for MoE."""
+    """Parameter count that drives FLOPs and efficiency: the dense base model
+    for MoE."""
     if not arch.is_moe:
         return float(full_count)
     try:
@@ -155,8 +156,7 @@ def _flop_param_count(arch, full_count: int) -> float:
             return float(arch.base_model_param_count)
         if arch.hidden_size > 0 and arch.layer_count > 0 and arch.vocab_size > 0:
             # Dense counterpart of the expert model.
-            return float(12 * arch.layer_count * arch.hidden_size ** 2
-                         + arch.vocab_size * arch.hidden_size)
+            return float(count_dense_gpt(arch).total)
     except OverflowError:
         raise ModelError(f"{arch.name}: dense base parameter count is beyond the float "
                          "range") from None
@@ -174,43 +174,31 @@ def estimate(req: EstimateRequest) -> CarbonReport:
 
 
 class _Setting:
-    """What estimates on one fleet, set of overrides and anchor table share.
-
-    The anchor curve and the fleet's per-second rates are worked out at their
-    first use, where an estimate without them would have met their faults,
-    and then reused. ``sweep()`` makes one setting for all its points;
-    ``estimate()`` makes one per call.
+    """What estimates on one fleet, set of overrides and anchor table share,
+    made once, up front: the accelerator entry and the device count; the
+    fitted anchor curve, when there is no efficiency override; and the
+    fleet's per-second rates, when there is an accelerator. A table that does
+    not fit is kept as given: ``optimal_efficiency`` then raises its fault
+    for each estimate, after checking its own input. ``sweep()`` makes one
+    setting for all its points; ``estimate()`` makes one per call.
     """
 
-    __slots__ = ("fleet", "accel", "device_count", "power_watts", "anchors", "_curve", "_rates")
+    __slots__ = ("accel", "device_count", "curve", "rates")
 
     def __init__(self, fleet: HardwareFleet, overrides: Overrides,
                  anchors: list[tuple[float, float]] | None) -> None:
-        self.fleet = fleet
-        self.accel = fleet.accelerator
+        self.accel = accel = fleet.accelerator
         self.device_count = overrides.device_count
-        if self.device_count is None and self.accel is not None:
-            self.device_count = self.accel.count
-        self.power_watts = overrides.system_power_watts
-        self.anchors = anchors
-        self._curve: AnchorCurve | list[tuple[float, float]] | None = None
-        self._rates: tuple[dict[str, list], float] | None = None
-
-    def curve(self) -> AnchorCurve | list[tuple[float, float]] | None:
-        """The fitted anchor curve, for ``optimal_efficiency``. A table that
-        does not fit is handed on as it is: ``optimal_efficiency`` then raises
-        its fault for each estimate, after checking its own input."""
-        if self._curve is None:
+        if self.device_count is None and accel is not None:
+            self.device_count = accel.count
+        self.curve = None
+        if overrides.efficiency is None:
             try:
-                self._curve = fit_anchors(self.anchors)
+                self.curve = fit_anchors(anchors)
             except ModelError:
-                self._curve = self.anchors
-        return self._curve
-
-    def rates(self) -> tuple[dict[str, list], float]:
-        if self._rates is None:
-            self._rates = _fleet_rates(self.fleet, self.accel, self.device_count, self.power_watts)
-        return self._rates
+                self.curve = anchors
+        self.rates = None if accel is None else _fleet_rates(
+            fleet, accel, self.device_count, overrides.system_power_watts)
 
 
 def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
@@ -256,8 +244,7 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
     ``setting`` is made from ``req``'s fleet, overrides and anchor table."""
     arch = req.arch
     overrides = req.overrides
-    # A model error is re-raised with the stage it was met in named; the
-    # fleet's rates are the setting's, and their faults carry no stage.
+    # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
     try:
         pcount = count_params(arch)
@@ -284,30 +271,22 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
             pcount.total, is_moe=arch.is_moe,
             device_memory_gb=req.device_memory_gb, server_size=req.server_size,
         )
-        actual_devices = setting.device_count
         if overrides.efficiency is not None:
             eff = overrides.efficiency
         else:
-            base_for_eff = _flop_param_count(arch, pcount.total) if arch.is_moe else pcount.total
-            opt = optimal_efficiency(base_for_eff, is_moe=arch.is_moe, anchors=setting.curve())
-            if actual_devices == plan.device_count:
-                eff = opt.efficiency
-            else:
-                eff = efficiency_at_count(actual_devices, plan.device_count,
-                                          opt.efficiency).efficiency
-
-        stage = None
-        rates, embodied_per_s = setting.rates()
+            opt = optimal_efficiency(_flop_param_count(arch, pcount.total), is_moe=arch.is_moe,
+                                     anchors=setting.curve)
+            eff = efficiency_at_count(setting.device_count, plan.device_count,
+                                      opt.efficiency).efficiency
 
         stage = "operational-carbon"
+        rates, embodied_per_s = setting.rates
         seconds = 0.0 if flops == 0 else device_time(
-            flops, actual_devices, accel.unit.peak_tflops, eff)
+            flops, setting.device_count, accel.unit.peak_tflops, eff)
         items = tuple([LineItem(unit, count, (measured + tdp * eff) * seconds, embodied * seconds)
                        for unit, (count, measured, tdp, embodied) in rates.items()])
         oper = operational_carbon(sum([i.energy_mwh for i in items]), req.data_center)
     except ModelError as exc:
-        if stage is None:
-            raise
         raise ModelError(f"[{stage}] {exc}") from exc
 
     embodied = embodied_per_s * seconds
@@ -366,8 +345,9 @@ def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
 
 def _sum_reports(parts: list[tuple[float, CarbonReport]]) -> CarbonReport:
     """The lifecycle report of (weight, phase report) parts: durations,
-    energies, carbon and line items are weighted sums; hardware efficiency,
-    test loss and plan are the first (training) part's."""
+    energies and carbon are weighted sums, and each part's line items are
+    kept, weighted, in phase order; hardware efficiency, test loss and plan
+    are the first (training) part's."""
     duration = hardware = facility = operational = embodied = 0.0
     for w, r in parts:
         duration += w * r.duration_seconds
@@ -387,29 +367,15 @@ def _sum_reports(parts: list[tuple[float, CarbonReport]]) -> CarbonReport:
         hardware_efficiency=training.hardware_efficiency,
         test_loss=training.test_loss,
         parallelism=training.parallelism,
-        line_items=_sum_line_items((i.unit, i.count, w * i.energy_mwh, w * i.embodied_tco2)
-                                   for w, r in parts for i in r.line_items),
+        line_items=tuple([LineItem(i.unit, i.count, w * i.energy_mwh, w * i.embodied_tco2)
+                          for w, r in parts for i in r.line_items]),
     )
-
-
-def _sum_line_items(rows) -> tuple[LineItem, ...]:
-    """Line items from (unit, count, energy_mwh, embodied_tco2) rows, summed
-    by unit. A unit keeps the order and the count of its first row.
-    """
-    merged: dict[str, list] = {}
-    for unit, count, energy, embodied in rows:
-        acc = merged.setdefault(unit, [count, 0.0, 0.0])
-        acc[1] += energy
-        acc[2] += embodied
-    return tuple(LineItem(unit, count, energy, embodied)
-                 for unit, (count, energy, embodied) in merged.items())
 
 
 def sweep(
     grid: list[tuple[LlmArchitecture, float]],
     fleet: HardwareFleet,
     data_center: DataCenterProfile,
-    scaling: ScalingConstants | None = None,
     anchors: list[tuple[float, float]] | None = None,
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB,
     server_size: int = DEFAULT_SERVER_SIZE,
@@ -423,8 +389,7 @@ def sweep(
     """
     if not grid:
         raise ModelError("sweep grid is empty")
-    constants = scaling if scaling is not None else ScalingConstants()
-    overrides = Overrides()
+    overrides, scaling = Overrides(), ScalingConstants()
     setting = _Setting(fleet, overrides, anchors)
 
     rows: list[tuple[float, float, str, int, float]] = []
@@ -435,7 +400,7 @@ def sweep(
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
             req = EstimateRequest(
                 arch=arch, tokens=tokens, fleet=fleet, data_center=data_center,
-                phase=Phase.TRAINING, scaling=constants, overrides=overrides, anchors=anchors,
+                phase=Phase.TRAINING, scaling=scaling, overrides=overrides, anchors=anchors,
                 device_memory_gb=device_memory_gb, server_size=server_size,
             )
             report, pcount = _estimate(req, setting)

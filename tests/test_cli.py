@@ -302,6 +302,31 @@ class TestCatalogCommand:
         assert "V100" in out
         assert "us-central1" in out
 
+    @pytest.mark.parametrize("name, content, in_dir, fault", [
+        pytest.param("missing.csv", None, False,
+                     "[Errno 2] No such file or directory: 'missing.csv'", id="missing"),
+        pytest.param("bom.csv", b"\xff\xfe", False,
+                     "'utf-8' codec can't decode byte 0xff in position 0", id="not-utf-8"),
+        pytest.param("hardware.csv", b"\xff\xfe", True,
+                     "'utf-8' codec can't decode byte 0xff in position 0",
+                     id="not-utf-8-in-catalog-dir"),
+    ])
+    def test_unreadable_catalog_file_is_named(self, tmp_path, monkeypatch, capsys, name,
+                                              content, in_dir, fault):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+        if in_dir:
+            monkeypatch.setenv("CARBONCAST_CATALOG_DIR", ".")
+            argv = ["catalog", "list"]
+        else:
+            monkeypatch.delenv("CARBONCAST_CATALOG_DIR", raising=False)
+            argv = ["catalog", "list", "--catalog", name]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"catalog error: {name}: cannot read catalog: {fault}")
+        assert err.count("\n") == 1
+
 
 def test_importing_the_cli_does_not_import_numpy():
     # A fresh interpreter, so that no other test's imports count.

@@ -249,6 +249,20 @@ class TestEstimate:
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
             estimate(dataclasses.replace(req, **change))
 
+    @pytest.mark.parametrize("anchors", [None, [(1e9, 1.5)]])
+    def test_an_efficiency_override_touches_no_anchor_table(self, monkeypatch, anchors):
+        calls = []
+        for module, name in ((pipeline, "fit_anchors"), (efficiency, "default_anchors")):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
+                              fleet=HardwareFleet.of((v100(), 64)), data_center=dc(),
+                              overrides=Overrides(efficiency=0.4), anchors=anchors)
+        assert estimate(req).hardware_efficiency == 0.4
+        assert calls == []
+
     def test_inference_phase_batch(self):
         a100 = HardwareUnit(name="A100", role=HardwareRole.ACCELERATOR,
                             peak_tflops=312, tdp_watts=400,
@@ -414,6 +428,23 @@ class TestPhaseSum:
         assert got.phase is Phase.LIFECYCLE
         assert (got.hardware_efficiency, got.test_loss, got.parallelism) == (
             training.hardware_efficiency, training.test_loss, training.parallelism)
+
+    def test_a_fleet_unit_named_storage_keeps_its_own_item(self):
+        ssd = HardwareUnit(name="storage", role=HardwareRole.SSD, embodied_kg_override=576.0)
+        req = mixed_request(fleet=HardwareFleet.of((v100(330), 171), (ssd, 2)))
+        got = estimate_lifecycle(LifecyclePlan(req, 1.0, 0.5, STORAGE))
+        (ssd_item,) = [i for i in estimate(req).line_items if i.unit == "storage"]
+        storage = estimate(mixed_request(phase=Phase.STORAGE, storage=STORAGE))
+
+        fleet_item, phase_item = [i for i in got.line_items if i.unit == "storage"]
+        assert (fleet_item.count, fleet_item.energy_mwh) == (2, 0.0)
+        assert fleet_item.embodied_tco2 == 2.5 * ssd_item.embodied_tco2 > 0.0
+        assert phase_item == storage.line_items[0]
+        assert phase_item.energy_mwh > 0.0
+        assert math.isclose(sum(i.energy_mwh for i in got.line_items), got.hardware_energy_mwh,
+                            rel_tol=1e-12)
+        assert math.isclose(sum(i.embodied_tco2 for i in got.line_items), got.embodied_tco2,
+                            rel_tol=1e-12)
 
 
 class TestLifecyclePlanChecks:
