@@ -200,7 +200,7 @@ def _parse_request(doc: dict, catalogs, path: str) -> EstimateRequest:
 def _load_config(path: str, top_key: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         doc = yaml.safe_load(text)
@@ -284,7 +284,10 @@ def _format_sweep_csv(points) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path}: {exc}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

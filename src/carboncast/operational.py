@@ -78,6 +78,12 @@ def device_time(total_flops: float, device_count: int,
             f"throughput is zero (devices={device_count}, peak={peak_tflops} "
             f"TFLOP/s, efficiency={efficiency})"
         )
+    if denom == inf:
+        # Dividing by it would turn any workload into zero seconds.
+        raise ModelError(
+            f"throughput is beyond the float range (devices={device_count:g}, "
+            f"peak={peak_tflops} TFLOP/s, efficiency={efficiency})"
+        )
     return total_flops / denom
 
 

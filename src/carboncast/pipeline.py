@@ -12,10 +12,15 @@ worked out once, up front, in a ``_Setting``: the fitted anchor curve and
 the fleet's energy and embodied carbon per second. The energy rates follow
 the power rule that ``hardware_energy`` also applies,
 ``operational.unit_power``; the embodied rates are ``fleet_embodied`` over
-one second. Each estimate then runs its own model stages and multiplies its
-execution seconds by those rates, so every fault it meets is named by its
-stage. ``estimate()`` makes a setting per call; ``sweep()`` makes one for
-all its points.
+one second. ``estimate()`` makes a setting per call; ``sweep()`` makes one
+for all its points.
+
+The model stages run in one chain, ``_stages``, which multiplies its
+execution seconds by the setting's rates and names every fault it meets by
+its stage. The chain has two ends. ``estimate()`` builds a report, with a
+line item per fleet unit, from the stage values. ``sweep()`` builds no
+report: it checks the same values the report would check, with the same
+messages, and keeps a row of the loss and carbon.
 
 Also here: the lifecycle, a weighted sum of phase reports (training, which
 also stands for inference and experimentation, plus storage), and the
@@ -41,6 +46,7 @@ from .efficiency import (
 from .embodied import fleet_embodied
 from .flops import inference_flops, training_flops
 from .operational import (
+    OperationalResult,
     StorageWorkload,
     device_time,
     operational_carbon,
@@ -57,8 +63,10 @@ from .types import (
     LineItem,
     LlmArchitecture,
     ModelError,
+    ParallelismPlan,
     Phase,
     ScalingConstants,
+    check_report_floats,
 )
 
 
@@ -76,9 +84,14 @@ class Overrides:
         if self.efficiency is not None and not (0.0 < self.efficiency <= 1.0):
             raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
         count = self.device_count
-        if count is not None and (isinstance(count, bool) or not isinstance(count, int)
-                                  or count < 1):
+        if count is None:
+            return
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ModelError(f"device_count must be an integer >= 1, got {count!r}")
+        try:
+            float(count)
+        except OverflowError:
+            raise ModelError("device_count is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -170,7 +183,26 @@ def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req.storage, req.data_center)
-    return _estimate(req, _Setting(req.fleet, req.overrides, req.anchors))[0]
+    setting = _Setting(req.fleet, req.overrides, req.anchors)
+    _, loss, plan, eff, seconds, energies, oper, embodied = _stages(
+        req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.device_memory_gb,
+        req.server_size, req.data_center, setting)
+    rates, _ = setting.rates
+    return CarbonReport(
+        phase=req.phase,
+        duration_seconds=seconds,
+        hardware_energy_mwh=oper.hardware_energy_mwh,
+        operational_energy_mwh=oper.operational_energy_mwh,
+        operational_tco2=oper.operational_tco2,
+        embodied_tco2=embodied,
+        total_tco2=oper.operational_tco2 + embodied,
+        hardware_efficiency=eff,
+        test_loss=loss,
+        parallelism=plan,
+        line_items=tuple([LineItem(unit, count, energy, unit_embodied * seconds)
+                          for (unit, (count, _, _, unit_embodied)), energy
+                          in zip(rates.items(), energies)]),
+    )
 
 
 class _Setting:
@@ -239,28 +271,37 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
     return merged, emb.total_tco2
 
 
-def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, ParameterCount]:
-    """A training or inference estimate, with the parameter count it used.
-    ``setting`` is made from ``req``'s fleet, overrides and anchor table."""
-    arch = req.arch
-    overrides = req.overrides
+def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: ScalingConstants,
+            overrides: Overrides, device_memory_gb: float, server_size: int,
+            data_center: DataCenterProfile, setting: _Setting,
+            ) -> tuple[ParameterCount, float | None, ParallelismPlan, float, float, list[float],
+                       OperationalResult, float]:
+    """The model stages of one training or inference estimate, on ``setting``,
+    which is made from the estimate's fleet, overrides and anchor table.
+
+    Returns the stage values: the parameter count, the test loss (``None``
+    for inference or zero tokens), the parallelism plan, the hardware
+    efficiency, the execution seconds, each fleet unit's hardware energy in
+    MWh in the order of ``setting.rates``, the operational result and the
+    embodied tCO2.
+    """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
     try:
         pcount = count_params(arch)
 
         loss = None
-        if req.phase is Phase.TRAINING and req.tokens > 0:
+        if phase is Phase.TRAINING and tokens > 0:
             stage = "scaling-law"
-            loss = test_loss(pcount.total, req.tokens, req.scaling, moe=arch.is_moe).loss
+            loss = test_loss(pcount.total, tokens, scaling, moe=arch.is_moe).loss
 
         stage = "flop-model"
         if overrides.measured_flops is not None:
             flops = overrides.measured_flops
         else:
             p_flops = _flop_param_count(arch, pcount.total)
-            budget = (training_flops(p_flops, req.tokens) if req.phase is Phase.TRAINING
-                      else inference_flops(p_flops, req.tokens))
+            budget = (training_flops(p_flops, tokens) if phase is Phase.TRAINING
+                      else inference_flops(p_flops, tokens))
             flops = budget.total_flops
 
         stage = "efficiency-model"
@@ -269,7 +310,7 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
             raise ModelError("fleet has no accelerator entry")
         plan = plan_parallelism(
             pcount.total, is_moe=arch.is_moe,
-            device_memory_gb=req.device_memory_gb, server_size=req.server_size,
+            device_memory_gb=device_memory_gb, server_size=server_size,
         )
         if overrides.efficiency is not None:
             eff = overrides.efficiency
@@ -283,27 +324,13 @@ def _estimate(req: EstimateRequest, setting: _Setting) -> tuple[CarbonReport, Pa
         rates, embodied_per_s = setting.rates
         seconds = 0.0 if flops == 0 else device_time(
             flops, setting.device_count, accel.unit.peak_tflops, eff)
-        items = tuple([LineItem(unit, count, (measured + tdp * eff) * seconds, embodied * seconds)
-                       for unit, (count, measured, tdp, embodied) in rates.items()])
-        oper = operational_carbon(sum([i.energy_mwh for i in items]), req.data_center)
+        energies = [(measured + tdp * eff) * seconds
+                    for _, measured, tdp, _ in rates.values()]
+        oper = operational_carbon(sum(energies), data_center)
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
-    embodied = embodied_per_s * seconds
-    report = CarbonReport(
-        phase=req.phase,
-        duration_seconds=seconds,
-        hardware_energy_mwh=oper.hardware_energy_mwh,
-        operational_energy_mwh=oper.operational_energy_mwh,
-        operational_tco2=oper.operational_tco2,
-        embodied_tco2=embodied,
-        total_tco2=oper.operational_tco2 + embodied,
-        hardware_efficiency=eff,
-        test_loss=loss,
-        parallelism=plan,
-        line_items=items,
-    )
-    return report, pcount
+    return pcount, loss, plan, eff, seconds, energies, oper, embodied_per_s * seconds
 
 
 def _estimate_storage(storage: StorageWorkload | None,
@@ -384,8 +411,10 @@ def sweep(
 
     Every point runs the full optimal path (no overrides): its own plan,
     optimal efficiency and training carbon. Failing points are returned as
-    (name, reason) alongside the successes, never silently dropped. Points
-    come back sorted by (loss, carbon) and carry Pareto dominance flags.
+    (name, reason) alongside the successes, never silently dropped. Past
+    its check for a finite positive token count, a point fails exactly when
+    ``estimate()`` on it would, with the same message. Points come back
+    sorted by (loss, carbon) and carry Pareto dominance flags.
     """
     if not grid:
         raise ModelError("sweep grid is empty")
@@ -398,13 +427,13 @@ def sweep(
         try:
             if not (0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
-            req = EstimateRequest(
-                arch=arch, tokens=tokens, fleet=fleet, data_center=data_center,
-                phase=Phase.TRAINING, scaling=scaling, overrides=overrides, anchors=anchors,
-                device_memory_gb=device_memory_gb, server_size=server_size,
-            )
-            report, pcount = _estimate(req, setting)
-            rows.append((report.test_loss, report.operational_tco2, arch.name, pcount.total, tokens))
+            pcount, loss, _, eff, seconds, _, oper, embodied = _stages(
+                arch, tokens, Phase.TRAINING, scaling, overrides, device_memory_gb, server_size,
+                data_center, setting)
+            carbon = oper.operational_tco2
+            check_report_floats(seconds, oper.hardware_energy_mwh, oper.operational_energy_mwh,
+                                carbon, embodied, carbon + embodied, eff, loss)
+            rows.append((loss, carbon, arch.name, pcount.total, tokens))
         except ModelError as exc:
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 

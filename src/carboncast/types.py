@@ -233,6 +233,11 @@ class FleetEntry:
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise CatalogError(f"{self.unit.name}: fleet count must be positive")
+        try:
+            float(self.count)
+        except OverflowError:
+            raise CatalogError(
+                f"{self.unit.name}: fleet count is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -345,6 +350,18 @@ _REPORT_FLOATS = ("duration_seconds", "hardware_energy_mwh", "operational_energy
                   "test_loss")
 
 
+def check_report_floats(*values: float | None) -> None:
+    """Raise a ``ModelError`` naming the first of ``values`` that is NaN, inf
+    or negative. ``values`` are a report's float fields in ``CarbonReport``
+    order, from duration to test loss; a test loss of ``None`` passes. The
+    sweep checks its points with this, so they fail exactly as their reports
+    would."""
+    for fname, value in zip(_REPORT_FLOATS, values):
+        # Written so that NaN fails too.
+        if value is not None and not (0.0 <= value < math.inf):
+            raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CarbonReport:
     """Final projection for one phase (or a whole lifecycle).
@@ -366,13 +383,11 @@ class CarbonReport:
     line_items: tuple[LineItem, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for fname, value in zip(_REPORT_FLOATS, (
-                self.duration_seconds, self.hardware_energy_mwh, self.operational_energy_mwh,
-                self.operational_tco2, self.embodied_tco2, self.total_tco2,
-                self.hardware_efficiency, self.test_loss)):
-            # Written so that NaN fails too; checked first, since NaN or inf
-            # also breaks the additivity check below with a misleading message.
-            if value is not None and not (0.0 <= value < math.inf):
-                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+        # Checked first, since NaN or inf also breaks the additivity check
+        # below with a misleading message.
+        check_report_floats(self.duration_seconds, self.hardware_energy_mwh,
+                            self.operational_energy_mwh, self.operational_tco2,
+                            self.embodied_tco2, self.total_tco2, self.hardware_efficiency,
+                            self.test_loss)
         if self.total_tco2 != self.operational_tco2 + self.embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")

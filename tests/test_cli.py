@@ -161,6 +161,58 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", config]) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fleet_count, device_count, code, message", [
+        pytest.param(10 ** 300, None, EXIT_MODEL_ERROR,
+                     "model error: [operational-carbon] throughput is beyond the float range",
+                     id="fleet-1e300"),
+        pytest.param(10 ** 400, None, EXIT_CONFIG_ERROR,
+                     "config error: estimate.fleet[0].count: expected a finite number",
+                     id="fleet-1e400"),
+        pytest.param(8, 10 ** 300, EXIT_MODEL_ERROR,
+                     "model error: [operational-carbon] throughput is beyond the float range",
+                     id="device-count-1e300"),
+        pytest.param(8, 10 ** 400, EXIT_CONFIG_ERROR,
+                     "config error: estimate.overrides.device_count: expected a finite number",
+                     id="device-count-1e400"),
+    ])
+    def test_counts_beyond_the_float_range_are_named(self, tmp_path, capsys, fleet_count,
+                                                     device_count, code, message):
+        config = textwrap.dedent(f"""\
+            schema: 1
+            estimate:
+              architecture: {{name: m, kind: dense_gpt, explicit_param_count: 20000000000}}
+              tokens: 1.0e+11
+              fleet: [{{unit: V100, count: {fleet_count}}}]
+              data_center: {{name: dc, pue: 1.1, carbon_intensity: 0.4}}
+        """)
+        if device_count is not None:
+            config += f"  overrides: {{device_count: {device_count}}}\n"
+        assert main(["estimate", "--config", write_config(tmp_path, config)]) == code
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("content, fault", [
+        pytest.param(None, "[Errno 2] No such file or directory", id="missing"),
+        pytest.param(b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0",
+                     id="not-utf-8"),
+    ])
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys, content, fault):
+        path = tmp_path / "config.yaml"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["estimate", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: {fault}")
+        assert err.count("\n") == 1
+
+    def test_out_into_a_missing_directory_is_named(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        code = main(["estimate", "--config", write_config(tmp_path, GPT3_CONFIG),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write --out {out}: [Errno 2] No such file")
+        assert err.count("\n") == 1
+
     def test_readme_config_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         section = readme.split("## Config format", 1)[1]

@@ -5,6 +5,10 @@ tolerance, which a rewrite that reorders float arithmetic still passes. Here
 every float field and every line item of each report is pinned as
 ``float.hex``, so a change in the last bit fails. The values were captured
 from the pipeline before its per-call pricing was rewritten in one pass.
+
+A sweep is pinned the same way: each point's count, loss, carbon and
+dominance flag, and each error row word for word. Those values were captured
+while ``sweep()`` still built a full report for every point.
 """
 
 import pytest
@@ -16,6 +20,7 @@ from carboncast.pipeline import (
     Overrides,
     estimate,
     estimate_lifecycle,
+    sweep,
 )
 from carboncast.types import (
     ArchKind,
@@ -240,3 +245,126 @@ def test_report_is_bit_identical_to_the_pinned_one(case):
     req = CASES[case]
     report = estimate_lifecycle(req) if isinstance(req, LifecyclePlan) else estimate(req)
     assert pinned(report) == GOLDEN[case]
+
+
+def sweep_dense(name, params):
+    return LlmArchitecture(name=name, kind=ArchKind.DENSE_GPT, explicit_param_count=int(params))
+
+
+def sweep_moe(name, params, base):
+    return LlmArchitecture(name=name, kind=ArchKind.MOE, explicit_param_count=int(params),
+                           base_model_param_count=int(base))
+
+
+# A measured accelerator and a TDP-only host, so both power paths are priced.
+SWEEP_FLEET = HardwareFleet.of((V100, 64), (CPU, 8))
+SWEEP_ANCHORS = {"packaged": None, "3-anchors": [(1e9, 0.4), (3e10, 0.5), (2e11, 0.45)]}
+SWEEP_GRID = [
+    (DENSE, 1.3e11),
+    (LlmArchitecture(name="dense-6.6b-longer", kind=ArchKind.DENSE_GPT, hidden_size=4096,
+                     layer_count=32, vocab_size=50257), 3e11),
+    (sweep_dense("dense-1b", 1e9), 2e10),
+    (sweep_dense("dense-70b", 70e9), 1.4e12),
+    (sweep_dense("dense-175b", 175e9), 3e11),
+    (sweep_dense("dense-137b", 137.98e9), 3e11),
+    (sweep_dense("dense-13b", 13e9), 2.6e11),
+    # Equal to the point above in loss and carbon: neither dominates the other.
+    (sweep_dense("dense-13b-twin", 13e9), 2.6e11),
+    (sweep_dense("dense-400m", 4e8), 8e9),
+    (LlmArchitecture(name="encdec-t5ish", kind=ArchKind.DENSE_ENCDEC, hidden_size=1024,
+                     layer_count=24, vocab_size=32128, head_count=16, head_dim=64,
+                     ff_size=4096), 1e11),
+    (LlmArchitecture(name="deconly-palmish", kind=ArchKind.DENSE_DECONLY, hidden_size=8192,
+                     layer_count=64, vocab_size=256000, head_count=64, head_dim=128,
+                     ff_size=32768), 7.8e11),
+    (sweep_moe("moe-1.1t", 8 * 137.98e9, 6.6e9), 3e11),
+    (MOE, 4e11),
+    (sweep_moe("moe-600b", 600e9, 2.3e9), 1e12),
+    # Broken points, one per kind of fault.
+    (sweep_dense("no-tokens", 1e9), 0.0),
+    (sweep_dense("negative-tokens", 1e9), -1e9),
+    (LlmArchitecture(name="moe-no-base-no-vocab", kind=ArchKind.MOE, hidden_size=1024,
+                     layer_count=24, moe_fraction=0.5, expert_groups=(ExpertGroup(1.0, 64),)),
+     1e11),
+    (LlmArchitecture(name="encdec-no-heads", kind=ArchKind.DENSE_ENCDEC, hidden_size=512,
+                     layer_count=4, vocab_size=100), 1e11),
+    (sweep_dense("zero-params", 0), 1e11),
+    # Its FLOP budget overflows to inf, so the report's duration is not finite.
+    (sweep_dense("flops-overflow", 1e15), 1e300),
+]
+
+
+def pinned_sweep(points, errors) -> dict:
+    """A sweep's points as (name, count, loss, carbon, dominated), with every
+    float written by ``float.hex``, and its error rows as they are."""
+    return {
+        "points": [(p.name, p.param_count, p.test_loss.hex(), p.training_tco2.hex(), p.dominated)
+                   for p in points],
+        "errors": errors,
+    }
+
+
+# No fault here depends on the anchor table, so both tables give the same
+# error rows.
+GOLDEN_SWEEP_ERRORS = [
+    ("no-tokens", "sweep points need a finite positive token count, got 0.0"),
+    ("negative-tokens", "sweep points need a finite positive token count, got -1000000000.0"),
+    ("moe-no-base-no-vocab",
+     "[flop-model] moe-no-base-no-vocab: MoE FLOPs need base_model_param_count (or h, l, V "
+     "to derive the dense counterpart)"),
+    ("encdec-no-heads",
+     "[parameter-model] encdec-no-heads: parameter model needs head_count, head_dim, "
+     "ff_size for kind dense_encdec"),
+    ("zero-params", "[scaling-law] param_count must be positive, got 0"),
+    ("flops-overflow", "duration_seconds must be finite and >= 0, got inf"),
+]
+GOLDEN_SWEEP = {
+    "3-anchors": {
+        "points": [
+            ("dense-70b", 70000000000, "0x1.efc7ff5fff086p+0", "0x1.f48728ea7cee2p+11", False),
+            ("moe-600b", 600000000000, "0x1.f36982e3223aep+0", "0x1.03dcbcfd41f13p+6", False),
+            ("deconly-palmish", 70816628736, "0x1.f7214ee0016e8p+0",
+             "0x1.1a482907aa063p+11", True),
+            ("dense-175b", 175000000000, "0x1.004af89a426aep+1", "0x1.64226102e57bep+12", True),
+            ("moe-1.1t", 1103840000000, "0x1.00f396b9a0921p+1", "0x1.7514d104e10acp+6", True),
+            ("dense-137b", 137980000000, "0x1.00f396b9a0921p+1", "0x1.a79d9ccd3e453p+11", True),
+            ("dense-13b", 13000000000, "0x1.0cb91e7bf7888p+1", "0x1.9aa7e918761d1p+4", False),
+            ("dense-13b-twin", 13000000000, "0x1.0cb91e7bf7888p+1", "0x1.9aa7e918761d1p+4", False),
+            ("dense-6.6b-longer", 6648303616, "0x1.104276bdd6c59p+1",
+             "0x1.fe4281a8ae2c0p+2", False),
+            ("moe-2x", 20132659200, "0x1.17156a9adf46ep+1", "0x1.4e4b81c292580p+2", False),
+            ("dense-6.6b", 6648303616, "0x1.18bdb77328388p+1", "0x1.ba39a392308cap+1", False),
+            ("encdec-t5ish", 737542144, "0x1.364b0e142c9fbp+1", "0x1.f2da3d7b93ef0p-1", False),
+            ("dense-1b", 1000000000, "0x1.4a3f0238b0336p+1", "0x1.e090194097274p-3", False),
+            ("dense-400m", 400000000, "0x1.6ee0651c7524fp+1", "0x1.8a7d05b3df918p-5", False),
+        ],
+        "errors": GOLDEN_SWEEP_ERRORS,
+    },
+    "packaged": {
+        "points": [
+            ("dense-70b", 70000000000, "0x1.efc7ff5fff086p+0", "0x1.034ba2b26b9d2p+12", False),
+            ("moe-600b", 600000000000, "0x1.f36982e3223aep+0", "0x1.ee706fba5e754p+5", False),
+            ("deconly-palmish", 70816628736, "0x1.f7214ee0016e8p+0",
+             "0x1.244cc657e10f5p+11", True),
+            ("dense-175b", 175000000000, "0x1.004af89a426aep+1", "0x1.598a4cd62b95ep+12", True),
+            ("moe-1.1t", 1103840000000, "0x1.00f396b9a0921p+1", "0x1.8161f223bf50ap+6", True),
+            ("dense-137b", 137980000000, "0x1.00f396b9a0921p+1", "0x1.a3c9a72b2b317p+11", True),
+            ("dense-13b", 13000000000, "0x1.0cb91e7bf7888p+1", "0x1.b2944522c3742p+4", False),
+            ("dense-13b-twin", 13000000000, "0x1.0cb91e7bf7888p+1", "0x1.b2944522c3742p+4", False),
+            ("dense-6.6b-longer", 6648303616, "0x1.104276bdd6c59p+1",
+             "0x1.0564f11e1097fp+3", False),
+            ("moe-2x", 20132659200, "0x1.17156a9adf46ep+1", "0x1.3dedc7c6a154ap+2", False),
+            ("dense-6.6b", 6648303616, "0x1.18bdb77328388p+1", "0x1.c5155dab943aap+1", False),
+            ("encdec-t5ish", 737542144, "0x1.364b0e142c9fbp+1", "0x1.da4245c2e338dp-1", False),
+            ("dense-1b", 1000000000, "0x1.4a3f0238b0336p+1", "0x1.c858236db1d7bp-3", False),
+            ("dense-400m", 400000000, "0x1.6ee0651c7524fp+1", "0x1.796cbf1dd80e2p-5", False),
+        ],
+        "errors": GOLDEN_SWEEP_ERRORS,
+    },
+}
+
+
+@pytest.mark.parametrize("anchors", sorted(SWEEP_ANCHORS))
+def test_sweep_is_bit_identical_to_the_pinned_one(anchors):
+    points, errors = sweep(SWEEP_GRID, SWEEP_FLEET, DC, anchors=SWEEP_ANCHORS[anchors])
+    assert pinned_sweep(points, errors) == GOLDEN_SWEEP[anchors]

@@ -21,6 +21,7 @@ from carboncast.embodied import fleet_embodied
 from carboncast.operational import StorageWorkload, hardware_energy
 from carboncast.types import (
     ArchKind,
+    CatalogError,
     DataCenterProfile,
     ExpertGroup,
     HardwareFleet,
@@ -185,6 +186,26 @@ class TestEstimate:
                               data_center=dc(), phase=phase)
         with pytest.raises(ModelError, match="^" + re.escape(message)):
             estimate(req)
+
+    @pytest.mark.parametrize("fleet_count, device_count, error, message", [
+        pytest.param(10 ** 300, None, ModelError, "[operational-carbon] throughput is beyond "
+                     "the float range (devices=1e+300, peak=125 TFLOP/s", id="fleet-1e300"),
+        pytest.param(10 ** 400, None, CatalogError,
+                     "V100: fleet count is beyond the float range", id="fleet-1e400"),
+        pytest.param(8, 10 ** 300, ModelError, "[operational-carbon] throughput is beyond "
+                     "the float range (devices=1e+300, peak=125 TFLOP/s", id="device-count-1e300"),
+        pytest.param(8, 10 ** 400, ModelError,
+                     "device_count is beyond the float range", id="device-count-1e400"),
+    ])
+    def test_device_counts_beyond_the_float_range_fail_by_name(self, fleet_count, device_count,
+                                                               error, message):
+        # At 1e300 devices the throughput overflows to inf, which would
+        # make any workload take zero seconds and so have no footprint.
+        with pytest.raises(error, match="^" + re.escape(message)):
+            estimate(EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
+                                     fleet=HardwareFleet.of((v100(), fleet_count)),
+                                     data_center=dc(),
+                                     overrides=Overrides(device_count=device_count)))
 
     def test_deterministic_reports(self):
         req = training_request(TRAINING_FIXTURES[0])
