@@ -27,24 +27,19 @@ from .params import ParameterCount, ParameterEquation, count_params
 from .scaling import LossPrediction, test_loss
 from .flops import FlopBudget, inference_flops, training_flops
 from .efficiency import (
-    EfficiencyEstimate,
-    EfficiencySource,
     efficiency_at_count,
     optimal_device_count,
     optimal_efficiency,
     plan_parallelism,
 )
 from .operational import (
-    OperationalResult,
-    StorageEnergy,
     StorageWorkload,
     device_time,
     hardware_energy,
-    inference_latency,
     operational_carbon,
     storage_energy,
 )
-from .embodied import EmbodiedItem, EmbodiedResult, chip_embodied, fleet_embodied
+from .embodied import chip_embodied, fleet_embodied
 from .pipeline import (
     EstimateRequest,
     LifecyclePlan,
@@ -60,17 +55,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchKind", "CarbonReport", "CatalogError", "DataCenterProfile",
-    "EfficiencyEstimate", "EfficiencySource", "EmbodiedItem", "EmbodiedResult",
     "EstimateRequest", "ExpertGroup", "FleetEntry", "FlopBudget",
     "HardwareFleet", "HardwareRole", "HardwareUnit", "LifecyclePlan",
     "LineItem", "LlmArchitecture", "LossPrediction", "ModelError",
-    "OperationalResult", "Overrides", "ParallelismPlan", "ParameterCount",
-    "ParameterEquation", "Phase", "ScalingConstants", "StorageEnergy",
-    "StorageWorkload", "SweepPoint", "ValidationRow", "chip_embodied",
-    "count_params", "device_time", "efficiency_at_count", "estimate",
-    "estimate_lifecycle", "fleet_embodied", "hardware_energy",
-    "inference_flops", "inference_latency", "operational_carbon",
-    "optimal_device_count", "optimal_efficiency", "plan_parallelism",
-    "run_validation", "storage_energy", "sweep", "test_loss",
-    "training_flops", "validate_architecture",
+    "Overrides", "ParallelismPlan", "ParameterCount", "ParameterEquation",
+    "Phase", "ScalingConstants", "StorageWorkload", "SweepPoint",
+    "ValidationRow", "chip_embodied", "count_params", "device_time",
+    "efficiency_at_count", "estimate", "estimate_lifecycle",
+    "fleet_embodied", "hardware_energy", "inference_flops",
+    "operational_carbon", "optimal_device_count", "optimal_efficiency",
+    "plan_parallelism", "run_validation", "storage_energy", "sweep",
+    "test_loss", "training_flops", "validate_architecture",
 ]

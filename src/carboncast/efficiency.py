@@ -29,13 +29,16 @@ on either side of it. Three pieces model this:
   decays it hyperbolically toward a floor. The oversupply floor ``GAMMA2``
   is calibrated to the published 175 B point (10K devices achieving 19.7%
   against a 1.5K-device optimum of 47%).
+
+Each estimate is a plain float, clamped into (0, 1]. Where it came from
+follows from its inputs: the anchor interpolation or the regression (the
+curve has a ``parabola`` or not), scaled off the optimum or not (the actual
+count differs from n or not).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .catalog import default_anchors
@@ -56,23 +59,6 @@ MOE_EFFICIENCY_DISCOUNT = 0.80
 _OPTIMAL_DEVICES_PER_PARAM = 1500.0 / 175e9
 
 GAMMA2 = 0.1265  # oversupply floor, calibrated from the 10K-device 175 B point
-
-
-class EfficiencySource(enum.Enum):
-    ANCHOR = "anchor_table"      # interpolated straight from anchors
-    REGRESSION = "regression"    # degree-2 fit through >= 3 anchors
-    SCALED = "off_optimal"       # degraded for a non-optimal device count
-    OVERRIDE = "user_override"
-
-
-@dataclass(frozen=True)
-class EfficiencyEstimate:
-    efficiency: float
-    source: EfficiencySource
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency}")
 
 
 def optimal_device_count(param_count: float) -> int:
@@ -137,7 +123,7 @@ def optimal_efficiency(
     param_count: float,
     is_moe: bool = False,
     anchors: list[tuple[float, float]] | AnchorCurve | None = None,
-) -> EfficiencyEstimate:
+) -> float:
     """Efficiency at the optimal parallelism setting for this model size.
 
     ``anchors`` are (param_count, efficiency) pairs, fitted here by
@@ -148,7 +134,7 @@ def optimal_efficiency(
     if not (0.0 < param_count < math.inf):
         raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
     curve = anchors if isinstance(anchors, AnchorCurve) else fit_anchors(anchors)
-    return EfficiencyEstimate(efficiency=curve.at(param_count, is_moe), source=curve.source)
+    return curve.at(param_count, is_moe)
 
 
 class AnchorCurve:
@@ -159,12 +145,10 @@ class AnchorCurve:
     anchors as increasing log10 sizes ``xs`` and their efficiencies ``ys``.
     """
 
-    __slots__ = ("source", "xs", "ys", "parabola")
+    __slots__ = ("xs", "ys", "parabola")
 
-    def __init__(self, source: EfficiencySource, xs: tuple[float, ...] = (),
-                 ys: tuple[float, ...] = (),
+    def __init__(self, xs: tuple[float, ...] = (), ys: tuple[float, ...] = (),
                  parabola: tuple[float, float, float, float] | None = None) -> None:
-        self.source = source
         self.xs = xs
         self.ys = ys
         self.parabola = parabola
@@ -212,8 +196,8 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
     xs = tuple(sorted(seen))
     ys = tuple([anchors[seen[x]][1] for x in xs])
     if len(xs) >= 3:
-        return AnchorCurve(EfficiencySource.REGRESSION, parabola=_quadratic_fit(xs, ys))
-    return AnchorCurve(EfficiencySource.ANCHOR, xs, ys)
+        return AnchorCurve(parabola=_quadratic_fit(xs, ys))
+    return AnchorCurve(xs, ys)
 
 
 def _interp(xs: tuple[float, ...], ys: tuple[float, ...], x: float) -> float:
@@ -258,11 +242,11 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
 
 
 def efficiency_at_count(actual_devices: int, optimal_devices: int,
-                        optimal_eff: float) -> EfficiencyEstimate:
+                        optimal_eff: float) -> float:
     """Efficiency when running on ``actual_devices`` instead of the optimum.
 
-    Below the optimum: (re/n) * eff_n. Above it: (n/re) * eff_n + GAMMA2.
-    At it: eff_n unchanged.
+    Below the optimum: (re/n) * eff_n. Above it: (n/re) * eff_n + GAMMA2,
+    at most 1. At it: eff_n unchanged.
     """
     if actual_devices < 1 or optimal_devices < 1:
         raise ModelError("device counts must be >= 1")
@@ -276,5 +260,4 @@ def efficiency_at_count(actual_devices: int, optimal_devices: int,
         eff = (re / n) * optimal_eff
     else:
         eff = (n / re) * optimal_eff + GAMMA2
-    eff = min(1.0, max(1e-9, eff))
-    return EfficiencyEstimate(efficiency=eff, source=EfficiencySource.SCALED)
+    return min(1.0, max(1e-9, eff))

@@ -11,33 +11,17 @@ the published validations, no utilization derate is applied.
 Embodied carbon is therefore a per-second rate times device-seconds: count
 times chip kg over lifetime, times execution time. The pipeline takes a
 fleet's rates from :func:`fleet_embodied` over one second, once per fleet,
-reading each unit's item in the same pass that applies the shared power rule
-(:func:`carboncast.operational.unit_power`), and scales them for each
-estimate.
+pairing each entry's tCO2 with the entry in the same pass that applies the
+shared power rule (:func:`carboncast.operational.unit_power`), and scales
+them for each estimate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import units
 from .types import HardwareFleet, HardwareUnit, ModelError
 
 OTHERS_FRACTION = 0.15
-
-
-@dataclass(frozen=True)
-class EmbodiedItem:
-    unit: str
-    count: int
-    attributed_tco2: float
-
-
-@dataclass(frozen=True)
-class EmbodiedResult:
-    per_unit: tuple[EmbodiedItem, ...]
-    others_tco2: float
-    total_tco2: float
 
 
 def chip_embodied(unit: HardwareUnit) -> float:
@@ -52,27 +36,26 @@ def chip_embodied(unit: HardwareUnit) -> float:
     raise ModelError(f"{unit.name}: no embodied pricing basis")
 
 
-def fleet_embodied(fleet: HardwareFleet, execution_seconds: float) -> EmbodiedResult:
-    """Embodied carbon a workload of ``execution_seconds`` is charged for.
+def fleet_embodied(fleet: HardwareFleet,
+                   execution_seconds: float) -> tuple[list[float], float, float]:
+    """Embodied tCO2 a workload of ``execution_seconds`` is charged for:
+    each fleet entry's, in fleet order, then the others share and the total.
 
-    Per unit: count * chip kg * (time / lifetime); the named units' sum is
+    Per entry: count * chip kg * (time / lifetime); the entries' sum is
     then the ``1 - OTHERS_FRACTION`` share of the total.
     """
     if execution_seconds < 0:
         raise ModelError("execution_seconds must be >= 0")
 
-    items = []
+    per_entry = []
     for entry in fleet.entries:
         unit = entry.unit
         lifetime_s = units.years_to_seconds(unit.lifetime_years)
         if lifetime_s <= 0:
             raise ModelError(f"{unit.name}: lifetime must be positive")
         share = execution_seconds / lifetime_s
-        kg = chip_embodied(unit)
-        items.append(EmbodiedItem(unit=unit.name, count=entry.count,
-                                  attributed_tco2=entry.count * kg * share / 1000.0))
+        per_entry.append(entry.count * chip_embodied(unit) * share / 1000.0)
 
-    named = sum(item.attributed_tco2 for item in items)
+    named = sum(per_entry)
     total = named / (1.0 - OTHERS_FRACTION)
-    return EmbodiedResult(per_unit=tuple(items), others_tco2=total - named,
-                          total_tco2=total)
+    return per_entry, total - named, total

@@ -14,6 +14,11 @@ plus TDP watts times efficiency, times count, times execution time. Which
 figure an entry draws is decided in one place, :func:`unit_power`;
 :func:`hardware_energy` and the pipeline's per-second fleet rates, worked
 out once per fleet and scaled for each estimate, both apply it.
+
+The stages return plain floats: :func:`operational_carbon` the facility
+energy and carbon, :func:`storage_energy` the storage and transfer energy.
+An inference batch takes the :func:`device_time` of its 2*P*D FLOPs, which
+``estimate()`` works out for the inference phase.
 """
 
 from __future__ import annotations
@@ -23,15 +28,6 @@ from math import inf
 
 from . import units
 from .types import DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError
-
-
-@dataclass(frozen=True)
-class OperationalResult:
-    """Energy and carbon for one phase. Energies in MWh, carbon in tonnes."""
-
-    hardware_energy_mwh: float
-    operational_energy_mwh: float
-    operational_tco2: float
 
 
 @dataclass(frozen=True)
@@ -55,16 +51,6 @@ class StorageWorkload:
             # Written so that NaN fails too.
             if not (0.0 <= value < inf):
                 raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class StorageEnergy:
-    storage_mwh: float
-    transfer_mwh: float
-
-    @property
-    def total_mwh(self) -> float:
-        return self.storage_mwh + self.transfer_mwh
 
 
 def device_time(total_flops: float, device_count: int,
@@ -137,41 +123,22 @@ def hardware_energy(
     return units.joules_to_mwh(total_j), items
 
 
-def operational_carbon(
-    hardware_energy_mwh: float,
-    data_center: DataCenterProfile,
-) -> OperationalResult:
-    """Uplift hardware energy by PUE and convert to tonnes of CO2eq.
+def operational_carbon(hardware_energy_mwh: float,
+                       data_center: DataCenterProfile) -> tuple[float, float]:
+    """Facility energy in MWh (hardware energy uplifted by PUE) and tonnes
+    of CO2eq.
 
     MWh times kg/kWh lands directly in tonnes (1 MWh * 1 kg/kWh = 1 t).
     """
     if hardware_energy_mwh < 0:
         raise ModelError("hardware_energy_mwh must be >= 0")
     oper_mwh = hardware_energy_mwh * data_center.pue
-    tco2 = oper_mwh * data_center.carbon_intensity
-    return OperationalResult(
-        hardware_energy_mwh=hardware_energy_mwh,
-        operational_energy_mwh=oper_mwh,
-        operational_tco2=tco2,
-    )
+    return oper_mwh, oper_mwh * data_center.carbon_intensity
 
 
-def inference_latency(param_count: float, batch_tokens: float,
-                      device_count: int, peak_tflops: float,
-                      efficiency: float) -> float:
-    """Latency in seconds for one inference batch: 2*P*D over throughput."""
-    if param_count <= 0 or batch_tokens <= 0:
-        raise ModelError("param_count and batch_tokens must be positive")
-    flops = 2.0 * param_count * batch_tokens
-    return device_time(flops, device_count, peak_tflops, efficiency)
-
-
-def storage_energy(workload: StorageWorkload) -> StorageEnergy:
-    """Energy to hold and move data over the phase, split by cause."""
+def storage_energy(workload: StorageWorkload) -> tuple[float, float]:
+    """Energy in MWh to hold and to move data over the phase."""
     seconds = units.days_to_seconds(workload.duration_days)
-    return StorageEnergy(
-        storage_mwh=units.watt_seconds_to_mwh(
-            workload.stored_tb * workload.storage_w_per_tb, seconds),
-        transfer_mwh=units.watt_seconds_to_mwh(
-            workload.transferred_tb * workload.transfer_w_per_tb, seconds),
-    )
+    return (units.watt_seconds_to_mwh(workload.stored_tb * workload.storage_w_per_tb, seconds),
+            units.watt_seconds_to_mwh(workload.transferred_tb * workload.transfer_w_per_tb,
+                                      seconds))

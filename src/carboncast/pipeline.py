@@ -15,7 +15,8 @@ the power rule that ``hardware_energy`` also applies,
 one second. ``estimate()`` makes a setting per call; ``sweep()`` makes one
 for all its points.
 
-The model stages run in one chain, ``_stages``, which multiplies its
+The model stages run in one chain, ``_stages``. The efficiency,
+operational and embodied stages hand it plain floats. It multiplies its
 execution seconds by the setting's rates and names every fault it meets by
 its stage. The chain has two ends. ``estimate()`` builds a report, with a
 line item per fleet unit, from the stage values. ``sweep()`` builds no
@@ -46,7 +47,6 @@ from .efficiency import (
 from .embodied import fleet_embodied
 from .flops import inference_flops, training_flops
 from .operational import (
-    OperationalResult,
     StorageWorkload,
     device_time,
     operational_carbon,
@@ -81,6 +81,10 @@ class Overrides:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
+        for fname in ("measured_flops", "system_power_watts"):
+            value = getattr(self, fname)
+            if value is not None and not (0.0 <= value < inf):
+                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
         if self.efficiency is not None and not (0.0 < self.efficiency <= 1.0):
             raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
         count = self.device_count
@@ -184,18 +188,18 @@ def estimate(req: EstimateRequest) -> CarbonReport:
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req.storage, req.data_center)
     setting = _Setting(req.fleet, req.overrides, req.anchors)
-    _, loss, plan, eff, seconds, energies, oper, embodied = _stages(
+    _, loss, plan, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
         req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.device_memory_gb,
         req.server_size, req.data_center, setting)
     rates, _ = setting.rates
     return CarbonReport(
         phase=req.phase,
         duration_seconds=seconds,
-        hardware_energy_mwh=oper.hardware_energy_mwh,
-        operational_energy_mwh=oper.operational_energy_mwh,
-        operational_tco2=oper.operational_tco2,
+        hardware_energy_mwh=hardware,
+        operational_energy_mwh=facility,
+        operational_tco2=carbon,
         embodied_tco2=embodied,
-        total_tco2=oper.operational_tco2 + embodied,
+        total_tco2=carbon + embodied,
         hardware_efficiency=eff,
         test_loss=loss,
         parallelism=plan,
@@ -250,40 +254,40 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
         resized = FleetEntry(accel.unit, device_count)
         fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
         accel = resized
-    emb = fleet_embodied(fleet, 1.0)
+    per_entry, others, total = fleet_embodied(fleet, 1.0)
     merged: dict[str, list] = {}
     # Units without a power figure ride along for embodied accounting only;
     # a measured accelerator system power already covers their draw (host
     # CPU, DRAM, network and so on).
     unpowered = []
-    for e, item in zip(fleet.entries, emb.per_unit):
+    for e, tco2 in zip(fleet.entries, per_entry):
         power = unit_power(e.unit, power_watts if e is accel else None)
         if power is None:
-            unpowered.append(item)
+            unpowered.append((e, tco2))
             continue
         watts, measured = power
-        row = merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])
-        row[1 if measured else 2] += units.joules_to_mwh(watts * item.count)
-        row[3] += item.attributed_tco2
-    for item in unpowered:
-        merged.setdefault(item.unit, [item.count, 0.0, 0.0, 0.0])[3] += item.attributed_tco2
-    merged.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += emb.others_tco2
-    return merged, emb.total_tco2
+        row = merged.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])
+        row[1 if measured else 2] += units.joules_to_mwh(watts * e.count)
+        row[3] += tco2
+    for e, tco2 in unpowered:
+        merged.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])[3] += tco2
+    merged.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += others
+    return merged, total
 
 
 def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: ScalingConstants,
             overrides: Overrides, device_memory_gb: float, server_size: int,
             data_center: DataCenterProfile, setting: _Setting,
             ) -> tuple[ParameterCount, float | None, ParallelismPlan, float, float, list[float],
-                       OperationalResult, float]:
+                       float, float, float, float]:
     """The model stages of one training or inference estimate, on ``setting``,
     which is made from the estimate's fleet, overrides and anchor table.
 
     Returns the stage values: the parameter count, the test loss (``None``
     for inference or zero tokens), the parallelism plan, the hardware
     efficiency, the execution seconds, each fleet unit's hardware energy in
-    MWh in the order of ``setting.rates``, the operational result and the
-    embodied tCO2.
+    MWh in the order of ``setting.rates``, the fleet's hardware energy and
+    facility energy in MWh, the operational tCO2 and the embodied tCO2.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
@@ -317,8 +321,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
         else:
             opt = optimal_efficiency(_flop_param_count(arch, pcount.total), is_moe=arch.is_moe,
                                      anchors=setting.curve)
-            eff = efficiency_at_count(setting.device_count, plan.device_count,
-                                      opt.efficiency).efficiency
+            eff = efficiency_at_count(setting.device_count, plan.device_count, opt)
 
         stage = "operational-carbon"
         rates, embodied_per_s = setting.rates
@@ -326,31 +329,33 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             flops, setting.device_count, accel.unit.peak_tflops, eff)
         energies = [(measured + tdp * eff) * seconds
                     for _, measured, tdp, _ in rates.values()]
-        oper = operational_carbon(sum(energies), data_center)
+        hardware = sum(energies)
+        facility, carbon = operational_carbon(hardware, data_center)
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
-    return pcount, loss, plan, eff, seconds, energies, oper, embodied_per_s * seconds
+    return (pcount, loss, plan, eff, seconds, energies, hardware, facility, carbon,
+            embodied_per_s * seconds)
 
 
 def _estimate_storage(storage: StorageWorkload | None,
                       data_center: DataCenterProfile) -> CarbonReport:
     if storage is None:
         raise ModelError("[operational-carbon] storage phase needs a storage workload")
-    energy = storage_energy(storage)
-    seconds = units.days_to_seconds(storage.duration_days)
-    oper = operational_carbon(energy.total_mwh, data_center)
+    stored, moved = storage_energy(storage)
+    hardware = stored + moved
+    facility, carbon = operational_carbon(hardware, data_center)
     return CarbonReport(
         phase=Phase.STORAGE,
-        duration_seconds=seconds,
-        hardware_energy_mwh=oper.hardware_energy_mwh,
-        operational_energy_mwh=oper.operational_energy_mwh,
-        operational_tco2=oper.operational_tco2,
+        duration_seconds=units.days_to_seconds(storage.duration_days),
+        hardware_energy_mwh=hardware,
+        operational_energy_mwh=facility,
+        operational_tco2=carbon,
         embodied_tco2=0.0,
-        total_tco2=oper.operational_tco2,
+        total_tco2=carbon,
         line_items=(
-            LineItem(unit="storage", count=1, energy_mwh=energy.storage_mwh),
-            LineItem(unit="transfer", count=1, energy_mwh=energy.transfer_mwh),
+            LineItem(unit="storage", count=1, energy_mwh=stored),
+            LineItem(unit="transfer", count=1, energy_mwh=moved),
         ),
     )
 
@@ -427,12 +432,11 @@ def sweep(
         try:
             if not (0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
-            pcount, loss, _, eff, seconds, _, oper, embodied = _stages(
+            pcount, loss, _, eff, seconds, _, hardware, facility, carbon, embodied = _stages(
                 arch, tokens, Phase.TRAINING, scaling, overrides, device_memory_gb, server_size,
                 data_center, setting)
-            carbon = oper.operational_tco2
-            check_report_floats(seconds, oper.hardware_energy_mwh, oper.operational_energy_mwh,
-                                carbon, embodied, carbon + embodied, eff, loss)
+            check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied,
+                                eff, loss)
             rows.append((loss, carbon, arch.name, pcount.total, tokens))
         except ModelError as exc:
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))

@@ -68,10 +68,10 @@ def test_criterion_2_training_days():
 def test_criterion_3_embodied():
     for row in rows("embodied"):
         assert row.passed, f"{row.name}: {row.predicted} vs {row.expected} tCO2eq"
-    result = validation.fleet_embodied(
+    _, others_tco2, total_tco2 = validation.fleet_embodied(
         validation.XLM_EMBODIED_FLEET,
         units.days_to_seconds(validation.XLM_TRAINING_DAYS))
-    assert result.others_tco2 / result.total_tco2 == pytest.approx(0.15, rel=1e-9)
+    assert others_tco2 / total_tco2 == pytest.approx(0.15, rel=1e-9)
 
 
 @criterion(4, "parameter model, published tables")
@@ -95,8 +95,8 @@ def test_criterion_6_inference():
 
 @criterion(7, "off-optimal efficiency calibration")
 def test_criterion_7_efficiency_calibration():
-    est = efficiency_at_count(10000, 1500, 0.47)
-    assert est.efficiency == pytest.approx(0.197, abs=0.001)
+    efficiency = efficiency_at_count(10000, 1500, 0.47)
+    assert efficiency == pytest.approx(0.197, abs=0.001)
 
 
 # ---------------------------------------------------------------------------

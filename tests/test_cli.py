@@ -147,6 +147,10 @@ class TestEstimateCommand:
          "estimate.overrides: device_count must be an integer >= 1, got 0"),
         ("device_count: 10000", "device_count: -4", EXIT_CONFIG_ERROR,
          "estimate.overrides: device_count must be an integer >= 1, got -4"),
+        ("system_power_watts: 330", "system_power_watts: -330", EXIT_CONFIG_ERROR,
+         "estimate.overrides: system_power_watts must be finite and >= 0, got -330.0"),
+        ("measured_flops: 3.14e+23", "measured_flops: -3.14e+23", EXIT_CONFIG_ERROR,
+         "estimate.overrides: measured_flops must be finite and >= 0, got -3.14e+23"),
         ("tokens: 3.0e+11", "tokens: -5", EXIT_CONFIG_ERROR,
          "estimate: tokens must be finite and >= 0, got -5.0"),
         ("  tokens:", "  anchors: [[1.0e+9, 0.3]]\n  tokens:", EXIT_CONFIG_ERROR,

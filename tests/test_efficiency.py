@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from carboncast import catalog
 from carboncast.efficiency import (
-    EfficiencySource,
     efficiency_at_count,
+    fit_anchors,
     optimal_device_count,
     optimal_efficiency,
     plan_parallelism,
@@ -65,33 +65,30 @@ class TestPlanner:
 
 class TestOptimalEfficiency:
     def test_default_anchor_gives_published_175b_point(self):
-        est = optimal_efficiency(175e9)
-        assert est.efficiency == pytest.approx(0.47)
+        assert optimal_efficiency(175e9) == pytest.approx(0.47)
 
     def test_moe_discount(self):
         dense = optimal_efficiency(175e9)
         sparse = optimal_efficiency(175e9, is_moe=True)
-        assert sparse.efficiency == pytest.approx(0.80 * dense.efficiency)
+        assert sparse == pytest.approx(0.80 * dense)
 
     def test_two_anchor_fallback_interpolates_through_points(self):
         anchors = [(1e9, 0.52), (175e9, 0.47)]
-        assert optimal_efficiency(1e9, anchors=anchors).efficiency == pytest.approx(0.52)
-        assert optimal_efficiency(175e9, anchors=anchors).efficiency == pytest.approx(0.47)
-        mid = optimal_efficiency(1e10, anchors=anchors).efficiency
+        assert optimal_efficiency(1e9, anchors=anchors) == pytest.approx(0.52)
+        assert optimal_efficiency(175e9, anchors=anchors) == pytest.approx(0.47)
+        mid = optimal_efficiency(1e10, anchors=anchors)
         assert 0.47 < mid < 0.52
-        assert optimal_efficiency(1e9, anchors=anchors).source is EfficiencySource.ANCHOR
+        assert fit_anchors(anchors).parabola is None
 
     def test_three_anchors_fit_regression(self):
         anchors = [(1e9, 0.52), (20e9, 0.50), (175e9, 0.47)]
-        est = optimal_efficiency(50e9, anchors=anchors)
-        assert est.source is EfficiencySource.REGRESSION
-        assert 0.4 < est.efficiency < 0.55
+        assert fit_anchors(anchors).parabola is not None
+        assert 0.4 < optimal_efficiency(50e9, anchors=anchors) < 0.55
 
     def test_regression_clamped_to_unit_interval(self):
         # A steeply rising anchor set must not extrapolate past 1.
         anchors = [(1e6, 0.2), (1e7, 0.6), (1e8, 0.95)]
-        est = optimal_efficiency(1e12, anchors=anchors)
-        assert 0 < est.efficiency <= 1.0
+        assert 0 < optimal_efficiency(1e12, anchors=anchors) <= 1.0
 
     def test_empty_anchor_table_is_an_error(self):
         with pytest.raises(ModelError, match="anchor"):
@@ -138,26 +135,25 @@ class TestOptimalEfficiency:
 
 class TestInterpolation:
     def test_one_anchor_is_a_constant(self):
+        assert fit_anchors([(175e9, 0.47)]).parabola is None
         for p in (1e3, 1e9, 175e9, 1e15):
-            est = optimal_efficiency(p, anchors=[(175e9, 0.47)])
-            assert est.efficiency == 0.47
-            assert est.source is EfficiencySource.ANCHOR
+            assert optimal_efficiency(p, anchors=[(175e9, 0.47)]) == 0.47
 
     def test_query_on_an_anchor_returns_its_value_exactly(self):
         anchors = [(1.3e9, 0.5123456789), (7.7e11, 0.4111111111)]
         for p, e in anchors:
-            assert optimal_efficiency(p, anchors=anchors).efficiency == e
+            assert optimal_efficiency(p, anchors=anchors) == e
 
     def test_flat_beyond_both_ends(self):
         anchors = [(1e10, 0.45), (1e9, 0.52)]
         for p in (1e3, 1e8, 9.99e8):
-            assert optimal_efficiency(p, anchors=anchors).efficiency == 0.52
+            assert optimal_efficiency(p, anchors=anchors) == 0.52
         for p in (1.01e10, 1e12, 1e20):
-            assert optimal_efficiency(p, anchors=anchors).efficiency == 0.45
+            assert optimal_efficiency(p, anchors=anchors) == 0.45
 
     def test_linear_in_log_size_between_anchors(self):
         anchors = [(1e9, 0.52), (1e11, 0.42)]
-        assert optimal_efficiency(1e10, anchors=anchors).efficiency == pytest.approx(0.47, rel=1e-15)
+        assert optimal_efficiency(1e10, anchors=anchors) == pytest.approx(0.47, rel=1e-15)
 
 
 def exact_quadratic_fit_at(points, x):
@@ -190,29 +186,25 @@ class TestRegression:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(anchor_tables, st.floats(8.0, math.log10(1.6e12)).map(lambda e: 10.0 ** e))
     def test_fit_matches_exact_least_squares(self, anchors, query):
-        est = optimal_efficiency(query, anchors=anchors)
+        eff = optimal_efficiency(query, anchors=anchors)
         want = exact_quadratic_fit_at(sorted(anchors), query)
-        assert est.source is EfficiencySource.REGRESSION
+        assert fit_anchors(anchors).parabola is not None
         if Fraction(1, 10**6) < want < 1:  # away from the clamp
-            assert abs(Fraction(est.efficiency) - want) <= Fraction(1, 10**8) * want
+            assert abs(Fraction(eff) - want) <= Fraction(1, 10**8) * want
 
 
 class TestOffOptimalEfficiency:
     def test_published_oversupply_point(self):
-        est = efficiency_at_count(10000, 1500, 0.47)
-        assert est.efficiency == pytest.approx(0.197, abs=1e-4)
-        assert est.source is EfficiencySource.SCALED
+        assert efficiency_at_count(10000, 1500, 0.47) == pytest.approx(0.197, abs=1e-4)
 
     def test_at_optimum_unchanged(self):
-        assert efficiency_at_count(1500, 1500, 0.47).efficiency == 0.47
+        assert efficiency_at_count(1500, 1500, 0.47) == 0.47
 
     def test_mild_oversupply_arithmetic(self):
-        est = efficiency_at_count(3000, 1500, 0.47)
-        assert est.efficiency == pytest.approx(0.5 * 0.47 + 0.1265)
+        assert efficiency_at_count(3000, 1500, 0.47) == pytest.approx(0.5 * 0.47 + 0.1265)
 
     def test_undersupply_scales_linearly(self):
-        est = efficiency_at_count(750, 1500, 0.47)
-        assert est.efficiency == pytest.approx(0.5 * 0.47)
+        assert efficiency_at_count(750, 1500, 0.47) == pytest.approx(0.5 * 0.47)
 
     def test_undersupply_is_a_strict_penalty(self):
         rng = random.Random(31)
@@ -220,19 +212,19 @@ class TestOffOptimalEfficiency:
             n = rng.randrange(10, 100000)
             re = rng.randrange(1, n)
             eff_n = rng.uniform(0.05, 1.0)
-            assert efficiency_at_count(re, n, eff_n).efficiency < eff_n
+            assert efficiency_at_count(re, n, eff_n) < eff_n
 
     def test_near_continuity_at_the_optimum(self):
         n, eff_n = 1500, 0.47
-        at = efficiency_at_count(n, n, eff_n).efficiency
-        below = efficiency_at_count(n - 1, n, eff_n).efficiency
-        above = efficiency_at_count(n + 1, n, eff_n).efficiency
+        at = efficiency_at_count(n, n, eff_n)
+        below = efficiency_at_count(n - 1, n, eff_n)
+        above = efficiency_at_count(n + 1, n, eff_n)
         assert abs(below - at) < eff_n / n + 1e-9
         assert abs(above - at) < eff_n / n + 0.1265 + 1e-9
 
     def test_result_capped_at_one(self):
         # (1000 / 1001) * 1.0 + GAMMA2 is above 1.
-        assert efficiency_at_count(1001, 1000, 1.0).efficiency == 1.0
+        assert efficiency_at_count(1001, 1000, 1.0) == 1.0
 
 
 def test_optimal_device_count_scales_from_published_anchor():

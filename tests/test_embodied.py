@@ -41,42 +41,42 @@ class TestChipEmbodied:
 
 class TestFleetEmbodied:
     def test_published_xlm_cluster(self):
-        result = fleet_embodied(XLM_EMBODIED_FLEET,
-                                units.days_to_seconds(XLM_TRAINING_DAYS))
-        by_unit = {i.unit: i.attributed_tco2 for i in result.per_unit}
-        assert result.total_tco2 == pytest.approx(0.64, abs=0.01)
+        per_entry, _, total = fleet_embodied(XLM_EMBODIED_FLEET,
+                                             units.days_to_seconds(XLM_TRAINING_DAYS))
+        by_unit = {e.unit.name: tco2 for e, tco2 in zip(XLM_EMBODIED_FLEET.entries, per_entry)}
+        assert total == pytest.approx(0.64, abs=0.01)
         assert by_unit["GPU"] == pytest.approx(0.056, abs=0.002)
         assert by_unit["SSD"] == pytest.approx(0.412, abs=0.005)
         assert by_unit["DRAM"] == pytest.approx(0.073, abs=0.002)
 
     def test_others_share_is_exact(self):
-        result = fleet_embodied(XLM_EMBODIED_FLEET,
-                                units.days_to_seconds(XLM_TRAINING_DAYS))
-        assert result.others_tco2 / result.total_tco2 == pytest.approx(0.15, abs=1e-12)
+        _, others, total = fleet_embodied(XLM_EMBODIED_FLEET,
+                                          units.days_to_seconds(XLM_TRAINING_DAYS))
+        assert others / total == pytest.approx(0.15, abs=1e-12)
 
     def test_lifetime_share_uses_exact_day_arithmetic(self):
         # 20.4 days of a 5-year (1826.25-day) lifetime is 1.117%.
-        result = fleet_embodied(XLM_EMBODIED_FLEET,
-                                units.days_to_seconds(XLM_TRAINING_DAYS))
-        gpu = next(i for i in result.per_unit if i.unit == "GPU")
-        share = gpu.attributed_tco2 * 1000.0 / (512 * 9.78)
+        per_entry, _, _ = fleet_embodied(XLM_EMBODIED_FLEET,
+                                         units.days_to_seconds(XLM_TRAINING_DAYS))
+        assert XLM_EMBODIED_FLEET.entries[0].unit.name == "GPU"
+        share = per_entry[0] * 1000.0 / (512 * 9.78)
         assert share == pytest.approx(20.4 / 1826.25, rel=1e-12)
 
     def test_zero_time_all_zero(self):
-        result = fleet_embodied(XLM_EMBODIED_FLEET, 0.0)
-        assert result.total_tco2 == 0.0
-        assert result.others_tco2 == 0.0
-        assert all(i.attributed_tco2 == 0.0 for i in result.per_unit)
+        per_entry, others, total = fleet_embodied(XLM_EMBODIED_FLEET, 0.0)
+        assert total == 0.0
+        assert others == 0.0
+        assert per_entry == [0.0] * len(XLM_EMBODIED_FLEET.entries)
 
     def test_linearity_in_time(self):
         rng = random.Random(43)
         for _ in range(20):
             t = rng.uniform(1, 1e8)
-            once = fleet_embodied(XLM_EMBODIED_FLEET, t)
-            twice = fleet_embodied(XLM_EMBODIED_FLEET, 2 * t)
-            assert twice.total_tco2 == pytest.approx(2 * once.total_tco2, rel=1e-12)
-            for a, b in zip(once.per_unit, twice.per_unit):
-                assert b.attributed_tco2 == pytest.approx(2 * a.attributed_tco2, rel=1e-12)
+            once, _, once_total = fleet_embodied(XLM_EMBODIED_FLEET, t)
+            twice, _, twice_total = fleet_embodied(XLM_EMBODIED_FLEET, 2 * t)
+            assert twice_total == pytest.approx(2 * once_total, rel=1e-12)
+            for a, b in zip(once, twice, strict=True):
+                assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_zero_lifetime_rejected(self):
         # The unit type itself refuses nonpositive lifetimes.

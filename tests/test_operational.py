@@ -10,17 +10,21 @@ from carboncast.operational import (
     StorageWorkload,
     device_time,
     hardware_energy,
-    inference_latency,
     operational_carbon,
     storage_energy,
 )
+from carboncast.pipeline import EstimateRequest, Overrides, estimate
 from carboncast.types import (
+    ArchKind,
     DataCenterProfile,
     HardwareFleet,
     HardwareRole,
     HardwareUnit,
+    LlmArchitecture,
     ModelError,
+    Phase,
 )
+from carboncast.validation import inference_request
 
 
 def v100(avg_watts=None):
@@ -104,13 +108,13 @@ class TestHardwareEnergy:
 class TestOperationalCarbon:
     def test_gpt3_published_footprint(self):
         dc = DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.429)
-        result = operational_carbon(1172.2, dc)
-        assert result.operational_energy_mwh == pytest.approx(1172.2 * 1.1)
-        assert result.operational_tco2 == pytest.approx(553.87, rel=0.01)
+        facility, tco2 = operational_carbon(1172.2, dc)
+        assert facility == pytest.approx(1172.2 * 1.1)
+        assert tco2 == pytest.approx(553.87, rel=0.01)
 
     def test_carbon_free_grid(self):
         dc = DataCenterProfile(name="green", pue=1.5, carbon_intensity=0.0)
-        assert operational_carbon(9999.0, dc).operational_tco2 == 0.0
+        assert operational_carbon(9999.0, dc)[1] == 0.0
 
     def test_monotone_in_pue_and_intensity(self):
         rng = random.Random(41)
@@ -118,36 +122,46 @@ class TestOperationalCarbon:
             e = rng.uniform(1, 1e4)
             pue_a, pue_b = sorted([rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0)])
             ci_a, ci_b = sorted([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
-            low = operational_carbon(e, DataCenterProfile("a", pue_a, ci_a)).operational_tco2
-            high = operational_carbon(e, DataCenterProfile("b", pue_b, ci_b)).operational_tco2
+            _, low = operational_carbon(e, DataCenterProfile("a", pue_a, ci_a))
+            _, high = operational_carbon(e, DataCenterProfile("b", pue_b, ci_b))
             assert low <= high
 
 
 class TestInferenceLatency:
+    # An inference batch's latency is the duration of an inference-phase
+    # estimate: 175 B parameters, 32 x 128 tokens, 16 A100s at 9.26%.
     def test_published_batch_latency(self):
-        latency = inference_latency(175e9, 32 * 128, 16, 312, 0.0926)
+        latency = estimate(inference_request()).duration_seconds
         assert latency == pytest.approx(3.10, abs=0.05)
 
     def test_prediction_close_to_measured(self):
-        latency = inference_latency(175e9, 32 * 128, 16, 312, 0.0926)
+        latency = estimate(inference_request()).duration_seconds
         assert (latency - 3.0) / 3.0 <= 0.035
 
     def test_single_token_single_device(self):
-        assert inference_latency(1e12, 1, 1, 1, 1.0) == pytest.approx(2e12 / 1e12)
+        p, d, n, peak, eff = 1e12, 1.0, 1, 1.0, 1.0
+        chip = HardwareUnit(name="chip", role=HardwareRole.ACCELERATOR, peak_tflops=peak,
+                            tdp_watts=100, die_area_mm2=100, cpa=1.0, cpa_basis="area")
+        req = EstimateRequest(
+            arch=LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                                 explicit_param_count=int(p)),
+            tokens=d, fleet=HardwareFleet.of((chip, n)), phase=Phase.INFERENCE,
+            data_center=DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4),
+            overrides=Overrides(efficiency=eff))
+        assert estimate(req).duration_seconds == 2 * p * d / (n * peak * units.TERA * eff)
 
 
 class TestStorageEnergy:
     def test_published_storage_phase(self):
         # Six-month storage phase: 32.7 TB held, 277.4 TB transferred.
         w = StorageWorkload(stored_tb=32.7, transferred_tb=277.4, duration_days=180)
-        got = storage_energy(w)
-        assert got.storage_mwh == pytest.approx(1.596, rel=0.005)
-        assert got.transfer_mwh == pytest.approx(1.77, rel=0.005)
+        stored, moved = storage_energy(w)
+        assert stored == pytest.approx(1.596, rel=0.005)
+        assert moved == pytest.approx(1.77, rel=0.005)
 
     def test_zero_data(self):
         w = StorageWorkload(stored_tb=0, transferred_tb=0, duration_days=365)
-        got = storage_energy(w)
-        assert got.total_mwh == 0.0
+        assert storage_energy(w) == (0.0, 0.0)
 
     def test_negative_fields_rejected(self):
         with pytest.raises(ModelError):

@@ -134,14 +134,19 @@ class TestEstimate:
     @pytest.mark.parametrize("change, message", [
         ({"tokens": math.nan}, "tokens must be finite and >= 0, got nan"),
         ({"overrides": {"efficiency": math.nan}}, "efficiency must lie in (0, 1], got nan"),
-        ({"overrides": {"measured_flops": math.inf}}, "duration_seconds must be finite and >= 0"),
+        ({"overrides": {"measured_flops": math.inf}},
+         "measured_flops must be finite and >= 0, got inf"),
         ({"overrides": {"system_power_watts": math.inf}},
-         "hardware_energy_mwh must be finite and >= 0"),
+         "system_power_watts must be finite and >= 0, got inf"),
         ({"device_memory_gb": math.nan}, "[efficiency-model] device_memory_gb must be positive"),
         ({"device_memory_gb": math.inf}, "[efficiency-model] device_memory_gb must be finite"),
         ({"scaling": {"A": math.nan}}, "scaling constant A must be positive and finite, got nan"),
         ({"scaling": {"beta": math.inf}},
          "scaling constant beta must be positive and finite, got inf"),
+        ({"overrides": {"measured_flops": math.nan}},
+         "measured_flops must be finite and >= 0, got nan"),
+        ({"overrides": {"system_power_watts": math.nan}},
+         "system_power_watts must be finite and >= 0, got nan"),
     ])
     def test_non_finite_inputs_fail_naming_the_report_field(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
@@ -164,6 +169,10 @@ class TestEstimate:
         ({"overrides": {"device_count": 2.5}}, "device_count must be an integer >= 1, got 2.5"),
         ({"overrides": {"device_count": True}},
          "device_count must be an integer >= 1, got True"),
+        ({"overrides": {"measured_flops": -1e21}},
+         "measured_flops must be finite and >= 0, got -1e+21"),
+        ({"overrides": {"system_power_watts": -330.0}},
+         "system_power_watts must be finite and >= 0, got -330.0"),
     ])
     def test_requests_reject_bad_inputs_by_name(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
@@ -258,8 +267,9 @@ class TestEstimate:
                      "derive the dense counterpart)", id="flop-model"),
         pytest.param({"device_memory_gb": 0.0},
                      "[efficiency-model] device_memory_gb must be positive", id="efficiency-model"),
-        pytest.param({"overrides": Overrides(system_power_watts=-100.0)},
-                     "[operational-carbon] hardware_energy_mwh must be >= 0",
+        pytest.param({"overrides": Overrides(device_count=10**300)},
+                     "[operational-carbon] throughput is beyond the float range "
+                     "(devices=1e+300, peak=125 TFLOP/s, efficiency=0.1265)",
                      id="operational-carbon"),
         pytest.param({"fleet": HardwareFleet.of((cpu(), 8))},
                      "[efficiency-model] fleet has no accelerator entry", id="no-accelerator"),
@@ -698,9 +708,9 @@ class TestFleetRates:
         powered = HardwareFleet.of(*((u, n) for u, n in at_count if u.name != "SSD"))
         energy, _ = hardware_energy(powered, r.duration_seconds, r.hardware_efficiency,
                                     power_override_watts=power)
-        embodied = fleet_embodied(HardwareFleet.of(*at_count), r.duration_seconds)
+        _, _, embodied = fleet_embodied(HardwareFleet.of(*at_count), r.duration_seconds)
         assert math.isclose(r.hardware_energy_mwh, energy, rel_tol=1e-14)
-        assert math.isclose(r.embodied_tco2, embodied.total_tco2, rel_tol=1e-14)
+        assert math.isclose(r.embodied_tco2, embodied, rel_tol=1e-14)
 
 
 class TestSweepMatchesEstimate:
