@@ -49,7 +49,6 @@ from .pipeline import (
     estimate_lifecycle,
     sweep,
 )
-from .validation import ValidationRow, run_validation
 
 __version__ = "0.1.0"
 
@@ -67,3 +66,14 @@ __all__ = [
     "plan_parallelism", "run_validation", "storage_energy", "sweep",
     "test_loss", "training_flops", "validate_architecture",
 ]
+
+
+def __getattr__(name: str):
+    # The validation fixtures load on first use, so that importing the
+    # package (and with it the CLI) does not build them.
+    if name in ("ValidationRow", "run_validation", "validation"):
+        import importlib
+
+        validation = importlib.import_module(".validation", __name__)
+        return validation if name == "validation" else getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,10 @@ Subcommands: estimate, lifecycle, sweep, validate, catalog. Configs are YAML
 documents with a ``schema: 1`` version tag; unknown keys are rejected with
 their full path so typos surface immediately. Exit codes: 0 success, 1
 validation failures, 2 config errors, 3 model errors.
+
+Only the commands that read a config (estimate, lifecycle, sweep) import
+PyYAML, and only validate loads the validation fixtures; a cold start pays
+for nothing its command does not use.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import types
 import typing
 from pathlib import Path
 
-import yaml
-
 from . import units
 from .catalog import resolve_catalogs
 from .operational import StorageWorkload
@@ -36,7 +38,6 @@ from .types import (
     ModelError,
     validate_architecture,
 )
-from .validation import GROUPS, run_validation
 
 SCHEMA_VERSION = 1
 
@@ -198,12 +199,16 @@ def _parse_request(doc: dict, catalogs, path: str) -> EstimateRequest:
 
 
 def _load_config(path: str, top_key: str) -> dict:
+    import yaml
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it; both loaders share
+        # the Python constructor and resolver, so the values are the same.
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
@@ -356,6 +361,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import GROUPS, run_validation
+
     if args.only is not None and args.only not in GROUPS:
         raise ConfigError(f"--only: unknown validation group {args.only!r}; "
                           f"choose from {', '.join(sorted(GROUPS))}")

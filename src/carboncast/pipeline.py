@@ -70,6 +70,11 @@ from .types import (
 )
 
 
+def _is_number(value) -> bool:
+    """An int or a float but not a bool: a value the range checks can compare."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Overrides:
     """Measured values that replace the corresponding model stage."""
@@ -83,10 +88,11 @@ class Overrides:
         # Written so that NaN fails too.
         for fname in ("measured_flops", "system_power_watts"):
             value = getattr(self, fname)
-            if value is not None and not (0.0 <= value < inf):
+            if value is not None and not (_is_number(value) and 0.0 <= value < inf):
                 raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
-        if self.efficiency is not None and not (0.0 < self.efficiency <= 1.0):
-            raise ModelError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+        eff = self.efficiency
+        if eff is not None and not (_is_number(eff) and 0.0 < eff <= 1.0):
+            raise ModelError(f"efficiency must lie in (0, 1], got {eff!r}")
         count = self.device_count
         if count is None:
             return
@@ -116,11 +122,15 @@ class EstimateRequest:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails too.
-        if not (0.0 <= self.tokens < inf):
+        if not (_is_number(self.tokens) and 0.0 <= self.tokens < inf):
             raise ModelError(f"tokens must be finite and >= 0, got {self.tokens!r}")
         if self.phase not in (Phase.TRAINING, Phase.INFERENCE, Phase.STORAGE):
             raise ModelError("phase must be training, inference or storage, got " + (
                 self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
+        # estimate() reads the storage workload in the storage phase only.
+        if self.storage is not None and self.phase is not Phase.STORAGE:
+            raise ModelError(f"{self.phase.value} request carries storage; only a "
+                             "storage-phase request reads it")
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,7 @@ class LifecyclePlan:
     phase's device time (the fleet stays powered serving those activities);
     storage is its own workload. Published activity ratios vary by operator
     and are inputs here, not defaults. ``training`` must be a training-phase
-    request without a storage workload of its own.
+    request, so it has no storage workload of its own.
     """
 
     training: EstimateRequest
@@ -143,14 +153,11 @@ class LifecyclePlan:
         for fname in ("inference_share", "experimentation_share"):
             value = getattr(self, fname)
             # Written so that NaN fails too.
-            if not (0.0 <= value < inf):
+            if not (_is_number(value) and 0.0 <= value < inf):
                 raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
         if self.training.phase is not Phase.TRAINING:
             raise ModelError(f"training request has phase {self.training.phase.value}, "
                              "expected training")
-        if self.training.storage is not None:
-            raise ModelError("training request carries storage; give it as the "
-                             "lifecycle's storage instead")
 
 
 @dataclass(frozen=True, slots=True)

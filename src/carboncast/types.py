@@ -231,8 +231,10 @@ class FleetEntry:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise CatalogError(f"{self.unit.name}: fleet count must be positive")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise CatalogError(
+                f"{self.unit.name}: fleet count must be an integer >= 1, got {count!r}")
         try:
             float(self.count)
         except OverflowError:

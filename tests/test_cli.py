@@ -1,12 +1,14 @@
 """CLI surface: configs, formats, exit codes, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from carboncast import cli, validation
 from carboncast.cli import (
@@ -253,7 +255,8 @@ class TestLifecycleCommand:
         ("    phase: training", "    phase: inference",
          "config error: lifecycle: training request has phase inference"),
         ("    tokens: 7.0e+12", "    tokens: 7.0e+12\n    storage: {stored_tb: 1, duration_days: 30}",
-         "config error: lifecycle: training request carries storage"),
+         "config error: lifecycle.training: training request carries storage; only a "
+         "storage-phase request reads it"),
     ])
     def test_training_request_checked(self, tmp_path, capsys, old, new, message):
         text = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
@@ -338,7 +341,7 @@ class TestValidateCommand:
     def test_key_error_from_a_bug_propagates(self, monkeypatch):
         def broken(only=None):
             raise KeyError("bug")
-        monkeypatch.setattr(cli, "run_validation", broken)
+        monkeypatch.setattr(validation, "run_validation", broken)
         with pytest.raises(KeyError, match="bug"):
             main(["validate"])
 
@@ -384,12 +387,73 @@ class TestCatalogCommand:
         assert err.count("\n") == 1
 
 
+def seeded_sweep_config(seed, points=100):
+    """A valid sweep config of dense models, with tokens written both as
+    integers and in exponent notation."""
+    rng = random.Random(seed)
+    lines = ["schema: 1", "sweep:", "  fleet: [{unit: V100, count: 64}, {unit: CPU, count: 8}]",
+             "  data_center: {name: dc, pue: 1.1, carbon_intensity: 0.431}", "  grid:"]
+    for i in range(points):
+        tokens = rng.uniform(1e9, 1e12)
+        tokens = f"{tokens:.4e}" if i % 2 else str(int(tokens))
+        lines.append(f"    - {{tokens: {tokens}, architecture: {{name: p{i}, kind: dense_gpt, "
+                     f"hidden_size: {128 * rng.randint(4, 64)}, "
+                     f"layer_count: {rng.randint(4, 48)}, "
+                     f"vocab_size: {rng.choice([32000, 50257, 51200])}}}}}")
+    return "\n".join(lines) + "\n"
+
+
+class TestYamlLoaders:
+    """Configs parse with libyaml's loader when PyYAML has it and with the
+    pure-Python one otherwise; deleting ``CSafeLoader`` forces the second."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("command", ["gpt3", "lifecycle", "sweep"])
+    def test_both_loaders_give_byte_identical_output(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        argv = {
+            "gpt3": ["estimate", "--config", str(DOCS_EXAMPLES / "gpt3_training.yaml")],
+            "lifecycle": ["lifecycle",
+                          "--config", str(DOCS_EXAMPLES / "lifecycle_green_grid.yaml"),
+                          "--catalog", str(DOCS_EXAMPLES / "xlm_cluster_hardware.csv"),
+                          "--format", "csv"],
+            "sweep": ["sweep", "--config", write_config(tmp_path, seeded_sweep_config(7))],
+        }[command]
+        as_is = self.run(capsys, argv)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        pure_python = self.run(capsys, argv)
+        assert as_is[0] == EXIT_OK
+        assert as_is == pure_python
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    @pytest.mark.parametrize("text, where", [
+        pytest.param("a: [1, 2", "line 1, column 4", id="open-flow-sequence"),
+        pytest.param("schema: 1\nestimate:\n\tphase: training\n", "line 3, column 1",
+                     id="tab-indent"),
+    ])
+    def test_malformed_yaml_names_the_line_and_column(self, tmp_path, capsys, monkeypatch,
+                                                      libyaml, text, where):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = write_config(tmp_path, text)
+        assert main(["estimate", "--config", path]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not valid YAML: ")
+        assert where in err
+
+
 def test_importing_the_cli_does_not_import_numpy():
-    # A fresh interpreter, so that no other test's imports count.
+    # A fresh interpreter, so that no other test's imports count. YAML and
+    # the validation fixtures load only in the commands that use them.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = "import sys, carboncast.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, carboncast.cli; "
+             "print([m for m in ('numpy', 'yaml', 'carboncast.validation') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

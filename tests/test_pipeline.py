@@ -56,6 +56,9 @@ def dense_arch(name, params):
                            explicit_param_count=int(params))
 
 
+STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
+
+
 # Architectures whose counts a float cannot hold, or whose pipeline depth it
 # cannot hold, with the error each one gives.
 BEYOND_FLOAT_RANGE = [
@@ -173,6 +176,16 @@ class TestEstimate:
          "measured_flops must be finite and >= 0, got -1e+21"),
         ({"overrides": {"system_power_watts": -330.0}},
          "system_power_watts must be finite and >= 0, got -330.0"),
+        ({"tokens": "1e9"}, "tokens must be finite and >= 0, got '1e9'"),
+        ({"overrides": {"measured_flops": "1e21"}},
+         "measured_flops must be finite and >= 0, got '1e21'"),
+        ({"overrides": {"efficiency": "0.5"}}, "efficiency must lie in (0, 1], got '0.5'"),
+        ({"overrides": {"system_power_watts": True}},
+         "system_power_watts must be finite and >= 0, got True"),
+        ({"storage": STORAGE},
+         "training request carries storage; only a storage-phase request reads it"),
+        ({"phase": Phase.INFERENCE, "storage": STORAGE},
+         "inference request carries storage; only a storage-phase request reads it"),
     ])
     def test_requests_reject_bad_inputs_by_name(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
@@ -205,6 +218,14 @@ class TestEstimate:
                      "the float range (devices=1e+300, peak=125 TFLOP/s", id="device-count-1e300"),
         pytest.param(8, 10 ** 400, ModelError,
                      "device_count is beyond the float range", id="device-count-1e400"),
+        pytest.param(math.nan, None, CatalogError,
+                     "V100: fleet count must be an integer >= 1, got nan", id="fleet-nan"),
+        pytest.param(2.5, None, CatalogError,
+                     "V100: fleet count must be an integer >= 1, got 2.5", id="fleet-2.5"),
+        pytest.param(True, None, CatalogError,
+                     "V100: fleet count must be an integer >= 1, got True", id="fleet-True"),
+        pytest.param(0, None, CatalogError,
+                     "V100: fleet count must be an integer >= 1, got 0", id="fleet-0"),
     ])
     def test_device_counts_beyond_the_float_range_fail_by_name(self, fleet_count, device_count,
                                                                error, message):
@@ -391,9 +412,6 @@ def mixed_request(**change):
     return dataclasses.replace(req, **change)
 
 
-STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
-
-
 def cpu_listed_twice():
     entries = mixed_request().fleet.entries
     return mixed_request(fleet=HardwareFleet(entries + entries[1:2]))
@@ -480,7 +498,7 @@ class TestPhaseSum:
 
 class TestLifecyclePlanChecks:
     @pytest.mark.parametrize("fname", ["inference_share", "experimentation_share"])
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, "0.5", True])
     def test_shares_must_be_finite_and_non_negative(self, fname, value):
         with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
             LifecyclePlan(training=mixed_request(), **{fname: value})
@@ -490,7 +508,8 @@ class TestLifecyclePlanChecks:
             LifecyclePlan(training=mixed_request(phase=Phase.INFERENCE))
 
     def test_training_request_must_not_carry_storage(self):
-        with pytest.raises(ModelError, match="training request carries storage"):
+        with pytest.raises(ModelError, match="^training request carries storage; only a "
+                                             "storage-phase request reads it"):
             LifecyclePlan(training=mixed_request(storage=STORAGE))
 
 
