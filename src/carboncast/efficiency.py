@@ -42,7 +42,7 @@ import math
 from operator import mul
 
 from .catalog import default_anchors
-from .types import ModelError, ParallelismPlan
+from .types import ModelError, ParallelismPlan, check_count, is_number
 
 DEFAULT_SERVER_SIZE = 8           # devices per server sharing fast interconnect
 DEFAULT_DEVICE_MEMORY_GB = 32.0   # published 175 B optimum assumed 32 GB parts
@@ -61,11 +61,14 @@ _OPTIMAL_DEVICES_PER_PARAM = 1500.0 / 175e9
 GAMMA2 = 0.1265  # oversupply floor, calibrated from the 10K-device 175 B point
 
 
+def _check_param_count(param_count: float) -> None:
+    if not (is_number(param_count, "param_count", ModelError) and 0.0 < param_count < math.inf):
+        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
+
+
 def optimal_device_count(param_count: float) -> int:
     """Device count at the efficiency optimum, scaled from the 175 B anchor."""
-    # Written so that NaN fails too.
-    if not (0.0 < param_count < math.inf):
-        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
+    _check_param_count(param_count)
     return max(1, round(param_count * _OPTIMAL_DEVICES_PER_PARAM))
 
 
@@ -80,15 +83,13 @@ def plan_parallelism(
     Dense plans reach the published devices-per-param optimum
     (:func:`optimal_device_count`) through data parallelism.
     """
-    # Written so that NaN fails too.
-    if not (0.0 < param_count < math.inf):
-        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
-    if not (device_memory_gb > 0.0):
+    optimum = optimal_device_count(param_count)  # checks param_count first
+    if not (is_number(device_memory_gb, "device_memory_gb", ModelError)
+            and device_memory_gb > 0.0):
         raise ModelError("device_memory_gb must be positive")
     if device_memory_gb == math.inf:
         raise ModelError("device_memory_gb must be finite")
-    if server_size < 1:
-        raise ModelError("server_size must be >= 1")
+    check_count(server_size, "server_size", ModelError)
 
     mem_bytes = device_memory_gb * 1e9
     state_bytes = TRAINING_BYTES_PER_PARAM * param_count
@@ -112,11 +113,10 @@ def plan_parallelism(
     if is_moe:
         # d pinned to 1: expert all-to-alls already saturate the fabric.
         return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=1,
-                               expert=DEFAULT_EXPERT_PARALLELISM, is_moe=True)
+                               expert=DEFAULT_EXPERT_PARALLELISM)
 
-    data = max(1, round(optimal_device_count(param_count) / (tensor * pipeline)))
-    return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=data,
-                           expert=1, is_moe=False)
+    data = max(1, round(optimum / (tensor * pipeline)))
+    return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=data, expert=1)
 
 
 def optimal_efficiency(
@@ -131,8 +131,7 @@ def optimal_efficiency(
     :class:`AnchorCurve` that ``fit_anchors`` made earlier, so that callers
     evaluating many sizes against one table fit it once.
     """
-    if not (0.0 < param_count < math.inf):
-        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
+    _check_param_count(param_count)
     curve = anchors if isinstance(anchors, AnchorCurve) else fit_anchors(anchors)
     return curve.at(param_count, is_moe)
 
@@ -183,11 +182,11 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
 
     seen: dict[float, int] = {}  # log10(param_count) -> anchor index
     for i, (p, e) in enumerate(anchors):
-        # Written so that NaN fails too.
-        if not (0.0 < p < math.inf):
-            raise ModelError(f"efficiency anchor {i}: param_count must be finite and > 0, got {p!r}")
-        if not (0.0 < e <= 1.0):
-            raise ModelError(f"efficiency anchor {i}: efficiency must lie in (0, 1], got {e!r}")
+        label = f"efficiency anchor {i}"
+        if not (is_number(p, f"{label}: param_count", ModelError) and 0.0 < p < math.inf):
+            raise ModelError(f"{label}: param_count must be finite and > 0, got {p!r}")
+        if not (is_number(e, f"{label}: efficiency", ModelError) and 0.0 < e <= 1.0):
+            raise ModelError(f"{label}: efficiency must lie in (0, 1], got {e!r}")
         j = seen.setdefault(math.log10(p), i)
         if j != i:
             raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")

@@ -31,9 +31,7 @@ def chip_embodied(unit: HardwareUnit) -> float:
         return float(unit.embodied_kg_override)
     if basis == "area":
         return (unit.die_area_mm2 / 100.0) * unit.cpa  # mm^2 -> cm^2
-    if basis == "gb":
-        return unit.capacity_gb * unit.cpa
-    raise ModelError(f"{unit.name}: no embodied pricing basis")
+    return unit.capacity_gb * unit.cpa  # "gb": every HardwareUnit has a basis
 
 
 def fleet_embodied(fleet: HardwareFleet,
@@ -50,10 +48,7 @@ def fleet_embodied(fleet: HardwareFleet,
     per_entry = []
     for entry in fleet.entries:
         unit = entry.unit
-        lifetime_s = units.years_to_seconds(unit.lifetime_years)
-        if lifetime_s <= 0:
-            raise ModelError(f"{unit.name}: lifetime must be positive")
-        share = execution_seconds / lifetime_s
+        share = execution_seconds / units.years_to_seconds(unit.lifetime_years)
         per_entry.append(entry.count * chip_embodied(unit) * share / 1000.0)
 
     named = sum(per_entry)

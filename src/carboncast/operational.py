@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from math import inf
 
 from . import units
-from .types import DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError
+from .types import (DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError,
+                    check_non_negative)
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,7 @@ class StorageWorkload:
     def __post_init__(self) -> None:
         for fname in ("stored_tb", "transferred_tb", "duration_days",
                       "storage_w_per_tb", "transfer_w_per_tb"):
-            value = getattr(self, fname)
-            # Written so that NaN fails too.
-            if not (0.0 <= value < inf):
-                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+            check_non_negative(getattr(self, fname), fname, ModelError)
 
 
 def device_time(total_flops: float, device_count: int,

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isnan
 
-from .types import ArchKind, LlmArchitecture, ModelError, validate_architecture
+from .types import ArchKind, LlmArchitecture, ModelError, is_number, validate_architecture
 
 
 class ParameterEquation(enum.Enum):
@@ -153,8 +154,12 @@ def count_params(
 
 
 def _count(arch: LlmArchitecture, force_moe_equation: ParameterEquation | None) -> ParameterCount:
-    if arch.explicit_param_count is not None:
-        return ParameterCount(int(arch.explicit_param_count), ParameterEquation.EXPLICIT)
+    count = arch.explicit_param_count
+    if count is not None:
+        # Zero and negative counts fail at the loss law, inf as beyond the float range.
+        if not is_number(count, f"{arch.name}: parameter count", ModelError) or isnan(count):
+            raise ModelError(f"{arch.name}: explicit_param_count must be a number, got {count!r}")
+        return ParameterCount(int(count), ParameterEquation.EXPLICIT)
 
     violations = validate_architecture(arch)
     if violations:

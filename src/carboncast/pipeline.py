@@ -66,13 +66,11 @@ from .types import (
     ParallelismPlan,
     Phase,
     ScalingConstants,
+    check_count,
+    check_non_negative,
     check_report_floats,
+    is_number,
 )
-
-
-def _is_number(value) -> bool:
-    """An int or a float but not a bool: a value the range checks can compare."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -85,23 +83,14 @@ class Overrides:
     system_power_watts: float | None = None
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails too.
         for fname in ("measured_flops", "system_power_watts"):
-            value = getattr(self, fname)
-            if value is not None and not (_is_number(value) and 0.0 <= value < inf):
-                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+            if (value := getattr(self, fname)) is not None:
+                check_non_negative(value, fname, ModelError)
         eff = self.efficiency
-        if eff is not None and not (_is_number(eff) and 0.0 < eff <= 1.0):
+        if eff is not None and not (is_number(eff, "efficiency", ModelError) and 0 < eff <= 1):
             raise ModelError(f"efficiency must lie in (0, 1], got {eff!r}")
-        count = self.device_count
-        if count is None:
-            return
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ModelError(f"device_count must be an integer >= 1, got {count!r}")
-        try:
-            float(count)
-        except OverflowError:
-            raise ModelError("device_count is beyond the float range") from None
+        if self.device_count is not None:
+            check_count(self.device_count, "device_count", ModelError)
 
 
 @dataclass(frozen=True)
@@ -121,9 +110,7 @@ class EstimateRequest:
     anchors: list[tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails too.
-        if not (_is_number(self.tokens) and 0.0 <= self.tokens < inf):
-            raise ModelError(f"tokens must be finite and >= 0, got {self.tokens!r}")
+        check_non_negative(self.tokens, "tokens", ModelError)
         if self.phase not in (Phase.TRAINING, Phase.INFERENCE, Phase.STORAGE):
             raise ModelError("phase must be training, inference or storage, got " + (
                 self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
@@ -151,10 +138,7 @@ class LifecyclePlan:
 
     def __post_init__(self) -> None:
         for fname in ("inference_share", "experimentation_share"):
-            value = getattr(self, fname)
-            # Written so that NaN fails too.
-            if not (_is_number(value) and 0.0 <= value < inf):
-                raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+            check_non_negative(getattr(self, fname), fname, ModelError)
         if self.training.phase is not Phase.TRAINING:
             raise ModelError(f"training request has phase {self.training.phase.value}, "
                              "expected training")
@@ -437,7 +421,7 @@ def sweep(
     errors: list[tuple[str, str]] = []
     for arch, tokens in grid:
         try:
-            if not (0 < tokens < inf):
+            if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
             pcount, loss, _, eff, seconds, _, hardware, facility, carbon, embodied = _stages(
                 arch, tokens, Phase.TRAINING, scaling, overrides, device_memory_gb, server_size,

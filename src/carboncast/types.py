@@ -6,6 +6,10 @@ checked by :func:`validate_architecture`, which returns a list of violations
 (the CLI wants to show all of them at once). Hardware and data-center types
 raise :class:`CatalogError` eagerly, because a broken catalog row should stop
 a run immediately.
+
+Caller numbers (all but an architecture's shape) must be ints or floats, not
+bools, that a float can hold (:func:`is_number`); a bad one raises
+``CatalogError`` for hardware and data centers, else ``ModelError``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,34 @@ class CatalogError(ValueError):
 
 class ModelError(ValueError):
     """A projection model was handed inputs it cannot work with."""
+
+
+def is_number(value, label: str, error: type[ValueError]) -> bool:
+    """Whether ``value`` is an int or a float but not a bool. An int that a
+    float cannot hold raises ``error`` naming ``label`` first, before any
+    message formats it: Python formats no int of more than 4,300 digits."""
+    if isinstance(value, float):  # the common case, tested first for speed
+        return True
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        raise error(f"{label} is beyond the float range") from None
+    return True
+
+
+def check_non_negative(value, label: str, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is a finite number >= 0."""
+    # Written so that NaN fails too.
+    if not (is_number(value, label, error) and 0.0 <= value < math.inf):
+        raise error(f"{label} must be finite and >= 0, got {value!r}")
+
+
+def check_count(value, label: str, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is an int >= 1 that a float can hold."""
+    if not (is_number(value, label, error) and isinstance(value, int) and value >= 1):
+        raise error(f"{label} must be an integer >= 1, got {value!r}")
 
 
 class ArchKind(enum.Enum):
@@ -188,10 +220,8 @@ class HardwareUnit:
     def __post_init__(self) -> None:
         for fname in ("peak_tflops", "tdp_watts", "avg_system_power_watts", "die_area_mm2",
                       "cpa", "capacity_gb", "embodied_kg_override", "lifetime_years"):
-            value = getattr(self, fname)
-            # Written so that NaN fails too.
-            if value is not None and not (0.0 <= value < math.inf):
-                raise CatalogError(f"{self.name}: {fname} must be finite and >= 0, got {value!r}")
+            if (value := getattr(self, fname)) is not None:
+                check_non_negative(value, f"{self.name}: {fname}", CatalogError)
         if self.role is HardwareRole.ACCELERATOR:
             if self.peak_tflops is None or self.peak_tflops <= 0:
                 raise CatalogError(f"{self.name}: peak_tflops must be > 0 for accelerators")
@@ -231,15 +261,7 @@ class FleetEntry:
     count: int
 
     def __post_init__(self) -> None:
-        count = self.count
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise CatalogError(
-                f"{self.unit.name}: fleet count must be an integer >= 1, got {count!r}")
-        try:
-            float(self.count)
-        except OverflowError:
-            raise CatalogError(
-                f"{self.unit.name}: fleet count is beyond the float range") from None
+        check_count(self.count, f"{self.unit.name}: fleet count", CatalogError)
 
 
 @dataclass(frozen=True)
@@ -284,13 +306,11 @@ class DataCenterProfile:
     cfe: float = 0.0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails too.
-        if not (1.0 <= self.pue < math.inf):
-            raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {self.pue!r}")
-        if not (0.0 <= self.carbon_intensity < math.inf):
-            raise CatalogError(f"{self.name}: carbon_intensity must be finite and >= 0, "
-                               f"got {self.carbon_intensity!r}")
-        if not (0.0 <= self.cfe <= 1.0):
+        pue = self.pue
+        if not (is_number(pue, f"{self.name}: pue", CatalogError) and 1.0 <= pue < math.inf):
+            raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {pue!r}")
+        check_non_negative(self.carbon_intensity, f"{self.name}: carbon_intensity", CatalogError)
+        if not (is_number(self.cfe, f"{self.name}: cfe", CatalogError) and 0 <= self.cfe <= 1):
             raise CatalogError(f"{self.name}: cfe must lie in [0, 1]")
 
 
@@ -310,10 +330,9 @@ class ScalingConstants:
     def __post_init__(self) -> None:
         for fname in ("A", "B", "alpha", "beta", "E"):
             value = getattr(self, fname)
-            # Written so that NaN fails too.
-            if not (0.0 < value < math.inf):
-                raise ModelError(f"scaling constant {fname} must be positive and finite, "
-                                 f"got {value!r}")
+            label = f"scaling constant {fname}"
+            if not (is_number(value, label, ModelError) and 0.0 < value < math.inf):
+                raise ModelError(f"{label} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +343,6 @@ class ParallelismPlan:
     tensor: int
     data: int
     expert: int = 1
-    is_moe: bool = False
 
     def __post_init__(self) -> None:
         for fname in ("pipeline", "tensor", "data", "expert"):

@@ -169,8 +169,10 @@ class TestStorageEnergy:
 
     @pytest.mark.parametrize("fname", ["stored_tb", "transferred_tb", "duration_days",
                                        "storage_w_per_tb", "transfer_w_per_tb"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1",
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_non_finite_fields_rejected_by_name(self, fname, value):
         fields = {"stored_tb": 1.0, "transferred_tb": 1.0, "duration_days": 1.0, fname: value}
-        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+        fault = "is beyond the float range" if value == 10 ** 400 else "must be finite and >= 0"
+        with pytest.raises(ModelError, match=f"^{fname} {fault}"):
             StorageWorkload(**fields)

@@ -150,6 +150,10 @@ class TestEstimate:
          "measured_flops must be finite and >= 0, got nan"),
         ({"overrides": {"system_power_watts": math.nan}},
          "system_power_watts must be finite and >= 0, got nan"),
+        pytest.param({"scaling": {"A": "1"}},
+                     "scaling constant A must be positive and finite, got '1'", id="A-str"),
+        pytest.param({"scaling": {"E": 10 ** 400}},
+                     "scaling constant E is beyond the float range", id="E-1e400"),
     ])
     def test_non_finite_inputs_fail_naming_the_report_field(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
@@ -186,6 +190,16 @@ class TestEstimate:
          "training request carries storage; only a storage-phase request reads it"),
         ({"phase": Phase.INFERENCE, "storage": STORAGE},
          "inference request carries storage; only a storage-phase request reads it"),
+        pytest.param({"tokens": 10 ** 400}, "tokens is beyond the float range",
+                     id="tokens-1e400"),
+        pytest.param({"overrides": {"measured_flops": 10 ** 400}},
+                     "measured_flops is beyond the float range", id="measured-flops-1e400"),
+        pytest.param({"overrides": {"system_power_watts": 10 ** 400}},
+                     "system_power_watts is beyond the float range", id="power-1e400"),
+        pytest.param({"overrides": {"device_count": -10 ** 5000}},
+                     "device_count is beyond the float range", id="device-count--1e5000"),
+        pytest.param({"overrides": {"efficiency": 10 ** 400}},
+                     "efficiency is beyond the float range", id="efficiency-1e400"),
     ])
     def test_requests_reject_bad_inputs_by_name(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
@@ -226,6 +240,12 @@ class TestEstimate:
                      "V100: fleet count must be an integer >= 1, got True", id="fleet-True"),
         pytest.param(0, None, CatalogError,
                      "V100: fleet count must be an integer >= 1, got 0", id="fleet-0"),
+        # Python formats no int of more than 4,300 digits, so the range test
+        # must come before the message.
+        pytest.param(-10 ** 5000, None, CatalogError,
+                     "V100: fleet count is beyond the float range", id="fleet--1e5000"),
+        pytest.param(8, -10 ** 5000, ModelError,
+                     "device_count is beyond the float range", id="device-count--1e5000"),
     ])
     def test_device_counts_beyond_the_float_range_fail_by_name(self, fleet_count, device_count,
                                                                error, message):
@@ -294,6 +314,23 @@ class TestEstimate:
                      id="operational-carbon"),
         pytest.param({"fleet": HardwareFleet.of((cpu(), 8))},
                      "[efficiency-model] fleet has no accelerator entry", id="no-accelerator"),
+        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                                              explicit_param_count=math.nan)},
+                     "[parameter-model] m: explicit_param_count must be a number, got nan",
+                     id="explicit-nan"),
+        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                                              explicit_param_count="5")},
+                     "[parameter-model] m: explicit_param_count must be a number, got '5'",
+                     id="explicit-str"),
+        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                                              explicit_param_count=True)},
+                     "[parameter-model] m: explicit_param_count must be a number, got True",
+                     id="explicit-True"),
+        pytest.param({"device_memory_gb": "32"},
+                     "[efficiency-model] device_memory_gb must be positive", id="memory-str"),
+        pytest.param({"server_size": 2.5},
+                     "[efficiency-model] server_size must be an integer >= 1, got 2.5",
+                     id="server-size-2.5"),
     ])
     def test_errors_name_the_failing_stage(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=1e9,
@@ -498,9 +535,11 @@ class TestPhaseSum:
 
 class TestLifecyclePlanChecks:
     @pytest.mark.parametrize("fname", ["inference_share", "experimentation_share"])
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, "0.5", True])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, "0.5", True,
+                                       pytest.param(10 ** 400, id="1e400")])
     def test_shares_must_be_finite_and_non_negative(self, fname, value):
-        with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
+        fault = "is beyond the float range" if value == 10 ** 400 else "must be finite and >= 0"
+        with pytest.raises(ModelError, match=f"^{fname} {fault}"):
             LifecyclePlan(training=mixed_request(), **{fname: value})
 
     def test_training_request_must_be_a_training_phase(self):
@@ -577,12 +616,15 @@ class TestSweep:
         assert len(errors) == 1
         assert errors[0][0] == "headless"
 
-    @pytest.mark.parametrize("tokens", [0.0, -1e9, math.inf, math.nan])
+    @pytest.mark.parametrize("tokens", [0.0, -1e9, math.inf, math.nan, "1e9",
+                                        pytest.param(10 ** 400, id="1e400")])
     def test_tokens_must_be_finite_and_positive(self, tokens):
         grid = [(dense_arch("fine", 5e9), 100e9), (dense_arch("bad", 5e9), tokens)]
         points, errors = sweep(grid, self.fleet(), self.grid_dc())
         assert [p.name for p in points] == ["fine"]
-        assert errors == [("bad", f"sweep points need a finite positive token count, got {tokens!r}")]
+        message = ("tokens is beyond the float range" if tokens == 10 ** 400 else
+                   f"sweep points need a finite positive token count, got {tokens!r}")
+        assert errors == [("bad", message)]
 
     @pytest.mark.parametrize("fleet, anchors, fault", [
         (HardwareFleet.of((cpu(), 8)), None, "fleet has no accelerator entry"),

@@ -1,6 +1,7 @@
 """Domain-type invariants, unit conversions and the public surface."""
 
 import math
+import re
 
 import pytest
 
@@ -96,11 +97,14 @@ class TestHardwareUnit:
         ("avg_system_power_watts", math.nan), ("die_area_mm2", math.inf), ("cpa", -1.0),
         ("capacity_gb", math.nan), ("embodied_kg_override", -math.inf),
         ("lifetime_years", math.nan), ("lifetime_years", math.inf),
+        ("tdp_watts", "5"), ("avg_system_power_watts", True),
+        pytest.param("embodied_kg_override", 10 ** 400, id="embodied_kg_override-1e400"),
     ])
     def test_numbers_must_be_finite_and_non_negative(self, fname, value):
         fields = {"peak_tflops": 125.0, "tdp_watts": 300.0, "die_area_mm2": 815.0,
                   "cpa": 1.2, "cpa_basis": "area", fname: value}
-        with pytest.raises(CatalogError, match=f"^gpu: {fname} must be finite and >= 0"):
+        fault = "is beyond the float range" if value == 10 ** 400 else "must be finite and >= 0"
+        with pytest.raises(CatalogError, match=f"^gpu: {fname} {fault}"):
             HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, **fields)
 
 
@@ -139,6 +143,19 @@ class TestDataCenter:
     def test_inf_rejected(self, fname):
         values = {"pue": 1.1, "carbon_intensity": 0.4, fname: math.inf}
         with pytest.raises(CatalogError, match=f"^dc: {fname} must be finite and >= "):
+            DataCenterProfile(name="dc", **values)
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"pue": "1.1"}, "dc: pue must be finite and >= 1.0, got '1.1'",
+                     id="pue-str"),
+        pytest.param({"cfe": "0.5"}, "dc: cfe must lie in [0, 1]", id="cfe-str"),
+        pytest.param({"carbon_intensity": 10 ** 400},
+                     "dc: carbon_intensity is beyond the float range", id="intensity-1e400"),
+        pytest.param({"pue": 10 ** 400}, "dc: pue is beyond the float range", id="pue-1e400"),
+    ])
+    def test_numbers_fail_by_name(self, change, message):
+        values = {"pue": 1.1, "carbon_intensity": 0.4, **change}
+        with pytest.raises(CatalogError, match="^" + re.escape(message)):
             DataCenterProfile(name="dc", **values)
 
 

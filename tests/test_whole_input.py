@@ -1,0 +1,142 @@
+"""Whole-input property: whatever numbers a library caller passes in, building
+the inputs and running ``estimate``, ``estimate_lifecycle`` or ``sweep`` ends
+in a finite, non-negative, additive report or sweep row, or in a named
+``ModelError`` or ``CatalogError``. No other exception type gets out."""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from carboncast.operational import StorageWorkload
+from carboncast.pipeline import (
+    EstimateRequest,
+    LifecyclePlan,
+    Overrides,
+    estimate,
+    estimate_lifecycle,
+    sweep,
+)
+from carboncast.types import (
+    ArchKind,
+    CatalogError,
+    DataCenterProfile,
+    HardwareFleet,
+    HardwareRole,
+    HardwareUnit,
+    LlmArchitecture,
+    ModelError,
+    Phase,
+    ScalingConstants,
+)
+
+# What each number field is tried with instead of a valid value. Python
+# formats no int of more than 4,300 digits, so -10**5000 also checks that no
+# message formats a value before its range is known.
+BAD_NUMBERS = [0, -1.0, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 5000, "1e9", True]
+BAD_COUNTS = BAD_NUMBERS + [2.5]
+
+# Valid values of each caller-number field, by the object that takes it.
+VALID = {
+    "accel": {"peak_tflops": [125.0, 312], "tdp_watts": [300.0, None],
+              "avg_system_power_watts": [None, 330.0], "die_area_mm2": [815.0, 826],
+              "cpa": [1.2, 0.0], "capacity_gb": [None, 32.0],
+              "embodied_kg_override": [None, 150.0], "lifetime_years": [5.0, 3]},
+    "fleet": {"count": [8, 1496]},
+    "dc": {"pue": [1.1, 1], "carbon_intensity": [0.429, 0.0], "cfe": [0.0, 0.9]},
+    "storage": {"stored_tb": [32.7, 0], "transferred_tb": [277.4, 0.0],
+                "duration_days": [180, 0.5], "storage_w_per_tb": [11.3, 0.0],
+                "transfer_w_per_tb": [1.48, 2]},
+    "overrides": {"measured_flops": [None, 3.14e23], "system_power_watts": [None, 330.0],
+                  "efficiency": [None, 0.197, 1], "device_count": [None, 10000]},
+    "request": {"tokens": [300e9, 0, 10 ** 9], "device_memory_gb": [32.0, 80],
+                "server_size": [8, 1]},
+    "plan": {"inference_share": [0.0, 1.5], "experimentation_share": [0, 0.25]},
+    "scaling": {"A": [406.4], "B": [410.7, 400], "alpha": [0.34], "beta": [0.28],
+                "E": [1.69, 2]},
+    "arch": {"explicit_param_count": [175_000_000_000, 1.3e9, 0]},
+}
+COUNTS = {("fleet", "count"), ("overrides", "device_count"), ("request", "server_size"),
+          ("arch", "explicit_param_count")}
+FIELDS = sorted((group, fname) for group, fields in VALID.items() for fname in fields)
+# The strategies are made once: making them per draw costs more than the runs.
+GOOD_DRAW = {(g, f): st.sampled_from(VALID[g][f]) for g, f in FIELDS}
+BAD_DRAW = {(g, f): st.sampled_from(BAD_COUNTS if (g, f) in COUNTS else BAD_NUMBERS)
+            for g, f in FIELDS}
+BROKEN_DRAW = st.sets(st.sampled_from(FIELDS), max_size=3)
+RUNNER_DRAW = st.sampled_from(["training", "inference", "storage", "lifecycle", "sweep"])
+
+
+@st.composite
+def whole_inputs(draw):
+    """A runner and the number fields of every input, with up to three of
+    them broken."""
+    broken = draw(BROKEN_DRAW)
+    values = {group: {} for group in VALID}
+    for field in FIELDS:
+        group, fname = field
+        values[group][fname] = draw((BAD_DRAW if field in broken else GOOD_DRAW)[field])
+    return draw(RUNNER_DRAW), values
+
+
+def run(runner, v):
+    """Build the inputs from the field values ``v`` and run ``runner``."""
+    accel = HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, cpa_basis="area",
+                         **v["accel"])
+    cpu = HardwareUnit(name="cpu", role=HardwareRole.CPU, tdp_watts=205, die_area_mm2=147,
+                       cpa=1.0)
+    fleet = HardwareFleet.of((accel, v["fleet"]["count"]), (cpu, 2))
+    dc = DataCenterProfile(name="dc", **v["dc"])
+    storage = StorageWorkload(**v["storage"])
+    arch = LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT, **v["arch"])
+    if runner == "sweep":
+        grid = [(arch, v["request"]["tokens"]), (LlmArchitecture(
+            name="fine", kind=ArchKind.DENSE_GPT, explicit_param_count=10 ** 9), 1e10)]
+        sizing = {k: v["request"][k] for k in ("device_memory_gb", "server_size")}
+        return sweep(grid, fleet, dc, **sizing)
+    phase = Phase.TRAINING if runner in ("training", "lifecycle") else Phase(runner)
+    req = EstimateRequest(arch=arch, fleet=fleet, data_center=dc, phase=phase,
+                          scaling=ScalingConstants(**v["scaling"]),
+                          overrides=Overrides(**v["overrides"]),
+                          storage=storage if runner == "storage" else None, **v["request"])
+    if runner == "lifecycle":
+        return estimate_lifecycle(LifecyclePlan(req, storage=storage, **v["plan"]))
+    return estimate(req)
+
+
+def finite(value) -> bool:
+    return 0.0 <= value < math.inf
+
+
+def check_report(r):
+    assert all(finite(x) for x in (
+        r.duration_seconds, r.hardware_energy_mwh, r.operational_energy_mwh,
+        r.operational_tco2, r.embodied_tco2, r.total_tco2, r.hardware_efficiency))
+    assert r.test_loss is None or finite(r.test_loss)
+    assert r.total_tco2 == r.operational_tco2 + r.embodied_tco2
+    # Counts stay whole: a 2.5-device fleet or a 2.5-way tensor split is no plan.
+    assert all(type(i.count) is int for i in r.line_items)
+    plan = r.parallelism
+    assert plan is None or all(type(d) is int for d in (plan.pipeline, plan.tensor, plan.data))
+    assert math.isclose(sum(i.energy_mwh for i in r.line_items), r.hardware_energy_mwh,
+                        rel_tol=1e-12)
+    assert math.isclose(sum(i.embodied_tco2 for i in r.line_items), r.embodied_tco2,
+                        rel_tol=1e-12)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(whole_inputs())
+def test_every_number_ends_in_a_report_or_a_named_error(case):
+    runner, values = case
+    try:
+        result = run(runner, values)
+    except (ModelError, CatalogError):
+        return
+    if runner != "sweep":
+        check_report(result)
+        return
+    points, errors = result
+    assert len(points) + len(errors) == 2
+    for p in points:
+        assert finite(p.test_loss) and finite(p.training_tco2)
+    for name, message in errors:
+        assert isinstance(name, str) and isinstance(message, str)
