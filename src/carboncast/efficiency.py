@@ -69,6 +69,10 @@ def _check_param_count(param_count: float) -> None:
 def optimal_device_count(param_count: float) -> int:
     """Device count at the efficiency optimum, scaled from the 175 B anchor."""
     _check_param_count(param_count)
+    return _optimum(param_count)
+
+
+def _optimum(param_count: float) -> int:
     return max(1, round(param_count * _OPTIMAL_DEVICES_PER_PARAM))
 
 
@@ -81,9 +85,19 @@ def plan_parallelism(
     """Optimal parallelism degrees for a model of ``param_count`` parameters.
 
     Dense plans reach the published devices-per-param optimum
-    (:func:`optimal_device_count`) through data parallelism.
+    (:func:`optimal_device_count`) through data parallelism. The inputs are
+    checked in order, ``param_count`` first, then the device sizing; the
+    degrees come from :func:`_plan_degrees`, which the pipeline calls
+    directly on inputs it has already checked.
     """
-    optimum = optimal_device_count(param_count)  # checks param_count first
+    _check_param_count(param_count)
+    _check_sizing(device_memory_gb, server_size)
+    return ParallelismPlan(*_plan_degrees(param_count, is_moe, device_memory_gb, server_size))
+
+
+def _check_sizing(device_memory_gb: float, server_size: int) -> None:
+    """Raise a ``ModelError`` unless the device memory is a finite positive
+    number of GB and the server size a count."""
     if not (is_number(device_memory_gb, "device_memory_gb", ModelError)
             and device_memory_gb > 0.0):
         raise ModelError("device_memory_gb must be positive")
@@ -91,6 +105,11 @@ def plan_parallelism(
         raise ModelError("device_memory_gb must be finite")
     check_count(server_size, "server_size", ModelError)
 
+
+def _plan_degrees(param_count: float, is_moe: bool, device_memory_gb: float,
+                  server_size: int) -> tuple[int, int, int, int]:
+    """The (pipeline, tensor, data, expert) degrees of :func:`plan_parallelism`,
+    on inputs that have passed its checks."""
     mem_bytes = device_memory_gb * 1e9
     state_bytes = TRAINING_BYTES_PER_PARAM * param_count
 
@@ -112,11 +131,9 @@ def plan_parallelism(
 
     if is_moe:
         # d pinned to 1: expert all-to-alls already saturate the fabric.
-        return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=1,
-                               expert=DEFAULT_EXPERT_PARALLELISM)
+        return pipeline, tensor, 1, DEFAULT_EXPERT_PARALLELISM
 
-    data = max(1, round(optimum / (tensor * pipeline)))
-    return ParallelismPlan(pipeline=pipeline, tensor=tensor, data=data, expert=1)
+    return pipeline, tensor, max(1, round(_optimum(param_count) / (tensor * pipeline))), 1
 
 
 def optimal_efficiency(

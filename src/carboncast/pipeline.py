@@ -7,21 +7,23 @@ finally their sum. Any stage can be short-circuited by a measured override
 (FLOPs, efficiency, device count, per-device power); supplying the value the
 model would have computed changes nothing.
 
-What depends only on the fleet, the overrides and the anchor table is
-worked out once, up front, in a ``_Setting``: the fitted anchor curve and
-the fleet's energy and embodied carbon per second. The energy rates follow
-the power rule that ``hardware_energy`` also applies,
-``operational.unit_power``; the embodied rates are ``fleet_embodied`` over
-one second. ``estimate()`` makes a setting per call; ``sweep()`` makes one
-for all its points.
+What depends only on the fleet, the overrides, the anchor table and the
+device sizing is worked out once, up front, in a ``_Setting``: the fitted
+anchor curve, the fleet's energy and embodied carbon per second, and the
+device memory and server size, checked. The energy rates follow the power
+rule that ``hardware_energy`` also applies, ``operational.unit_power``; the
+embodied rates are ``fleet_embodied`` over one second. ``estimate()`` makes
+a setting per call; ``sweep()`` makes one for all its points.
 
 The model stages run in one chain, ``_stages``. The efficiency,
-operational and embodied stages hand it plain floats. It multiplies its
-execution seconds by the setting's rates and names every fault it meets by
-its stage. The chain has two ends. ``estimate()`` builds a report, with a
-line item per fleet unit, from the stage values. ``sweep()`` builds no
-report: it checks the same values the report would check, with the same
-messages, and keeps a row of the loss and carbon.
+operational and embodied stages hand it plain floats, and the planning
+stage the parallelism degrees as a tuple, from the planning core that
+``plan_parallelism`` also calls. It multiplies its execution seconds by the
+setting's rates and names every fault it meets by its stage. The chain has
+two ends. ``estimate()`` builds a report, with its ``ParallelismPlan`` and
+a line item per fleet unit, from the stage values. ``sweep()`` builds no
+report and no plan: it checks the same values the report would check, with
+the same messages, and keeps a row of the loss and carbon.
 
 Also here: the lifecycle, a weighted sum of phase reports (training, which
 also stands for inference and experimentation, plus storage), and the
@@ -31,18 +33,19 @@ design-space sweep with Pareto dominance flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from math import inf
+from math import inf, isnan
 from operator import itemgetter
 
 from . import units
 from .efficiency import (
     DEFAULT_DEVICE_MEMORY_GB,
     DEFAULT_SERVER_SIZE,
+    _check_param_count,
+    _check_sizing,
+    _plan_degrees,
     efficiency_at_count,
     fit_anchors,
     optimal_efficiency,
-    plan_parallelism,
 )
 from .embodied import fleet_embodied
 from .flops import inference_flops, training_flops
@@ -70,6 +73,7 @@ from .types import (
     check_non_negative,
     check_report_floats,
     is_number,
+    is_shape_count,
 )
 
 
@@ -154,15 +158,20 @@ class SweepPoint:
     dominated: bool = False
 
 
-def _flop_param_count(arch, full_count: int) -> float:
+def _flop_param_count(arch, full_count: int, is_moe: bool) -> float:
     """Parameter count that drives FLOPs and efficiency: the dense base model
-    for MoE."""
-    if not arch.is_moe:
+    for MoE (``is_moe``)."""
+    if not is_moe:
         return float(full_count)
+    base = arch.base_model_param_count
+    if base is not None:
+        if (is_number(base, f"{arch.name}: dense base parameter count", ModelError)
+                and not isnan(base)):
+            return float(base)
+        raise ModelError(f"{arch.name}: base_model_param_count must be a number, got {base!r}")
     try:
-        if arch.base_model_param_count is not None:
-            return float(arch.base_model_param_count)
-        if arch.hidden_size > 0 and arch.layer_count > 0 and arch.vocab_size > 0:
+        if (is_shape_count(arch.hidden_size) and is_shape_count(arch.layer_count)
+                and is_shape_count(arch.vocab_size)):
             # Dense counterpart of the expert model.
             return float(count_dense_gpt(arch).total)
     except OverflowError:
@@ -178,10 +187,10 @@ def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
     if req.phase is Phase.STORAGE:
         return _estimate_storage(req.storage, req.data_center)
-    setting = _Setting(req.fleet, req.overrides, req.anchors)
-    _, loss, plan, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
-        req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.device_memory_gb,
-        req.server_size, req.data_center, setting)
+    setting = _Setting(req.fleet, req.overrides, req.anchors, req.device_memory_gb,
+                       req.server_size)
+    _, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
+        req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.data_center, setting)
     rates, _ = setting.rates
     return CarbonReport(
         phase=req.phase,
@@ -193,7 +202,7 @@ def estimate(req: EstimateRequest) -> CarbonReport:
         total_tco2=carbon + embodied,
         hardware_efficiency=eff,
         test_loss=loss,
-        parallelism=plan,
+        parallelism=ParallelismPlan(*degrees),
         line_items=tuple([LineItem(unit, count, energy, unit_embodied * seconds)
                           for (unit, (count, _, _, unit_embodied)), energy
                           in zip(rates.items(), energies)]),
@@ -201,19 +210,25 @@ def estimate(req: EstimateRequest) -> CarbonReport:
 
 
 class _Setting:
-    """What estimates on one fleet, set of overrides and anchor table share,
-    made once, up front: the accelerator entry and the device count; the
-    fitted anchor curve, when there is no efficiency override; and the
-    fleet's per-second rates, when there is an accelerator. A table that does
-    not fit is kept as given: ``optimal_efficiency`` then raises its fault
-    for each estimate, after checking its own input. ``sweep()`` makes one
-    setting for all its points; ``estimate()`` makes one per call.
+    """What estimates on one fleet, set of overrides, anchor table and device
+    sizing share, made once, up front: the accelerator entry and the device
+    count; the fitted anchor curve, when there is no efficiency override;
+    the fleet's per-second rates, when there is an accelerator; and the
+    device memory and server size, checked. A table that does not fit is
+    kept as given: ``optimal_efficiency`` then raises its fault for each
+    estimate, after checking its own input. A sizing that fails its check
+    is kept as the fault's message, which the chain raises for each estimate
+    after checking the estimate's parameter count, where ``plan_parallelism``
+    would raise it. ``sweep()`` makes one setting for all its points;
+    ``estimate()`` makes one per call.
     """
 
-    __slots__ = ("accel", "device_count", "curve", "rates")
+    __slots__ = ("accel", "device_count", "curve", "rates", "device_memory_gb", "server_size",
+                 "sizing_fault")
 
     def __init__(self, fleet: HardwareFleet, overrides: Overrides,
-                 anchors: list[tuple[float, float]] | None) -> None:
+                 anchors: list[tuple[float, float]] | None, device_memory_gb: float,
+                 server_size: int) -> None:
         self.accel = accel = fleet.accelerator
         self.device_count = overrides.device_count
         if self.device_count is None and accel is not None:
@@ -226,6 +241,13 @@ class _Setting:
                 self.curve = anchors
         self.rates = None if accel is None else _fleet_rates(
             fleet, accel, self.device_count, overrides.system_power_watts)
+        self.device_memory_gb = device_memory_gb
+        self.server_size = server_size
+        self.sizing_fault = None
+        try:
+            _check_sizing(device_memory_gb, server_size)
+        except ModelError as exc:
+            self.sizing_fault = str(exc)
 
 
 def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
@@ -267,34 +289,38 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
 
 
 def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: ScalingConstants,
-            overrides: Overrides, device_memory_gb: float, server_size: int,
-            data_center: DataCenterProfile, setting: _Setting,
-            ) -> tuple[ParameterCount, float | None, ParallelismPlan, float, float, list[float],
-                       float, float, float, float]:
+            overrides: Overrides, data_center: DataCenterProfile, setting: _Setting,
+            ) -> tuple[ParameterCount, float | None, tuple[int, int, int, int], float, float,
+                       list[float], float, float, float, float]:
     """The model stages of one training or inference estimate, on ``setting``,
-    which is made from the estimate's fleet, overrides and anchor table.
+    which is made from the estimate's fleet, overrides, anchor table and
+    device sizing.
 
     Returns the stage values: the parameter count, the test loss (``None``
-    for inference or zero tokens), the parallelism plan, the hardware
-    efficiency, the execution seconds, each fleet unit's hardware energy in
-    MWh in the order of ``setting.rates``, the fleet's hardware energy and
-    facility energy in MWh, the operational tCO2 and the embodied tCO2.
+    for inference or zero tokens), the (pipeline, tensor, data, expert)
+    parallelism degrees, the hardware efficiency, the execution seconds,
+    each fleet unit's hardware energy in MWh in the order of
+    ``setting.rates``, the fleet's hardware energy and facility energy in
+    MWh, the operational tCO2 and the embodied tCO2.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
     try:
         pcount = count_params(arch)
+        total = pcount.total
+        is_moe = arch.is_moe
 
         loss = None
         if phase is Phase.TRAINING and tokens > 0:
             stage = "scaling-law"
-            loss = test_loss(pcount.total, tokens, scaling, moe=arch.is_moe).loss
+            loss = test_loss(total, tokens, scaling, moe=is_moe).loss
 
         stage = "flop-model"
+        p_flops = None  # worked out where a stage first needs it
         if overrides.measured_flops is not None:
             flops = overrides.measured_flops
         else:
-            p_flops = _flop_param_count(arch, pcount.total)
+            p_flops = _flop_param_count(arch, total, is_moe)
             budget = (training_flops(p_flops, tokens) if phase is Phase.TRAINING
                       else inference_flops(p_flops, tokens))
             flops = budget.total_flops
@@ -303,16 +329,19 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
         accel = setting.accel
         if accel is None:
             raise ModelError("fleet has no accelerator entry")
-        plan = plan_parallelism(
-            pcount.total, is_moe=arch.is_moe,
-            device_memory_gb=device_memory_gb, server_size=server_size,
-        )
+        # plan_parallelism's checks, in its order; the sizing was checked once.
+        _check_param_count(total)
+        if setting.sizing_fault is not None:
+            raise ModelError(setting.sizing_fault)
+        degrees = _plan_degrees(total, is_moe, setting.device_memory_gb, setting.server_size)
         if overrides.efficiency is not None:
             eff = overrides.efficiency
         else:
-            opt = optimal_efficiency(_flop_param_count(arch, pcount.total), is_moe=arch.is_moe,
-                                     anchors=setting.curve)
-            eff = efficiency_at_count(setting.device_count, plan.device_count, opt)
+            if p_flops is None:
+                p_flops = _flop_param_count(arch, total, is_moe)
+            opt = optimal_efficiency(p_flops, is_moe=is_moe, anchors=setting.curve)
+            pipeline, tensor, data, _ = degrees
+            eff = efficiency_at_count(setting.device_count, tensor * pipeline * data, opt)
 
         stage = "operational-carbon"
         rates, embodied_per_s = setting.rates
@@ -325,7 +354,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
-    return (pcount, loss, plan, eff, seconds, energies, hardware, facility, carbon,
+    return (pcount, loss, degrees, eff, seconds, energies, hardware, facility, carbon,
             embodied_per_s * seconds)
 
 
@@ -415,7 +444,7 @@ def sweep(
     if not grid:
         raise ModelError("sweep grid is empty")
     overrides, scaling = Overrides(), ScalingConstants()
-    setting = _Setting(fleet, overrides, anchors)
+    setting = _Setting(fleet, overrides, anchors, device_memory_gb, server_size)
 
     rows: list[tuple[float, float, str, int, float]] = []
     errors: list[tuple[str, str]] = []
@@ -424,8 +453,7 @@ def sweep(
             if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
             pcount, loss, _, eff, seconds, _, hardware, facility, carbon, embodied = _stages(
-                arch, tokens, Phase.TRAINING, scaling, overrides, device_memory_gb, server_size,
-                data_center, setting)
+                arch, tokens, Phase.TRAINING, scaling, overrides, data_center, setting)
             check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied,
                                 eff, loss)
             rows.append((loss, carbon, arch.name, pcount.total, tokens))
@@ -444,17 +472,20 @@ def _dominance_flags(rows) -> list[bool]:
     """Pareto dominance flags of (test_loss, training_tco2, ...) rows sorted
     by loss, then carbon.
 
-    One pass over the groups of equal loss, as in the 2-D maxima method of
-    Kung, Luccio and Preparata (J. ACM 1975). A point is dominated by an
-    earlier group's point that has no more carbon, or by a point of its own
-    group that has strictly less. Equal (loss, carbon) pairs do not
-    dominate each other.
+    One pass, as in the 2-D maxima method of Kung, Luccio and Preparata
+    (J. ACM 1975). A point is dominated by a point of lower loss that has no
+    more carbon, or by a point of equal loss that has strictly less. Equal
+    (loss, carbon) pairs do not dominate each other.
     """
     flags: list[bool] = []
-    best = inf  # lowest carbon among points of strictly lower loss
-    for _, group in groupby(rows, key=itemgetter(0)):
-        carbons = [row[1] for row in group]
-        lowest = carbons[0]
-        flags.extend(best <= c or lowest < c for c in carbons)
-        best = min(best, lowest)
+    best = inf    # lowest carbon among points of strictly lower loss
+    lowest = inf  # lowest carbon among points of the current loss
+    loss = None
+    for row in rows:
+        carbon = row[1]
+        if row[0] != loss:
+            if lowest < best:
+                best = lowest
+            loss, lowest = row[0], carbon
+        flags.append(best <= carbon or lowest < carbon)
     return flags

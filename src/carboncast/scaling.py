@@ -41,10 +41,15 @@ def test_loss(
     if token_count <= 0:
         raise ModelError(f"token_count must be positive, got {token_count}")
 
-    effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)
-    loss = (constants.A / effective ** constants.alpha
-            + constants.B / token_count ** constants.beta
-            + constants.E)
+    try:
+        effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)
+        loss = (constants.A / effective ** constants.alpha
+                + constants.B / token_count ** constants.beta
+                + constants.E)
+    except (OverflowError, ZeroDivisionError):
+        # P^alpha beyond the float range, or D^beta rounded to zero.
+        raise ModelError("the loss law's terms are beyond the float range (alpha="
+                         f"{constants.alpha!r}, beta={constants.beta!r})") from None
     return LossPrediction(loss=loss)
 
 

@@ -7,9 +7,11 @@ checked by :func:`validate_architecture`, which returns a list of violations
 raise :class:`CatalogError` eagerly, because a broken catalog row should stop
 a run immediately.
 
-Caller numbers (all but an architecture's shape) must be ints or floats, not
-bools, that a float can hold (:func:`is_number`); a bad one raises
-``CatalogError`` for hardware and data centers, else ``ModelError``.
+Caller numbers must be ints or floats, not bools, that a float can hold
+(:func:`is_number`); a bad one raises ``CatalogError`` for hardware and data
+centers, else ``ModelError``. An architecture's shape counts must be ints
+>= 1, not bools (:func:`is_shape_count`), and :func:`validate_architecture`
+lists every field that breaks its rule.
 """
 
 from __future__ import annotations
@@ -129,64 +131,83 @@ class LlmArchitecture:
 _FRACTION_SUM_TOL = 1e-9
 
 
+def is_shape_count(value) -> bool:
+    """Whether ``value`` is an int >= 1 but not a bool: the rule for an
+    architecture's shape counts. Unlike :func:`check_count` it admits ints
+    beyond the float range; the parameter model names the count they give."""
+    return isinstance(value, int) and value is not True and value >= 1
+
+
+def _is_real(value) -> bool:
+    """:func:`is_number` without its raise, so that every violation is listed."""
+    try:
+        return is_number(value, "", ModelError)
+    except ModelError:
+        return False
+
+
 def validate_architecture(arch: LlmArchitecture) -> list[str]:
     """Check every architecture invariant, returning one message per breach.
 
     An empty list means the architecture is usable by the parameter model
     (or carries an explicit count). Messages name the offending field so the
-    CLI can point at config paths.
+    CLI can point at config paths. Shape counts must pass
+    :func:`is_shape_count`; parameter counts and fractions must be numbers
+    under :func:`is_number`.
     """
     violations: list[str] = []
 
-    if arch.explicit_param_count is not None and arch.explicit_param_count <= 0:
-        violations.append("explicit_param_count: must be positive")
-    if arch.base_model_param_count is not None and arch.base_model_param_count <= 0:
-        violations.append("base_model_param_count: must be positive")
+    explicit = arch.explicit_param_count
+    has_explicit = explicit is not None and _is_real(explicit) and explicit > 0
+    if explicit is not None and not has_explicit:
+        violations.append("explicit_param_count: must be a positive number")
+    base = arch.base_model_param_count
+    if base is not None and not (_is_real(base) and base > 0):
+        violations.append("base_model_param_count: must be a positive number")
 
-    has_explicit = arch.explicit_param_count is not None and arch.explicit_param_count > 0
-
-    structural = {
-        "hidden_size": arch.hidden_size,
-        "layer_count": arch.layer_count,
-    }
-    if arch.kind is not ArchKind.MOE:
+    if not has_explicit:
+        if not is_shape_count(arch.hidden_size):
+            violations.append("hidden_size: must be a positive integer")
+        if not is_shape_count(arch.layer_count):
+            violations.append("layer_count: must be a positive integer")
         # Vocabulary embeddings enter the dense formulas only; MoE sizing
         # needs just h, l and the expert data.
-        structural["vocab_size"] = arch.vocab_size
-    if not has_explicit:
-        for fname, value in structural.items():
-            if value <= 0:
-                violations.append(f"{fname}: must be a positive integer")
+        if arch.kind is not ArchKind.MOE and not is_shape_count(arch.vocab_size):
+            violations.append("vocab_size: must be a positive integer")
 
     for fname, value in (("head_count", arch.head_count),
                          ("head_dim", arch.head_dim),
                          ("ff_size", arch.ff_size)):
-        if value is not None and value <= 0:
+        if value is not None and not is_shape_count(value):
             violations.append(f"{fname}: must be a positive integer when given")
 
-    if arch.ff_stacks < 1:
-        violations.append("ff_stacks: must be >= 1")
+    if not is_shape_count(arch.ff_stacks):
+        violations.append("ff_stacks: must be an integer >= 1")
 
     if arch.kind is ArchKind.MOE:
         rho = arch.moe_fraction
         if not has_explicit:
             if rho is None:
                 violations.append("moe_fraction: required for MoE architectures")
-            elif not (0.0 < rho <= 1.0):
+            elif not (_is_real(rho) and 0.0 < rho <= 1.0):
                 violations.append("moe_fraction: must lie in (0, 1]")
             if not arch.expert_groups:
                 violations.append("expert_groups: required for MoE architectures")
         if arch.expert_groups:
-            total = sum(g.layer_fraction for g in arch.expert_groups)
-            if abs(total - 1.0) > _FRACTION_SUM_TOL:
-                violations.append(
-                    f"expert_groups: layer fractions sum to {total!r}, expected 1"
-                )
+            fractions = [g.layer_fraction for g in arch.expert_groups]
+            # Only numbers are summed; a fraction that is not one is named below.
+            if all(map(_is_real, fractions)):
+                total = sum(fractions)
+                if abs(total - 1.0) > _FRACTION_SUM_TOL:
+                    violations.append(
+                        f"expert_groups: layer fractions sum to {total!r}, expected 1"
+                    )
             for i, g in enumerate(arch.expert_groups):
-                if g.layer_fraction <= 0:
+                if not (_is_real(g.layer_fraction) and g.layer_fraction > 0):
                     violations.append(f"expert_groups[{i}].layer_fraction: must be positive")
-                if g.expert_count <= 0:
-                    violations.append(f"expert_groups[{i}].expert_count: must be positive")
+                if not is_shape_count(g.expert_count):
+                    violations.append(
+                        f"expert_groups[{i}].expert_count: must be a positive integer")
     else:
         if arch.moe_fraction is not None:
             violations.append("moe_fraction: only valid for MoE architectures")

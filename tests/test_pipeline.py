@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carboncast import catalog, efficiency, pipeline, units
+from carboncast import catalog, efficiency, pipeline, types, units
 from carboncast.pipeline import (
     EstimateRequest,
     LifecyclePlan,
@@ -54,6 +54,11 @@ def dc(pue=1.1, ci=0.429):
 def dense_arch(name, params):
     return LlmArchitecture(name=name, kind=ArchKind.DENSE_GPT,
                            explicit_param_count=int(params))
+
+
+def shaped_arch(**change):
+    return LlmArchitecture(**{"name": "m", "kind": ArchKind.DENSE_GPT, "hidden_size": 512,
+                              "layer_count": 2, "vocab_size": 100, **change})
 
 
 STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
@@ -331,6 +336,30 @@ class TestEstimate:
         pytest.param({"server_size": 2.5},
                      "[efficiency-model] server_size must be an integer >= 1, got 2.5",
                      id="server-size-2.5"),
+        pytest.param({"arch": dense_arch("m", 1e11), "scaling": ScalingConstants(alpha=30.0)},
+                     "[scaling-law] the loss law's terms are beyond the float range "
+                     "(alpha=30.0, beta=0.28)", id="loss-overflow"),
+        pytest.param({"tokens": 1e-20, "scaling": ScalingConstants(beta=30.0)},
+                     "[scaling-law] the loss law's terms are beyond the float range "
+                     "(alpha=0.34, beta=30.0)", id="loss-underflow"),
+        *(pytest.param({"arch": shaped_arch(**{fname: value})},
+                       f"[parameter-model] m: invalid architecture: {fname}: must be a "
+                       "positive integer", id=f"{fname}-{value!r}")
+          for fname, value in (("hidden_size", "5"), ("hidden_size", 2.5),
+                               ("hidden_size", True), ("layer_count", math.nan))),
+        pytest.param({"arch": shaped_arch(base_model_param_count="5")},
+                     "[parameter-model] m: invalid architecture: base_model_param_count: must "
+                     "be a positive number", id="base-str"),
+        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.MOE,
+                                              explicit_param_count=10 ** 11,
+                                              base_model_param_count="5")},
+                     "[flop-model] m: base_model_param_count must be a number, got '5'",
+                     id="explicit-moe-base-str"),
+        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.MOE,
+                                              explicit_param_count=10 ** 11, hidden_size="5",
+                                              layer_count=2, vocab_size=100)},
+                     "[flop-model] m: MoE FLOPs need base_model_param_count (or h, l, V to "
+                     "derive the dense counterpart)", id="explicit-moe-hidden-str"),
     ])
     def test_errors_name_the_failing_stage(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=1e9,
@@ -652,6 +681,32 @@ class TestSweep:
             ("zero-base", f"[efficiency-model] {zero_base_fault}"),
         ]
 
+    @pytest.mark.parametrize("sizing, fault", [
+        ({"device_memory_gb": 0}, "device_memory_gb must be positive"),
+        ({"device_memory_gb": math.nan}, "device_memory_gb must be positive"),
+        ({"device_memory_gb": math.inf}, "device_memory_gb must be finite"),
+        ({"device_memory_gb": "32"}, "device_memory_gb must be positive"),
+        ({"server_size": 2.5}, "server_size must be an integer >= 1, got 2.5"),
+        ({"server_size": 0}, "server_size must be an integer >= 1, got 0"),
+    ])
+    def test_sizing_faults_are_met_at_the_efficiency_stage_of_each_point(self, sizing, fault):
+        no_base = LlmArchitecture(name="no-base", kind=ArchKind.MOE,
+                                  explicit_param_count=int(100e9))
+        grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9), (dense_arch("zero", 0), 100e9),
+                (dense_arch("b", 6e9), 100e9), (dense_arch("no-tokens", 6e9), 0.0)]
+        points, errors = sweep(grid, self.fleet(), self.grid_dc(), **sizing)
+        assert points == []
+        # Each point's own faults come first; every other point meets the
+        # sizing fault at its own efficiency stage.
+        assert errors == [
+            ("a", f"[efficiency-model] {fault}"),
+            ("no-base", "[flop-model] no-base: MoE FLOPs need base_model_param_count "
+                        "(or h, l, V to derive the dense counterpart)"),
+            ("zero", "[scaling-law] param_count must be positive, got 0"),
+            ("b", f"[efficiency-model] {fault}"),
+            ("no-tokens", "sweep points need a finite positive token count, got 0.0"),
+        ]
+
     @pytest.mark.parametrize("arch, message", BEYOND_FLOAT_RANGE)
     def test_point_beyond_the_float_range_is_one_error_row(self, arch, message):
         grid = [(dense_arch("fine", 5e9), 100e9), (arch, 100e9)]
@@ -841,6 +896,30 @@ class TestSweepCosts:
         points, errors = sweep(grid, HardwareFleet.of((v100(), 1)), dc())
         assert len(points) == 20 and [name for name, _ in errors] == ["no-tokens"]
         assert sorted(calls) == sorted(p.name for p in points)
+
+    def test_sizing_is_checked_once_and_only_estimate_builds_a_plan(self, monkeypatch):
+        calls = {"sizing": 0, "plans": 0}
+        real_check = pipeline._check_sizing
+        real_post_init = types.ParallelismPlan.__post_init__
+
+        def checking(*args):
+            calls["sizing"] += 1
+            return real_check(*args)
+
+        def building(plan):
+            calls["plans"] += 1
+            return real_post_init(plan)
+
+        monkeypatch.setattr(pipeline, "_check_sizing", checking)
+        monkeypatch.setattr(types.ParallelismPlan, "__post_init__", building)
+        grid = [(dense_arch(f"m{i}", 10 ** (9 + i / 10)), 1e11) for i in range(20)]
+        points, errors = sweep(grid, HardwareFleet.of((v100(), 64)), dc())
+        assert len(points) == 20 and errors == []
+        assert calls == {"sizing": 1, "plans": 0}
+        report = estimate(EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
+                                          fleet=HardwareFleet.of((v100(), 64)), data_center=dc()))
+        assert calls == {"sizing": 2, "plans": 1}
+        assert report.parallelism == efficiency.plan_parallelism(20e9)
 
     def test_estimate_is_the_same_before_and_after_the_anchor_cache_is_warm(self):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,

@@ -59,6 +59,31 @@ class TestValidateArchitecture:
         assert {p.split(":")[0] for p in problems} == {
             "hidden_size", "layer_count", "vocab_size"}
 
+    def test_every_number_field_breaking_its_rule_is_listed(self):
+        dense = LlmArchitecture(name="bad", kind=ArchKind.DENSE_GPT, hidden_size="5",
+                                layer_count=math.nan, vocab_size=True, head_count=2.5,
+                                head_dim=10 ** 400, ff_size=-10 ** 5000, ff_stacks=True,
+                                base_model_param_count="5")
+        assert validate_architecture(dense) == [
+            "base_model_param_count: must be a positive number",
+            "hidden_size: must be a positive integer",
+            "layer_count: must be a positive integer",
+            "vocab_size: must be a positive integer",
+            "head_count: must be a positive integer when given",
+            "ff_size: must be a positive integer when given",
+            "ff_stacks: must be an integer >= 1",
+        ]
+        moe = LlmArchitecture(name="bad", kind=ArchKind.MOE, hidden_size=2.5, layer_count=2,
+                              moe_fraction=True,
+                              expert_groups=(ExpertGroup(10 ** 400, 2.5), ExpertGroup("1", 8)))
+        assert validate_architecture(moe) == [
+            "hidden_size: must be a positive integer",
+            "moe_fraction: must lie in (0, 1]",
+            "expert_groups[0].layer_fraction: must be positive",
+            "expert_groups[0].expert_count: must be a positive integer",
+            "expert_groups[1].layer_fraction: must be positive",
+        ]
+
     def test_explicit_count_waives_structural_fields(self):
         arch = LlmArchitecture(name="opaque", kind=ArchKind.DENSE_GPT,
                                explicit_param_count=175_000_000_000)

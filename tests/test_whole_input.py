@@ -20,6 +20,7 @@ from carboncast.types import (
     ArchKind,
     CatalogError,
     DataCenterProfile,
+    ExpertGroup,
     HardwareFleet,
     HardwareRole,
     HardwareUnit,
@@ -53,33 +54,47 @@ VALID = {
     "plan": {"inference_share": [0.0, 1.5], "experimentation_share": [0, 0.25]},
     "scaling": {"A": [406.4], "B": [410.7, 400], "alpha": [0.34], "beta": [0.28],
                 "E": [1.69, 2]},
-    "arch": {"explicit_param_count": [175_000_000_000, 1.3e9, 0]},
+    "arch": {"explicit_param_count": [None, 175_000_000_000, 1.3e9, 0],
+             "base_model_param_count": [None, 6_600_000_000, 2.5e9],
+             "hidden_size": [12288, 64], "layer_count": [96, 2], "vocab_size": [51200, 1000],
+             "head_count": [None, 96, 8], "head_dim": [None, 128, 8], "ff_size": [None, 4096],
+             "ff_stacks": [1, 2]},
+    # Read only by the expert (MoE) architectures.
+    "moe": {"moe_fraction": [0.5, 1], "layer_fraction": [1.0, 1], "expert_count": [64, 2]},
 }
 COUNTS = {("fleet", "count"), ("overrides", "device_count"), ("request", "server_size"),
-          ("arch", "explicit_param_count")}
+          ("arch", "explicit_param_count"), ("moe", "expert_count"),
+          *(("arch", f) for f in ("hidden_size", "layer_count", "vocab_size", "head_count",
+                                  "head_dim", "ff_size", "ff_stacks"))}
 FIELDS = sorted((group, fname) for group, fields in VALID.items() for fname in fields)
 # The strategies are made once: making them per draw costs more than the runs.
 GOOD_DRAW = {(g, f): st.sampled_from(VALID[g][f]) for g, f in FIELDS}
 BAD_DRAW = {(g, f): st.sampled_from(BAD_COUNTS if (g, f) in COUNTS else BAD_NUMBERS)
             for g, f in FIELDS}
-BROKEN_DRAW = st.sets(st.sampled_from(FIELDS), max_size=3)
+# Up to three broken fields of any input, or one to three of the architecture.
+BROKEN_DRAW = {"any": st.sets(st.sampled_from(FIELDS), max_size=3),
+               "arch": st.sets(st.sampled_from([f for f in FIELDS if f[0] in ("arch", "moe")]),
+                               min_size=1, max_size=3)}
 RUNNER_DRAW = st.sampled_from(["training", "inference", "storage", "lifecycle", "sweep"])
+KIND_DRAW = st.sampled_from([ArchKind.DENSE_GPT, ArchKind.DENSE_DECONLY, ArchKind.MOE])
 
 
 @st.composite
-def whole_inputs(draw):
-    """A runner and the number fields of every input, with up to three of
-    them broken."""
-    broken = draw(BROKEN_DRAW)
+def whole_inputs(draw, broken_from="any"):
+    """A runner, an architecture kind and the number fields of every input,
+    with up to three of them broken (``broken_from`` ``"arch"``: one to three
+    of the architecture's)."""
+    broken = draw(BROKEN_DRAW[broken_from])
     values = {group: {} for group in VALID}
     for field in FIELDS:
         group, fname = field
         values[group][fname] = draw((BAD_DRAW if field in broken else GOOD_DRAW)[field])
-    return draw(RUNNER_DRAW), values
+    return draw(RUNNER_DRAW), draw(KIND_DRAW), values
 
 
-def run(runner, v):
-    """Build the inputs from the field values ``v`` and run ``runner``."""
+def run(runner, kind, v):
+    """Build the inputs from the field values ``v`` and run ``runner`` on an
+    architecture of ``kind``."""
     accel = HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, cpa_basis="area",
                          **v["accel"])
     cpu = HardwareUnit(name="cpu", role=HardwareRole.CPU, tdp_watts=205, die_area_mm2=147,
@@ -87,7 +102,11 @@ def run(runner, v):
     fleet = HardwareFleet.of((accel, v["fleet"]["count"]), (cpu, 2))
     dc = DataCenterProfile(name="dc", **v["dc"])
     storage = StorageWorkload(**v["storage"])
-    arch = LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT, **v["arch"])
+    moe = v["moe"]
+    expert = {} if kind is not ArchKind.MOE else {
+        "moe_fraction": moe["moe_fraction"],
+        "expert_groups": (ExpertGroup(moe["layer_fraction"], moe["expert_count"]),)}
+    arch = LlmArchitecture(name="m", kind=kind, **v["arch"], **expert)
     if runner == "sweep":
         grid = [(arch, v["request"]["tokens"]), (LlmArchitecture(
             name="fine", kind=ArchKind.DENSE_GPT, explicit_param_count=10 ** 9), 1e10)]
@@ -126,9 +145,18 @@ def check_report(r):
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(whole_inputs())
 def test_every_number_ends_in_a_report_or_a_named_error(case):
-    runner, values = case
+    check_outcome(*case)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(whole_inputs("arch"))
+def test_every_architecture_number_ends_in_a_report_or_a_named_error(case):
+    check_outcome(*case)
+
+
+def check_outcome(runner, kind, values):
     try:
-        result = run(runner, values)
+        result = run(runner, kind, values)
     except (ModelError, CatalogError):
         return
     if runner != "sweep":
