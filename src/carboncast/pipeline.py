@@ -10,10 +10,13 @@ model would have computed changes nothing.
 What depends only on the fleet, the overrides, the anchor table and the
 device sizing is worked out once, up front, in a ``_Setting``: the fitted
 anchor curve, the fleet's energy and embodied carbon per second, and the
-device memory and server size, checked. The energy rates follow the power
-rule that ``hardware_energy`` also applies, ``operational.unit_power``; the
-embodied rates are ``fleet_embodied`` over one second. ``estimate()`` makes
-a setting per call; ``sweep()`` makes one for all its points.
+device memory and server size, checked. A fault of the setting (no
+accelerator, a bad sizing, an anchor table that does not fit) is raised
+once, as ``[efficiency-model]``, when the setting is built. The energy
+rates follow the power rule that ``hardware_energy`` also applies,
+``operational.unit_power``; the embodied rates are ``fleet_embodied`` over
+one second. ``estimate()`` makes a setting per call; ``sweep()`` makes one
+for all its points.
 
 The model stages run in one chain, ``_stages``. The efficiency,
 operational and embodied stages hand it plain floats, and the planning
@@ -212,42 +215,31 @@ def estimate(req: EstimateRequest) -> CarbonReport:
 class _Setting:
     """What estimates on one fleet, set of overrides, anchor table and device
     sizing share, made once, up front: the accelerator entry and the device
-    count; the fitted anchor curve, when there is no efficiency override;
-    the fleet's per-second rates, when there is an accelerator; and the
-    device memory and server size, checked. A table that does not fit is
-    kept as given: ``optimal_efficiency`` then raises its fault for each
-    estimate, after checking its own input. A sizing that fails its check
-    is kept as the fault's message, which the chain raises for each estimate
-    after checking the estimate's parameter count, where ``plan_parallelism``
-    would raise it. ``sweep()`` makes one setting for all its points;
-    ``estimate()`` makes one per call.
+    count, the fleet's per-second rates, the fitted anchor curve (when there
+    is no efficiency override) and the checked device memory and server
+    size. Building it checks the accelerator entry, then the sizing, then
+    the anchor table, and raises the first fault as ``[efficiency-model]``.
+    ``sweep()`` makes one setting for all its points; ``estimate()`` makes
+    one per call.
     """
 
-    __slots__ = ("accel", "device_count", "curve", "rates", "device_memory_gb", "server_size",
-                 "sizing_fault")
+    __slots__ = ("accel", "device_count", "curve", "rates", "device_memory_gb", "server_size")
 
     def __init__(self, fleet: HardwareFleet, overrides: Overrides,
                  anchors: list[tuple[float, float]] | None, device_memory_gb: float,
                  server_size: int) -> None:
         self.accel = accel = fleet.accelerator
-        self.device_count = overrides.device_count
-        if self.device_count is None and accel is not None:
-            self.device_count = accel.count
-        self.curve = None
-        if overrides.efficiency is None:
-            try:
-                self.curve = fit_anchors(anchors)
-            except ModelError:
-                self.curve = anchors
-        self.rates = None if accel is None else _fleet_rates(
-            fleet, accel, self.device_count, overrides.system_power_watts)
+        try:
+            if accel is None:
+                raise ModelError("fleet has no accelerator entry")
+            _check_sizing(device_memory_gb, server_size)
+            self.curve = None if overrides.efficiency is not None else fit_anchors(anchors)
+        except ModelError as exc:
+            raise ModelError(f"[efficiency-model] {exc}") from exc
+        self.device_count = overrides.device_count or accel.count
+        self.rates = _fleet_rates(fleet, accel, self.device_count, overrides.system_power_watts)
         self.device_memory_gb = device_memory_gb
         self.server_size = server_size
-        self.sizing_fault = None
-        try:
-            _check_sizing(device_memory_gb, server_size)
-        except ModelError as exc:
-            self.sizing_fault = str(exc)
 
 
 def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
@@ -326,13 +318,8 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             flops = budget.total_flops
 
         stage = "efficiency-model"
-        accel = setting.accel
-        if accel is None:
-            raise ModelError("fleet has no accelerator entry")
-        # plan_parallelism's checks, in its order; the sizing was checked once.
+        # plan_parallelism's own checks; the setting checked the sizing.
         _check_param_count(total)
-        if setting.sizing_fault is not None:
-            raise ModelError(setting.sizing_fault)
         degrees = _plan_degrees(total, is_moe, setting.device_memory_gb, setting.server_size)
         if overrides.efficiency is not None:
             eff = overrides.efficiency
@@ -346,7 +333,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
         stage = "operational-carbon"
         rates, embodied_per_s = setting.rates
         seconds = 0.0 if flops == 0 else device_time(
-            flops, setting.device_count, accel.unit.peak_tflops, eff)
+            flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
         energies = [(measured + tdp * eff) * seconds
                     for _, measured, tdp, _ in rates.values()]
         hardware = sum(energies)
@@ -435,7 +422,9 @@ def sweep(
     """Evaluate a grid of (architecture, token count) design points.
 
     Every point runs the full optimal path (no overrides): its own plan,
-    optimal efficiency and training carbon. Failing points are returned as
+    optimal efficiency and training carbon. A fault of the shared fleet,
+    device sizing or anchor table raises its ``ModelError`` once, the one
+    ``estimate()`` raises for a valid point. Failing points are returned as
     (name, reason) alongside the successes, never silently dropped. Past
     its check for a finite positive token count, a point fails exactly when
     ``estimate()`` on it would, with the same message. Points come back

@@ -12,6 +12,7 @@ of P / 8 parameters, so the law is evaluated at that effective size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .types import ModelError, ScalingConstants
 
@@ -47,9 +48,10 @@ def test_loss(
                 + constants.B / token_count ** constants.beta
                 + constants.E)
     except (OverflowError, ZeroDivisionError):
-        # P^alpha beyond the float range, or D^beta rounded to zero.
+        loss = inf  # P^alpha beyond the float range, or D^beta rounded to zero
+    if loss == inf:  # also a quotient beyond the float range
         raise ModelError("the loss law's terms are beyond the float range (alpha="
-                         f"{constants.alpha!r}, beta={constants.beta!r})") from None
+                         f"{constants.alpha!r}, beta={constants.beta!r})")
     return LossPrediction(loss=loss)
 
 

@@ -3,7 +3,8 @@
 Everything here is an immutable value object: construct it once, share it
 freely across threads. Validation is split in two styles. Architectures are
 checked by :func:`validate_architecture`, which returns a list of violations
-(the CLI wants to show all of them at once). Hardware and data-center types
+(the CLI wants to show all of them at once); only the name, which must be a
+str, is checked when one is built. Hardware and data-center types
 raise :class:`CatalogError` eagerly, because a broken catalog row should stop
 a run immediately.
 
@@ -122,6 +123,11 @@ class LlmArchitecture:
     ff_stacks: int = 1
     explicit_param_count: int | None = None
     base_model_param_count: int | None = None
+
+    def __post_init__(self) -> None:
+        # The sweep sorts points by name, and error rows and messages quote it.
+        if not isinstance(self.name, str):
+            raise ModelError(f"architecture name must be a str, got {self.name!r}")
 
     @property
     def is_moe(self) -> bool:

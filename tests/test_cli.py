@@ -321,6 +321,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config]) == EXIT_CONFIG_ERROR
         assert "grid" in capsys.readouterr().err
 
+    def test_docs_example(self, capsys):
+        code = main(["sweep", "--config", str(DOCS_EXAMPLES / "sweep_grid.yaml")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == ",".join(cli.SWEEP_CSV_HEADER)
+        assert len(out.splitlines()) == 7
+        assert "skipped" not in err
+
+    def test_a_bad_setting_fails_once(self, tmp_path, capsys):
+        config = sweep_config([("a", 1_000_000_000, 2.0e10), ("b", 5_000_000_000, 1.0e11),
+                               ("no-tokens", 1_000_000_000, 0.0)]) + "  server_size: 0\n"
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert code == EXIT_MODEL_ERROR
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.splitlines() == [
+            "model error: [efficiency-model] server_size must be an integer >= 1, got 0"]
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_default_run_all_pass(self, capsys):

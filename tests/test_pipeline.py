@@ -342,6 +342,9 @@ class TestEstimate:
         pytest.param({"tokens": 1e-20, "scaling": ScalingConstants(beta=30.0)},
                      "[scaling-law] the loss law's terms are beyond the float range "
                      "(alpha=0.34, beta=30.0)", id="loss-underflow"),
+        pytest.param({"tokens": 1e-160, "scaling": ScalingConstants(beta=2.0)},
+                     "[scaling-law] the loss law's terms are beyond the float range "
+                     "(alpha=0.34, beta=2.0)", id="loss-quotient-overflow"),
         *(pytest.param({"arch": shaped_arch(**{fname: value})},
                        f"[parameter-model] m: invalid architecture: {fname}: must be a "
                        "positive integer", id=f"{fname}-{value!r}")
@@ -655,57 +658,51 @@ class TestSweep:
                    f"sweep points need a finite positive token count, got {tokens!r}")
         assert errors == [("bad", message)]
 
-    @pytest.mark.parametrize("fleet, anchors, fault", [
-        (HardwareFleet.of((cpu(), 8)), None, "fleet has no accelerator entry"),
-        (HardwareFleet.of((v100(), 1)), [(1e9, 0.5), (1e10, 1.5)],
-         "efficiency anchor 1: efficiency must lie in (0, 1], got 1.5"),
-        (HardwareFleet.of((v100(), 1)), [], "efficiency anchor table is empty"),
+    @pytest.mark.parametrize("setting, fault", [
+        pytest.param({"fleet": HardwareFleet.of((cpu(), 8))}, "fleet has no accelerator entry",
+                     id="no-accelerator"),
+        pytest.param({"anchors": [(1e9, 0.5), (1e10, 1.5)]},
+                     "efficiency anchor 1: efficiency must lie in (0, 1], got 1.5",
+                     id="anchor-efficiency-1.5"),
+        pytest.param({"anchors": []}, "efficiency anchor table is empty", id="anchors-empty"),
+        pytest.param({"device_memory_gb": 0}, "device_memory_gb must be positive", id="memory-0"),
+        pytest.param({"device_memory_gb": math.nan}, "device_memory_gb must be positive",
+                     id="memory-nan"),
+        pytest.param({"device_memory_gb": math.inf}, "device_memory_gb must be finite",
+                     id="memory-inf"),
+        pytest.param({"device_memory_gb": "32"}, "device_memory_gb must be positive",
+                     id="memory-str"),
+        pytest.param({"server_size": 2.5}, "server_size must be an integer >= 1, got 2.5",
+                     id="server-size-2.5"),
+        pytest.param({"server_size": 0}, "server_size must be an integer >= 1, got 0",
+                     id="server-size-0"),
     ])
-    def test_setting_faults_are_met_at_their_stage(self, fleet, anchors, fault):
-        no_base = LlmArchitecture(name="no-base", kind=ArchKind.MOE,
-                                  explicit_param_count=int(100e9))
-        zero_base = LlmArchitecture(name="zero-base", kind=ArchKind.MOE,
-                                    explicit_param_count=int(100e9), base_model_param_count=0)
-        grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9), (dense_arch("b", 6e9), 100e9),
-                (zero_base, 100e9)]
-        points, errors = sweep(grid, fleet, self.grid_dc(), anchors=anchors)
-        assert points == []
-        # The zero base fails its own check before the anchor table is read.
-        zero_base_fault = (fault if anchors is None else
-                           "param_count must be finite and positive, got 0.0")
-        assert errors == [
-            ("a", f"[efficiency-model] {fault}"),
-            ("no-base", "[flop-model] no-base: MoE FLOPs need base_model_param_count "
-                        "(or h, l, V to derive the dense counterpart)"),
-            ("b", f"[efficiency-model] {fault}"),
-            ("zero-base", f"[efficiency-model] {zero_base_fault}"),
-        ]
-
-    @pytest.mark.parametrize("sizing, fault", [
-        ({"device_memory_gb": 0}, "device_memory_gb must be positive"),
-        ({"device_memory_gb": math.nan}, "device_memory_gb must be positive"),
-        ({"device_memory_gb": math.inf}, "device_memory_gb must be finite"),
-        ({"device_memory_gb": "32"}, "device_memory_gb must be positive"),
-        ({"server_size": 2.5}, "server_size must be an integer >= 1, got 2.5"),
-        ({"server_size": 0}, "server_size must be an integer >= 1, got 0"),
-    ])
-    def test_sizing_faults_are_met_at_the_efficiency_stage_of_each_point(self, sizing, fault):
+    def test_a_setting_fault_fails_the_sweep_once(self, setting, fault):
+        setting = {"fleet": self.fleet(), "data_center": self.grid_dc(), **setting}
         no_base = LlmArchitecture(name="no-base", kind=ArchKind.MOE,
                                   explicit_param_count=int(100e9))
         grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9), (dense_arch("zero", 0), 100e9),
-                (dense_arch("b", 6e9), 100e9), (dense_arch("no-tokens", 6e9), 0.0)]
-        points, errors = sweep(grid, self.fleet(), self.grid_dc(), **sizing)
-        assert points == []
-        # Each point's own faults come first; every other point meets the
-        # sizing fault at its own efficiency stage.
-        assert errors == [
-            ("a", f"[efficiency-model] {fault}"),
-            ("no-base", "[flop-model] no-base: MoE FLOPs need base_model_param_count "
-                        "(or h, l, V to derive the dense counterpart)"),
-            ("zero", "[scaling-law] param_count must be positive, got 0"),
-            ("b", f"[efficiency-model] {fault}"),
-            ("no-tokens", "sweep points need a finite positive token count, got 0.0"),
-        ]
+                (dense_arch("no-tokens", 6e9), 0.0)]
+        message = "^" + re.escape(f"[efficiency-model] {fault}") + "$"
+        # One error for the whole grid, not one row per point.
+        with pytest.raises(ModelError, match=message):
+            sweep(grid, **setting)
+        # estimate() on a valid point of the grid raises the same error, and
+        # so does a point with a fault of its own: the setting comes first.
+        for arch in (dense_arch("a", 5e9), dense_arch("zero", 0)):
+            with pytest.raises(ModelError, match=message):
+                estimate(EstimateRequest(arch=arch, tokens=100e9, **setting))
+
+    def test_names_must_be_strings(self):
+        # Two points of equal loss and carbon are ordered by name, so a name
+        # that does not compare with a str is refused where it is given.
+        with pytest.raises(ModelError, match=r"^architecture name must be a str, got None$"):
+            dense_arch(None, 1e9)
+        points, errors = sweep([(dense_arch("b", 1e9), 1e10), (dense_arch("a", 1e9), 1e10)],
+                               self.fleet(), self.grid_dc())
+        assert errors == []
+        assert [p.name for p in points] == ["a", "b"]
+        assert points[0].training_tco2 == points[1].training_tco2
 
     @pytest.mark.parametrize("arch, message", BEYOND_FLOAT_RANGE)
     def test_point_beyond_the_float_range_is_one_error_row(self, arch, message):

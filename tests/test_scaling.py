@@ -66,3 +66,9 @@ class TestProperties:
             test_loss(0, 1e12)
         with pytest.raises(ModelError):
             test_loss(1e9, -1)
+
+    def test_a_quotient_beyond_the_float_range_is_named(self):
+        # B / D^beta overflows in the division, not in the power.
+        with pytest.raises(ModelError, match=r"^the loss law's terms are beyond the float range "
+                                             r"\(alpha=0\.34, beta=2\.0\)$"):
+            test_loss(1e9, 1e-160, ScalingConstants(beta=2.0))
