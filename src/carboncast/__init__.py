@@ -21,7 +21,6 @@ from .types import (
     ParallelismPlan,
     Phase,
     ScalingConstants,
-    validate_architecture,
 )
 from .params import ParameterCount, ParameterEquation, count_params
 from .scaling import LossPrediction, test_loss
@@ -64,7 +63,7 @@ __all__ = [
     "fleet_embodied", "hardware_energy", "inference_flops",
     "operational_carbon", "optimal_device_count", "optimal_efficiency",
     "plan_parallelism", "run_validation", "storage_energy", "sweep",
-    "test_loss", "training_flops", "validate_architecture",
+    "test_loss", "training_flops",
 ]
 
 

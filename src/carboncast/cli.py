@@ -36,7 +36,6 @@ from .types import (
     HardwareFleet,
     LlmArchitecture,
     ModelError,
-    validate_architecture,
 )
 
 SCHEMA_VERSION = 1
@@ -155,10 +154,6 @@ def _read(cls, doc, path: str, **special):
         obj = cls(**kwargs)
     except (CatalogError, ModelError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if cls is LlmArchitecture:
-        problems = validate_architecture(obj)
-        if problems:
-            raise ConfigError(f"{path}: " + "; ".join(problems))
     return obj
 
 

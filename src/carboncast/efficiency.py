@@ -227,6 +227,14 @@ def _interp(xs: tuple[float, ...], ys: tuple[float, ...], x: float) -> float:
     return slope * (x - xs[0]) + ys[0]
 
 
+# A basis column that keeps no more than this share of its norm once the
+# columns before it are projected out lies in their span, to rounding: the
+# anchor sizes are too close to fix a parabola. Rounding leaves about 1e-16 of
+# the norm, whichever way an interpreter sums, so the test decides the same
+# on all of them, where a test for an exact zero would not.
+_RANK_TOL = 1e-12
+
+
 def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, float, float, float]:
     """The least-squares parabola through (xs, ys), as ``(mean, c0, c1, c2)``
     with value (c2 * t + c1) * t + c0 at t = x - mean.
@@ -239,11 +247,12 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
     mean = sum(xs) / len(xs)
     ts = [xi - mean for xi in xs]
     cols = [[1.0] * len(ts), ts, [t * t for t in ts], list(ys)]
+    scales = [math.sqrt(sum(map(mul, col, col))) for col in cols[:3]]
     r = [[0.0] * 4 for _ in range(3)]
     for k in range(3):
         col, rk = cols[k], r[k]
         norm = math.sqrt(sum(map(mul, col, col)))
-        if norm == 0.0:
+        if norm <= _RANK_TOL * scales[k]:
             raise ModelError("efficiency anchors are too close in size to fit a parabola")
         q = cols[k] = [v / norm for v in col]
         rk[k] = norm

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .types import ModelError
+from .types import ModelError, is_number
 
 TRAINING_FLOPS_PER_PARAM_TOKEN = 6.0
 INFERENCE_FLOPS_PER_PARAM_TOKEN = 2.0
@@ -40,5 +40,7 @@ def inference_flops(param_count: float, token_count: float) -> FlopBudget:
 
 
 def _check(param_count: float, token_count: float) -> None:
-    if param_count < 0 or token_count < 0:
-        raise ModelError("param_count and token_count must be >= 0")
+    for label, value in (("param_count", param_count), ("token_count", token_count)):
+        # Written so that NaN fails too.
+        if not (is_number(value, label, ModelError) and value >= 0):
+            raise ModelError("param_count and token_count must be >= 0")

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isnan
 
-from .types import ArchKind, LlmArchitecture, ModelError, is_number, validate_architecture
+from .types import ArchKind, LlmArchitecture, ModelError
 
 
 class ParameterEquation(enum.Enum):
@@ -50,14 +49,6 @@ class ParameterCount:
         return self.total / 1e9
 
 
-def _require(arch: LlmArchitecture, *fields: str) -> None:
-    missing = [f for f in fields if not getattr(arch, f)]
-    if missing:
-        raise ModelError(
-            f"{arch.name}: parameter model needs {', '.join(missing)} for kind {arch.kind.value}"
-        )
-
-
 def count_dense_gpt(arch: LlmArchitecture) -> ParameterCount:
     """Conventional single-stack transformer: 12*l*h^2 + V*h."""
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
@@ -66,7 +57,6 @@ def count_dense_gpt(arch: LlmArchitecture) -> ParameterCount:
 
 def count_dense_encdec(arch: LlmArchitecture) -> ParameterCount:
     """Encoder-decoder pair per layer: (12*h*heads*dim + 4*h*ff)*l + V*h."""
-    _require(arch, "head_count", "head_dim", "ff_size")
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
     attn = arch.head_count * arch.head_dim
     per_layer = 12 * h * attn + 4 * h * arch.ff_size
@@ -75,7 +65,6 @@ def count_dense_encdec(arch: LlmArchitecture) -> ParameterCount:
 
 def count_dense_deconly(arch: LlmArchitecture) -> ParameterCount:
     """Decoder block per layer: (8*h*heads*dim + 2*h*ff)*l + V*h."""
-    _require(arch, "head_count", "head_dim", "ff_size")
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
     attn = arch.head_count * arch.head_dim
     per_layer = 8 * h * attn + 2 * h * arch.ff_size
@@ -99,15 +88,9 @@ def count_moe(
 
     Route selection is automatic from the dimensions (see module docstring);
     ``force_equation`` pins it for models whose published sizing used the
-    other route despite their dimensions.
+    other route despite their dimensions. ``arch`` has no explicit count, so
+    its constructor checked h, l, ``moe_fraction`` and ``expert_groups``.
     """
-    _require(arch, "hidden_size", "layer_count")
-    rho = arch.moe_fraction
-    if rho is None or not (0.0 < rho <= 1.0):
-        raise ModelError(f"{arch.name}: moe_fraction must lie in (0, 1]")
-    if not arch.expert_groups:
-        raise ModelError(f"{arch.name}: expert_groups required for MoE sizing")
-
     if force_equation not in (None, ParameterEquation.MOE_STANDARD, ParameterEquation.MOE_GENERAL):
         raise ModelError(f"{arch.name}: cannot force {force_equation} for an MoE model")
     if force_equation is not None:
@@ -115,7 +98,7 @@ def count_moe(
     else:
         standard = _uses_conventional_dims(arch)
 
-    h, l = arch.hidden_size, arch.layer_count
+    h, l, rho = arch.hidden_size, arch.layer_count, arch.moe_fraction
     if standard:
         # Dense remainder priced at 12*l*h^2 (vocabulary embeddings excluded:
         # they are negligible against expert weights and published MoE counts
@@ -127,7 +110,8 @@ def count_moe(
         total = (1.0 - rho) * 12 * l * h * h + rho * l * per_moe_layer
         return ParameterCount(round(total), ParameterEquation.MOE_STANDARD)
 
-    _require(arch, "ff_size")
+    if arch.ff_size is None:  # only a forced general route gets here without it
+        raise ModelError(f"{arch.name}: parameter model needs ff_size for kind moe")
     expert_per_layer = sum(
         g.layer_fraction * 2 * h * arch.ff_size * g.expert_count
         for g in arch.expert_groups
@@ -154,17 +138,9 @@ def count_params(
 
 
 def _count(arch: LlmArchitecture, force_moe_equation: ParameterEquation | None) -> ParameterCount:
-    count = arch.explicit_param_count
-    if count is not None:
-        # Zero and negative counts fail at the loss law, inf as beyond the float range.
-        if not is_number(count, f"{arch.name}: parameter count", ModelError) or isnan(count):
-            raise ModelError(f"{arch.name}: explicit_param_count must be a number, got {count!r}")
-        return ParameterCount(int(count), ParameterEquation.EXPLICIT)
-
-    violations = validate_architecture(arch)
-    if violations:
-        raise ModelError(f"{arch.name}: invalid architecture: " + "; ".join(violations))
-
+    # LlmArchitecture checked every field this reads when it was built.
+    if arch.explicit_param_count is not None:
+        return ParameterCount(int(arch.explicit_param_count), ParameterEquation.EXPLICIT)
     if arch.kind is ArchKind.DENSE_GPT:
         return count_dense_gpt(arch)
     if arch.kind is ArchKind.DENSE_ENCDEC:

@@ -36,7 +36,7 @@ design-space sweep with Pareto dominance flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isnan
+from math import inf
 from operator import itemgetter
 
 from . import units
@@ -166,12 +166,8 @@ def _flop_param_count(arch, full_count: int, is_moe: bool) -> float:
     for MoE (``is_moe``)."""
     if not is_moe:
         return float(full_count)
-    base = arch.base_model_param_count
-    if base is not None:
-        if (is_number(base, f"{arch.name}: dense base parameter count", ModelError)
-                and not isnan(base)):
-            return float(base)
-        raise ModelError(f"{arch.name}: base_model_param_count must be a number, got {base!r}")
+    if arch.base_model_param_count is not None:  # a finite number, checked when built
+        return float(arch.base_model_param_count)
     try:
         if (is_shape_count(arch.hidden_size) and is_shape_count(arch.layer_count)
                 and is_shape_count(arch.vocab_size)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .types import ModelError, ScalingConstants
+from .types import ModelError, ScalingConstants, is_number
 
 DEFAULT_CONSTANTS = ScalingConstants()
 
@@ -37,10 +37,10 @@ def test_loss(
     trained on ``token_count`` tokens. Strictly greater than the floor E for
     any finite inputs, and strictly decreasing in both P and D.
     """
-    if param_count <= 0:
-        raise ModelError(f"param_count must be positive, got {param_count}")
-    if token_count <= 0:
-        raise ModelError(f"token_count must be positive, got {token_count}")
+    for label, value in (("param_count", param_count), ("token_count", token_count)):
+        # Written so that NaN fails too.
+        if not (is_number(value, label, ModelError) and value > 0):
+            raise ModelError(f"{label} must be positive, got {value!r}")
 
     try:
         effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)

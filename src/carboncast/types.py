@@ -1,18 +1,16 @@
 """Shared domain types for the carbon projection pipeline.
 
 Everything here is an immutable value object: construct it once, share it
-freely across threads. Validation is split in two styles. Architectures are
-checked by :func:`validate_architecture`, which returns a list of violations
-(the CLI wants to show all of them at once); only the name, which must be a
-str, is checked when one is built. Hardware and data-center types
-raise :class:`CatalogError` eagerly, because a broken catalog row should stop
-a run immediately.
+freely across threads. Every type checks its fields when it is built, so a
+value that exists is a valid one and no stage checks it again. Hardware and
+data-center types raise :class:`CatalogError`, because a broken catalog row
+should stop a run immediately; the others raise :class:`ModelError`. An
+architecture lists every rule it breaks in one message (the CLI shows them
+all at once): these rules are all that the parameter model needs.
 
 Caller numbers must be ints or floats, not bools, that a float can hold
-(:func:`is_number`); a bad one raises ``CatalogError`` for hardware and data
-centers, else ``ModelError``. An architecture's shape counts must be ints
->= 1, not bools (:func:`is_shape_count`), and :func:`validate_architecture`
-lists every field that breaks its rule.
+(:func:`is_number`). An architecture's shape counts must be ints >= 1, not
+bools (:func:`is_shape_count`).
 """
 
 from __future__ import annotations
@@ -108,6 +106,8 @@ class LlmArchitecture:
     ``explicit_param_count`` bypasses the parameter model entirely.
     ``base_model_param_count`` is the MoE's dense base model size, which
     drives the FLOP model instead of the full expert count.
+
+    Building one raises a :class:`ModelError` that names every rule it breaks.
     """
 
     name: str
@@ -125,9 +125,9 @@ class LlmArchitecture:
     base_model_param_count: int | None = None
 
     def __post_init__(self) -> None:
-        # The sweep sorts points by name, and error rows and messages quote it.
-        if not isinstance(self.name, str):
-            raise ModelError(f"architecture name must be a str, got {self.name!r}")
+        violations = _violations(self)
+        if violations:
+            raise ModelError("; ".join(violations))
 
     @property
     def is_moe(self) -> bool:
@@ -152,23 +152,27 @@ def _is_real(value) -> bool:
         return False
 
 
-def validate_architecture(arch: LlmArchitecture) -> list[str]:
-    """Check every architecture invariant, returning one message per breach.
+def _violations(arch: LlmArchitecture) -> list[str]:
+    """One message per architecture rule that ``arch`` breaks, naming the
+    field, so that the CLI can point at config paths; empty when the
+    parameter model can count it (or it carries an explicit count).
 
-    An empty list means the architecture is usable by the parameter model
-    (or carries an explicit count). Messages name the offending field so the
-    CLI can point at config paths. Shape counts must pass
-    :func:`is_shape_count`; parameter counts and fractions must be numbers
-    under :func:`is_number`.
+    Shape counts must pass :func:`is_shape_count`; parameter counts and
+    fractions must be finite numbers under :func:`is_number`.
     """
     violations: list[str] = []
+    # The sweep sorts points by name, and error rows and messages quote it.
+    if not isinstance(arch.name, str):
+        violations.append(f"architecture name must be a str, got {arch.name!r}")
+    if not isinstance(arch.kind, ArchKind):
+        violations.append(f"kind: must be an ArchKind, got {arch.kind!r}")
 
     explicit = arch.explicit_param_count
-    has_explicit = explicit is not None and _is_real(explicit) and explicit > 0
+    has_explicit = explicit is not None and _is_real(explicit) and 0 < explicit < math.inf
     if explicit is not None and not has_explicit:
         violations.append("explicit_param_count: must be a positive number")
     base = arch.base_model_param_count
-    if base is not None and not (_is_real(base) and base > 0):
+    if base is not None and not (_is_real(base) and 0 < base < math.inf):
         violations.append("base_model_param_count: must be a positive number")
 
     if not has_explicit:
@@ -181,10 +185,16 @@ def validate_architecture(arch: LlmArchitecture) -> list[str]:
         if arch.kind is not ArchKind.MOE and not is_shape_count(arch.vocab_size):
             violations.append("vocab_size: must be a positive integer")
 
+    # The layer-pair formulas price the attention heads and the FF width.
+    layer_pair = not has_explicit and arch.kind in (ArchKind.DENSE_ENCDEC,
+                                                    ArchKind.DENSE_DECONLY)
     for fname, value in (("head_count", arch.head_count),
                          ("head_dim", arch.head_dim),
                          ("ff_size", arch.ff_size)):
-        if value is not None and not is_shape_count(value):
+        if value is None:
+            if layer_pair:
+                violations.append(f"{fname}: required for {arch.kind.value} architectures")
+        elif not is_shape_count(value):
             violations.append(f"{fname}: must be a positive integer when given")
 
     if not is_shape_count(arch.ff_stacks):

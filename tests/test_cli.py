@@ -342,6 +342,75 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+ESTIMATE_ARCH_CONFIG = textwrap.dedent("""\
+    schema: 1
+    estimate:
+      architecture: {{name: m, kind: {kind}, {fields}}}
+      tokens: 1.0e+11
+      fleet: [{{unit: V100, count: 64}}]
+      data_center: {{name: dc, pue: 1.1, carbon_intensity: 0.4}}
+""")
+
+
+class TestInvalidArchitecture:
+    """A broken architecture fails where the config gives it, with every rule
+    it breaks on one line; these pin the whole of stderr and the exit code."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        pytest.param("dense_gpt", "hidden_size: 0, layer_count: 2, vocab_size: 100",
+                     "estimate.architecture: hidden_size: must be a positive integer",
+                     id="hidden-size-0"),
+        pytest.param("dense_gpt", "hidden_size: 0, layer_count: -1, vocab_size: 100, ff_size: 0",
+                     "estimate.architecture: hidden_size: must be a positive integer; "
+                     "layer_count: must be a positive integer; "
+                     "ff_size: must be a positive integer when given", id="three-fields"),
+        pytest.param("moe", "hidden_size: 1024, layer_count: 24, moe_fraction: 1.5, "
+                     "expert_groups: [{layer_fraction: 0.5, expert_count: 8}]",
+                     "estimate.architecture: moe_fraction: must lie in (0, 1]; expert_groups: "
+                     "layer fractions sum to 0.5, expected 1", id="moe"),
+        pytest.param("dense_gpt", "explicit_param_count: 0",
+                     "estimate.architecture: explicit_param_count: must be a positive number; "
+                     "hidden_size: must be a positive integer; "
+                     "layer_count: must be a positive integer; "
+                     "vocab_size: must be a positive integer", id="explicit-0"),
+    ])
+    def test_estimate(self, tmp_path, capsys, kind, fields, message):
+        config = write_config(tmp_path, ESTIMATE_ARCH_CONFIG.format(kind=kind, fields=fields))
+        assert self.run(capsys, ["estimate", "--config", config]) == (
+            EXIT_CONFIG_ERROR, "", f"config error: {message}\n")
+
+    def test_one_bad_sweep_point_fails_the_config(self, tmp_path, capsys):
+        config = sweep_config([("a", 1_000_000_000, 2.0e10), ("b", 5_000_000_000, 1.0e11)])
+        config = config.replace("explicit_param_count: 5000000000",
+                                "hidden_size: 512, layer_count: 0, vocab_size: 100")
+        out = tmp_path / "sweep.csv"
+        assert self.run(capsys, ["sweep", "--config", write_config(tmp_path, config),
+                                 "--out", str(out)]) == (
+            EXIT_CONFIG_ERROR, "",
+            "config error: sweep.grid[1].architecture: layer_count: must be a positive "
+            "integer\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["dense_encdec", "dense_deconly"])
+    def test_a_layer_pair_without_heads_is_a_config_error(self, tmp_path, capsys, kind):
+        # The parameter model needs the heads and the FF width of these kinds,
+        # so the architecture is refused where it is given.
+        config = write_config(tmp_path, ESTIMATE_ARCH_CONFIG.format(
+            kind=kind, fields="hidden_size: 512, layer_count: 4, vocab_size: 100, head_dim: 64"))
+        assert self.run(capsys, ["estimate", "--config", config]) == (
+            EXIT_CONFIG_ERROR, "",
+            f"config error: estimate.architecture: head_count: required for {kind} "
+            f"architectures; ff_size: required for {kind} architectures\n")
+        with_explicit = write_config(tmp_path, ESTIMATE_ARCH_CONFIG.format(
+            kind=kind, fields="explicit_param_count: 1000000000"), name="explicit.yaml")
+        assert self.run(capsys, ["estimate", "--config", with_explicit])[0] == EXIT_OK
+
+
 class TestValidateCommand:
     def test_default_run_all_pass(self, capsys):
         assert main(["validate"]) == EXIT_OK

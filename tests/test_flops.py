@@ -1,6 +1,8 @@
 """FLOP budget arithmetic and its published operating points."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -58,3 +60,18 @@ class TestProperties:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ModelError):
             training_flops(-1, 1)
+
+    @pytest.mark.parametrize("flops", [training_flops, inference_flops])
+    @pytest.mark.parametrize("param_count, token_count, message", [
+        (-1, 1, "param_count and token_count must be >= 0"),
+        (1e9, -1e9, "param_count and token_count must be >= 0"),
+        (math.nan, 1e9, "param_count and token_count must be >= 0"),
+        (1e9, math.nan, "param_count and token_count must be >= 0"),
+        ("5", 1e9, "param_count and token_count must be >= 0"),
+        (1e9, True, "param_count and token_count must be >= 0"),
+        pytest.param(1e9, 10 ** 400, "token_count is beyond the float range", id="1e400"),
+    ])
+    def test_counts_must_be_non_negative_numbers(self, flops, param_count, token_count,
+                                                 message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            flops(param_count, token_count)

@@ -11,6 +11,8 @@ dominance flag, and each error row word for word. Those values were captured
 while ``sweep()`` still built a full report for every point.
 """
 
+import re
+
 import pytest
 
 from carboncast.operational import StorageWorkload
@@ -30,6 +32,7 @@ from carboncast.types import (
     HardwareRole,
     HardwareUnit,
     LlmArchitecture,
+    ModelError,
     Phase,
 )
 
@@ -286,9 +289,6 @@ SWEEP_GRID = [
     (LlmArchitecture(name="moe-no-base-no-vocab", kind=ArchKind.MOE, hidden_size=1024,
                      layer_count=24, moe_fraction=0.5, expert_groups=(ExpertGroup(1.0, 64),)),
      1e11),
-    (LlmArchitecture(name="encdec-no-heads", kind=ArchKind.DENSE_ENCDEC, hidden_size=512,
-                     layer_count=4, vocab_size=100), 1e11),
-    (sweep_dense("zero-params", 0), 1e11),
     # Its FLOP budget overflows to inf, so the report's duration is not finite.
     (sweep_dense("flops-overflow", 1e15), 1e300),
 ]
@@ -312,10 +312,6 @@ GOLDEN_SWEEP_ERRORS = [
     ("moe-no-base-no-vocab",
      "[flop-model] moe-no-base-no-vocab: MoE FLOPs need base_model_param_count (or h, l, V "
      "to derive the dense counterpart)"),
-    ("encdec-no-heads",
-     "[parameter-model] encdec-no-heads: parameter model needs head_count, head_dim, "
-     "ff_size for kind dense_encdec"),
-    ("zero-params", "[scaling-law] param_count must be positive, got 0"),
     ("flops-overflow", "duration_seconds must be finite and >= 0, got inf"),
 ]
 GOLDEN_SWEEP = {
@@ -368,3 +364,21 @@ GOLDEN_SWEEP = {
 def test_sweep_is_bit_identical_to_the_pinned_one(anchors):
     points, errors = sweep(SWEEP_GRID, SWEEP_FLEET, DC, anchors=SWEEP_ANCHORS[anchors])
     assert pinned_sweep(points, errors) == GOLDEN_SWEEP[anchors]
+
+
+# Architectures that the parameter model cannot count are refused when they
+# are built, so they never become sweep points.
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"kind": ArchKind.DENSE_ENCDEC, "hidden_size": 512, "layer_count": 4,
+                  "vocab_size": 100},
+                 "head_count: required for dense_encdec architectures; head_dim: required for "
+                 "dense_encdec architectures; ff_size: required for dense_encdec architectures",
+                 id="encdec-no-heads"),
+    pytest.param({"kind": ArchKind.DENSE_GPT, "explicit_param_count": 0},
+                 "explicit_param_count: must be a positive number; hidden_size: must be a "
+                 "positive integer; layer_count: must be a positive integer; vocab_size: must "
+                 "be a positive integer", id="zero-params"),
+])
+def test_a_sweep_point_the_parameter_model_cannot_count_is_refused_when_built(fields, message):
+    with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+        LlmArchitecture(name="bad", **fields)

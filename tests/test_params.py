@@ -78,10 +78,12 @@ class TestPublishedSizes:
         assert got.equation is ParameterEquation.DENSE_STANDARD
 
     def test_degenerate_zero_layers_and_vocab(self):
-        # annihilator case: no layers, no vocabulary, any hidden size
-        arch = LlmArchitecture(name="z", kind=ArchKind.DENSE_GPT,
-                               hidden_size=64, layer_count=0, vocab_size=0)
-        assert count_dense_gpt(arch).total == 0
+        # No layers and no vocabulary would count zero parameters, so such an
+        # architecture is refused when it is built.
+        with pytest.raises(ModelError, match=r"^layer_count: must be a positive integer; "
+                                             r"vocab_size: must be a positive integer$"):
+            LlmArchitecture(name="z", kind=ArchKind.DENSE_GPT,
+                            hidden_size=64, layer_count=0, vocab_size=0)
 
 
 class TestOracles:
@@ -164,14 +166,20 @@ class TestProperties:
         assert count_params(widened).equation is ParameterEquation.MOE_GENERAL
 
     def test_missing_fields_raise(self):
-        arch = LlmArchitecture(name="incomplete", kind=ArchKind.DENSE_ENCDEC,
-                               hidden_size=512, layer_count=4, vocab_size=1000)
-        with pytest.raises(ModelError, match="head_count"):
-            count_dense_encdec(arch)
+        with pytest.raises(ModelError, match="^head_count: required for dense_encdec"):
+            LlmArchitecture(name="incomplete", kind=ArchKind.DENSE_ENCDEC,
+                            hidden_size=512, layer_count=4, vocab_size=1000)
 
     def test_invalid_architecture_rejected(self):
-        arch = LlmArchitecture(name="bad", kind=ArchKind.MOE, hidden_size=512,
-                               layer_count=4, moe_fraction=1.5,
-                               expert_groups=(ExpertGroup(1.0, 4),))
-        with pytest.raises(ModelError, match="moe_fraction"):
-            count_params(arch)
+        with pytest.raises(ModelError, match=r"^moe_fraction: must lie in \(0, 1\]$"):
+            LlmArchitecture(name="bad", kind=ArchKind.MOE, hidden_size=512,
+                            layer_count=4, moe_fraction=1.5,
+                            expert_groups=(ExpertGroup(1.0, 4),))
+
+    def test_a_forced_general_route_needs_the_ff_width(self):
+        # The automatic route takes the standard sizing when ff_size is left out.
+        arch = LlmArchitecture(name="m", kind=ArchKind.MOE, hidden_size=512, layer_count=4,
+                               moe_fraction=0.5, expert_groups=(ExpertGroup(1.0, 4),))
+        assert count_params(arch).equation is ParameterEquation.MOE_STANDARD
+        with pytest.raises(ModelError, match="^m: parameter model needs ff_size for kind moe$"):
+            count_params(arch, force_moe_equation=ParameterEquation.MOE_GENERAL)

@@ -56,9 +56,11 @@ def dense_arch(name, params):
                            explicit_param_count=int(params))
 
 
+SHAPE = {"kind": ArchKind.DENSE_GPT, "hidden_size": 512, "layer_count": 2, "vocab_size": 100}
+
+
 def shaped_arch(**change):
-    return LlmArchitecture(**{"name": "m", "kind": ArchKind.DENSE_GPT, "hidden_size": 512,
-                              "layer_count": 2, "vocab_size": 100, **change})
+    return LlmArchitecture(**{"name": "m", **SHAPE, **change})
 
 
 STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
@@ -76,8 +78,10 @@ BEYOND_FLOAT_RANGE = [
                                  expert_groups=(ExpertGroup(1.0, 8),)),
                  "[parameter-model] huge: parameter count is beyond the float range",
                  id="moe"),
+    # The dense base derived from h, l and V; a given base beyond the float
+    # range is refused when the architecture is built.
     pytest.param(LlmArchitecture(name="huge", kind=ArchKind.MOE, explicit_param_count=10 ** 9,
-                                 base_model_param_count=10 ** 400),
+                                 hidden_size=10 ** 160, layer_count=2, vocab_size=10),
                  "[flop-model] huge: dense base parameter count is beyond the float range",
                  id="moe-base"),
     pytest.param(dense_arch("huge", 1e308),
@@ -300,11 +304,11 @@ class TestEstimate:
             estimate(req)
 
     @pytest.mark.parametrize("change, message", [
-        pytest.param({"arch": LlmArchitecture(name="broken", kind=ArchKind.DENSE_ENCDEC,
-                                              hidden_size=512, layer_count=4, vocab_size=100)},
-                     "[parameter-model] broken: parameter model needs head_count, head_dim, "
-                     "ff_size for kind dense_encdec", id="parameter-model"),
-        pytest.param({"arch": dense_arch("zero", 0)},
+        pytest.param({"arch": shaped_arch(hidden_size=10 ** 160)},
+                     "[parameter-model] m: parameter count is beyond the float range",
+                     id="parameter-model"),
+        # An explicit count below one parameter counts as zero.
+        pytest.param({"arch": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": 0.5}},
                      "[scaling-law] param_count must be positive, got 0", id="scaling-law"),
         pytest.param({"arch": LlmArchitecture(name="opaque", kind=ArchKind.MOE, hidden_size=1024,
                                               layer_count=24, moe_fraction=0.5,
@@ -319,18 +323,11 @@ class TestEstimate:
                      id="operational-carbon"),
         pytest.param({"fleet": HardwareFleet.of((cpu(), 8))},
                      "[efficiency-model] fleet has no accelerator entry", id="no-accelerator"),
-        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
-                                              explicit_param_count=math.nan)},
-                     "[parameter-model] m: explicit_param_count must be a number, got nan",
-                     id="explicit-nan"),
-        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
-                                              explicit_param_count="5")},
-                     "[parameter-model] m: explicit_param_count must be a number, got '5'",
-                     id="explicit-str"),
-        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
-                                              explicit_param_count=True)},
-                     "[parameter-model] m: explicit_param_count must be a number, got True",
-                     id="explicit-True"),
+        *(pytest.param({"arch": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": value}},
+                       "explicit_param_count: must be a positive number; hidden_size: must be "
+                       "a positive integer; layer_count: must be a positive integer; "
+                       "vocab_size: must be a positive integer", id=f"explicit-{name}")
+          for name, value in (("nan", math.nan), ("str", "5"), ("True", True))),
         pytest.param({"device_memory_gb": "32"},
                      "[efficiency-model] device_memory_gb must be positive", id="memory-str"),
         pytest.param({"server_size": 2.5},
@@ -345,18 +342,15 @@ class TestEstimate:
         pytest.param({"tokens": 1e-160, "scaling": ScalingConstants(beta=2.0)},
                      "[scaling-law] the loss law's terms are beyond the float range "
                      "(alpha=0.34, beta=2.0)", id="loss-quotient-overflow"),
-        *(pytest.param({"arch": shaped_arch(**{fname: value})},
-                       f"[parameter-model] m: invalid architecture: {fname}: must be a "
-                       "positive integer", id=f"{fname}-{value!r}")
+        *(pytest.param({"arch": {**SHAPE, fname: value}}, f"{fname}: must be a positive integer",
+                       id=f"{fname}-{value!r}")
           for fname, value in (("hidden_size", "5"), ("hidden_size", 2.5),
                                ("hidden_size", True), ("layer_count", math.nan))),
-        pytest.param({"arch": shaped_arch(base_model_param_count="5")},
-                     "[parameter-model] m: invalid architecture: base_model_param_count: must "
-                     "be a positive number", id="base-str"),
-        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.MOE,
-                                              explicit_param_count=10 ** 11,
-                                              base_model_param_count="5")},
-                     "[flop-model] m: base_model_param_count must be a number, got '5'",
+        pytest.param({"arch": {**SHAPE, "base_model_param_count": "5"}},
+                     "base_model_param_count: must be a positive number", id="base-str"),
+        pytest.param({"arch": {"kind": ArchKind.MOE, "explicit_param_count": 10 ** 11,
+                               "base_model_param_count": "5"}},
+                     "base_model_param_count: must be a positive number",
                      id="explicit-moe-base-str"),
         pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.MOE,
                                               explicit_param_count=10 ** 11, hidden_size="5",
@@ -368,6 +362,10 @@ class TestEstimate:
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=1e9,
                               fleet=HardwareFleet.of((v100(330), 8)), data_center=dc())
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            # An architecture given as keyword arguments may fail when it is
+            # built, before any stage; then the error names its fields.
+            if isinstance(change.get("arch"), dict):
+                change = {**change, "arch": LlmArchitecture(name="m", **change["arch"])}
             estimate(dataclasses.replace(req, **change))
 
     @pytest.mark.parametrize("anchors", [None, [(1e9, 1.5)]])
@@ -681,7 +679,7 @@ class TestSweep:
         setting = {"fleet": self.fleet(), "data_center": self.grid_dc(), **setting}
         no_base = LlmArchitecture(name="no-base", kind=ArchKind.MOE,
                                   explicit_param_count=int(100e9))
-        grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9), (dense_arch("zero", 0), 100e9),
+        grid = [(dense_arch("a", 5e9), 100e9), (no_base, 100e9),
                 (dense_arch("no-tokens", 6e9), 0.0)]
         message = "^" + re.escape(f"[efficiency-model] {fault}") + "$"
         # One error for the whole grid, not one row per point.
@@ -689,7 +687,7 @@ class TestSweep:
             sweep(grid, **setting)
         # estimate() on a valid point of the grid raises the same error, and
         # so does a point with a fault of its own: the setting comes first.
-        for arch in (dense_arch("a", 5e9), dense_arch("zero", 0)):
+        for arch in (dense_arch("a", 5e9), no_base):
             with pytest.raises(ModelError, match=message):
                 estimate(EstimateRequest(arch=arch, tokens=100e9, **setting))
 
@@ -780,23 +778,18 @@ def sweep_settings(draw):
     for i in range(draw(st.integers(1, 8))):
         params = 10 ** draw(st.floats(8.0, 12.5))
         tokens = 10 ** draw(st.floats(9.0, 13.0))
-        kind = draw(st.sampled_from(["dense", "moe", "moe-without-base", "encdec-without-heads",
+        kind = draw(st.sampled_from(["dense", "moe", "moe-without-base", "below-one-parameter",
                                      "beyond-float-range"]))
-        arch = {
-            "dense": dense_arch(f"p{i}", params),
-            "moe": LlmArchitecture(name=f"p{i}", kind=ArchKind.MOE,
-                                   explicit_param_count=int(params),
-                                   base_model_param_count=int(params / 16)),
-            "moe-without-base": LlmArchitecture(name=f"p{i}", kind=ArchKind.MOE,
-                                                explicit_param_count=int(params)),
-            "encdec-without-heads": LlmArchitecture(name=f"p{i}", kind=ArchKind.DENSE_ENCDEC,
-                                                    hidden_size=512, layer_count=4,
-                                                    vocab_size=100),
-            "beyond-float-range": LlmArchitecture(name=f"p{i}", kind=ArchKind.DENSE_GPT,
-                                                  hidden_size=10 ** 160, layer_count=2,
-                                                  vocab_size=10),
+        fields = {
+            "dense": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": int(params)},
+            "moe": {"kind": ArchKind.MOE, "explicit_param_count": int(params),
+                    "base_model_param_count": int(params / 16)},
+            "moe-without-base": {"kind": ArchKind.MOE, "explicit_param_count": int(params)},
+            "below-one-parameter": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": 0.5},
+            "beyond-float-range": {"kind": ArchKind.DENSE_GPT, "hidden_size": 10 ** 160,
+                                   "layer_count": 2, "vocab_size": 10},
         }[kind]
-        grid.append((arch, tokens))
+        grid.append((LlmArchitecture(name=f"p{i}", **fields), tokens))
     return fleet, anchors, grid
 
 

@@ -1,6 +1,8 @@
 """Loss-law behavior: frozen oracle values, limits, identities."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -66,6 +68,19 @@ class TestProperties:
             test_loss(0, 1e12)
         with pytest.raises(ModelError):
             test_loss(1e9, -1)
+
+    @pytest.mark.parametrize("param_count, token_count, message", [
+        (0, 1e12, "param_count must be positive, got 0"),
+        (1e9, -1, "token_count must be positive, got -1"),
+        (math.nan, 1e9, "param_count must be positive, got nan"),
+        (1e9, math.nan, "token_count must be positive, got nan"),
+        ("5", 1e9, "param_count must be positive, got '5'"),
+        (1e9, True, "token_count must be positive, got True"),
+        pytest.param(10 ** 400, 1e9, "param_count is beyond the float range", id="1e400"),
+    ])
+    def test_counts_must_be_positive_numbers(self, param_count, token_count, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            test_loss(param_count, token_count)
 
     def test_a_quotient_beyond_the_float_range_is_named(self):
         # B / D^beta overflows in the division, not in the power.

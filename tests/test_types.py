@@ -19,7 +19,6 @@ from carboncast.types import (
     LlmArchitecture,
     ModelError,
     Phase,
-    validate_architecture,
 )
 
 
@@ -28,43 +27,42 @@ def gpt3_arch():
                            hidden_size=12288, layer_count=96, vocab_size=51200)
 
 
+def arch_error(**fields):
+    """The message of the ModelError that building an architecture raises."""
+    with pytest.raises(ModelError) as err:
+        LlmArchitecture(**{"name": "bad", **fields})
+    return str(err.value)
+
+
 class TestValidateArchitecture:
+    """An architecture checks every rule the parameter model needs when it is
+    built, and names every rule it breaks in one message."""
+
     def test_gpt3_shape_is_valid(self):
-        assert validate_architecture(gpt3_arch()) == []
+        assert gpt3_arch().hidden_size == 12288
 
     def test_moe_fraction_zero_is_flagged(self):
-        arch = LlmArchitecture(
-            name="bad", kind=ArchKind.MOE, hidden_size=1024, layer_count=24,
-            moe_fraction=0.0, expert_groups=(ExpertGroup(1.0, 64),),
-        )
-        problems = validate_architecture(arch)
-        assert len(problems) == 1
-        assert "moe_fraction" in problems[0]
+        assert arch_error(kind=ArchKind.MOE, hidden_size=1024, layer_count=24,
+                          moe_fraction=0.0, expert_groups=(ExpertGroup(1.0, 64),)
+                          ) == "moe_fraction: must lie in (0, 1]"
 
     def test_expert_fractions_must_sum_to_one(self):
-        arch = LlmArchitecture(
-            name="bad", kind=ArchKind.MOE, hidden_size=1024, layer_count=24,
-            moe_fraction=0.5,
-            expert_groups=(ExpertGroup(0.5, 64), ExpertGroup(0.3, 128)),
-        )
-        problems = validate_architecture(arch)
-        assert len(problems) == 1
-        assert "expert_groups" in problems[0]
-        assert "sum" in problems[0]
+        assert arch_error(kind=ArchKind.MOE, hidden_size=1024, layer_count=24,
+                          moe_fraction=0.5,
+                          expert_groups=(ExpertGroup(0.5, 64), ExpertGroup(0.3, 128)),
+                          ) == "expert_groups: layer fractions sum to 0.8, expected 1"
 
     def test_nonpositive_counts_flagged_per_field(self):
-        arch = LlmArchitecture(name="bad", kind=ArchKind.DENSE_GPT,
-                               hidden_size=0, layer_count=-1, vocab_size=0)
-        problems = validate_architecture(arch)
-        assert {p.split(":")[0] for p in problems} == {
+        message = arch_error(kind=ArchKind.DENSE_GPT, hidden_size=0, layer_count=-1,
+                             vocab_size=0)
+        assert {p.split(":")[0] for p in message.split("; ")} == {
             "hidden_size", "layer_count", "vocab_size"}
 
     def test_every_number_field_breaking_its_rule_is_listed(self):
-        dense = LlmArchitecture(name="bad", kind=ArchKind.DENSE_GPT, hidden_size="5",
-                                layer_count=math.nan, vocab_size=True, head_count=2.5,
-                                head_dim=10 ** 400, ff_size=-10 ** 5000, ff_stacks=True,
-                                base_model_param_count="5")
-        assert validate_architecture(dense) == [
+        dense = arch_error(kind=ArchKind.DENSE_GPT, hidden_size="5", layer_count=math.nan,
+                           vocab_size=True, head_count=2.5, head_dim=10 ** 400,
+                           ff_size=-10 ** 5000, ff_stacks=True, base_model_param_count="5")
+        assert dense.split("; ") == [
             "base_model_param_count: must be a positive number",
             "hidden_size: must be a positive integer",
             "layer_count: must be a positive integer",
@@ -73,10 +71,9 @@ class TestValidateArchitecture:
             "ff_size: must be a positive integer when given",
             "ff_stacks: must be an integer >= 1",
         ]
-        moe = LlmArchitecture(name="bad", kind=ArchKind.MOE, hidden_size=2.5, layer_count=2,
-                              moe_fraction=True,
-                              expert_groups=(ExpertGroup(10 ** 400, 2.5), ExpertGroup("1", 8)))
-        assert validate_architecture(moe) == [
+        moe = arch_error(kind=ArchKind.MOE, hidden_size=2.5, layer_count=2, moe_fraction=True,
+                         expert_groups=(ExpertGroup(10 ** 400, 2.5), ExpertGroup("1", 8)))
+        assert moe.split("; ") == [
             "hidden_size: must be a positive integer",
             "moe_fraction: must lie in (0, 1]",
             "expert_groups[0].layer_fraction: must be positive",
@@ -84,16 +81,47 @@ class TestValidateArchitecture:
             "expert_groups[1].layer_fraction: must be positive",
         ]
 
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, "5", True,
+                                       pytest.param(10 ** 400, id="1e400"),
+                                       pytest.param(-10 ** 5000, id="-1e5000")])
+    @pytest.mark.parametrize("fname", ["explicit_param_count", "base_model_param_count"])
+    def test_parameter_counts_must_be_positive_finite_numbers(self, fname, value):
+        # With no explicit count, the shape fields must be given as well.
+        shape = {} if fname == "explicit_param_count" else {
+            "hidden_size": 64, "layer_count": 2, "vocab_size": 100}
+        message = arch_error(kind=ArchKind.DENSE_GPT, **shape, **{fname: value})
+        assert message.split("; ")[0] == f"{fname}: must be a positive number"
+
     def test_explicit_count_waives_structural_fields(self):
-        arch = LlmArchitecture(name="opaque", kind=ArchKind.DENSE_GPT,
-                               explicit_param_count=175_000_000_000)
-        assert validate_architecture(arch) == []
+        for kind in ArchKind:
+            arch = LlmArchitecture(name="opaque", kind=kind,
+                                   explicit_param_count=175_000_000_000)
+            assert arch.explicit_param_count == 175_000_000_000
+
+    @pytest.mark.parametrize("kind", [ArchKind.DENSE_ENCDEC, ArchKind.DENSE_DECONLY])
+    def test_layer_pairs_need_heads_and_ff_width(self, kind):
+        assert arch_error(kind=kind, hidden_size=512, layer_count=4, vocab_size=100
+                          ).split("; ") == [
+            f"head_count: required for {kind.value} architectures",
+            f"head_dim: required for {kind.value} architectures",
+            f"ff_size: required for {kind.value} architectures",
+        ]
+        assert arch_error(kind=kind, hidden_size=512, layer_count=4, vocab_size=100,
+                          head_count=8, head_dim=0, ff_size=2048
+                          ) == "head_dim: must be a positive integer when given"
 
     def test_expert_fields_rejected_on_dense(self):
-        arch = LlmArchitecture(name="bad", kind=ArchKind.DENSE_GPT,
-                               hidden_size=8, layer_count=2, vocab_size=16,
-                               moe_fraction=0.5)
-        assert any("moe_fraction" in p for p in validate_architecture(arch))
+        assert arch_error(kind=ArchKind.DENSE_GPT, hidden_size=8, layer_count=2, vocab_size=16,
+                          moe_fraction=0.5) == "moe_fraction: only valid for MoE architectures"
+
+    def test_kind_must_be_an_arch_kind(self):
+        assert arch_error(kind="dense_gpt", explicit_param_count=10 ** 9
+                          ) == "kind: must be an ArchKind, got 'dense_gpt'"
+
+    def test_every_rule_is_named_in_one_message(self):
+        assert arch_error(name=None, kind=ArchKind.DENSE_GPT, hidden_size=0, layer_count=2,
+                          vocab_size=100) == ("architecture name must be a str, got None; "
+                                              "hidden_size: must be a positive integer")
 
 
 class TestHardwareUnit:
