@@ -27,7 +27,6 @@ from .scaling import LossPrediction, test_loss
 from .flops import FlopBudget, inference_flops, training_flops
 from .efficiency import (
     efficiency_at_count,
-    optimal_device_count,
     optimal_efficiency,
     plan_parallelism,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "ValidationRow", "chip_embodied", "count_params", "device_time",
     "efficiency_at_count", "estimate", "estimate_lifecycle",
     "fleet_embodied", "hardware_energy", "inference_flops",
-    "operational_carbon", "optimal_device_count", "optimal_efficiency",
+    "operational_carbon", "optimal_efficiency",
     "plan_parallelism", "run_validation", "storage_energy", "sweep",
     "test_loss", "training_flops",
 ]

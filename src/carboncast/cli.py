@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import enum
 import functools
+import inspect
 import io
 import math
 import sys
@@ -51,9 +52,10 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Config parsing. Each config section builds one dataclass: its keys are the
-# dataclass's fields and each value is coerced through the field's annotated
-# type, so the dataclasses stay the one place that names keys and defaults.
+# Config parsing. Each config section builds one dataclass, or the arguments
+# of one function (``sweep``): its keys are the parameters and each value is
+# coerced through the parameter's annotated type, so the dataclasses and
+# ``sweep()`` stay the one place that names keys and defaults.
 # --------------------------------------------------------------------------
 
 # Keys a config may leave out although the field has no default.
@@ -68,7 +70,7 @@ _CONFIG_DEFAULTS = {
 # Config keys whose name differs from the field they fill.
 _CONFIG_KEYS = {(EstimateRequest, "arch"): "architecture"}
 # Fields only library callers set.
-_NOT_CONFIG = {(EstimateRequest, "anchors")}
+_NOT_CONFIG = {(EstimateRequest, "anchors"), (sweep, "anchors")}
 
 
 def _check_keys(mapping: dict, allowed, path: str) -> None:
@@ -125,72 +127,91 @@ def _coerce(tp, value, path: str):
 
 
 @functools.cache
-def _config_fields(cls) -> dict[str, tuple[dataclasses.Field, object]]:
-    """Config key -> (field, resolved annotation); resolving hints is slow."""
-    hints = typing.get_type_hints(cls)
-    return {_CONFIG_KEYS.get((cls, f.name), f.name): (f, hints[f.name])
-            for f in dataclasses.fields(cls) if (cls, f.name) not in _NOT_CONFIG}
+def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
+    """Config key -> (parameter name, resolved annotation, whether it has a
+    default) of a config dataclass or function; resolving hints is slow."""
+    hints = typing.get_type_hints(target)
+    return {_CONFIG_KEYS.get((target, name), name): (name, hints[name], p.default is not p.empty)
+            for name, p in inspect.signature(target).parameters.items()
+            if (target, name) not in _NOT_CONFIG}
 
 
-def _read(cls, doc, path: str, **special):
-    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``.
+def _arguments(target, doc, path: str, **special) -> dict:
+    """The arguments of config dataclass or function ``target`` from mapping
+    ``doc`` found at ``path``.
 
     ``special`` maps a config key to a ``reader(value, path)`` that replaces
-    the type-driven coercion, for values that are catalog lookups.
+    the type-driven coercion, for values that are catalog lookups or lists.
     """
-    fields = _config_fields(cls)
+    fields = _config_fields(target)
     _check_keys(doc, fields, path)
     kwargs = {}
-    for key, (f, tp) in fields.items():
+    for key, (name, tp, has_default) in fields.items():
         kpath = f"{path}.{key}"
         if key in doc:
             reader = special.get(key)
-            kwargs[f.name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
-        elif (cls, f.name) in _CONFIG_DEFAULTS:
-            kwargs[f.name] = _CONFIG_DEFAULTS[cls, f.name]
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            kwargs[name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
+        elif (target, name) in _CONFIG_DEFAULTS:
+            kwargs[name] = _CONFIG_DEFAULTS[target, name]
+        elif not has_default:
             raise ConfigError(f"{kpath}: required")
+    return kwargs
+
+
+def _read(cls, doc, path: str, **special):
+    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``;
+    see :func:`_arguments`."""
+    kwargs = _arguments(cls, doc, path, **special)
     try:
-        obj = cls(**kwargs)
+        return cls(**kwargs)
     except (CatalogError, ModelError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return obj
 
 
-def _parse_fleet(doc, units_by_name, path: str) -> HardwareFleet:
-    if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"{path}: expected a non-empty list of fleet entries")
-    entries = []
-    for i, entry in enumerate(doc):
-        epath = f"{path}[{i}]"
-        _check_keys(entry, {"unit", "count"}, epath)
-        name = str(entry.get("unit", ""))
-        if name not in units_by_name:
-            raise ConfigError(f"{epath}.unit: unknown hardware unit {name!r}")
-        count = _num(int, entry.get("count"), f"{epath}.count")
-        try:
-            entries.append(FleetEntry(units_by_name[name], count))
-        except CatalogError as exc:
-            raise ConfigError(f"{epath}: {exc}") from None
+def _lookup(table: dict, what: str, name, path: str):
+    """The catalog entry called ``name`` in ``table``, whose entries are ``what``s."""
     try:
-        return HardwareFleet(tuple(entries))
-    except CatalogError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        return table[str(name)]
+    except KeyError:
+        raise ConfigError(f"{path}: unknown {what} {str(name)!r}") from None
 
 
-def _parse_data_center(doc, centers_by_name, path: str) -> DataCenterProfile:
-    if isinstance(doc, str):
-        if doc not in centers_by_name:
-            raise ConfigError(f"{path}: unknown data center {doc!r}")
-        return centers_by_name[doc]
-    return _read(DataCenterProfile, doc, path)
-
-
-def _parse_request(doc: dict, catalogs, path: str) -> EstimateRequest:
+def _catalog_readers(catalogs) -> dict:
+    """Readers of the ``fleet`` and ``data_center`` keys, which name catalog entries."""
     units_by_name, centers_by_name = catalogs
-    return _read(EstimateRequest, doc, path,
-                 fleet=lambda value, p: _parse_fleet(value, units_by_name, p),
-                 data_center=lambda value, p: _parse_data_center(value, centers_by_name, p))
+    unit = functools.partial(_lookup, units_by_name, "hardware unit")
+
+    def fleet(doc, path: str) -> HardwareFleet:
+        if not isinstance(doc, list) or not doc:
+            raise ConfigError(f"{path}: expected a non-empty list of fleet entries")
+        entries = tuple(_read(FleetEntry, entry, f"{path}[{i}]", unit=unit)
+                        for i, entry in enumerate(doc))
+        try:
+            return HardwareFleet(entries)
+        except CatalogError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+    def data_center(doc, path: str) -> DataCenterProfile:
+        if isinstance(doc, str):
+            return _lookup(centers_by_name, "data center", doc, path)
+        return _read(DataCenterProfile, doc, path)
+
+    return {"fleet": fleet, "data_center": data_center}
+
+
+def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
+    """The ``grid`` of (architecture, tokens) points of a sweep."""
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError(f"{path}: must be a non-empty list")
+    grid = []
+    for i, point in enumerate(doc):
+        ppath = f"{path}[{i}]"
+        _check_keys(point, {"architecture", "tokens"}, ppath)
+        if "architecture" not in point:
+            raise ConfigError(f"{ppath}.architecture: required")
+        arch = _read(LlmArchitecture, point["architecture"], f"{ppath}.architecture")
+        grid.append((arch, _num(float, point.get("tokens"), f"{ppath}.tokens")))
+    return grid
 
 
 def _load_config(path: str, top_key: str) -> dict:
@@ -299,7 +320,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_estimate(args) -> int:
     catalogs = resolve_catalogs(args.catalog)
     doc = _load_config(args.config, "estimate")
-    req = _parse_request(doc, catalogs, "estimate")
+    req = _read(EstimateRequest, doc, "estimate", **_catalog_readers(catalogs))
     report = estimate(req)
     text = _format_report_csv(report) if args.format == "csv" else _format_report_table(report)
     _emit(text, args.out)
@@ -307,10 +328,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_lifecycle(args) -> int:
-    catalogs = resolve_catalogs(args.catalog)
+    readers = _catalog_readers(resolve_catalogs(args.catalog))
     doc = _load_config(args.config, "lifecycle")
     plan = _read(LifecyclePlan, doc, "lifecycle",
-                 training=lambda value, p: _parse_request(value, catalogs, p))
+                 training=lambda value, p: _read(EstimateRequest, value, p, **readers))
     report = estimate_lifecycle(plan)
     text = _format_report_csv(report) if args.format == "csv" else _format_report_table(report)
     _emit(text, args.out)
@@ -318,32 +339,10 @@ def _cmd_lifecycle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    catalogs = resolve_catalogs(args.catalog)
+    readers = _catalog_readers(resolve_catalogs(args.catalog))
     doc = _load_config(args.config, "sweep")
-    sizing_keys = ("device_memory_gb", "server_size")
-    _check_keys(doc, {"grid", "fleet", "data_center", *sizing_keys}, "sweep")
-    grid_doc = doc.get("grid")
-    if not isinstance(grid_doc, list) or not grid_doc:
-        raise ConfigError("sweep.grid: must be a non-empty list")
-    if "fleet" not in doc:
-        raise ConfigError("sweep.fleet: required")
-    fleet = _parse_fleet(doc["fleet"], catalogs[0], "sweep.fleet")
-    if "data_center" not in doc:
-        raise ConfigError("sweep.data_center: required")
-    dc = _parse_data_center(doc["data_center"], catalogs[1], "sweep.data_center")
-
-    grid = []
-    for i, point in enumerate(grid_doc):
-        ppath = f"sweep.grid[{i}]"
-        _check_keys(point, {"architecture", "tokens"}, ppath)
-        if "architecture" not in point:
-            raise ConfigError(f"{ppath}.architecture: required")
-        arch = _read(LlmArchitecture, point["architecture"], f"{ppath}.architecture")
-        grid.append((arch, _num(float, point.get("tokens"), f"{ppath}.tokens")))
-
-    hints = typing.get_type_hints(sweep)
-    sizing = {k: _num(hints[k], doc[k], f"sweep.{k}") for k in sizing_keys if k in doc}
-    points, errors = sweep(grid, fleet, dc, **sizing)
+    # A fault of the shared setting is a model error, not a config error.
+    points, errors = sweep(**_arguments(sweep, doc, "sweep", grid=_read_grid, **readers))
     for name, reason in errors:
         print(f"skipped {name}: {reason}", file=sys.stderr)
     text = _format_sweep_csv(points)

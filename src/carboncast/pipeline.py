@@ -28,9 +28,10 @@ a line item per fleet unit, from the stage values. ``sweep()`` builds no
 report and no plan: it checks the same values the report would check, with
 the same messages, and keeps a row of the loss and carbon.
 
-Also here: the lifecycle, a weighted sum of phase reports (training, which
+Also here: the lifecycle, a weighted sum of its parts (training, which
 also stands for inference and experimentation, plus storage), and the
-design-space sweep with Pareto dominance flags.
+design-space sweep with Pareto dominance flags. Storage is priced only as a
+lifecycle part: a request is a training or an inference phase.
 """
 
 from __future__ import annotations
@@ -111,20 +112,15 @@ class EstimateRequest:
     phase: Phase = Phase.TRAINING
     scaling: ScalingConstants = field(default_factory=ScalingConstants)
     overrides: Overrides = field(default_factory=Overrides)
-    storage: StorageWorkload | None = None
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB
     server_size: int = DEFAULT_SERVER_SIZE
     anchors: list[tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
         check_non_negative(self.tokens, "tokens", ModelError)
-        if self.phase not in (Phase.TRAINING, Phase.INFERENCE, Phase.STORAGE):
-            raise ModelError("phase must be training, inference or storage, got " + (
+        if self.phase not in (Phase.TRAINING, Phase.INFERENCE):
+            raise ModelError("phase must be training or inference, got " + (
                 self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
-        # estimate() reads the storage workload in the storage phase only.
-        if self.storage is not None and self.phase is not Phase.STORAGE:
-            raise ModelError(f"{self.phase.value} request carries storage; only a "
-                             "storage-phase request reads it")
 
 
 @dataclass(frozen=True)
@@ -133,9 +129,9 @@ class LifecyclePlan:
 
     ``inference_share`` and ``experimentation_share`` scale the training
     phase's device time (the fleet stays powered serving those activities);
-    storage is its own workload. Published activity ratios vary by operator
-    and are inputs here, not defaults. ``training`` must be a training-phase
-    request, so it has no storage workload of its own.
+    storage is its own workload, priced here and nowhere else. Published
+    activity ratios vary by operator and are inputs here, not defaults.
+    ``training`` must be a training-phase request.
     """
 
     training: EstimateRequest
@@ -184,8 +180,6 @@ def _flop_param_count(arch, full_count: int, is_moe: bool) -> float:
 
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
-    if req.phase is Phase.STORAGE:
-        return _estimate_storage(req.storage, req.data_center)
     setting = _Setting(req.fleet, req.overrides, req.anchors, req.device_memory_gb,
                        req.server_size)
     _, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
@@ -341,10 +335,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             embodied_per_s * seconds)
 
 
-def _estimate_storage(storage: StorageWorkload | None,
-                      data_center: DataCenterProfile) -> CarbonReport:
-    if storage is None:
-        raise ModelError("[operational-carbon] storage phase needs a storage workload")
+def _estimate_storage(storage: StorageWorkload, data_center: DataCenterProfile) -> CarbonReport:
     stored, moved = storage_energy(storage)
     hardware = stored + moved
     facility, carbon = operational_carbon(hardware, data_center)

@@ -168,9 +168,13 @@ def _violations(arch: LlmArchitecture) -> list[str]:
         violations.append(f"kind: must be an ArchKind, got {arch.kind!r}")
 
     explicit = arch.explicit_param_count
-    has_explicit = explicit is not None and _is_real(explicit) and 0 < explicit < math.inf
+    has_explicit = explicit is not None and _is_real(explicit) and 1 <= explicit < math.inf
     if explicit is not None and not has_explicit:
-        violations.append("explicit_param_count: must be a positive number")
+        violations.append(
+            # The parameter model counts whole parameters: 0.5 would count as 0.
+            f"explicit_param_count: must be at least 1, got {explicit!r}"
+            if _is_real(explicit) and 0 < explicit < 1
+            else "explicit_param_count: must be a positive number")
     base = arch.base_model_param_count
     if base is not None and not (_is_real(base) and 0 < base < math.inf):
         violations.append("base_model_param_count: must be a positive number")

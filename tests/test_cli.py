@@ -110,6 +110,18 @@ class TestEstimateCommand:
         assert code == EXIT_CONFIG_ERROR
         assert "schema" in capsys.readouterr().err
 
+    def test_a_storage_only_config_is_refused_by_name(self, tmp_path, capsys):
+        # Storage is priced only as a part of a lifecycle.
+        config = textwrap.dedent("""\
+            schema: 1
+            estimate:
+              phase: storage
+              data_center: {name: dc, pue: 1.1, carbon_intensity: 0.4}
+              storage: {stored_tb: 32.7, transferred_tb: 277.4, duration_days: 180}
+        """)
+        assert main(["estimate", "--config", write_config(tmp_path, config)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", "config error: estimate.storage: unknown key\n")
+
     @pytest.mark.parametrize("old, new, code, message", [
         (" count: 10000", " count: 10000.5", EXIT_CONFIG_ERROR,
          "estimate.fleet[0].count: expected a whole number"),
@@ -131,7 +143,9 @@ class TestEstimateCommand:
         ("phase: training", "phase: experimentation", EXIT_CONFIG_ERROR,
          "estimate.phase: must be one of"),
         ("phase: training", "phase: lifecycle", EXIT_CONFIG_ERROR,
-         "estimate: phase must be training, inference or storage, got lifecycle"),
+         "estimate: phase must be training or inference, got lifecycle"),
+        ("phase: training", "phase: storage", EXIT_CONFIG_ERROR,
+         "estimate: phase must be training or inference, got storage"),
         ("  architecture:\n    name: gpt3\n    kind: dense_gpt\n"
          "    explicit_param_count: 175000000000\n", "", EXIT_CONFIG_ERROR,
          "estimate.architecture: required"),
@@ -255,8 +269,7 @@ class TestLifecycleCommand:
         ("    phase: training", "    phase: inference",
          "config error: lifecycle: training request has phase inference"),
         ("    tokens: 7.0e+12", "    tokens: 7.0e+12\n    storage: {stored_tb: 1, duration_days: 30}",
-         "config error: lifecycle.training: training request carries storage; only a "
-         "storage-phase request reads it"),
+         "config error: lifecycle.training.storage: unknown key"),
     ])
     def test_training_request_checked(self, tmp_path, capsys, old, new, message):
         text = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
@@ -265,6 +278,17 @@ class TestLifecycleCommand:
                      "--catalog", str(DOCS_EXAMPLES / "xlm_cluster_hardware.csv")])
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
+
+
+# A valid sweep section, and a value that leaves a key out of it.
+SWEEP_SECTION = {
+    "fleet": [{"unit": "V100", "count": 1}],
+    "data_center": {"name": "dc", "pue": 1.1, "carbon_intensity": 0.431},
+    "grid": [{"architecture": {"name": "a", "kind": "dense_gpt",
+                               "explicit_param_count": 1_000_000_000},
+              "tokens": 2.0e10}],
+}
+DROP = object()
 
 
 class TestSweepCommand:
@@ -320,6 +344,34 @@ class TestSweepCommand:
         """))
         assert main(["sweep", "--config", config]) == EXIT_CONFIG_ERROR
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"grids": []}, "sweep.grids: unknown key", id="unknown-key"),
+        pytest.param({"grid": DROP}, "sweep.grid: required", id="no-grid"),
+        pytest.param({"fleet": DROP}, "sweep.fleet: required", id="no-fleet"),
+        pytest.param({"data_center": DROP}, "sweep.data_center: required", id="no-data-center"),
+        pytest.param({"fleet": [{"count": 1}]}, "sweep.fleet[0].unit: required",
+                     id="fleet-entry-without-unit"),
+        pytest.param({"fleet": [{"unit": "V100"}]}, "sweep.fleet[0].count: required",
+                     id="fleet-entry-without-count"),
+        pytest.param({"fleet": [{"unit": "H9000", "count": 1}]},
+                     "sweep.fleet[0].unit: unknown hardware unit 'H9000'", id="unknown-unit"),
+        pytest.param({"fleet": [{"unit": "V100", "count": 0}]},
+                     "sweep.fleet[0]: V100: fleet count must be an integer >= 1, got 0",
+                     id="fleet-count-0"),
+        pytest.param({"data_center": "mars"}, "sweep.data_center: unknown data center 'mars'",
+                     id="unknown-data-center"),
+        pytest.param({"server_size": 2.5}, "sweep.server_size: expected a whole number, got 2.5",
+                     id="server-size-2.5"),
+        # Keys are read in the order of sweep()'s parameters, the grid first.
+        pytest.param({"grid": [{"tokens": 1.0e10}], "fleet": [{"count": 1}]},
+                     "sweep.grid[0].architecture: required", id="grid-before-fleet"),
+    ])
+    def test_section_is_checked_at_its_paths(self, tmp_path, capsys, change, message):
+        section = {k: v for k, v in {**SWEEP_SECTION, **change}.items() if v is not DROP}
+        config = write_config(tmp_path, yaml.safe_dump({"schema": 1, "sweep": section}))
+        assert main(["sweep", "--config", config]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     def test_docs_example(self, capsys):
         code = main(["sweep", "--config", str(DOCS_EXAMPLES / "sweep_grid.yaml")])

@@ -9,11 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carboncast import catalog
+from carboncast import catalog, efficiency
 from carboncast.efficiency import (
     efficiency_at_count,
     fit_anchors,
-    optimal_device_count,
     optimal_efficiency,
     plan_parallelism,
 )
@@ -39,12 +38,11 @@ class TestPlanner:
             assert plan.data == 1
             assert plan.device_count == plan.tensor * plan.pipeline
 
-    @pytest.mark.parametrize("fn", [plan_parallelism, optimal_device_count])
     @pytest.mark.parametrize("param_count", [0.0, -1.0, math.nan, math.inf])
-    def test_param_count_must_be_finite_and_positive(self, fn, param_count):
+    def test_param_count_must_be_finite_and_positive(self, param_count):
         message = f"param_count must be finite and positive, got {param_count!r}"
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
-            fn(param_count)
+            plan_parallelism(param_count)
 
     def test_moe_needs_no_more_devices_than_dense(self):
         rng = random.Random(23)
@@ -228,5 +226,5 @@ class TestOffOptimalEfficiency:
 
 
 def test_optimal_device_count_scales_from_published_anchor():
-    assert optimal_device_count(175e9) == 1500
-    assert optimal_device_count(350e9) == 3000
+    assert efficiency._optimum(175e9) == 1500
+    assert efficiency._optimum(350e9) == 3000

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -56,9 +57,29 @@ class TestDeviceTime:
             t = device_time(flops, n, peak, eff)
             assert t * n * peak * 1e12 * eff == pytest.approx(flops, rel=1e-12)
 
-    def test_zero_throughput_rejected(self):
-        with pytest.raises(ModelError, match="throughput"):
-            device_time(1e21, 0, 125, 0.2)
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 8, 125, 0.5), "total_flops must be >= 0, got nan"),
+        ((-1.0, 8, 125, 0.5), "total_flops must be >= 0, got -1.0"),
+        (("1e20", 8, 125, 0.5), "total_flops must be >= 0, got '1e20'"),
+        ((10 ** 400, 8, 125, 0.5), "total_flops is beyond the float range"),
+        ((1e20, True, 125, 0.5), "device_count must be a number, got True"),
+        ((1e20, 10 ** 400, 125, 0.5), "device_count is beyond the float range"),
+        ((1e20, 8, "5", 0.5), "peak_tflops must be a number, got '5'"),
+        ((1e20, 8, 125, "0.5"), "efficiency must be a number, got '0.5'"),
+        ((1e20, 8, math.nan, 0.5),
+         "throughput must be positive (devices=8, peak=nan TFLOP/s, efficiency=0.5)"),
+        ((1e20, 8, 125, math.nan),
+         "throughput must be positive (devices=8, peak=125 TFLOP/s, efficiency=nan)"),
+        ((1e21, 0, 125, 0.2),
+         "throughput must be positive (devices=0, peak=125 TFLOP/s, efficiency=0.2)"),
+        ((1e20, 8, -125, 0.5),
+         "throughput must be positive (devices=8, peak=-125 TFLOP/s, efficiency=0.5)"),
+        ((1e20, 8, math.inf, 0.5),
+         "throughput is beyond the float range (devices=8, peak=inf TFLOP/s, efficiency=0.5)"),
+    ])
+    def test_inputs_fail_by_name(self, args, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            device_time(*args)
 
 
 class TestHardwareEnergy:

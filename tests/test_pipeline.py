@@ -18,7 +18,12 @@ from carboncast.pipeline import (
     sweep,
 )
 from carboncast.embodied import fleet_embodied
-from carboncast.operational import StorageWorkload, hardware_energy
+from carboncast.operational import (
+    StorageWorkload,
+    hardware_energy,
+    operational_carbon,
+    storage_energy,
+)
 from carboncast.types import (
     ArchKind,
     CatalogError,
@@ -177,8 +182,8 @@ class TestEstimate:
     @pytest.mark.parametrize("change, message", [
         ({"tokens": -1.0}, "tokens must be finite and >= 0, got -1.0"),
         ({"tokens": math.inf}, "tokens must be finite and >= 0, got inf"),
-        ({"phase": Phase.LIFECYCLE}, "phase must be training, inference or storage, got lifecycle"),
-        ({"phase": "training"}, "phase must be training, inference or storage, got 'training'"),
+        ({"phase": Phase.LIFECYCLE}, "phase must be training or inference, got lifecycle"),
+        ({"phase": "training"}, "phase must be training or inference, got 'training'"),
         ({"overrides": {"device_count": 0, "efficiency": 0.5}},
          "device_count must be an integer >= 1, got 0"),
         ({"overrides": {"device_count": -8}}, "device_count must be an integer >= 1, got -8"),
@@ -195,10 +200,7 @@ class TestEstimate:
         ({"overrides": {"efficiency": "0.5"}}, "efficiency must lie in (0, 1], got '0.5'"),
         ({"overrides": {"system_power_watts": True}},
          "system_power_watts must be finite and >= 0, got True"),
-        ({"storage": STORAGE},
-         "training request carries storage; only a storage-phase request reads it"),
-        ({"phase": Phase.INFERENCE, "storage": STORAGE},
-         "inference request carries storage; only a storage-phase request reads it"),
+        ({"phase": Phase.STORAGE}, "phase must be training or inference, got storage"),
         pytest.param({"tokens": 10 ** 400}, "tokens is beyond the float range",
                      id="tokens-1e400"),
         pytest.param({"overrides": {"measured_flops": 10 ** 400}},
@@ -307,9 +309,11 @@ class TestEstimate:
         pytest.param({"arch": shaped_arch(hidden_size=10 ** 160)},
                      "[parameter-model] m: parameter count is beyond the float range",
                      id="parameter-model"),
-        # An explicit count below one parameter counts as zero.
+        # An explicit count below one parameter is refused when it is built.
         pytest.param({"arch": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": 0.5}},
-                     "[scaling-law] param_count must be positive, got 0", id="scaling-law"),
+                     "explicit_param_count: must be at least 1, got 0.5; hidden_size: must be "
+                     "a positive integer; layer_count: must be a positive integer; "
+                     "vocab_size: must be a positive integer", id="explicit-0.5"),
         pytest.param({"arch": LlmArchitecture(name="opaque", kind=ArchKind.MOE, hidden_size=1024,
                                               layer_count=24, moe_fraction=0.5,
                                               expert_groups=(ExpertGroup(1.0, 64),))},
@@ -397,16 +401,11 @@ class TestEstimate:
         assert report.test_loss is None
 
     def test_storage_phase(self):
-        req = EstimateRequest(
-            arch=dense_arch("noor", 13e9), tokens=0.0,
-            fleet=HardwareFleet.of((v100(330), 1)), data_center=dc(pue=1.0, ci=0.5),
-            phase=Phase.STORAGE,
-            storage=StorageWorkload(stored_tb=32.7, transferred_tb=277.4,
-                                    duration_days=180),
-        )
-        report = estimate(req)
-        assert report.hardware_energy_mwh == pytest.approx(1.596 + 1.774, abs=0.01)
-        assert report.operational_tco2 == pytest.approx(report.hardware_energy_mwh * 0.5)
+        stored, moved = storage_energy(StorageWorkload(stored_tb=32.7, transferred_tb=277.4,
+                                                       duration_days=180))
+        _, carbon = operational_carbon(stored + moved, dc(pue=1.0, ci=0.5))
+        assert stored + moved == pytest.approx(1.596 + 1.774, abs=0.01)
+        assert carbon == pytest.approx((stored + moved) * 0.5)
 
 
 class TestLifecycle:
@@ -489,8 +488,6 @@ class TestPhaseSum:
         pytest.param(lambda: estimate(mixed_request()), id="training"),
         pytest.param(lambda: estimate(mixed_request(phase=Phase.INFERENCE, tokens=1e12)),
                      id="inference"),
-        pytest.param(lambda: estimate(mixed_request(phase=Phase.STORAGE, storage=STORAGE)),
-                     id="storage"),
         pytest.param(lambda: estimate_lifecycle(LifecyclePlan(mixed_request(), 1.0, 0.5)),
                      id="lifecycle"),
         pytest.param(lambda: estimate_lifecycle(LifecyclePlan(mixed_request(), 1.0, 0.5, STORAGE)),
@@ -524,7 +521,7 @@ class TestPhaseSum:
         training = estimate(req)
         parts = [(1.0 + inference + experimentation, training)]
         if storage is not None:
-            parts.append((1.0, estimate(mixed_request(phase=Phase.STORAGE, storage=storage))))
+            parts.append((1.0, pipeline._estimate_storage(storage, req.data_center)))
 
         for name in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
                      "operational_tco2", "embodied_tco2", "total_tco2"):
@@ -550,7 +547,7 @@ class TestPhaseSum:
         req = mixed_request(fleet=HardwareFleet.of((v100(330), 171), (ssd, 2)))
         got = estimate_lifecycle(LifecyclePlan(req, 1.0, 0.5, STORAGE))
         (ssd_item,) = [i for i in estimate(req).line_items if i.unit == "storage"]
-        storage = estimate(mixed_request(phase=Phase.STORAGE, storage=STORAGE))
+        storage = pipeline._estimate_storage(STORAGE, req.data_center)
 
         fleet_item, phase_item = [i for i in got.line_items if i.unit == "storage"]
         assert (fleet_item.count, fleet_item.energy_mwh) == (2, 0.0)
@@ -575,11 +572,6 @@ class TestLifecyclePlanChecks:
     def test_training_request_must_be_a_training_phase(self):
         with pytest.raises(ModelError, match="training request has phase inference"):
             LifecyclePlan(training=mixed_request(phase=Phase.INFERENCE))
-
-    def test_training_request_must_not_carry_storage(self):
-        with pytest.raises(ModelError, match="^training request carries storage; only a "
-                                             "storage-phase request reads it"):
-            LifecyclePlan(training=mixed_request(storage=STORAGE))
 
 
 class TestSweep:
@@ -778,14 +770,15 @@ def sweep_settings(draw):
     for i in range(draw(st.integers(1, 8))):
         params = 10 ** draw(st.floats(8.0, 12.5))
         tokens = 10 ** draw(st.floats(9.0, 13.0))
-        kind = draw(st.sampled_from(["dense", "moe", "moe-without-base", "below-one-parameter",
+        kind = draw(st.sampled_from(["dense", "moe", "moe-without-base", "depth-beyond-float-range",
                                      "beyond-float-range"]))
         fields = {
             "dense": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": int(params)},
             "moe": {"kind": ArchKind.MOE, "explicit_param_count": int(params),
                     "base_model_param_count": int(params / 16)},
             "moe-without-base": {"kind": ArchKind.MOE, "explicit_param_count": int(params)},
-            "below-one-parameter": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": 0.5},
+            "depth-beyond-float-range": {"kind": ArchKind.DENSE_GPT,
+                                         "explicit_param_count": int(1e308)},
             "beyond-float-range": {"kind": ArchKind.DENSE_GPT, "hidden_size": 10 ** 160,
                                    "layer_count": 2, "vocab_size": 10},
         }[kind]

@@ -92,6 +92,14 @@ class TestValidateArchitecture:
         message = arch_error(kind=ArchKind.DENSE_GPT, **shape, **{fname: value})
         assert message.split("; ")[0] == f"{fname}: must be a positive number"
 
+    @pytest.mark.parametrize("value", [0.5, 0.999])
+    def test_an_explicit_count_below_one_is_refused(self, value):
+        # It would be counted as 0 parameters.
+        message = arch_error(kind=ArchKind.DENSE_GPT, explicit_param_count=value)
+        assert message.split("; ")[0] == f"explicit_param_count: must be at least 1, got {value!r}"
+        assert LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                               explicit_param_count=1.0).explicit_param_count == 1.0
+
     def test_explicit_count_waives_structural_fields(self):
         for kind in ArchKind:
             arch = LlmArchitecture(name="opaque", kind=kind,

@@ -75,7 +75,7 @@ BAD_DRAW = {(g, f): st.sampled_from(BAD_COUNTS if (g, f) in COUNTS else BAD_NUMB
 BROKEN_DRAW = {"any": st.sets(st.sampled_from(FIELDS), max_size=3),
                "arch": st.sets(st.sampled_from([f for f in FIELDS if f[0] in ("arch", "moe")]),
                                min_size=1, max_size=3)}
-RUNNER_DRAW = st.sampled_from(["training", "inference", "storage", "lifecycle", "sweep"])
+RUNNER_DRAW = st.sampled_from(["training", "inference", "lifecycle", "sweep"])
 KIND_DRAW = st.sampled_from([ArchKind.DENSE_GPT, ArchKind.DENSE_DECONLY, ArchKind.MOE])
 
 
@@ -115,8 +115,7 @@ def run(runner, kind, v):
     phase = Phase.TRAINING if runner in ("training", "lifecycle") else Phase(runner)
     req = EstimateRequest(arch=arch, fleet=fleet, data_center=dc, phase=phase,
                           scaling=ScalingConstants(**v["scaling"]),
-                          overrides=Overrides(**v["overrides"]),
-                          storage=storage if runner == "storage" else None, **v["request"])
+                          overrides=Overrides(**v["overrides"]), **v["request"])
     if runner == "lifecycle":
         return estimate_lifecycle(LifecyclePlan(req, storage=storage, **v["plan"]))
     return estimate(req)
