@@ -210,7 +210,9 @@ def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
         if "architecture" not in point:
             raise ConfigError(f"{ppath}.architecture: required")
         arch = _read(LlmArchitecture, point["architecture"], f"{ppath}.architecture")
-        grid.append((arch, _num(float, point.get("tokens"), f"{ppath}.tokens")))
+        if "tokens" not in point:
+            raise ConfigError(f"{ppath}.tokens: required")
+        grid.append((arch, _num(float, point["tokens"], f"{ppath}.tokens")))
     return grid
 
 

@@ -42,7 +42,7 @@ import math
 from operator import mul
 
 from .catalog import default_anchors
-from .types import ModelError, ParallelismPlan, check_count, is_number
+from .types import ModelError, ParallelismPlan, check_count, is_number, plain_sum
 
 DEFAULT_SERVER_SIZE = 8           # devices per server sharing fast interconnect
 DEFAULT_DEVICE_MEMORY_GB = 32.0   # published 175 B optimum assumed 32 GB parts
@@ -179,6 +179,9 @@ class AnchorCurve:
         return min(1.0, max(1e-6, eff))
 
 
+_packaged_fit = (None, None)  # the packaged table as last read, and its curve
+
+
 def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve:
     """Check, sort and fit an anchor table; the packaged one when omitted.
 
@@ -186,19 +189,30 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
     log10(param_count); one or two fall back to piecewise-linear
     interpolation (flat beyond the ends); zero is an error. A bad anchor
     raises :class:`ModelError` naming its index.
+    The packaged table is read each call, and fitted once per process.
     """
-    if anchors is None:
-        anchors = default_anchors()
+    global _packaged_fit
+    if anchors is not None:
+        return _fit(anchors)
+    table = default_anchors()
+    if _packaged_fit[0] != table:
+        _packaged_fit = (table, _fit(table))
+    return _packaged_fit[1]
+
+
+def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
     if not anchors:
         raise ModelError("efficiency anchor table is empty")
 
     seen: dict[float, int] = {}  # log10(param_count) -> anchor index
     for i, (p, e) in enumerate(anchors):
-        label = f"efficiency anchor {i}"
-        if not (is_number(p, f"{label}: param_count", ModelError) and 0.0 < p < math.inf):
-            raise ModelError(f"{label}: param_count must be finite and > 0, got {p!r}")
-        if not (is_number(e, f"{label}: efficiency", ModelError) and 0.0 < e <= 1.0):
-            raise ModelError(f"{label}: efficiency must lie in (0, 1], got {e!r}")
+        if not (type(p) is float and type(e) is float and 0.0 < p < math.inf
+                and 0.0 < e <= 1.0):
+            label = f"efficiency anchor {i}"
+            if not (is_number(p, f"{label}: param_count", ModelError) and 0.0 < p < math.inf):
+                raise ModelError(f"{label}: param_count must be finite and > 0, got {p!r}")
+            if not (is_number(e, f"{label}: efficiency", ModelError) and 0.0 < e <= 1.0):
+                raise ModelError(f"{label}: efficiency must lie in (0, 1], got {e!r}")
         j = seen.setdefault(math.log10(p), i)
         if j != i:
             raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
@@ -239,21 +253,21 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
     same rounding as the basis. Unlike the normal equations, this does not
     square the condition number of the fit.
     """
-    mean = sum(xs) / len(xs)
+    mean = plain_sum(xs) / len(xs)
     ts = [xi - mean for xi in xs]
     cols = [[1.0] * len(ts), ts, [t * t for t in ts], list(ys)]
-    scales = [math.sqrt(sum(map(mul, col, col))) for col in cols[:3]]
+    scales = [math.sqrt(plain_sum(map(mul, col, col))) for col in cols[:3]]
     r = [[0.0] * 4 for _ in range(3)]
     for k in range(3):
         col, rk = cols[k], r[k]
-        norm = math.sqrt(sum(map(mul, col, col)))
+        norm = math.sqrt(plain_sum(map(mul, col, col)))
         if norm <= _RANK_TOL * scales[k]:
             raise ModelError("efficiency anchors are too close in size to fit a parabola")
         q = cols[k] = [v / norm for v in col]
         rk[k] = norm
         for j in range(k + 1, 4):
             cj = cols[j]
-            rkj = rk[j] = sum(map(mul, q, cj))
+            rkj = rk[j] = plain_sum(map(mul, q, cj))
             cols[j] = [b - rkj * a for a, b in zip(q, cj)]
     c2 = r[2][3] / r[2][2]
     c1 = (r[1][3] - r[1][2] * c2) / r[1][1]

@@ -19,7 +19,7 @@ them for each estimate.
 from __future__ import annotations
 
 from . import units
-from .types import HardwareFleet, HardwareUnit, ModelError
+from .types import HardwareFleet, HardwareUnit, ModelError, plain_sum
 
 OTHERS_FRACTION = 0.15
 
@@ -51,6 +51,6 @@ def fleet_embodied(fleet: HardwareFleet,
         share = execution_seconds / units.years_to_seconds(unit.lifetime_years)
         per_entry.append(entry.count * chip_embodied(unit) * share / 1000.0)
 
-    named = sum(per_entry)
+    named = plain_sum(per_entry)
     total = named / (1.0 - OTHERS_FRACTION)
     return per_entry, total - named, total

@@ -10,6 +10,7 @@ full expert count, feeds these formulas; the pipeline enforces this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .types import ModelError, is_number
 
@@ -23,20 +24,24 @@ class FlopBudget:
 
 
 def training_flops(param_count: float, token_count: float) -> FlopBudget:
-    """Total training FLOPs = 6 * P * D.
-
-    Computed as exactly three times the inference product, so the
-    training/inference ratio holds bit-for-bit.
-    """
+    """Total training FLOPs = 6 * P * D, computed as exactly three times the
+    inference product, so the training/inference ratio holds bit-for-bit."""
     _check(param_count, token_count)
-    forward = INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count
-    return FlopBudget(3.0 * forward)
+    return FlopBudget(_training(param_count, token_count))
 
 
 def inference_flops(param_count: float, token_count: float) -> FlopBudget:
     """Total inference FLOPs = 2 * P * D."""
     _check(param_count, token_count)
-    return FlopBudget(INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count)
+    return FlopBudget(_inference(param_count, token_count))
+
+
+def _training(param_count: float, token_count: float) -> float:  # on checked counts
+    return 3.0 * (INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count)
+
+
+def _inference(param_count: float, token_count: float) -> float:  # on checked counts
+    return INFERENCE_FLOPS_PER_PARAM_TOKEN * param_count * token_count
 
 
 def _check(param_count: float, token_count: float) -> None:
@@ -44,3 +49,5 @@ def _check(param_count: float, token_count: float) -> None:
         # Written so that NaN fails too.
         if not (is_number(value, label, ModelError) and value >= 0):
             raise ModelError("param_count and token_count must be >= 0")
+        if value == inf:  # finite counts may still give inf FLOPs
+            raise ModelError(f"{label} must be finite, got inf")

@@ -58,14 +58,16 @@ def device_time(total_flops: float, device_count: int,
     # Written so that NaN fails too.
     if not (is_number(total_flops, "total_flops", ModelError) and total_flops >= 0):
         raise ModelError(f"total_flops must be >= 0, got {total_flops!r}")
-    # Three plain checks, not a loop over (label, value) pairs, which costs
-    # about 0.2 us more: this runs once per sweep point.
-    if not is_number(device_count, "device_count", ModelError):
-        raise ModelError(f"device_count must be a number, got {device_count!r}")
-    if not is_number(peak_tflops, "peak_tflops", ModelError):
-        raise ModelError(f"peak_tflops must be a number, got {peak_tflops!r}")
-    if not is_number(efficiency, "efficiency", ModelError):
-        raise ModelError(f"efficiency must be a number, got {efficiency!r}")
+    for label, value in (("device_count", device_count), ("peak_tflops", peak_tflops),
+                         ("efficiency", efficiency)):
+        if not is_number(value, label, ModelError):
+            raise ModelError(f"{label} must be a number, got {value!r}")
+    return _seconds(total_flops, device_count, peak_tflops, efficiency)
+
+
+def _seconds(total_flops: float, device_count: int, peak_tflops: float,
+             efficiency: float) -> float:
+    """:func:`device_time` on numbers that have passed its checks."""
     denom = device_count * peak_tflops * units.TERA * efficiency
     if not denom > 0:  # NaN fails too
         raise ModelError(
@@ -110,8 +112,9 @@ def hardware_energy(
     TDP path. ``power_override_watts`` substitutes a measured per-device
     power for the accelerator entry.
     """
-    if execution_seconds < 0:
-        raise ModelError("execution_seconds must be >= 0")
+    check_non_negative(execution_seconds, "execution_seconds", ModelError)
+    if not (is_number(efficiency, "efficiency", ModelError) and 0 < efficiency <= 1):
+        raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
     total_j = 0.0
     items = []
     accel = fleet.accelerator

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .types import ArchKind, LlmArchitecture, ModelError
+from .types import ArchKind, LlmArchitecture, ModelError, plain_sum
 
 
 class ParameterEquation(enum.Enum):
@@ -103,7 +103,7 @@ def count_moe(
         # Dense remainder priced at 12*l*h^2 (vocabulary embeddings excluded:
         # they are negligible against expert weights and published MoE counts
         # omit them).
-        per_moe_layer = sum(
+        per_moe_layer = plain_sum(
             g.layer_fraction * (4 * h * h + 8 * h * h * g.expert_count * arch.ff_stacks)
             for g in arch.expert_groups
         )
@@ -112,7 +112,7 @@ def count_moe(
 
     if arch.ff_size is None:  # only a forced general route gets here without it
         raise ModelError(f"{arch.name}: parameter model needs ff_size for kind moe")
-    expert_per_layer = sum(
+    expert_per_layer = plain_sum(
         g.layer_fraction * 2 * h * arch.ff_size * g.expert_count
         for g in arch.expert_groups
     )

@@ -8,30 +8,18 @@ finally their sum. Any stage can be short-circuited by a measured override
 model would have computed changes nothing.
 
 What depends only on the fleet, the overrides, the anchor table and the
-device sizing is worked out once, up front, in a ``_Setting``: the fitted
-anchor curve, the fleet's energy and embodied carbon per second, and the
-device memory and server size, checked. A fault of the setting (no
-accelerator, a bad sizing, an anchor table that does not fit) is raised
-once, as ``[efficiency-model]``, when the setting is built. The energy
-rates follow the power rule that ``hardware_energy`` also applies,
-``operational.unit_power``; the embodied rates are ``fleet_embodied`` over
-one second. ``estimate()`` makes a setting per call; ``sweep()`` makes one
-for all its points.
+device sizing is made once, up front, in a ``_Setting``: the fitted anchor
+curve, the fleet's energy and embodied carbon per second, and the checked
+sizing. It raises a fault of its own once, as ``[efficiency-model]``.
 
-The model stages run in one chain, ``_stages``. The efficiency,
-operational and embodied stages hand it plain floats, and the planning
-stage the parallelism degrees as a tuple, from the planning core that
-``plan_parallelism`` also calls. It multiplies its execution seconds by the
-setting's rates and names every fault it meets by its stage. The chain has
-two ends. ``estimate()`` builds a report, with its ``ParallelismPlan`` and
-a line item per fleet unit, from the stage values. ``sweep()`` builds no
-report and no plan: it checks the same values the report would check, with
-the same messages, and keeps a row of the loss and carbon.
-
-Also here: the lifecycle, a weighted sum of its parts (training, which
-also stands for inference and experimentation, plus storage), and the
-design-space sweep with Pareto dominance flags. Storage is priced only as a
-lifecycle part: a request is a training or an inference phase.
+The model stages run in one chain, ``_stages``, on plain values from the
+private cores that ``test_loss``, the FLOP functions, ``plan_parallelism``
+and ``device_time`` wrap; it names every fault it meets by its stage.
+``estimate()`` and ``estimate_lifecycle()`` build their report in one pass
+from the stage values (``_report``): the lifecycle weights them and adds its
+storage part, the one place storage is priced. ``sweep()`` builds no
+report: it checks the values a report would, with the same messages, and
+flags the Pareto-dominated points.
 """
 
 from __future__ import annotations
@@ -52,16 +40,11 @@ from .efficiency import (
     optimal_efficiency,
 )
 from .embodied import fleet_embodied
-from .flops import inference_flops, training_flops
-from .operational import (
-    StorageWorkload,
-    device_time,
-    operational_carbon,
-    storage_energy,
-    unit_power,
-)
-from .params import ParameterCount, count_dense_gpt, count_params
-from .scaling import test_loss
+from .flops import _inference as _inference_flops
+from .flops import _training as _training_flops
+from .operational import StorageWorkload, _seconds, operational_carbon, storage_energy, unit_power
+from .params import count_dense_gpt, count_params
+from .scaling import _loss
 from .types import (
     CarbonReport,
     DataCenterProfile,
@@ -78,6 +61,7 @@ from .types import (
     check_report_floats,
     is_number,
     is_shape_count,
+    plain_sum,
 )
 
 
@@ -180,14 +164,53 @@ def _flop_param_count(arch, full_count: int, is_moe: bool) -> float:
 
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
+    return _report(req, req.phase, 1.0)
+
+
+def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
+    """A lifecycle report: the training values and line items, weighted,
+    plus the storage part.
+
+    Inference and experimentation are modeled as extra wall-clock on the
+    training fleet, so the training values count ``1 + inference_share +
+    experimentation_share`` times; storage counts once. With both shares at
+    zero and no storage the numbers are the training estimate's. A training
+    fault is the one ``estimate()`` raises.
+    """
+    activity = 1.0 + plan.inference_share + plan.experimentation_share
+    return _report(plan.training, Phase.LIFECYCLE, activity, plan.storage)
+
+
+def _report(req: EstimateRequest, phase: Phase, weight: float,
+            storage: StorageWorkload | None = None) -> CarbonReport:
+    """The report of ``phase``: the stage values and fleet line items of
+    ``req`` count ``weight`` times, and a lifecycle's ``storage`` part once,
+    with a storage and a transfer item. A lifecycle checks the stage values,
+    then the storage part, each as its own report would, then the sums."""
     setting = _Setting(req.fleet, req.overrides, req.anchors, req.device_memory_gb,
                        req.server_size)
     _, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
         req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.data_center, setting)
+    if phase is Phase.LIFECYCLE:
+        check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied,
+                            eff, loss)
     rates, _ = setting.rates
+    items = [LineItem(unit, count, weight * energy, weight * (unit_embodied * seconds))
+             for (unit, (count, _, _, unit_embodied)), energy in zip(rates.items(), energies)]
+    duration, hardware, facility, carbon, embodied = (
+        weight * seconds, weight * hardware, weight * facility, weight * carbon, weight * embodied)
+    if storage is not None:
+        stored, moved = storage_energy(storage)
+        part_seconds, part_hardware = units.days_to_seconds(storage.duration_days), stored + moved
+        part_facility, part_carbon = operational_carbon(part_hardware, req.data_center)
+        check_report_floats(part_seconds, part_hardware, part_facility, part_carbon, 0.0,
+                            part_carbon, 1.0, None)
+        duration, hardware = duration + part_seconds, hardware + part_hardware
+        facility, carbon = facility + part_facility, carbon + part_carbon
+        items += (LineItem("storage", 1, stored), LineItem("transfer", 1, moved))
     return CarbonReport(
-        phase=req.phase,
-        duration_seconds=seconds,
+        phase=phase,
+        duration_seconds=duration,
         hardware_energy_mwh=hardware,
         operational_energy_mwh=facility,
         operational_tco2=carbon,
@@ -196,22 +219,16 @@ def estimate(req: EstimateRequest) -> CarbonReport:
         hardware_efficiency=eff,
         test_loss=loss,
         parallelism=ParallelismPlan(*degrees),
-        line_items=tuple([LineItem(unit, count, energy, unit_embodied * seconds)
-                          for (unit, (count, _, _, unit_embodied)), energy
-                          in zip(rates.items(), energies)]),
+        line_items=tuple(items),
     )
 
 
 class _Setting:
     """What estimates on one fleet, set of overrides, anchor table and device
-    sizing share, made once, up front: the accelerator entry and the device
-    count, the fleet's per-second rates, the fitted anchor curve (when there
-    is no efficiency override) and the checked device memory and server
-    size. Building it checks the accelerator entry, then the sizing, then
-    the anchor table, and raises the first fault as ``[efficiency-model]``.
-    ``sweep()`` makes one setting for all its points; ``estimate()`` makes
-    one per call.
-    """
+    sizing share (see the module docstring). Building it checks the
+    accelerator entry, then the sizing, then the anchor table, and raises the
+    first fault as ``[efficiency-model]``. ``sweep()`` makes one setting for
+    all its points, a report one per call."""
 
     __slots__ = ("accel", "device_count", "curve", "rates", "device_memory_gb", "server_size")
 
@@ -235,15 +252,13 @@ class _Setting:
 def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
                  power_watts: float | None) -> tuple[dict[str, list], float]:
     """Energy and embodied carbon per second of execution of ``fleet``, whose
-    accelerator entry is ``accel``, with ``device_count`` accelerators and,
-    when ``power_watts`` is given, that measured power per accelerator: each
-    unit's draw by ``unit_power`` at full efficiency, and ``fleet_embodied``
-    over one second.
+    accelerator entry ``accel`` counts ``device_count`` and draws
+    ``power_watts`` each when given: each unit's ``unit_power`` at full
+    efficiency, and ``fleet_embodied`` over one second.
 
-    Returns the units, mapping each unit name to [count, measured MWh/s, TDP
-    MWh/s at full efficiency, embodied tCO2/s] (powered units first, then
-    the rest, each in fleet order, then the ``others`` share); and the
-    fleet's embodied tCO2/s, named units plus others.
+    Returns each unit name's [count, measured MWh/s, TDP MWh/s, embodied
+    tCO2/s] (powered units first, then the rest, each in fleet order, then
+    ``others``), and the fleet's embodied tCO2/s.
     """
     if accel.count != device_count:
         resized = FleetEntry(accel.unit, device_count)
@@ -271,19 +286,14 @@ def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
 
 
 def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: ScalingConstants,
-            overrides: Overrides, data_center: DataCenterProfile, setting: _Setting,
-            ) -> tuple[ParameterCount, float | None, tuple[int, int, int, int], float, float,
-                       list[float], float, float, float, float]:
-    """The model stages of one training or inference estimate, on ``setting``,
-    which is made from the estimate's fleet, overrides, anchor table and
-    device sizing.
+            overrides: Overrides, data_center: DataCenterProfile, setting: _Setting) -> tuple:
+    """The model stages of one training or inference estimate on ``setting``.
 
-    Returns the stage values: the parameter count, the test loss (``None``
+    Returns the stage values: the ``ParameterCount``, the test loss (``None``
     for inference or zero tokens), the (pipeline, tensor, data, expert)
-    parallelism degrees, the hardware efficiency, the execution seconds,
-    each fleet unit's hardware energy in MWh in the order of
-    ``setting.rates``, the fleet's hardware energy and facility energy in
-    MWh, the operational tCO2 and the embodied tCO2.
+    degrees, the hardware efficiency, the execution seconds, each fleet
+    unit's hardware MWh in the order of ``setting.rates``, the fleet's
+    hardware and facility MWh, the operational and the embodied tCO2.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
@@ -295,7 +305,10 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
         loss = None
         if phase is Phase.TRAINING and tokens > 0:
             stage = "scaling-law"
-            loss = test_loss(total, tokens, scaling, moe=is_moe).loss
+            # The one check of test_loss's that a count can fail here.
+            if not total > 0:
+                raise ModelError(f"param_count must be positive, got {total!r}")
+            loss = _loss(total, tokens, scaling, is_moe)
 
         stage = "flop-model"
         p_flops = None  # worked out where a stage first needs it
@@ -303,9 +316,8 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             flops = overrides.measured_flops
         else:
             p_flops = _flop_param_count(arch, total, is_moe)
-            budget = (training_flops(p_flops, tokens) if phase is Phase.TRAINING
-                      else inference_flops(p_flops, tokens))
-            flops = budget.total_flops
+            flops = (_training_flops(p_flops, tokens) if phase is Phase.TRAINING
+                     else _inference_flops(p_flops, tokens))
 
         stage = "efficiency-model"
         # plan_parallelism's own checks; the setting checked the sizing.
@@ -322,80 +334,17 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
 
         stage = "operational-carbon"
         rates, embodied_per_s = setting.rates
-        seconds = 0.0 if flops == 0 else device_time(
+        seconds = 0.0 if flops == 0 else _seconds(
             flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
         energies = [(measured + tdp * eff) * seconds
                     for _, measured, tdp, _ in rates.values()]
-        hardware = sum(energies)
+        hardware = plain_sum(energies)
         facility, carbon = operational_carbon(hardware, data_center)
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
     return (pcount, loss, degrees, eff, seconds, energies, hardware, facility, carbon,
             embodied_per_s * seconds)
-
-
-def _estimate_storage(storage: StorageWorkload, data_center: DataCenterProfile) -> CarbonReport:
-    stored, moved = storage_energy(storage)
-    hardware = stored + moved
-    facility, carbon = operational_carbon(hardware, data_center)
-    return CarbonReport(
-        phase=Phase.STORAGE,
-        duration_seconds=units.days_to_seconds(storage.duration_days),
-        hardware_energy_mwh=hardware,
-        operational_energy_mwh=facility,
-        operational_tco2=carbon,
-        embodied_tco2=0.0,
-        total_tco2=carbon,
-        line_items=(
-            LineItem(unit="storage", count=1, energy_mwh=stored),
-            LineItem(unit="transfer", count=1, energy_mwh=moved),
-        ),
-    )
-
-
-def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
-    """A lifecycle report: the weighted sum of its phase reports.
-
-    Inference and experimentation are modeled as extra wall-clock on the
-    training fleet, so the training report counts ``1 + inference_share +
-    experimentation_share`` times; a storage report counts once. With both
-    shares at zero and no storage the numbers are the training estimate's.
-    """
-    activity = 1.0 + plan.inference_share + plan.experimentation_share
-    parts = [(activity, estimate(plan.training))]
-    if plan.storage is not None:
-        parts.append((1.0, _estimate_storage(plan.storage, plan.training.data_center)))
-    return _sum_reports(parts)
-
-
-def _sum_reports(parts: list[tuple[float, CarbonReport]]) -> CarbonReport:
-    """The lifecycle report of (weight, phase report) parts: durations,
-    energies and carbon are weighted sums, and each part's line items are
-    kept, weighted, in phase order; hardware efficiency, test loss and plan
-    are the first (training) part's."""
-    duration = hardware = facility = operational = embodied = 0.0
-    for w, r in parts:
-        duration += w * r.duration_seconds
-        hardware += w * r.hardware_energy_mwh
-        facility += w * r.operational_energy_mwh
-        operational += w * r.operational_tco2
-        embodied += w * r.embodied_tco2
-    training = parts[0][1]
-    return CarbonReport(
-        phase=Phase.LIFECYCLE,
-        duration_seconds=duration,
-        hardware_energy_mwh=hardware,
-        operational_energy_mwh=facility,
-        operational_tco2=operational,
-        embodied_tco2=embodied,
-        total_tco2=operational + embodied,
-        hardware_efficiency=training.hardware_efficiency,
-        test_loss=training.test_loss,
-        parallelism=training.parallelism,
-        line_items=tuple([LineItem(i.unit, i.count, w * i.energy_mwh, w * i.embodied_tco2)
-                          for w, r in parts for i in r.line_items]),
-    )
 
 
 def sweep(

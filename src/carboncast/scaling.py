@@ -41,7 +41,11 @@ def test_loss(
         # Written so that NaN fails too.
         if not (is_number(value, label, ModelError) and value > 0):
             raise ModelError(f"{label} must be positive, got {value!r}")
+    return LossPrediction(_loss(param_count, token_count, constants, moe))
 
+
+def _loss(param_count: float, token_count: float, constants, moe: bool) -> float:
+    """The loss of :func:`test_loss`, on counts that have passed its checks."""
     try:
         effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)
         loss = (constants.A / effective ** constants.alpha
@@ -52,7 +56,7 @@ def test_loss(
     if loss == inf:  # also a quotient beyond the float range
         raise ModelError("the loss law's terms are beyond the float range (alpha="
                          f"{constants.alpha!r}, beta={constants.beta!r})")
-    return LossPrediction(loss=loss)
+    return loss
 
 
 test_loss.__test__ = False  # keep pytest from collecting the public name

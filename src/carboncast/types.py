@@ -18,6 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from math import inf
+from operator import add
 
 
 class CatalogError(ValueError):
@@ -54,6 +57,13 @@ def check_count(value, label: str, error: type[ValueError]) -> None:
     """Raise ``error`` unless ``value`` is an int >= 1 that a float can hold."""
     if not (is_number(value, label, error) and isinstance(value, int) and value >= 1):
         raise error(f"{label} must be an integer >= 1, got {value!r}")
+
+
+def plain_sum(values):
+    """``sum(values)`` as Python 3.11 adds floats: left to right from 0. From
+    3.12 ``sum()`` compensates (gh-100425), which can change the last bits;
+    the package sums floats with this, so every interpreter gives its bits."""
+    return reduce(add, values, 0)
 
 
 class ArchKind(enum.Enum):
@@ -217,7 +227,7 @@ def _violations(arch: LlmArchitecture) -> list[str]:
             fractions = [g.layer_fraction for g in arch.expert_groups]
             # Only numbers are summed; a fraction that is not one is named below.
             if all(map(_is_real, fractions)):
-                total = sum(fractions)
+                total = plain_sum(fractions)
                 if abs(total - 1.0) > _FRACTION_SUM_TOL:
                     violations.append(
                         f"expert_groups: layer fractions sum to {total!r}, expected 1"
@@ -386,6 +396,8 @@ class ParallelismPlan:
     expert: int = 1
 
     def __post_init__(self) -> None:
+        if self.pipeline >= 1 and self.tensor >= 1 and self.data >= 1 and self.expert >= 1:
+            return  # one chain for the valid case; the loop names the fault
         for fname in ("pipeline", "tensor", "data", "expert"):
             if getattr(self, fname) < 1:
                 raise ModelError(f"parallelism degree {fname} must be >= 1")
@@ -417,6 +429,15 @@ def check_report_floats(*values: float | None) -> None:
     order, from duration to test loss; a test loss of ``None`` passes. The
     sweep checks its points with this, so they fail exactly as their reports
     would."""
+    duration, hardware, facility, operational, embodied, total, efficiency, loss = values
+    # One chain for the valid case; the loop names the fault (None passes it).
+    try:
+        if (0.0 <= duration < inf and 0.0 <= hardware < inf and 0.0 <= facility < inf
+                and 0.0 <= operational < inf and 0.0 <= embodied < inf and 0.0 <= total < inf
+                and 0.0 <= efficiency < inf and (loss is None or 0.0 <= loss < inf)):
+            return
+    except TypeError:
+        pass
     for fname, value in zip(_REPORT_FLOATS, values):
         # Written so that NaN fails too.
         if value is not None and not (0.0 <= value < math.inf):

@@ -366,6 +366,9 @@ class TestSweepCommand:
         # Keys are read in the order of sweep()'s parameters, the grid first.
         pytest.param({"grid": [{"tokens": 1.0e10}], "fleet": [{"count": 1}]},
                      "sweep.grid[0].architecture: required", id="grid-before-fleet"),
+        pytest.param({"grid": [{"architecture": {"name": "a", "kind": "dense_gpt",
+                                                 "explicit_param_count": 10 ** 9}}]},
+                     "sweep.grid[0].tokens: required", id="grid-point-without-tokens"),
     ])
     def test_section_is_checked_at_its_paths(self, tmp_path, capsys, change, message):
         section = {k: v for k, v in {**SWEEP_SECTION, **change}.items() if v is not DROP}

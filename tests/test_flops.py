@@ -70,8 +70,15 @@ class TestProperties:
         ("5", 1e9, "param_count and token_count must be >= 0"),
         (1e9, True, "param_count and token_count must be >= 0"),
         pytest.param(1e9, 10 ** 400, "token_count is beyond the float range", id="1e400"),
+        (math.inf, 1e9, "param_count must be finite, got inf"),
+        (1e9, math.inf, "token_count must be finite, got inf"),
+        (math.inf, -1.0, "param_count must be finite, got inf"),
     ])
     def test_counts_must_be_non_negative_numbers(self, flops, param_count, token_count,
                                                  message):
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
             flops(param_count, token_count)
+
+    @pytest.mark.parametrize("flops", [training_flops, inference_flops])
+    def test_finite_counts_may_still_overflow(self, flops):
+        assert flops(1e200, 1e200).total_flops == math.inf

@@ -11,9 +11,13 @@ dominance flag, and each error row word for word. Those values were captured
 while ``sweep()`` still built a full report for every point.
 """
 
+import builtins
+import hashlib
 import re
 
 import pytest
+import seeded
+from neumaier_sum import neumaier_sum
 
 from carboncast.operational import StorageWorkload
 from carboncast.pipeline import (
@@ -382,3 +386,28 @@ def test_sweep_is_bit_identical_to_the_pinned_one(anchors):
 def test_a_sweep_point_the_parameter_model_cannot_count_is_refused_when_built(fields, message):
     with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
         LlmArchitecture(name="bad", **fields)
+
+
+# sha256 over the lines of seeded.outputs(seeded.inputs("golden", 2000))
+# followed by seeded.sweep_text("golden", 300, <the 4-anchor table>), captured
+# before estimate() and estimate_lifecycle() shared one report assembler.
+SEEDED_DIGEST = "f15a59bc2daed35bc42f3121d3810401fc783eab916c0ed54907d8af5135efa7"
+
+
+def seeded_lines(seed, n, points):
+    return (seeded.outputs(seeded.inputs(seed, n))
+            + seeded.sweep_text(seed, points, seeded.ANCHOR_TABLES[2]))
+
+
+def test_seeded_outputs_match_the_pinned_digest():
+    lines = seeded_lines("golden", 2000, 300)
+    assert sum(line.startswith("error: ") for line in lines) > 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_DIGEST
+
+
+def test_outputs_are_the_same_under_the_float_sum_of_python_3_12(monkeypatch):
+    # Python 3.12's sum() compensates; the package adds floats left to right
+    # itself, so its bits do not depend on the interpreter.
+    want = seeded_lines("sum", 400, 200)
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert seeded_lines("sum", 400, 200) == want

@@ -125,6 +125,23 @@ class TestHardwareEnergy:
         with pytest.raises(ModelError, match="ghost"):
             hardware_energy(HardwareFleet.of((ghost, 1)), 100.0, 0.5)
 
+    @pytest.mark.parametrize("seconds, efficiency, message", [
+        (math.nan, 0.5, "execution_seconds must be finite and >= 0, got nan"),
+        (math.inf, 0.5, "execution_seconds must be finite and >= 0, got inf"),
+        (-1.0, 0.5, "execution_seconds must be finite and >= 0, got -1.0"),
+        ("10", 0.5, "execution_seconds must be finite and >= 0, got '10'"),
+        (10 ** 400, 0.5, "execution_seconds is beyond the float range"),
+        (10.0, math.nan, "efficiency must lie in (0, 1], got nan"),
+        (10.0, 0.0, "efficiency must lie in (0, 1], got 0.0"),
+        (10.0, 1.5, "efficiency must lie in (0, 1], got 1.5"),
+        (10.0, True, "efficiency must lie in (0, 1], got True"),
+        (10.0, 10 ** 400, "efficiency is beyond the float range"),
+    ])
+    def test_inputs_fail_by_name(self, seconds, efficiency, message):
+        fleet = HardwareFleet.of((v100(avg_watts=330), 8))
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            hardware_energy(fleet, seconds, efficiency)
+
 
 class TestOperationalCarbon:
     def test_gpt3_published_footprint(self):

@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+import seeded
 from hypothesis import given, settings, strategies as st
 
 from carboncast import catalog, efficiency, pipeline, types, units
@@ -26,12 +27,14 @@ from carboncast.operational import (
 )
 from carboncast.types import (
     ArchKind,
+    CarbonReport,
     CatalogError,
     DataCenterProfile,
     ExpertGroup,
     HardwareFleet,
     HardwareRole,
     HardwareUnit,
+    LineItem,
     LlmArchitecture,
     ModelError,
     Phase,
@@ -483,6 +486,18 @@ def cpu_listed_twice():
     return mixed_request(fleet=HardwareFleet(entries + entries[1:2]))
 
 
+def storage_report(storage, data_center):
+    """The storage part of a lifecycle as a report of its own, with a storage
+    and a transfer line item."""
+    stored, moved = storage_energy(storage)
+    facility, carbon = operational_carbon(stored + moved, data_center)
+    return CarbonReport(phase=Phase.STORAGE,
+                        duration_seconds=units.days_to_seconds(storage.duration_days),
+                        hardware_energy_mwh=stored + moved, operational_energy_mwh=facility,
+                        operational_tco2=carbon, embodied_tco2=0.0, total_tco2=carbon,
+                        line_items=(LineItem("storage", 1, stored), LineItem("transfer", 1, moved)))
+
+
 class TestPhaseSum:
     @pytest.mark.parametrize("report", [
         pytest.param(lambda: estimate(mixed_request()), id="training"),
@@ -521,7 +536,7 @@ class TestPhaseSum:
         training = estimate(req)
         parts = [(1.0 + inference + experimentation, training)]
         if storage is not None:
-            parts.append((1.0, pipeline._estimate_storage(storage, req.data_center)))
+            parts.append((1.0, storage_report(storage, req.data_center)))
 
         for name in ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
                      "operational_tco2", "embodied_tco2", "total_tco2"):
@@ -547,7 +562,7 @@ class TestPhaseSum:
         req = mixed_request(fleet=HardwareFleet.of((v100(330), 171), (ssd, 2)))
         got = estimate_lifecycle(LifecyclePlan(req, 1.0, 0.5, STORAGE))
         (ssd_item,) = [i for i in estimate(req).line_items if i.unit == "storage"]
-        storage = pipeline._estimate_storage(STORAGE, req.data_center)
+        storage = storage_report(STORAGE, req.data_center)
 
         fleet_item, phase_item = [i for i in got.line_items if i.unit == "storage"]
         assert (fleet_item.count, fleet_item.energy_mwh) == (2, 0.0)
@@ -558,6 +573,110 @@ class TestPhaseSum:
                             rel_tol=1e-12)
         assert math.isclose(sum(i.embodied_tco2 for i in got.line_items), got.embodied_tco2,
                             rel_tol=1e-12)
+
+
+def weighted_sum(parts):
+    """The lifecycle report of (weight, phase report) parts: weighted sums
+    added in phase order, each part's line items weighted, and the first
+    part's efficiency, loss and plan."""
+    sums = dict.fromkeys(("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
+                          "operational_tco2", "embodied_tco2"), 0.0)
+    for w, r in parts:
+        for name in sums:
+            sums[name] += w * getattr(r, name)
+    first = parts[0][1]
+    return CarbonReport(
+        phase=Phase.LIFECYCLE, **sums, total_tco2=sums["operational_tco2"] + sums["embodied_tco2"],
+        hardware_efficiency=first.hardware_efficiency, test_loss=first.test_loss,
+        parallelism=first.parallelism,
+        line_items=tuple(LineItem(i.unit, i.count, w * i.energy_mwh, w * i.embodied_tco2)
+                         for w, r in parts for i in r.line_items))
+
+
+OVERFLOWING_STORAGE = StorageWorkload(stored_tb=1e300, transferred_tb=1.0, duration_days=10.0,
+                                      storage_w_per_tb=1e10)
+
+
+class TestReportAssembly:
+    def test_lifecycle_is_bit_for_bit_the_weighted_sum_of_its_parts(self):
+        plans = [p for p in seeded.inputs("lifecycle", 1200) if isinstance(p, LifecyclePlan)]
+        checked = {"storage": 0, "overrides": 0, "anchors": 0}
+        for plan in plans:
+            try:
+                parts = [(1.0 + plan.inference_share + plan.experimentation_share,
+                          estimate(plan.training))]
+                if plan.storage is not None:
+                    parts.append((1.0, storage_report(plan.storage, plan.training.data_center)))
+                want = weighted_sum(parts)
+            except ModelError as exc:
+                with pytest.raises(ModelError, match="^" + re.escape(str(exc)) + "$"):
+                    estimate_lifecycle(plan)
+                continue
+            assert seeded.report_text(estimate_lifecycle(plan)) == seeded.report_text(want)
+            checked["storage"] += plan.storage is not None
+            checked["overrides"] += plan.training.overrides != Overrides()
+            checked["anchors"] += plan.training.anchors is not None
+        assert min(checked.values()) >= 20, checked
+
+    @pytest.mark.parametrize("training, shares, storage, fault", [
+        pytest.param({"arch": LlmArchitecture(name="moe", kind=ArchKind.MOE, hidden_size=1024,
+                                              layer_count=24, moe_fraction=0.5,
+                                              expert_groups=(ExpertGroup(1.0, 64),))},
+                     (1.0, 0.5), OVERFLOWING_STORAGE, "training", id="training-stage"),
+        pytest.param({"tokens": 1e300}, (1.0, 0.5), OVERFLOWING_STORAGE, "training",
+                     id="training-report"),
+        pytest.param({}, (1e308, 1e308), OVERFLOWING_STORAGE,
+                     "hardware_energy_mwh must be finite and >= 0, got inf", id="storage"),
+        pytest.param({}, (1e308, 1e308), STORAGE,
+                     "duration_seconds must be finite and >= 0, got inf", id="sums"),
+    ])
+    def test_lifecycle_faults_come_training_then_storage_then_sums(self, training, shares,
+                                                                   storage, fault):
+        req = mixed_request(**training)
+        if fault == "training":
+            with pytest.raises(ModelError) as raised:
+                estimate(req)
+            fault = str(raised.value)
+        with pytest.raises(ModelError, match="^" + re.escape(fault) + "$"):
+            estimate_lifecycle(LifecyclePlan(req, *shares, storage=storage))
+
+    def test_a_count_that_rounds_to_zero_fails_in_the_scaling_law_as_test_loss_does(self):
+        # The general MoE route with a tiny expert share counts 0 parameters.
+        arch = LlmArchitecture(name="m", kind=ArchKind.MOE, hidden_size=64, layer_count=1,
+                               head_count=1, head_dim=64, ff_size=100, moe_fraction=1e-300,
+                               expert_groups=(ExpertGroup(1.0, 1),),
+                               base_model_param_count=10 ** 9)
+        with pytest.raises(ModelError, match=r"^\[scaling-law\] param_count must be positive, "
+                                             r"got 0$"):
+            estimate(mixed_request(arch=arch))
+
+    def test_the_packaged_table_is_read_every_call_and_fitted_once(self, monkeypatch):
+        calls = {"default_anchors": 0, "_fit": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(efficiency, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(efficiency, name, counting)
+        monkeypatch.setattr(efficiency, "_packaged_fit", (None, None))
+        rng = random.Random(3)
+        reqs = [mixed_request(arch=dense_arch(f"m{i}", 10 ** rng.uniform(9, 12)),
+                              overrides=Overrides()) for i in range(100)]
+        reports = [estimate(req) for req in reqs]
+        assert calls == {"default_anchors": 100, "_fit": 1}
+        # The same reports as with the packaged table given, and so fitted, each time.
+        for req, report in zip(reqs[:10], reports):
+            assert report == estimate(dataclasses.replace(req, anchors=catalog.default_anchors()))
+
+    def test_another_packaged_table_is_fitted_afresh(self, monkeypatch):
+        req = mixed_request(overrides=Overrides())
+        packaged = estimate(req)
+        table = [(1e9, 0.2), (3e10, 0.3), (2e11, 0.25)]
+        monkeypatch.setattr(efficiency, "default_anchors", lambda: list(table))
+        other = estimate(req)
+        assert other == estimate(dataclasses.replace(req, anchors=table))
+        assert other.hardware_efficiency != packaged.hardware_efficiency
+        monkeypatch.undo()
+        assert estimate(req) == packaged
 
 
 class TestLifecyclePlanChecks:
