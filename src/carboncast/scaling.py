@@ -44,7 +44,7 @@ def test_loss(
     return LossPrediction(_loss(param_count, token_count, constants, moe))
 
 
-def _loss(param_count: float, token_count: float, constants, moe: bool) -> float:
+def _loss(param_count: float, token_count: float, constants: ScalingConstants, moe: bool) -> float:
     """The loss of :func:`test_loss`, on counts that have passed its checks."""
     try:
         effective = param_count / MOE_PARAM_DISCOUNT if moe else float(param_count)

@@ -430,7 +430,7 @@ def check_report_floats(*values: float | None) -> None:
     sweep checks its points with this, so they fail exactly as their reports
     would."""
     duration, hardware, facility, operational, embodied, total, efficiency, loss = values
-    # One chain for the valid case; the loop names the fault (None passes it).
+    # One chain for the valid case; the loop names a fault and lets a None pass.
     try:
         if (0.0 <= duration < inf and 0.0 <= hardware < inf and 0.0 <= facility < inf
                 and 0.0 <= operational < inf and 0.0 <= embodied < inf and 0.0 <= total < inf
