@@ -189,7 +189,7 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
     log10(param_count); one or two fall back to piecewise-linear
     interpolation (flat beyond the ends); zero is an error. A bad anchor
     raises :class:`ModelError` naming its index.
-    The packaged table is read each call, and fitted once per process.
+    The packaged table is read each call but refitted only when it changes.
     """
     global _packaged_fit
     if anchors is not None:
