@@ -199,21 +199,18 @@ def _catalog_readers(catalogs) -> dict:
     return {"fleet": fleet, "data_center": data_center}
 
 
+def _grid_point(architecture: LlmArchitecture, tokens: float) -> tuple[LlmArchitecture, float]:
+    """One (architecture, tokens) point of a sweep's ``grid``; its parameters
+    are the point's config keys."""
+    return architecture, tokens
+
+
 def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
     """The ``grid`` of (architecture, tokens) points of a sweep."""
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{path}: must be a non-empty list")
-    grid = []
-    for i, point in enumerate(doc):
-        ppath = f"{path}[{i}]"
-        _check_keys(point, {"architecture", "tokens"}, ppath)
-        if "architecture" not in point:
-            raise ConfigError(f"{ppath}.architecture: required")
-        arch = _read(LlmArchitecture, point["architecture"], f"{ppath}.architecture")
-        if "tokens" not in point:
-            raise ConfigError(f"{ppath}.tokens: required")
-        grid.append((arch, _num(float, point["tokens"], f"{ppath}.tokens")))
-    return grid
+    return [_grid_point(**_arguments(_grid_point, point, f"{path}[{i}]"))
+            for i, point in enumerate(doc)]
 
 
 def _load_config(path: str, top_key: str) -> dict:

@@ -42,7 +42,8 @@ import math
 from operator import mul
 
 from .catalog import default_anchors
-from .types import ModelError, ParallelismPlan, check_count, is_number, plain_sum
+from .types import (ModelError, ParallelismPlan, check_count, is_number, is_shape_count,
+                    plain_sum)
 
 DEFAULT_SERVER_SIZE = 8           # devices per server sharing fast interconnect
 DEFAULT_DEVICE_MEMORY_GB = 32.0   # published 175 B optimum assumed 32 GB parts
@@ -280,14 +281,18 @@ def efficiency_at_count(actual_devices: int, optimal_devices: int,
     """Efficiency when running on ``actual_devices`` instead of the optimum.
 
     Below the optimum: (re/n) * eff_n. Above it: (n/re) * eff_n + GAMMA2,
-    at most 1. At it: eff_n unchanged.
+    at most 1. At it: eff_n unchanged. Both counts must be ints >= 1
+    (:func:`is_shape_count`).
     """
-    if actual_devices < 1 or optimal_devices < 1:
-        raise ModelError("device counts must be >= 1")
-    if not (0.0 < optimal_eff <= 1.0):
-        raise ModelError("optimal_eff must lie in (0, 1]")
-
     re, n = actual_devices, optimal_devices
+    # One chain for the common valid case; the checks below admit the rest or name a fault.
+    if not (type(re) is int and type(n) is int and re >= 1 and n >= 1
+            and type(optimal_eff) is float and 0.0 < optimal_eff <= 1.0):
+        if not (is_shape_count(re) and is_shape_count(n)):
+            raise ModelError("device counts must be integers >= 1")
+        if not (is_number(optimal_eff, "optimal_eff", ModelError) and 0.0 < optimal_eff <= 1.0):
+            raise ModelError(f"optimal_eff must lie in (0, 1], got {optimal_eff!r}")
+
     if re == n:
         eff = optimal_eff
     elif re < n:

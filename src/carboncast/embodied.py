@@ -19,7 +19,7 @@ them for each estimate.
 from __future__ import annotations
 
 from . import units
-from .types import HardwareFleet, HardwareUnit, ModelError, plain_sum
+from .types import HardwareFleet, HardwareUnit, ModelError, check_non_negative, plain_sum
 
 OTHERS_FRACTION = 0.15
 
@@ -42,8 +42,7 @@ def fleet_embodied(fleet: HardwareFleet,
     Per entry: count * chip kg * (time / lifetime); the entries' sum is
     then the ``1 - OTHERS_FRACTION`` share of the total.
     """
-    if execution_seconds < 0:
-        raise ModelError("execution_seconds must be >= 0")
+    check_non_negative(execution_seconds, "execution_seconds", ModelError)
 
     per_entry = []
     for entry in fleet.entries:

@@ -14,7 +14,6 @@ from math import inf
 
 from .types import ModelError, is_number
 
-TRAINING_FLOPS_PER_PARAM_TOKEN = 6.0
 INFERENCE_FLOPS_PER_PARAM_TOKEN = 2.0
 
 

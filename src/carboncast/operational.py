@@ -115,6 +115,8 @@ def hardware_energy(
     check_non_negative(execution_seconds, "execution_seconds", ModelError)
     if not (is_number(efficiency, "efficiency", ModelError) and 0 < efficiency <= 1):
         raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    if power_override_watts is not None:
+        check_non_negative(power_override_watts, "power_override_watts", ModelError)
     total_j = 0.0
     items = []
     accel = fleet.accelerator
@@ -140,9 +142,12 @@ def operational_carbon(hardware_energy_mwh: float,
     of CO2eq.
 
     MWh times kg/kWh lands directly in tonnes (1 MWh * 1 kg/kWh = 1 t).
+    The energy must be finite: on a carbon-free grid, infinite energy would
+    give NaN carbon.
     """
-    if hardware_energy_mwh < 0:
-        raise ModelError("hardware_energy_mwh must be >= 0")
+    # One chain for the common valid case; the check admits the rest or names a fault.
+    if not (type(hardware_energy_mwh) is float and 0.0 <= hardware_energy_mwh < inf):
+        check_non_negative(hardware_energy_mwh, "hardware_energy_mwh", ModelError)
     oper_mwh = hardware_energy_mwh * data_center.pue
     return oper_mwh, oper_mwh * data_center.carbon_intensity
 

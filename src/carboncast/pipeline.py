@@ -7,19 +7,20 @@ finally their sum. Any stage can be short-circuited by a measured override
 (FLOPs, efficiency, device count, per-device power); supplying the value the
 model would have computed changes nothing.
 
-What depends only on the fleet, the overrides, the anchor table and the
-device sizing is made once, up front, in a ``_Setting``: the fitted anchor
-curve, the fleet's energy and embodied carbon per second, and the checked
-sizing. It raises a fault of its own once, as ``[efficiency-model]``.
+Everything of a request but its architecture, token count and phase is
+made once, up front, in a ``_Setting``: the fleet priced per second of
+execution, the data center, the overrides, the scaling constants, the
+fitted anchor curve and the checked device sizing. It raises a fault of its
+own once, as ``[efficiency-model]``.
 
-The model stages run in one chain, ``_stages``, on plain values from the
-private cores that ``test_loss``, the FLOP functions, ``plan_parallelism``
-and ``device_time`` wrap; it names every fault it meets by its stage.
-``estimate()`` and ``estimate_lifecycle()`` build their report in one pass
-from the stage values (``_report``): the lifecycle weights them and adds its
-storage part, the one place storage is priced. ``sweep()`` builds no
-report: it checks the values a report would, with the same messages, and
-flags the Pareto-dominated points.
+The model stages run in one chain, ``_stages(arch, tokens, phase,
+setting)``, on plain values from the private cores that ``test_loss``, the
+FLOP functions, ``plan_parallelism`` and ``device_time`` wrap; it names
+every fault it meets by its stage, then checks the values a report would,
+with the same messages. ``estimate()`` and ``estimate_lifecycle()`` build
+their report in one pass from the stage values (``_report``): the lifecycle
+weights them and adds its storage part, the one place storage is priced.
+``sweep()`` builds no report; it flags the Pareto-dominated points.
 """
 
 from __future__ import annotations
@@ -185,18 +186,16 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
             storage: StorageWorkload | None = None) -> CarbonReport:
     """The report of ``phase``: the stage values and fleet line items of
     ``req`` count ``weight`` times, and a lifecycle's ``storage`` part once,
-    with a storage and a transfer item. A lifecycle checks the stage values,
-    then the storage part, each as its own report would, then the sums."""
-    setting = _Setting(req.fleet, req.overrides, req.anchors, req.device_memory_gb,
-                       req.server_size)
+    with a storage and a transfer item. The stage values are checked in
+    ``_stages``; a lifecycle then checks the storage part as its own report
+    would, then the sums."""
+    setting = _Setting(req.fleet, req.data_center, req.anchors, req.device_memory_gb,
+                       req.server_size, req.overrides, req.scaling)
     _, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
-        req.arch, req.tokens, req.phase, req.scaling, req.overrides, req.data_center, setting)
-    if phase is Phase.LIFECYCLE:
-        check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied,
-                            eff, loss)
-    rates, _ = setting.rates
+        req.arch, req.tokens, req.phase, setting)
     items = [LineItem(unit, count, weight * energy, weight * (unit_embodied * seconds))
-             for (unit, (count, _, _, unit_embodied)), energy in zip(rates.items(), energies)]
+             for (unit, (count, _, _, unit_embodied)), energy
+             in zip(setting.rates.items(), energies)]
     duration, hardware, facility, carbon, embodied = (
         weight * seconds, weight * hardware, weight * facility, weight * carbon, weight * embodied)
     if storage is not None:
@@ -224,17 +223,26 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
 
 
 class _Setting:
-    """What estimates on one fleet, set of overrides, anchor table and device
-    sizing share (see the module docstring). Building it checks the
-    accelerator entry, then the sizing, then the anchor table, and raises the
-    first fault as ``[efficiency-model]``. ``sweep()`` makes one setting for
-    all its points, a report one per call."""
+    """The shared context of a request: all of it but the architecture, the
+    token count and the phase. Building it checks the accelerator entry, then
+    the sizing, then the anchor table, and raises the first fault as
+    ``[efficiency-model]``; then it prices the fleet, its accelerator at the
+    overrides' device count and system power when they are given. ``sweep()``
+    makes one setting for all its points, a report one per call.
 
-    __slots__ = ("accel", "device_count", "curve", "rates", "device_memory_gb", "server_size")
+    ``rates`` maps each unit name to its [count, measured MWh/s, TDP MWh/s,
+    embodied tCO2/s] at full efficiency (powered units first, then the rest,
+    each in fleet order, then ``others``); ``embodied_rate`` is the fleet's
+    embodied tCO2/s.
+    """
 
-    def __init__(self, fleet: HardwareFleet, overrides: Overrides,
+    __slots__ = ("accel", "device_count", "curve", "rates", "embodied_rate", "data_center",
+                 "overrides", "scaling", "device_memory_gb", "server_size")
+
+    def __init__(self, fleet: HardwareFleet, data_center: DataCenterProfile,
                  anchors: list[tuple[float, float]] | None, device_memory_gb: float,
-                 server_size: int) -> None:
+                 server_size: int, overrides: Overrides = Overrides(),
+                 scaling: ScalingConstants = ScalingConstants()) -> None:
         self.accel = accel = fleet.accelerator
         try:
             if accel is None:
@@ -244,62 +252,47 @@ class _Setting:
         except ModelError as exc:
             raise ModelError(f"[efficiency-model] {exc}") from exc
         self.device_count = overrides.device_count or accel.count
-        self.rates = _fleet_rates(fleet, accel, self.device_count, overrides.system_power_watts)
-        self.device_memory_gb = device_memory_gb
-        self.server_size = server_size
+        if accel.count != self.device_count:
+            resized = FleetEntry(accel.unit, self.device_count)
+            fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
+            accel = resized
+        per_entry, others, self.embodied_rate = fleet_embodied(fleet, 1.0)
+        self.rates = rates = {}
+        # Units without a power figure ride along for embodied accounting only;
+        # a measured accelerator system power already covers their draw (host
+        # CPU, DRAM, network and so on).
+        unpowered = []
+        for e, tco2 in zip(fleet.entries, per_entry):
+            power = unit_power(e.unit, overrides.system_power_watts if e is accel else None)
+            if power is None:
+                unpowered.append((e, tco2))
+                continue
+            watts, measured = power
+            row = rates.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])
+            row[1 if measured else 2] += units.joules_to_mwh(watts * e.count)
+            row[3] += tco2
+        for e, tco2 in unpowered:
+            rates.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])[3] += tco2
+        rates.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += others
+        self.data_center, self.overrides, self.scaling = data_center, overrides, scaling
+        self.device_memory_gb, self.server_size = device_memory_gb, server_size
 
 
-def _fleet_rates(fleet: HardwareFleet, accel: FleetEntry, device_count: int,
-                 power_watts: float | None) -> tuple[dict[str, list], float]:
-    """Energy and embodied carbon per second of execution of ``fleet``, whose
-    accelerator entry ``accel`` counts ``device_count`` and draws
-    ``power_watts`` each when given: each unit's ``unit_power`` at full
-    efficiency, and ``fleet_embodied`` over one second.
-
-    Returns each unit name's [count, measured MWh/s, TDP MWh/s, embodied
-    tCO2/s] (powered units first, then the rest, each in fleet order, then
-    ``others``), and the fleet's embodied tCO2/s.
-    """
-    if accel.count != device_count:
-        resized = FleetEntry(accel.unit, device_count)
-        fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
-        accel = resized
-    per_entry, others, total = fleet_embodied(fleet, 1.0)
-    merged: dict[str, list] = {}
-    # Units without a power figure ride along for embodied accounting only;
-    # a measured accelerator system power already covers their draw (host
-    # CPU, DRAM, network and so on).
-    unpowered = []
-    for e, tco2 in zip(fleet.entries, per_entry):
-        power = unit_power(e.unit, power_watts if e is accel else None)
-        if power is None:
-            unpowered.append((e, tco2))
-            continue
-        watts, measured = power
-        row = merged.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])
-        row[1 if measured else 2] += units.joules_to_mwh(watts * e.count)
-        row[3] += tco2
-    for e, tco2 in unpowered:
-        merged.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])[3] += tco2
-    merged.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += others
-    return merged, total
-
-
-def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: ScalingConstants,
-            overrides: Overrides, data_center: DataCenterProfile, setting: _Setting) -> tuple:
+def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Setting) -> tuple:
     """The model stages of one training or inference estimate on ``setting``.
 
-    Returns the stage values: the ``ParameterCount``, the test loss (``None``
-    for inference or zero tokens), the (pipeline, tensor, data, expert)
-    degrees, the hardware efficiency, the execution seconds, each fleet
-    unit's hardware MWh in the order of ``setting.rates``, the fleet's
-    hardware and facility MWh, the operational and the embodied tCO2.
+    Returns the stage values: the parameter count (an int), the test loss
+    (``None`` for inference or zero tokens), the (pipeline, tensor, data,
+    expert) degrees, the hardware efficiency, the execution seconds, each
+    fleet unit's hardware MWh in the order of ``setting.rates``, the fleet's
+    hardware and facility MWh, the operational and the embodied tCO2. A
+    stage's fault is named by its stage; a value a report would refuse fails
+    last, with the report's message.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
     try:
-        pcount = count_params(arch)
-        total = pcount.total
+        total = count_params(arch).total
         is_moe = arch.is_moe
 
         loss = None
@@ -308,13 +301,12 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             # The one check of test_loss's that a count can fail here.
             if not total > 0:
                 raise ModelError(f"param_count must be positive, got {total!r}")
-            loss = _loss(total, tokens, scaling, is_moe)
+            loss = _loss(total, tokens, setting.scaling, is_moe)
 
         stage = "flop-model"
         p_flops = None  # worked out where a stage first needs it
-        if overrides.measured_flops is not None:
-            flops = overrides.measured_flops
-        else:
+        flops = setting.overrides.measured_flops
+        if flops is None:
             p_flops = _flop_param_count(arch, total, is_moe)
             flops = (_training_flops(p_flops, tokens) if phase is Phase.TRAINING
                      else _inference_flops(p_flops, tokens))
@@ -323,9 +315,8 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
         # plan_parallelism's own checks; the setting checked the sizing.
         _check_param_count(total)
         degrees = _plan_degrees(total, is_moe, setting.device_memory_gb, setting.server_size)
-        if overrides.efficiency is not None:
-            eff = overrides.efficiency
-        else:
+        eff = setting.overrides.efficiency
+        if eff is None:
             if p_flops is None:
                 p_flops = _flop_param_count(arch, total, is_moe)
             opt = optimal_efficiency(p_flops, is_moe=is_moe, anchors=setting.curve)
@@ -333,18 +324,23 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, scaling: Scaling
             eff = efficiency_at_count(setting.device_count, tensor * pipeline * data, opt)
 
         stage = "operational-carbon"
-        rates, embodied_per_s = setting.rates
         seconds = 0.0 if flops == 0 else _seconds(
             flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
         energies = [(measured + tdp * eff) * seconds
-                    for _, measured, tdp, _ in rates.values()]
+                    for _, measured, tdp, _ in setting.rates.values()]
         hardware = plain_sum(energies)
-        facility, carbon = operational_carbon(hardware, data_center)
+        # Infinite seconds make the ``others`` row's energy 0 * inf, a NaN. An
+        # energy that is not finite is not priced: the report check names it.
+        facility, carbon = (operational_carbon(hardware, setting.data_center)
+                            if hardware < inf else (hardware, hardware))
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
-    return (pcount, loss, degrees, eff, seconds, energies, hardware, facility, carbon,
-            embodied_per_s * seconds)
+    # Outside the handler: a report's messages name no stage.
+    embodied = setting.embodied_rate * seconds
+    check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied, eff,
+                        loss)
+    return total, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied
 
 
 def sweep(
@@ -368,8 +364,7 @@ def sweep(
     """
     if not grid:
         raise ModelError("sweep grid is empty")
-    overrides, scaling = Overrides(), ScalingConstants()
-    setting = _Setting(fleet, overrides, anchors, device_memory_gb, server_size)
+    setting = _Setting(fleet, data_center, anchors, device_memory_gb, server_size)
 
     rows: list[tuple[float, float, str, int, float]] = []
     errors: list[tuple[str, str]] = []
@@ -377,11 +372,9 @@ def sweep(
         try:
             if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
-            pcount, loss, _, eff, seconds, _, hardware, facility, carbon, embodied = _stages(
-                arch, tokens, Phase.TRAINING, scaling, overrides, data_center, setting)
-            check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied,
-                                eff, loss)
-            rows.append((loss, carbon, arch.name, pcount.total, tokens))
+            count, loss, _, _, _, _, _, _, carbon, _ = _stages(
+                arch, tokens, Phase.TRAINING, setting)
+            rows.append((loss, carbon, arch.name, count, tokens))
         except ModelError as exc:
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 

@@ -425,12 +425,12 @@ _REPORT_FLOATS = ("duration_seconds", "hardware_energy_mwh", "operational_energy
 
 def check_report_floats(*values: float | None) -> None:
     """Raise a ``ModelError`` naming the first of ``values`` that is NaN, inf
-    or negative. ``values`` are a report's float fields in ``CarbonReport``
-    order, from duration to test loss; a test loss of ``None`` passes. The
-    sweep checks its points with this, so they fail exactly as their reports
-    would."""
+    or negative, or not a number. ``values`` are a report's float fields in
+    ``CarbonReport`` order, from duration to test loss; only the test loss may
+    be ``None``. The model stages check their values with this, so they fail
+    exactly as their reports would."""
     duration, hardware, facility, operational, embodied, total, efficiency, loss = values
-    # One chain for the valid case; the loop names a fault and lets a None pass.
+    # One chain for the valid case; the loop names a fault.
     try:
         if (0.0 <= duration < inf and 0.0 <= hardware < inf and 0.0 <= facility < inf
                 and 0.0 <= operational < inf and 0.0 <= embodied < inf and 0.0 <= total < inf
@@ -440,7 +440,8 @@ def check_report_floats(*values: float | None) -> None:
         pass
     for fname, value in zip(_REPORT_FLOATS, values):
         # Written so that NaN fails too.
-        if value is not None and not (0.0 <= value < math.inf):
+        if not (isinstance(value, (int, float)) and 0.0 <= value < inf
+                or value is None and fname == "test_loss"):
             raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
 
 

@@ -369,6 +369,9 @@ class TestSweepCommand:
         pytest.param({"grid": [{"architecture": {"name": "a", "kind": "dense_gpt",
                                                  "explicit_param_count": 10 ** 9}}]},
                      "sweep.grid[0].tokens: required", id="grid-point-without-tokens"),
+        # An empty architecture is read as an empty mapping, as in `estimate:`.
+        pytest.param({"grid": [{"architecture": None, "tokens": 1.0e10}]},
+                     "sweep.grid[0].architecture.kind: required", id="grid-point-empty-architecture"),
     ])
     def test_section_is_checked_at_its_paths(self, tmp_path, capsys, change, message):
         section = {k: v for k, v in {**SWEEP_SECTION, **change}.items() if v is not DROP}

@@ -224,6 +224,25 @@ class TestOffOptimalEfficiency:
         # (1000 / 1001) * 1.0 + GAMMA2 is above 1.
         assert efficiency_at_count(1001, 1000, 1.0) == 1.0
 
+    @pytest.mark.parametrize("actual, optimal, eff, message", [
+        (math.nan, 1500, 0.47, "device counts must be integers >= 1"),
+        (math.inf, 1500, 0.47, "device counts must be integers >= 1"),
+        (1.5, 1500, 0.47, "device counts must be integers >= 1"),
+        (True, 1500, 0.47, "device counts must be integers >= 1"),
+        (1500, 0, 0.47, "device counts must be integers >= 1"),
+        (1500, "1500", 0.47, "device counts must be integers >= 1"),
+        (1500, 1500, math.nan, "optimal_eff must lie in (0, 1], got nan"),
+        (1500, 1500, 1.5, "optimal_eff must lie in (0, 1], got 1.5"),
+        (1500, 1500, "0.47", "optimal_eff must lie in (0, 1], got '0.47'"),
+        (1500, 1500, 10 ** 400, "optimal_eff is beyond the float range"),
+    ])
+    def test_inputs_fail_by_name(self, actual, optimal, eff, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            efficiency_at_count(actual, optimal, eff)
+
+    def test_counts_beyond_the_float_range_are_counts(self):
+        assert efficiency_at_count(10 ** 400, 10 ** 400, 0.47) == 0.47
+
 
 def test_optimal_device_count_scales_from_published_anchor():
     assert efficiency._optimum(175e9) == 1500

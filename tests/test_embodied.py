@@ -1,12 +1,14 @@
 """Embodied carbon: per-chip pricing and fleet attribution."""
 
+import math
 import random
+import re
 
 import pytest
 
 from carboncast import units
 from carboncast.embodied import chip_embodied, fleet_embodied
-from carboncast.types import HardwareFleet, HardwareRole, HardwareUnit
+from carboncast.types import HardwareFleet, HardwareRole, HardwareUnit, ModelError
 from carboncast.validation import XLM_EMBODIED_FLEET, XLM_TRAINING_DAYS
 
 
@@ -67,6 +69,16 @@ class TestFleetEmbodied:
         assert total == 0.0
         assert others == 0.0
         assert per_entry == [0.0] * len(XLM_EMBODIED_FLEET.entries)
+
+    @pytest.mark.parametrize("seconds, message", [
+        (math.nan, "execution_seconds must be finite and >= 0, got nan"),
+        (math.inf, "execution_seconds must be finite and >= 0, got inf"),
+        (-1.0, "execution_seconds must be finite and >= 0, got -1.0"),
+        ("10", "execution_seconds must be finite and >= 0, got '10'"),
+    ])
+    def test_execution_seconds_fail_by_name(self, seconds, message):
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            fleet_embodied(XLM_EMBODIED_FLEET, seconds)
 
     def test_linearity_in_time(self):
         rng = random.Random(43)

@@ -142,6 +142,16 @@ class TestHardwareEnergy:
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
             hardware_energy(fleet, seconds, efficiency)
 
+    @pytest.mark.parametrize("watts, message", [
+        (math.nan, "power_override_watts must be finite and >= 0, got nan"),
+        (-1.0, "power_override_watts must be finite and >= 0, got -1.0"),
+        ("330", "power_override_watts must be finite and >= 0, got '330'"),
+    ])
+    def test_power_override_fails_by_name(self, watts, message):
+        fleet = HardwareFleet.of((v100(avg_watts=330), 8))
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            hardware_energy(fleet, 10.0, 0.5, watts)
+
 
 class TestOperationalCarbon:
     def test_gpt3_published_footprint(self):
@@ -163,6 +173,20 @@ class TestOperationalCarbon:
             _, low = operational_carbon(e, DataCenterProfile("a", pue_a, ci_a))
             _, high = operational_carbon(e, DataCenterProfile("b", pue_b, ci_b))
             assert low <= high
+
+    @pytest.mark.parametrize("energy, message", [
+        (math.nan, "hardware_energy_mwh must be finite and >= 0, got nan"),
+        # On a carbon-free grid, inf MWh would give inf * 0 = NaN tonnes.
+        (math.inf, "hardware_energy_mwh must be finite and >= 0, got inf"),
+        (-1.0, "hardware_energy_mwh must be finite and >= 0, got -1.0"),
+        ("10", "hardware_energy_mwh must be finite and >= 0, got '10'"),
+        (True, "hardware_energy_mwh must be finite and >= 0, got True"),
+        (10 ** 400, "hardware_energy_mwh is beyond the float range"),
+    ])
+    def test_energy_fails_by_name(self, energy, message):
+        dc = DataCenterProfile(name="green", pue=1.1, carbon_intensity=0.0)
+        with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+            operational_carbon(energy, dc)
 
 
 class TestInferenceLatency:

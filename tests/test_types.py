@@ -233,6 +233,8 @@ class TestCarbonReport:
         ("test_loss", math.inf),
         # NaN and inf totals break additivity too, but are named for what they are.
         ("operational_tco2", math.nan), ("embodied_tco2", math.inf), ("total_tco2", math.inf),
+        # Only the test loss may be None; a None carbon would fail additivity as a TypeError.
+        ("duration_seconds", None), ("operational_tco2", None),
     ])
     def test_numbers_must_be_finite_and_non_negative(self, fname, value):
         fields = {"duration_seconds": 1.0, "hardware_energy_mwh": 1.0,

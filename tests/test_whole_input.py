@@ -1,12 +1,28 @@
 """Whole-input property: whatever numbers a library caller passes in, building
 the inputs and running ``estimate``, ``estimate_lifecycle`` or ``sweep`` ends
 in a finite, non-negative, additive report or sweep row, or in a named
-``ModelError`` or ``CatalogError``. No other exception type gets out."""
+``ModelError`` or ``CatalogError``. No other exception type gets out. The
+exported stage functions, called on their own, return no NaN or end in the
+same named errors."""
 
+import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from carboncast import (
+    device_time,
+    efficiency_at_count,
+    fleet_embodied,
+    hardware_energy,
+    inference_flops,
+    operational_carbon,
+    optimal_efficiency,
+    plan_parallelism,
+    test_loss,
+    training_flops,
+)
 from carboncast.operational import StorageWorkload
 from carboncast.pipeline import (
     EstimateRequest,
@@ -167,3 +183,88 @@ def check_outcome(runner, kind, values):
         assert finite(p.test_loss) and finite(p.training_tco2)
     for name, message in errors:
         assert isinstance(name, str) and isinstance(message, str)
+
+
+# The number parameters of each exported stage function and their valid
+# values; the other arguments are fixed below.
+STAGE_VALID = {
+    test_loss: {"param_count": [1.3e9, 175_000_000_000], "token_count": [300e9, 1]},
+    training_flops: {"param_count": [1.3e9, 0], "token_count": [300e9, 10 ** 9]},
+    inference_flops: {"param_count": [1.3e9, 0], "token_count": [2048.0, 1]},
+    device_time: {"total_flops": [3.14e23, 0], "device_count": [1496, 1],
+                  "peak_tflops": [125.0, 312], "efficiency": [0.197, 1]},
+    hardware_energy: {"execution_seconds": [1.3e6, 0], "efficiency": [0.197, 1],
+                      "power_override_watts": [None, 330.0, 0]},
+    operational_carbon: {"hardware_energy_mwh": [1287.0, 0], "carbon_intensity": [0.429, 0.0]},
+    fleet_embodied: {"execution_seconds": [1.3e6, 0.0]},
+    optimal_efficiency: {"param_count": [175e9, 10 ** 9], "anchor_param_count": [1e9, 10 ** 11],
+                         "anchor_efficiency": [0.52, 1]},
+    efficiency_at_count: {"actual_devices": [10000, 1], "optimal_devices": [1500, 1],
+                          "optimal_eff": [0.47, 1]},
+    plan_parallelism: {"param_count": [175e9, 10 ** 9], "device_memory_gb": [32.0, 80],
+                       "server_size": [8, 1]},
+}
+STAGE_COUNTS = {(efficiency_at_count, "actual_devices"), (efficiency_at_count, "optimal_devices"),
+                (plan_parallelism, "server_size")}
+# Where the README says an infinite result is one that a report refuses.
+INF_REFUSED_BY_A_REPORT = {training_flops, inference_flops, device_time}
+STAGE_FLEET = HardwareFleet.of(
+    (HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, peak_tflops=125.0, tdp_watts=300,
+                  die_area_mm2=815, cpa=1.2), 8),
+    (HardwareUnit(name="cpu", role=HardwareRole.CPU, tdp_watts=205, die_area_mm2=147,
+                  cpa=1.0), 2))
+
+
+def call_stage(function, v):
+    """Call ``function`` with the number arguments ``v``."""
+    if function in (hardware_energy, fleet_embodied):
+        return function(STAGE_FLEET, **v)
+    if function is operational_carbon:
+        dc = DataCenterProfile(name="dc", pue=1.1, carbon_intensity=v["carbon_intensity"])
+        return function(v["hardware_energy_mwh"], dc)
+    if function is optimal_efficiency:
+        anchors = [(v["anchor_param_count"], v["anchor_efficiency"]), (3e9, 0.38), (1e10, 0.52)]
+        return function(v["param_count"], anchors=anchors)
+    return function(**v)
+
+
+@st.composite
+def stage_arguments(draw, function):
+    """The number arguments of ``function``, one to three of them broken."""
+    names = sorted(STAGE_VALID[function])
+    broken = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+    return {name: draw(st.sampled_from(
+                (BAD_COUNTS if (function, name) in STAGE_COUNTS else BAD_NUMBERS)
+                if name in broken else STAGE_VALID[function][name]))
+            for name in names}
+
+
+def numbers_in(result):
+    """Every int and float in a stage result, through tuples, lists and
+    dataclasses."""
+    if isinstance(result, (int, float)):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from numbers_in(item)
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            yield from numbers_in(getattr(result, f.name))
+
+
+# Per function: a draw over all ten gives the smaller ones too few examples.
+@pytest.mark.parametrize("function", list(STAGE_VALID), ids=lambda f: f.__name__)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_stage_function_number_ends_in_a_number_or_a_named_error(function, data):
+    values = data.draw(stage_arguments(function))
+    try:
+        result = call_stage(function, values)
+    except (ModelError, CatalogError):
+        return
+    numbers = list(numbers_in(result))
+    assert numbers
+    assert not any(math.isnan(x) for x in numbers)
+    assert all(x >= 0 for x in numbers)
+    if function not in INF_REFUSED_BY_A_REPORT:
+        assert all(x < math.inf for x in numbers)
