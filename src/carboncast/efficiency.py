@@ -111,13 +111,11 @@ def _plan_degrees(param_count: float, is_moe: bool, device_memory_gb: float,
 
     # Tensor parallelism: smallest power of two (capped at z) whose share of
     # the model state fits in one device; z itself when nothing fits.
-    tensor = server_size
-    t = 1
-    while t <= server_size:
-        if state_bytes <= t * mem_bytes:
-            tensor = t
-            break
-        t *= 2
+    tensor = 1
+    while tensor < server_size and state_bytes > tensor * mem_bytes:
+        tensor *= 2
+    if tensor > server_size:
+        tensor = server_size
 
     depth = state_bytes / (tensor * mem_bytes)
     if depth == math.inf:
@@ -292,7 +290,12 @@ def efficiency_at_count(actual_devices: int, optimal_devices: int,
             raise ModelError("device counts must be integers >= 1")
         if not (is_number(optimal_eff, "optimal_eff", ModelError) and 0.0 < optimal_eff <= 1.0):
             raise ModelError(f"optimal_eff must lie in (0, 1], got {optimal_eff!r}")
+    return _at_count(re, n, optimal_eff)
 
+
+def _at_count(actual_devices: int, optimal_devices: int, optimal_eff: float) -> float:
+    """:func:`efficiency_at_count` on inputs that have passed its checks."""
+    re, n = actual_devices, optimal_devices
     if re == n:
         eff = optimal_eff
     elif re < n:

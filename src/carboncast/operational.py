@@ -28,7 +28,7 @@ from math import inf
 
 from . import units
 from .types import (DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError,
-                    check_non_negative, is_number)
+                    check_non_negative, is_number, is_shape_count)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,9 @@ class StorageWorkload:
 def device_time(total_flops: float, device_count: int,
                 peak_tflops: float, efficiency: float) -> float:
     """Execution time in seconds: FLOPs / (devices * peak * efficiency).
-    Infinite FLOPs give infinite seconds, which a report refuses."""
+    The device count must be an int >= 1 (:func:`is_shape_count`) and the
+    efficiency lie in (0, 1]. Infinite FLOPs give infinite seconds, which a
+    report refuses."""
     # Written so that NaN fails too.
     if not (is_number(total_flops, "total_flops", ModelError) and total_flops >= 0):
         raise ModelError(f"total_flops must be >= 0, got {total_flops!r}")
@@ -62,6 +64,10 @@ def device_time(total_flops: float, device_count: int,
                          ("efficiency", efficiency)):
         if not is_number(value, label, ModelError):
             raise ModelError(f"{label} must be a number, got {value!r}")
+    if not is_shape_count(device_count):
+        raise ModelError(f"device_count must be an integer >= 1, got {device_count!r}")
+    if not 0.0 < efficiency <= 1.0:
+        raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
     return _seconds(total_flops, device_count, peak_tflops, efficiency)
 
 

@@ -14,13 +14,18 @@ fitted anchor curve and the checked device sizing. It raises a fault of its
 own once, as ``[efficiency-model]``.
 
 The model stages run in one chain, ``_stages(arch, tokens, phase,
-setting)``, on plain values from the private cores that ``test_loss``, the
-FLOP functions, ``plan_parallelism`` and ``device_time`` wrap; it names
-every fault it meets by its stage, then checks the values a report would,
-with the same messages. ``estimate()`` and ``estimate_lifecycle()`` build
-their report in one pass from the stage values (``_report``): the lifecycle
-weights them and adds its storage part, the one place storage is priced.
-``sweep()`` builds no report; it flags the Pareto-dominated points.
+setting)``, on plain values from the private cores that the public stage
+functions wrap: ``scaling._loss`` (``test_loss``), ``flops._training`` and
+``flops._inference`` (the FLOP functions), ``efficiency._plan_degrees``
+(``plan_parallelism``), ``efficiency._at_count`` (``efficiency_at_count``)
+and ``operational._seconds`` (``device_time``). Their inputs are values the
+chain or the setting has checked, so no core checks them again. The chain
+names every fault it meets by its stage, then checks the values a report
+would, with the same messages. ``estimate()`` and ``estimate_lifecycle()``
+build their report in one pass from the stage values (``_report``): the
+lifecycle weights them and adds its storage part, the one place storage is
+priced. ``sweep()`` builds no report; it flags the Pareto-dominated points
+and returns each as a ``SweepPoint`` named tuple.
 """
 
 from __future__ import annotations
@@ -28,15 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import units
 from .efficiency import (
     DEFAULT_DEVICE_MEMORY_GB,
     DEFAULT_SERVER_SIZE,
+    _at_count,
     _check_param_count,
     _check_sizing,
     _plan_degrees,
-    efficiency_at_count,
     fit_anchors,
     optimal_efficiency,
 )
@@ -132,8 +138,10 @@ class LifecyclePlan:
                              "expected training")
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One evaluated design point of a :func:`sweep`: a named tuple, so it
+    unpacks and compares equal to the tuple of its fields."""
+
     name: str
     param_count: int
     tokens: float
@@ -288,6 +296,11 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
     hardware and facility MWh, the operational and the embodied tCO2. A
     stage's fault is named by its stage; a value a report would refuse fails
     last, with the report's message.
+
+    The public ``count_params``, ``optimal_efficiency`` and
+    ``operational_carbon`` run by name; the rest runs on the private cores
+    ``_loss``, ``_training``/``_inference``, ``_plan_degrees``, ``_at_count``
+    and ``_seconds``, on values already checked.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
@@ -312,8 +325,10 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
                      else _inference_flops(p_flops, tokens))
 
         stage = "efficiency-model"
-        # plan_parallelism's own checks; the setting checked the sizing.
-        _check_param_count(total)
+        # plan_parallelism's own check, which an int count inside the float
+        # range fails only at 0 (MoE rounding); the setting checked the sizing.
+        if total < 1:
+            _check_param_count(total)
         degrees = _plan_degrees(total, is_moe, setting.device_memory_gb, setting.server_size)
         eff = setting.overrides.efficiency
         if eff is None:
@@ -321,7 +336,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
                 p_flops = _flop_param_count(arch, total, is_moe)
             opt = optimal_efficiency(p_flops, is_moe=is_moe, anchors=setting.curve)
             pipeline, tensor, data, _ = degrees
-            eff = efficiency_at_count(setting.device_count, tensor * pipeline * data, opt)
+            eff = _at_count(setting.device_count, tensor * pipeline * data, opt)
 
         stage = "operational-carbon"
         seconds = 0.0 if flops == 0 else _seconds(
@@ -360,7 +375,7 @@ def sweep(
     (name, reason) alongside the successes, never silently dropped. Past
     its check for a finite positive token count, a point fails exactly when
     ``estimate()`` on it would, with the same message. Points come back
-    sorted by (loss, carbon) and carry Pareto dominance flags.
+    sorted by (loss, carbon, name) and carry Pareto dominance flags.
     """
     if not grid:
         raise ModelError("sweep grid is empty")
@@ -379,8 +394,7 @@ def sweep(
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 
     rows.sort(key=itemgetter(0, 1, 2))
-    points = [SweepPoint(name=name, param_count=count, tokens=tokens, test_loss=loss,
-                         training_tco2=carbon, dominated=dominated)
+    points = [SweepPoint(name, count, tokens, loss, carbon, dominated)
               for (loss, carbon, name, count, tokens), dominated
               in zip(rows, _dominance_flags(rows))]
     return points, errors

@@ -18,9 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from math import inf
-from operator import add
 
 
 class CatalogError(ValueError):
@@ -63,7 +61,10 @@ def plain_sum(values):
     """``sum(values)`` as Python 3.11 adds floats: left to right from 0. From
     3.12 ``sum()`` compensates (gh-100425), which can change the last bits;
     the package sums floats with this, so every interpreter gives its bits."""
-    return reduce(add, values, 0)
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class ArchKind(enum.Enum):

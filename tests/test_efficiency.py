@@ -31,6 +31,16 @@ class TestPlanner:
         assert plan.device_count == plan.tensor * plan.pipeline * plan.data
         assert 1400 <= plan.device_count <= 1600
 
+    @pytest.mark.parametrize("param_count, server_size, degrees", [
+        (5e9, 3, (1, 3, 14)),     # no power of two up to z fits: t = z
+        (5e9, 1, (3, 1, 14)),
+        (175e9, 6, (15, 6, 17)),
+        (175e9, 12, (8, 12, 16)),
+    ])
+    def test_server_sizes_that_are_not_powers_of_two(self, param_count, server_size, degrees):
+        plan = plan_parallelism(param_count, server_size=server_size)
+        assert (plan.pipeline, plan.tensor, plan.data) == degrees
+
     def test_moe_plan_fixes_expert_and_data_degrees(self):
         for p in [1e9, 175e9, 1.5e12]:
             plan = plan_parallelism(p, is_moe=True)

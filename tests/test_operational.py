@@ -68,10 +68,11 @@ class TestDeviceTime:
         ((1e20, 8, 125, "0.5"), "efficiency must be a number, got '0.5'"),
         ((1e20, 8, math.nan, 0.5),
          "throughput must be positive (devices=8, peak=nan TFLOP/s, efficiency=0.5)"),
-        ((1e20, 8, 125, math.nan),
-         "throughput must be positive (devices=8, peak=125 TFLOP/s, efficiency=nan)"),
-        ((1e21, 0, 125, 0.2),
-         "throughput must be positive (devices=0, peak=125 TFLOP/s, efficiency=0.2)"),
+        ((1e20, 8, 125, math.nan), "efficiency must lie in (0, 1], got nan"),
+        ((1e21, 0, 125, 0.2), "device_count must be an integer >= 1, got 0"),
+        ((1e20, -1, 125.0, -1), "device_count must be an integer >= 1, got -1"),
+        ((1e20, 2.5, 125.0, 0.5), "device_count must be an integer >= 1, got 2.5"),
+        ((1e20, 8, 125.0, 7.0), "efficiency must lie in (0, 1], got 7.0"),
         ((1e20, 8, -125, 0.5),
          "throughput must be positive (devices=8, peak=-125 TFLOP/s, efficiency=0.5)"),
         ((1e20, 8, math.inf, 0.5),

@@ -1,6 +1,7 @@
 """End-to-end pipeline: published rows, overrides, lifecycle, sweeps."""
 
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -831,6 +832,19 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             sweep([], self.fleet(), self.grid_dc())
+
+    def test_points_are_immutable_hashable_records(self):
+        point = pipeline.SweepPoint("a", 10, 2e10, 2.5, 1.25)
+        with pytest.raises(AttributeError):
+            point.dominated = True
+        twin = pipeline.SweepPoint("a", 10, 2e10, 2.5, 1.25, False)
+        assert point == twin and hash(point) == hash(twin)
+        parameters = inspect.signature(pipeline.SweepPoint).parameters
+        assert list(parameters) == ["name", "param_count", "tokens", "test_loss",
+                                    "training_tco2", "dominated"]
+        assert parameters["dominated"].default is False and point.dominated is False
+        assert repr(point) == ("SweepPoint(name='a', param_count=10, tokens=20000000000.0, "
+                               "test_loss=2.5, training_tco2=1.25, dominated=False)")
 
 
 def brute_force_flags(pairs):

@@ -19,6 +19,7 @@ from carboncast.types import (
     LlmArchitecture,
     ModelError,
     Phase,
+    plain_sum,
 )
 
 
@@ -255,6 +256,17 @@ class TestUnits:
         assert units.days_to_seconds(1) == 86_400
         assert units.seconds_to_days(units.days_to_seconds(20.4)) == pytest.approx(20.4)
         assert units.years_to_seconds(5) == pytest.approx(5 * 365.25 * 86_400)
+
+
+class TestPlainSum:
+    def test_adds_left_to_right_from_zero(self):
+        # A compensated sum, such as Python 3.12's sum(), gives 1.0 here.
+        assert plain_sum([1e16, 1.0, -1e16]) == 0.0
+        assert plain_sum([]) == 0 and type(plain_sum([])) is int
+
+    def test_a_generator_gives_the_bits_of_a_list(self):
+        values = [0.1 * (-3) ** i for i in range(40)] + [1e-300, 7.0]
+        assert plain_sum(v for v in values).hex() == plain_sum(values).hex()
 
 
 def test_star_import_gives_every_public_name_once():

@@ -205,7 +205,7 @@ STAGE_VALID = {
                        "server_size": [8, 1]},
 }
 STAGE_COUNTS = {(efficiency_at_count, "actual_devices"), (efficiency_at_count, "optimal_devices"),
-                (plan_parallelism, "server_size")}
+                (plan_parallelism, "server_size"), (device_time, "device_count")}
 # Where the README says an infinite result is one that a report refuses.
 INF_REFUSED_BY_A_REPORT = {training_flops, inference_flops, device_time}
 STAGE_FLEET = HardwareFleet.of(
