@@ -28,7 +28,7 @@ HARDWARE_FIELDS = [
     "die_area_mm2", "cpa", "cpa_basis", "capacity_gb",
     "embodied_kg_override", "lifetime_years",
 ]
-DATACENTER_FIELDS = ["name", "pue", "carbon_intensity_kg_per_kwh", "cfe"]
+DATACENTER_FIELDS = ["name", "pue", "carbon_intensity_kg_per_kwh"]
 ANCHOR_FIELDS = ["param_count", "efficiency"]
 
 CATALOG_DIR_ENV = "CARBONCAST_CATALOG_DIR"
@@ -102,7 +102,6 @@ def _datacenter_row(row: list[str]) -> DataCenterProfile:
         pue=_float(cells["pue"], f"{name}: pue"),
         carbon_intensity=_float(cells["carbon_intensity_kg_per_kwh"],
                                 f"{name}: carbon_intensity_kg_per_kwh"),
-        cfe=_opt_float(cells.get("cfe"), f"{name}: cfe") or 0.0,
     )
 
 

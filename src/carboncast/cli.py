@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import units
 from .catalog import resolve_catalogs
-from .operational import StorageWorkload
 from .pipeline import EstimateRequest, LifecyclePlan, estimate, estimate_lifecycle, sweep
 from .types import (
     CarbonReport,
@@ -58,15 +57,6 @@ class ConfigError(Exception):
 # ``sweep()`` stay the one place that names keys and defaults.
 # --------------------------------------------------------------------------
 
-# Keys a config may leave out although the field has no default.
-_CONFIG_DEFAULTS = {
-    (LlmArchitecture, "name"): "unnamed",
-    (DataCenterProfile, "name"): "inline",
-    (EstimateRequest, "tokens"): 0.0,
-    (StorageWorkload, "stored_tb"): 0.0,
-    (StorageWorkload, "transferred_tb"): 0.0,
-    (StorageWorkload, "duration_days"): 0.0,
-}
 # Config keys whose name differs from the field they fill.
 _CONFIG_KEYS = {(EstimateRequest, "arch"): "architecture"}
 # Fields only library callers set.
@@ -121,8 +111,10 @@ def _coerce(tp, value, path: str):
         except ValueError:
             valid = ", ".join(m.value for m in tp)
             raise ConfigError(f"{path}: must be one of {valid}") from None
-    if tp is str:
-        return str(value)
+    if tp is str:  # a name; YAML reads an unquoted 123, null or .nan as no string
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
     return _num(tp, value, path)
 
 
@@ -151,8 +143,6 @@ def _arguments(target, doc, path: str, **special) -> dict:
         if key in doc:
             reader = special.get(key)
             kwargs[name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
-        elif (target, name) in _CONFIG_DEFAULTS:
-            kwargs[name] = _CONFIG_DEFAULTS[target, name]
         elif not has_default:
             raise ConfigError(f"{kpath}: required")
     return kwargs
@@ -170,10 +160,11 @@ def _read(cls, doc, path: str, **special):
 
 def _lookup(table: dict, what: str, name, path: str):
     """The catalog entry called ``name`` in ``table``, whose entries are ``what``s."""
+    name = _coerce(str, name, path)
     try:
-        return table[str(name)]
+        return table[name]
     except KeyError:
-        raise ConfigError(f"{path}: unknown {what} {str(name)!r}") from None
+        raise ConfigError(f"{path}: unknown {what} {name!r}") from None
 
 
 def _catalog_readers(catalogs) -> dict:
@@ -389,8 +380,7 @@ def _cmd_catalog(args) -> int:
     print("data centers:")
     for name in sorted(centers_by_name):
         c = centers_by_name[name]
-        print(f"  {name:<16} PUE {c.pue:g}, {c.carbon_intensity:g} kgCO2eq/kWh, "
-              f"CFE {c.cfe:.0%}")
+        print(f"  {name:<16} PUE {c.pue:g}, {c.carbon_intensity:g} kgCO2eq/kWh")
     return EXIT_OK
 
 

@@ -282,15 +282,11 @@ def efficiency_at_count(actual_devices: int, optimal_devices: int,
     at most 1. At it: eff_n unchanged. Both counts must be ints >= 1
     (:func:`is_shape_count`).
     """
-    re, n = actual_devices, optimal_devices
-    # One chain for the common valid case; the checks below admit the rest or name a fault.
-    if not (type(re) is int and type(n) is int and re >= 1 and n >= 1
-            and type(optimal_eff) is float and 0.0 < optimal_eff <= 1.0):
-        if not (is_shape_count(re) and is_shape_count(n)):
-            raise ModelError("device counts must be integers >= 1")
-        if not (is_number(optimal_eff, "optimal_eff", ModelError) and 0.0 < optimal_eff <= 1.0):
-            raise ModelError(f"optimal_eff must lie in (0, 1], got {optimal_eff!r}")
-    return _at_count(re, n, optimal_eff)
+    if not (is_shape_count(actual_devices) and is_shape_count(optimal_devices)):
+        raise ModelError("device counts must be integers >= 1")
+    if not (is_number(optimal_eff, "optimal_eff", ModelError) and 0.0 < optimal_eff <= 1.0):
+        raise ModelError(f"optimal_eff must lie in (0, 1], got {optimal_eff!r}")
+    return _at_count(actual_devices, optimal_devices, optimal_eff)
 
 
 def _at_count(actual_devices: int, optimal_devices: int, optimal_eff: float) -> float:

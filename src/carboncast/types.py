@@ -348,22 +348,18 @@ class DataCenterProfile:
     """Energy efficiency and grid carbon profile of a data center.
 
     ``carbon_intensity`` is kgCO2eq per kWh (note: some published tables
-    quote g/kWh; the catalog loader normalizes to kg). ``cfe`` is the
-    carbon-free-energy fraction, informational only.
+    quote g/kWh; the catalog loader normalizes to kg).
     """
 
     name: str
     pue: float
     carbon_intensity: float
-    cfe: float = 0.0
 
     def __post_init__(self) -> None:
         pue = self.pue
         if not (is_number(pue, f"{self.name}: pue", CatalogError) and 1.0 <= pue < math.inf):
             raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {pue!r}")
         check_non_negative(self.carbon_intensity, f"{self.name}: carbon_intensity", CatalogError)
-        if not (is_number(self.cfe, f"{self.name}: cfe", CatalogError) and 0 <= self.cfe <= 1):
-            raise CatalogError(f"{self.name}: cfe must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import units
+from .catalog import default_hardware
 from .efficiency import efficiency_at_count
 from .operational import StorageWorkload, device_time, storage_energy
 from .params import ParameterCount, ParameterEquation, count_params
@@ -113,7 +114,8 @@ PARAMETER_FIXTURES: list[tuple[LlmArchitecture, ParameterEquation | None, float,
 
 # --------------------------------------------------------------------------
 # Training-phase operational fixtures (published footprint reports).
-# "1K" TPUv3 fleets are pods of 1024 chips; GPT-3 ran on 10,000 V100s.
+# "1K" TPUv3 fleets are pods of 1024 chips; GPT-3 ran on 10,000 V100s. Each
+# device is the packaged catalog's unit of that name.
 # measured_zettaflops records the published total; rows whose published
 # carbon only closes through the 6*P*D path leave the override unset there.
 # --------------------------------------------------------------------------
@@ -125,8 +127,6 @@ class TrainingFixture:
     base_param_count_b: float | None
     tokens: float
     device_name: str
-    peak_tflops: float
-    tdp_watts: float
     avg_system_power_watts: float
     device_count: int
     efficiency: float
@@ -141,27 +141,27 @@ class TrainingFixture:
 
 
 TRAINING_FIXTURES: list[TrainingFixture] = [
-    TrainingFixture("T5", 11, None, 500e9, "TPUv3", 123, 450, 310, 512, 0.37,
+    TrainingFixture("T5", 11, None, 500e9, "TPUv3", 310, 512, 0.37,
                     1.12, 0.545, 40.5, True, 45.66, 0.03, 20.0, 0.03),
-    TrainingFixture("GPT3", 175, None, 300e9, "V100", 125, 300, 330, 10000, 0.197,
+    TrainingFixture("GPT3", 175, None, 300e9, "V100", 330, 10000, 0.197,
                     1.10, 0.429, 314, True, 553.87, 0.01, 14.8, 0.02),
-    TrainingFixture("GShard", 619, 2.3, 1e12, "TPUv3", 123, 450, 288, 1024, 0.39,
+    TrainingFixture("GShard", 619, 2.3, 1e12, "TPUv3", 288, 1024, 0.39,
                     1.09, 0.177, 13.3, False, 4.46, 0.03, 3.1, 0.02),
-    TrainingFixture("Switch", 1500, 7.41, 2e12, "TPUv3", 123, 450, 245, 1024, 0.28,
+    TrainingFixture("Switch", 1500, 7.41, 2e12, "TPUv3", 245, 1024, 0.28,
                     1.10, 0.33, 82.2, False, 63.9, 0.03, 27.0, 0.02),
-    TrainingFixture("XLM", 0.55, None, 7e12, "V100", 125, 300, 342, 512, 0.212,
+    TrainingFixture("XLM", 0.55, None, 7e12, "V100", 342, 512, 0.212,
                     1.10, 0.413, 23.9, False, 37.6, 0.03, 20.4, 0.02),
 ]
 
 
+def _catalog_unit(name: str) -> HardwareUnit:
+    """The packaged hardware catalog's unit called ``name``."""
+    return next(u for u in default_hardware() if u.name == name)
+
+
 def training_request(fx: TrainingFixture) -> EstimateRequest:
     """Build the pipeline request reproducing one published training run."""
-    accel = HardwareUnit(
-        name=fx.device_name, role=HardwareRole.ACCELERATOR,
-        peak_tflops=fx.peak_tflops, tdp_watts=fx.tdp_watts,
-        die_area_mm2=815 if fx.device_name == "V100" else 700,
-        cpa=1.2 if fx.device_name == "V100" else 1.0, cpa_basis="area",
-    )
+    accel = _catalog_unit(fx.device_name)
     is_moe = fx.base_param_count_b is not None
     arch = LlmArchitecture(
         name=fx.name, kind=ArchKind.MOE if is_moe else ArchKind.DENSE_GPT,
@@ -214,8 +214,8 @@ NOOR_EXPECTED_TRANSFER_MWH = (1.77, 0.005)
 # GPT-3 inference batch: 16 A100s, batch 32 x 128 tokens, measured 3.0 s,
 # run at the published efficiency.
 INFERENCE_FIXTURE = dict(
-    param_count=175e9, batch_tokens=32 * 128, device_count=16,
-    peak_tflops=312.0, efficiency=0.0926,
+    param_count=175e9, batch_tokens=32 * 128, device_name="A100", device_count=16,
+    efficiency=0.0926,
     expected_latency_s=3.10, latency_tol_s=0.05,
     actual_latency_s=3.0, max_carbon_delta=0.035,
 )
@@ -253,7 +253,7 @@ def _days_rows() -> list[ValidationRow]:
     rows = []
     for fx in TRAINING_FIXTURES:
         seconds = device_time(fx.measured_zettaflops * units.ZETTA, fx.device_count,
-                              fx.peak_tflops, fx.efficiency)
+                              _catalog_unit(fx.device_name).peak_tflops, fx.efficiency)
         rows.append(ValidationRow(
             "days", fx.name, round(units.seconds_to_days(seconds), 3),
             fx.expected_days, fx.expected_days * fx.days_rel_tol, "days"))
@@ -290,14 +290,11 @@ def inference_request() -> EstimateRequest:
     placeholder.
     """
     fx = INFERENCE_FIXTURE
-    accel = HardwareUnit(name="A100", role=HardwareRole.ACCELERATOR,
-                         peak_tflops=fx["peak_tflops"], tdp_watts=400,
-                         die_area_mm2=826, cpa=1.6, cpa_basis="area")
     return EstimateRequest(
         arch=LlmArchitecture(name="GPT3", kind=ArchKind.DENSE_GPT,
                              explicit_param_count=int(fx["param_count"])),
         tokens=fx["batch_tokens"],
-        fleet=HardwareFleet.of((accel, fx["device_count"])),
+        fleet=HardwareFleet.of((_catalog_unit(fx["device_name"]), fx["device_count"])),
         data_center=DataCenterProfile(name="GPT3-inference-dc", pue=1.0, carbon_intensity=0.0),
         phase=Phase.INFERENCE,
         overrides=Overrides(efficiency=fx["efficiency"], device_count=fx["device_count"]),

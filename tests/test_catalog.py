@@ -58,21 +58,20 @@ class TestHardwareCatalog:
 class TestDataCenterCatalog:
     def test_us_central1_row(self):
         text = (",".join(catalog.DATACENTER_FIELDS) + "\n"
-                "us-central1,1.1,0.394,0.97\n")
+                "us-central1,1.1,0.394\n")
         profiles = catalog.load_datacenters(io.StringIO(text))
         assert profiles[0].carbon_intensity == 0.394
         assert profiles[0].pue == 1.1
 
     def test_nan_cell_rejected(self):
         text = (",".join(catalog.DATACENTER_FIELDS) + "\n"
-                "nan-dc,nan,0.394,0.97\n")
+                "nan-dc,nan,0.394\n")
         with pytest.raises(CatalogError, match="row 2: nan-dc: pue"):
             catalog.load_datacenters(io.StringIO(text))
 
     @pytest.mark.parametrize("row, column", [
-        ("dc,inf,0.394,0.97", "pue"),
-        ("dc,1.1,inf,0.97", "carbon_intensity_kg_per_kwh"),
-        ("dc,1.1,0.394,nan", "cfe"),
+        ("dc,inf,0.394", "pue"),
+        ("dc,1.1,inf", "carbon_intensity_kg_per_kwh"),
     ])
     def test_non_finite_cell_rejected(self, row, column):
         text = ",".join(catalog.DATACENTER_FIELDS) + "\n" + row + "\n"
@@ -138,17 +137,20 @@ class TestDefaults:
 
     @pytest.mark.parametrize("header", [
         ",".join(catalog.DATACENTER_FIELDS),
-        "name, pue, carbon_intensity_kg_per_kwh, cfe",
-        '"name","pue","carbon_intensity_kg_per_kwh","cfe"',
+        "name, pue, carbon_intensity_kg_per_kwh",
+        '"name","pue","carbon_intensity_kg_per_kwh"',
     ])
     def test_user_catalog_header_read_as_the_loader_reads_it(self, tmp_path, header):
         path = tmp_path / "dc.csv"
-        path.write_text(header + "\nmy-dc,1.2,0.3,0.5\n", encoding="utf-8")
+        path.write_text(header + "\nmy-dc,1.2,0.3\n", encoding="utf-8")
         loaded = catalog.load_datacenters(io.StringIO(path.read_text(encoding="utf-8")))
         _, centers = catalog.resolve_catalogs([path])
         assert centers["my-dc"] == loaded[0]
 
-    @pytest.mark.parametrize("text", ["", "\n", "name,pue\nmy-dc,1.2\n"])
+    # The last is a data-center header with one column too many.
+    @pytest.mark.parametrize("text", ["", "\n", "name,pue\nmy-dc,1.2\n",
+                                      "name,pue,carbon_intensity_kg_per_kwh,cfe\n"
+                                      "my-dc,1.2,0.3,0.5\n"])
     def test_unknown_header_rejected(self, tmp_path, text):
         path = tmp_path / "odd.csv"
         path.write_text(text, encoding="utf-8")

@@ -149,6 +149,22 @@ class TestEstimateCommand:
         ("  architecture:\n    name: gpt3\n    kind: dense_gpt\n"
          "    explicit_param_count: 175000000000\n", "", EXIT_CONFIG_ERROR,
          "estimate.architecture: required"),
+        # A name is a YAML string; nothing else is made into one.
+        pytest.param("name: gpt3", "name: null", EXIT_CONFIG_ERROR,
+                     "estimate.architecture.name: expected a string, got None", id="name-null"),
+        pytest.param("name: gpt3", "name: [1, 2]", EXIT_CONFIG_ERROR,
+                     "estimate.architecture.name: expected a string, got [1, 2]", id="name-list"),
+        pytest.param("name: gpt3", "name: .nan", EXIT_CONFIG_ERROR,
+                     "estimate.architecture.name: expected a string, got nan", id="name-nan"),
+        pytest.param("unit: V100", "unit: null", EXIT_CONFIG_ERROR,
+                     "estimate.fleet[0].unit: expected a string, got None", id="unit-null"),
+        # A key whose field has no default is never filled in.
+        pytest.param("    name: gpt3\n", "", EXIT_CONFIG_ERROR,
+                     "estimate.architecture.name: required", id="no-architecture-name"),
+        pytest.param("    name: openai-dc\n", "", EXIT_CONFIG_ERROR,
+                     "estimate.data_center.name: required", id="no-data-center-name"),
+        pytest.param("  tokens: 3.0e+11\n", "", EXIT_CONFIG_ERROR,
+                     "estimate.tokens: required", id="no-tokens"),
         ("  tokens:", "  device_memory_gb: 0\n  tokens:", EXIT_MODEL_ERROR,
          "[efficiency-model] device_memory_gb must be positive"),
         ("  tokens:", "  scaling: {alpha: 0}\n  tokens:", EXIT_CONFIG_ERROR,
@@ -270,6 +286,11 @@ class TestLifecycleCommand:
          "config error: lifecycle: training request has phase inference"),
         ("    tokens: 7.0e+12", "    tokens: 7.0e+12\n    storage: {stored_tb: 1, duration_days: 30}",
          "config error: lifecycle.training.storage: unknown key"),
+        pytest.param("    tokens: 7.0e+12\n", "",
+                     "config error: lifecycle.training.tokens: required", id="no-tokens"),
+        pytest.param("  storage:\n    stored_tb: 5\n    transferred_tb: 20\n    duration_days: 180\n",
+                     "  storage: {}\n", "config error: lifecycle.storage.stored_tb: required",
+                     id="empty-storage"),
     ])
     def test_training_request_checked(self, tmp_path, capsys, old, new, message):
         text = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
@@ -371,7 +392,7 @@ class TestSweepCommand:
                      "sweep.grid[0].tokens: required", id="grid-point-without-tokens"),
         # An empty architecture is read as an empty mapping, as in `estimate:`.
         pytest.param({"grid": [{"architecture": None, "tokens": 1.0e10}]},
-                     "sweep.grid[0].architecture.kind: required", id="grid-point-empty-architecture"),
+                     "sweep.grid[0].architecture.name: required", id="grid-point-empty-architecture"),
     ])
     def test_section_is_checked_at_its_paths(self, tmp_path, capsys, change, message):
         section = {k: v for k, v in {**SWEEP_SECTION, **change}.items() if v is not DROP}

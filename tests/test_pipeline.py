@@ -455,7 +455,7 @@ class TestLifecycle:
             arch=dense_arch("xlm-0.55b", 0.55e9), tokens=7e12,
             fleet=xlm_fleet,
             data_center=DataCenterProfile(name="green", pue=1.1,
-                                          carbon_intensity=0.016, cfe=0.97),
+                                          carbon_intensity=0.016),
             overrides=Overrides(efficiency=0.212, device_count=512,
                                 system_power_watts=342),
         )

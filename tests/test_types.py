@@ -210,7 +210,6 @@ class TestDataCenter:
     @pytest.mark.parametrize("change, message", [
         pytest.param({"pue": "1.1"}, "dc: pue must be finite and >= 1.0, got '1.1'",
                      id="pue-str"),
-        pytest.param({"cfe": "0.5"}, "dc: cfe must lie in [0, 1]", id="cfe-str"),
         pytest.param({"carbon_intensity": 10 ** 400},
                      "dc: carbon_intensity is beyond the float range", id="intensity-1e400"),
         pytest.param({"pue": 10 ** 400}, "dc: pue is beyond the float range", id="pue-1e400"),

@@ -3,14 +3,26 @@ the inputs and running ``estimate``, ``estimate_lifecycle`` or ``sweep`` ends
 in a finite, non-negative, additive report or sweep row, or in a named
 ``ModelError`` or ``CatalogError``. No other exception type gets out. The
 exported stage functions, called on their own, return no NaN or end in the
-same named errors."""
+same named errors. A config document, a broken copy of one of the packaged
+examples, ends in exit 0 with such a report or rows, or in exit 2 or 3 with a
+message that names a key path or a stage."""
 
+import contextlib
+import copy
 import dataclasses
+import functools
+import io
 import math
+import operator
+import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from carboncast import cli
 from carboncast import (
     device_time,
     efficiency_at_count,
@@ -34,6 +46,7 @@ from carboncast.pipeline import (
 )
 from carboncast.types import (
     ArchKind,
+    CarbonReport,
     CatalogError,
     DataCenterProfile,
     ExpertGroup,
@@ -59,7 +72,7 @@ VALID = {
               "cpa": [1.2, 0.0], "capacity_gb": [None, 32.0],
               "embodied_kg_override": [None, 150.0], "lifetime_years": [5.0, 3]},
     "fleet": {"count": [8, 1496]},
-    "dc": {"pue": [1.1, 1], "carbon_intensity": [0.429, 0.0], "cfe": [0.0, 0.9]},
+    "dc": {"pue": [1.1, 1], "carbon_intensity": [0.429, 0.0]},
     "storage": {"stored_tb": [32.7, 0], "transferred_tb": [277.4, 0.0],
                 "duration_days": [180, 0.5], "storage_w_per_tb": [11.3, 0.0],
                 "transfer_w_per_tb": [1.48, 2]},
@@ -268,3 +281,110 @@ def test_every_stage_function_number_ends_in_a_number_or_a_named_error(function,
     assert all(x >= 0 for x in numbers)
     if function not in INF_REFUSED_BY_A_REPORT:
         assert all(x < math.inf for x in numbers)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+# Each packaged example config and the command line that runs it.
+EXAMPLE_COMMANDS = {
+    "gpt3_training.yaml": ["estimate"],
+    "lifecycle_green_grid.yaml": ["lifecycle", "--catalog",
+                                  str(EXAMPLES / "xlm_cluster_hardware.csv")],
+    "sweep_grid.yaml": ["sweep"],
+}
+EXAMPLE_DOCS = {name: yaml.safe_load((EXAMPLES / name).read_text(encoding="utf-8"))
+                for name in EXAMPLE_COMMANDS}
+# What an edit puts in place of a value: broken numbers, wrong types and
+# empty values. PyYAML writes no int of more than 4,300 digits either.
+BAD_VALUES = [None, True, "", "x", "1e9", [1, 2], {"a": 1}, 0, -1, 2.5, 10 ** 400,
+              math.nan, math.inf, -math.inf]
+EDIT_DRAW = st.sampled_from([("delete",), ("unknown key",), ("nest",)]
+                            + [("set", v) for v in BAD_VALUES])
+EXAMPLE_DRAW = st.sampled_from(sorted(EXAMPLE_COMMANDS))
+# A config fault names a key path: one under the section, or the file's own
+# ``schema`` or top key.
+KEY_PATH = re.compile(r"config error: (estimate|lifecycle|sweep)[.:\[]|config error: \S+\.yaml\.\w+: ")
+# A model fault names its stage or the report value it would have made; a
+# sweep point can also fail the sweep's own check of its tokens.
+STAGE = re.compile(r"\[[a-z-]+\] |sweep points need a finite positive token count|(" + "|".join(
+    f.name for f in dataclasses.fields(CarbonReport)) + ") must be ")
+
+
+def key_paths(node, prefix=()):
+    """The path of every key and list item in a YAML document, outer ones first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+@st.composite
+def config_documents(draw):
+    """A packaged example and a copy of its document with one to three edits:
+    a key or item deleted, an unknown key or a repeated item added, a value
+    nested one level deeper, or a value replaced by a broken one."""
+    name = draw(EXAMPLE_DRAW)
+    doc = copy.deepcopy(EXAMPLE_DOCS[name])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(key_paths(doc))
+        if not paths:
+            break
+        *parents, key = paths[draw(st.integers(0, len(paths) - 1))]
+        container = functools.reduce(operator.getitem, parents, doc)
+        edit = draw(EDIT_DRAW)
+        if edit[0] == "delete":
+            del container[key]
+        elif edit[0] == "unknown key":
+            if isinstance(container, dict):
+                container["unknown"] = 1
+            else:
+                container.append(copy.deepcopy(container[key]))
+        elif edit[0] == "nest":
+            container[key] = [container[key]]
+        else:
+            container[key] = copy.deepcopy(edit[1])
+    return name, doc
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs") / "config.yaml"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(config_documents())
+def test_every_config_document_ends_in_a_report_or_a_named_error(config_path, case):
+    name, doc = case
+    # libyaml's emitter when PyYAML has it: the pure-Python one doubles the run.
+    config_path.write_text(yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)),
+                           encoding="utf-8")
+    argv = [*EXAMPLE_COMMANDS[name], "--config", str(config_path)]
+    stderr = io.StringIO()
+    # The formatters see what a run made: the report, or the sweep's points.
+    with mock.patch.object(cli, "_format_report_table", wraps=cli._format_report_table) as table, \
+            mock.patch.object(cli, "_format_sweep_csv", wraps=cli._format_sweep_csv) as rows, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    if code == cli.EXIT_CONFIG_ERROR:
+        assert KEY_PATH.match(err), err
+        return
+    if rows.called:
+        # Each row is a point of the document's grid, under the name it gives.
+        names = [point["architecture"].get("name") for point in doc["sweep"]["grid"]]
+        for p in rows.call_args.args[0]:
+            assert p.name in names and finite(p.test_loss) and finite(p.training_tco2)
+    if code == cli.EXIT_OK:
+        if not rows.called:
+            check_report(table.call_args.args[0])
+        return
+    assert code == cli.EXIT_MODEL_ERROR, err
+    # A sweep names each skipped point's stage; anything else fails once.
+    faults = [line.split(": ", 1)[1] for line in err.splitlines() if line.startswith("skipped ")]
+    assert faults or err.startswith("model error: "), err
+    for fault in faults or [err.removeprefix("model error: ")]:
+        assert STAGE.match(fault), err
