@@ -1,27 +1,39 @@
-"""CSV catalogs of hardware units, data centers and efficiency anchors.
+"""CSV catalogs of hardware units, data centers and efficiency anchors, and
+the typed reader of config sections and catalog rows.
 
 Catalog files are plain UTF-8 CSV with a header row, '.' decimals and no
-thousands separators. A blank cell means "absent". The packaged defaults in
-``carboncast/data`` cover the commonly published accelerators and Google
-Cloud regions; user catalogs can extend or shadow them (later wins, by name).
+thousands separators. The packaged defaults in ``carboncast/data`` cover the
+commonly published accelerators and Google Cloud regions; user catalogs can
+extend or shadow them (later wins, by name).
 
 Every loader reads a text stream through one row reader: it checks the
 header's stripped cells, skips blank rows and names the row of any fault.
-:func:`resolve_catalogs` tells a user file's table by those same cells.
+A row is a mapping from column to stripped cell, blank cells left out, so a
+blank cell means "absent". Hardware and data-center rows are read by
+:func:`_arguments`, as the CLI reads each YAML section: an absent cell takes
+the dataclass default, and a fault names the entry and field as a config
+fault names its key path. :func:`resolve_catalogs` tells a user file's table
+by the header's cells.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import functools
+import inspect
 import io
 import math
 import os
+import types
+import typing
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .types import CatalogError, DataCenterProfile, HardwareRole, HardwareUnit
+from .types import (CatalogError, ConfigError, DataCenterProfile, HardwareRole, HardwareUnit,
+                    ModelError)
 
 HARDWARE_FIELDS = [
     "name", "role", "peak_tflops", "tdp_watts", "avg_system_power_watts",
@@ -34,25 +46,131 @@ ANCHOR_FIELDS = ["param_count", "efficiency"]
 CATALOG_DIR_ENV = "CARBONCAST_CATALOG_DIR"
 
 
-def _float(cell: str, label: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {cell.strip()!r}")
-    return value
+# --------------------------------------------------------------------------
+# The typed reader. Each config section or catalog row builds one dataclass,
+# or the arguments of one function (``sweep``): its keys are the parameters
+# and each value is coerced through the parameter's annotated type, so the
+# dataclasses and ``sweep()`` stay the one place that names keys and
+# defaults. Targets are named by ``__name__``, so this module need not
+# import the pipeline.
+# --------------------------------------------------------------------------
+
+# Config keys whose name differs from the field they fill.
+_CONFIG_KEYS = {("EstimateRequest", "arch"): "architecture"}
+# Fields only library callers set.
+_NOT_CONFIG = {("EstimateRequest", "anchors"), ("sweep", "anchors")}
 
 
-def _opt_float(cell: str | None, label: str) -> float | None:
-    if cell is None or cell.strip() == "":
-        return None
-    return _float(cell, label)
+def _check_keys(mapping: dict, allowed, path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        key = sorted(unknown)[0]
+        raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _table(fh: TextIO, fields: list[str], label: str, build: Callable[[list[str]], object]) -> list:
+def _num(tp: type, value, path: str):
+    """A finite float, or a whole int when ``tp`` is int; numeric strings count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if tp is int:
+        if not number.is_integer():
+            raise ConfigError(f"{path}: expected a whole number, got {value!r}")
+        return int(number)
+    return number
+
+
+def _coerce(tp, value, path: str):
+    """Convert one config value to the annotated field type ``tp``."""
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if dataclasses.is_dataclass(tp):
+        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        items = [] if value is None else value
+        if not isinstance(items, list):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(items))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            valid = ", ".join(m.value for m in tp)
+            raise ConfigError(f"{path}: must be one of {valid}") from None
+    if tp is str:  # a name; YAML reads an unquoted 123, null or .nan as no string
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
+    return _num(tp, value, path)
+
+
+@functools.cache
+def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
+    """Config key -> (parameter name, resolved annotation, whether it has a
+    default) of a config dataclass or function; resolving hints is slow."""
+    hints = typing.get_type_hints(target)
+    owner = target.__name__
+    return {_CONFIG_KEYS.get((owner, name), name): (name, hints[name], p.default is not p.empty)
+            for name, p in inspect.signature(target).parameters.items()
+            if (owner, name) not in _NOT_CONFIG}
+
+
+def _arguments(target, doc, path: str, **special) -> dict:
+    """The arguments of config dataclass or function ``target`` from mapping
+    ``doc`` found at ``path``.
+
+    ``special`` maps a config key to a ``reader(value, path)`` that replaces
+    the type-driven coercion, for values that are catalog lookups or lists,
+    and for a catalog row's role, which is read in any case.
+    """
+    fields = _config_fields(target)
+    _check_keys(doc, fields, path)
+    kwargs = {}
+    for key, (name, tp, has_default) in fields.items():
+        kpath = f"{path}.{key}" if path else key
+        if key in doc:
+            reader = special.get(key)
+            kwargs[name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
+        elif not has_default:
+            raise ConfigError(f"{kpath}: required")
+    return kwargs
+
+
+def _read(cls, doc, path: str, **special):
+    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``;
+    see :func:`_arguments`."""
+    kwargs = _arguments(cls, doc, path, **special)
+    try:
+        return cls(**kwargs)
+    except (CatalogError, ModelError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+# --------------------------------------------------------------------------
+# Catalog tables.
+# --------------------------------------------------------------------------
+
+def _table(fh: TextIO, fields: list[str], label: str,
+           build: Callable[[dict[str, str]], object]) -> list:
     """The rows of the catalog table in ``fh``, each made by ``build``.
 
     An empty stream is an empty table. Otherwise the header's stripped cells
-    must be ``fields``; blank rows are skipped, and a row whose cells
-    ``build`` rejects raises CatalogError as ``<label> row N: <fault>``.
+    must be ``fields``; blank rows are skipped, and ``build`` gets each
+    other row as a mapping from column to stripped cell, blank cells left
+    out. A non-blank cell beyond the header, or a row that ``build``
+    rejects, raises CatalogError as ``<label> row N: <fault>``.
     """
     rows = csv.reader(fh)
     header = next(rows, None)
@@ -62,63 +180,44 @@ def _table(fh: TextIO, fields: list[str], label: str, build: Callable[[list[str]
         raise CatalogError(f"{label}: bad header {header!r}, expected {fields!r}")
     out = []
     for lineno, row in enumerate(rows, start=2):
-        if not row or all(c.strip() == "" for c in row):
+        cells = [c.strip() for c in row]
+        if not any(cells):
             continue
         try:
-            out.append(build(row))
-        except (ValueError, KeyError, IndexError) as exc:
+            if any(cells[len(fields):]):
+                raise ValueError(f"{len(cells)} cells, expected {len(fields)}")
+            out.append(build({f: c for f, c in zip(fields, cells) if c}))
+        except ValueError as exc:
             raise CatalogError(f"{label} row {lineno}: {exc}") from exc
     return out
 
 
-def _hardware_row(row: list[str]) -> HardwareUnit:
-    cells = dict(zip(HARDWARE_FIELDS, row))
-    name = cells["name"].strip()
-
-    def num(key: str) -> float | None:
-        return _opt_float(cells.get(key), f"{name}: {key}")
-
-    lifetime = num("lifetime_years")
-    return HardwareUnit(
-        name=name,
-        role=HardwareRole(cells["role"].strip().lower()),
-        peak_tflops=num("peak_tflops"),
-        tdp_watts=num("tdp_watts"),
-        avg_system_power_watts=num("avg_system_power_watts"),
-        die_area_mm2=num("die_area_mm2"),
-        cpa=num("cpa"),
-        cpa_basis=(cells.get("cpa_basis") or "").strip() or None,
-        capacity_gb=num("capacity_gb"),
-        embodied_kg_override=num("embodied_kg_override"),
-        lifetime_years=5.0 if lifetime is None else lifetime,
-    )
+def _hardware(cells: dict[str, str]) -> HardwareUnit:
+    return HardwareUnit(**_arguments(
+        HardwareUnit, cells, cells.get("name", ""),
+        role=lambda value, path: _coerce(HardwareRole, value.lower(), path)))
 
 
-def _datacenter_row(row: list[str]) -> DataCenterProfile:
-    cells = dict(zip(DATACENTER_FIELDS, row))
-    name = cells["name"].strip()
-    return DataCenterProfile(
-        name=name,
-        pue=_float(cells["pue"], f"{name}: pue"),
-        carbon_intensity=_float(cells["carbon_intensity_kg_per_kwh"],
-                                f"{name}: carbon_intensity_kg_per_kwh"),
-    )
+def _datacenter(cells: dict[str, str]) -> DataCenterProfile:
+    if "carbon_intensity_kg_per_kwh" in cells:  # the column names its unit
+        cells["carbon_intensity"] = cells.pop("carbon_intensity_kg_per_kwh")
+    return DataCenterProfile(**_arguments(DataCenterProfile, cells, cells.get("name", "")))
 
 
 def load_hardware(fh: TextIO) -> list[HardwareUnit]:
     """Parse a hardware catalog. Raises CatalogError with the row number."""
-    return _table(fh, HARDWARE_FIELDS, "hardware catalog", _hardware_row)
+    return _table(fh, HARDWARE_FIELDS, "hardware catalog", _hardware)
 
 
 def load_datacenters(fh: TextIO) -> list[DataCenterProfile]:
     """Parse a data-center catalog (carbon intensity in kg/kWh)."""
-    return _table(fh, DATACENTER_FIELDS, "data-center catalog", _datacenter_row)
+    return _table(fh, DATACENTER_FIELDS, "data-center catalog", _datacenter)
 
 
 def load_anchors(fh: TextIO) -> list[tuple[float, float]]:
     """Parse an efficiency anchor table: param_count,efficiency pairs."""
     return _table(fh, ANCHOR_FIELDS, "anchor table",
-                  lambda row: (_float(row[0], "param_count"), _float(row[1], "efficiency")))
+                  lambda cells: tuple(_num(float, cells.get(f, ""), f) for f in ANCHOR_FIELDS))
 
 
 @functools.cache

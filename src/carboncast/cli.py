@@ -5,6 +5,10 @@ documents with a ``schema: 1`` version tag; unknown keys are rejected with
 their full path so typos surface immediately. Exit codes: 0 success, 1
 validation failures, 2 config errors, 3 model errors.
 
+Each config section is read by the typed reader in :mod:`carboncast.catalog`,
+the one that reads catalog rows, so a section's keys are its dataclass's
+fields and a fault names its key path.
+
 Only the commands that read a config (estimate, lifecycle, sweep) import
 PyYAML, and only validate loads the validation fixtures; a cold start pays
 for nothing its command does not use.
@@ -14,23 +18,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import enum
 import functools
-import inspect
 import io
-import math
 import sys
-import types
-import typing
 from pathlib import Path
 
 from . import units
-from .catalog import resolve_catalogs
+from .catalog import _arguments, _check_keys, _coerce, _read, resolve_catalogs
 from .pipeline import EstimateRequest, LifecyclePlan, estimate, estimate_lifecycle, sweep
 from .types import (
     CarbonReport,
     CatalogError,
+    ConfigError,
     DataCenterProfile,
     FleetEntry,
     HardwareFleet,
@@ -46,117 +45,10 @@ EXIT_CONFIG_ERROR = 2
 EXIT_MODEL_ERROR = 3
 
 
-class ConfigError(Exception):
-    """Bad config document; the message names the offending key path."""
-
-
 # --------------------------------------------------------------------------
-# Config parsing. Each config section builds one dataclass, or the arguments
-# of one function (``sweep``): its keys are the parameters and each value is
-# coerced through the parameter's annotated type, so the dataclasses and
-# ``sweep()`` stay the one place that names keys and defaults.
+# Config parsing: catalog lookups, the sweep grid and the top level. Sections
+# are read by the typed reader in ``catalog``.
 # --------------------------------------------------------------------------
-
-# Config keys whose name differs from the field they fill.
-_CONFIG_KEYS = {(EstimateRequest, "arch"): "architecture"}
-# Fields only library callers set.
-_NOT_CONFIG = {(EstimateRequest, "anchors"), (sweep, "anchors")}
-
-
-def _check_keys(mapping: dict, allowed, path: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}: unknown key")
-
-
-def _num(tp: type, value, path: str):
-    """A finite float, or a whole int when ``tp`` is int; numeric strings count."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    if tp is int:
-        if not number.is_integer():
-            raise ConfigError(f"{path}: expected a whole number, got {value!r}")
-        return int(number)
-    return number
-
-
-def _coerce(tp, value, path: str):
-    """Convert one config value to the annotated field type ``tp``."""
-    if typing.get_origin(tp) is types.UnionType:  # X | None
-        if value is None:
-            return None
-        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
-    if dataclasses.is_dataclass(tp):
-        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        items = [] if value is None else value
-        if not isinstance(items, list):
-            raise ConfigError(f"{path}: expected a list")
-        return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]")
-                     for i, v in enumerate(items))
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        try:
-            return tp(value)
-        except ValueError:
-            valid = ", ".join(m.value for m in tp)
-            raise ConfigError(f"{path}: must be one of {valid}") from None
-    if tp is str:  # a name; YAML reads an unquoted 123, null or .nan as no string
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    return _num(tp, value, path)
-
-
-@functools.cache
-def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
-    """Config key -> (parameter name, resolved annotation, whether it has a
-    default) of a config dataclass or function; resolving hints is slow."""
-    hints = typing.get_type_hints(target)
-    return {_CONFIG_KEYS.get((target, name), name): (name, hints[name], p.default is not p.empty)
-            for name, p in inspect.signature(target).parameters.items()
-            if (target, name) not in _NOT_CONFIG}
-
-
-def _arguments(target, doc, path: str, **special) -> dict:
-    """The arguments of config dataclass or function ``target`` from mapping
-    ``doc`` found at ``path``.
-
-    ``special`` maps a config key to a ``reader(value, path)`` that replaces
-    the type-driven coercion, for values that are catalog lookups or lists.
-    """
-    fields = _config_fields(target)
-    _check_keys(doc, fields, path)
-    kwargs = {}
-    for key, (name, tp, has_default) in fields.items():
-        kpath = f"{path}.{key}"
-        if key in doc:
-            reader = special.get(key)
-            kwargs[name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
-        elif not has_default:
-            raise ConfigError(f"{kpath}: required")
-    return kwargs
-
-
-def _read(cls, doc, path: str, **special):
-    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``;
-    see :func:`_arguments`."""
-    kwargs = _arguments(cls, doc, path, **special)
-    try:
-        return cls(**kwargs)
-    except (CatalogError, ModelError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
 
 def _lookup(table: dict, what: str, name, path: str):
     """The catalog entry called ``name`` in ``table``, whose entries are ``what``s."""
@@ -221,7 +113,7 @@ def _load_config(path: str, top_key: str) -> dict:
         raise ConfigError(f"{path}: top level must be a mapping")
     _check_keys(doc, {"schema", top_key}, path)
     version = doc.get("schema")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # YAML true and 1.0 are no 1
         raise ConfigError(f"{path}.schema: expected {SCHEMA_VERSION}, got {version!r}")
     if top_key not in doc:
         raise ConfigError(f"{path}.{top_key}: required")

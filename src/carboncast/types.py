@@ -6,7 +6,8 @@ value that exists is a valid one and no stage checks it again. Hardware and
 data-center types raise :class:`CatalogError`, because a broken catalog row
 should stop a run immediately; the others raise :class:`ModelError`. An
 architecture lists every rule it breaks in one message (the CLI shows them
-all at once): these rules are all that the parameter model needs.
+all at once): these rules are all that the parameter model needs. A config
+value or catalog cell that cannot be read at all raises :class:`ConfigError`.
 
 Caller numbers must be ints or floats, not bools, that a float can hold
 (:func:`is_number`). An architecture's shape counts must be ints >= 1, not
@@ -27,6 +28,10 @@ class CatalogError(ValueError):
 
 class ModelError(ValueError):
     """A projection model was handed inputs it cannot work with."""
+
+
+class ConfigError(ValueError):
+    """Bad config document or catalog cell; the message names the offending key path."""
 
 
 def is_number(value, label: str, error: type[ValueError]) -> bool:

@@ -177,7 +177,6 @@ def training_request(fx: TrainingFixture) -> EstimateRequest:
         overrides=Overrides(
             measured_flops=fx.measured_zettaflops * units.ZETTA if fx.use_measured_flops else None,
             efficiency=fx.efficiency,
-            device_count=fx.device_count,
             system_power_watts=fx.avg_system_power_watts,
         ),
     )
@@ -297,7 +296,7 @@ def inference_request() -> EstimateRequest:
         fleet=HardwareFleet.of((_catalog_unit(fx["device_name"]), fx["device_count"])),
         data_center=DataCenterProfile(name="GPT3-inference-dc", pue=1.0, carbon_intensity=0.0),
         phase=Phase.INFERENCE,
-        overrides=Overrides(efficiency=fx["efficiency"], device_count=fx["device_count"]),
+        overrides=Overrides(efficiency=fx["efficiency"]),
     )
 
 

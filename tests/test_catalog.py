@@ -51,7 +51,9 @@ class TestHardwareCatalog:
     ])
     def test_non_finite_cell_rejected(self, column, row):
         text = ",".join(catalog.HARDWARE_FIELDS) + "\n" + row + "\n"
-        with pytest.raises(CatalogError, match=f"row 2: x: {column} must be finite"):
+        cell = row.split(",")[catalog.HARDWARE_FIELDS.index(column)]
+        with pytest.raises(CatalogError, match=f"^hardware catalog row 2: x.{column}: "
+                                               f"expected a finite number, got '{cell}'$"):
             catalog.load_hardware(io.StringIO(text))
 
 
@@ -66,7 +68,8 @@ class TestDataCenterCatalog:
     def test_nan_cell_rejected(self):
         text = (",".join(catalog.DATACENTER_FIELDS) + "\n"
                 "nan-dc,nan,0.394\n")
-        with pytest.raises(CatalogError, match="row 2: nan-dc: pue"):
+        with pytest.raises(CatalogError, match="^data-center catalog row 2: nan-dc.pue: "
+                                               "expected a finite number, got 'nan'$"):
             catalog.load_datacenters(io.StringIO(text))
 
     @pytest.mark.parametrize("row, column", [
@@ -75,7 +78,9 @@ class TestDataCenterCatalog:
     ])
     def test_non_finite_cell_rejected(self, row, column):
         text = ",".join(catalog.DATACENTER_FIELDS) + "\n" + row + "\n"
-        with pytest.raises(CatalogError, match=f"row 2: dc: {column} must be finite"):
+        field = column.removesuffix("_kg_per_kwh")  # the column fills carbon_intensity
+        with pytest.raises(CatalogError, match=f"^data-center catalog row 2: dc.{field}: "
+                                               f"expected a finite number, got 'inf'$"):
             catalog.load_datacenters(io.StringIO(text))
 
 
@@ -99,7 +104,9 @@ class TestDefaults:
     @pytest.mark.parametrize("row, column", [
         ("nan,0.4", "param_count"), ("1e9,inf", "efficiency")])
     def test_non_finite_anchor_rejected(self, row, column):
-        with pytest.raises(CatalogError, match=f"anchor table row 3: {column} must be finite"):
+        cell = row.split(",")[catalog.ANCHOR_FIELDS.index(column)]
+        with pytest.raises(CatalogError, match=f"^anchor table row 3: {column}: "
+                                               f"expected a finite number, got '{cell}'$"):
             catalog.load_anchors(io.StringIO(f"param_count,efficiency\n1e9,0.3\n{row}\n"))
 
     @pytest.mark.parametrize("load", [

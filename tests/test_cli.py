@@ -189,6 +189,11 @@ class TestEstimateCommand:
          "estimate.anchors: unknown key"),
         ("  tokens:", "  others_fraction: 0.1\n  tokens:", EXIT_CONFIG_ERROR,
          "estimate.others_fraction: unknown key"),
+        # The schema tag is the YAML int 1; true and 1.0 compare equal to it.
+        pytest.param("schema: 1", "schema: true", EXIT_CONFIG_ERROR,
+                     ".schema: expected 1, got True", id="schema-true"),
+        pytest.param("schema: 1", "schema: 1.0", EXIT_CONFIG_ERROR,
+                     ".schema: expected 1, got 1.0", id="schema-1.0"),
     ])
     def test_config_values_checked_at_their_path(self, tmp_path, capsys, old, new, code,
                                                  message):

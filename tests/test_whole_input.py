@@ -5,10 +5,13 @@ in a finite, non-negative, additive report or sweep row, or in a named
 exported stage functions, called on their own, return no NaN or end in the
 same named errors. A config document, a broken copy of one of the packaged
 examples, ends in exit 0 with such a report or rows, or in exit 2 or 3 with a
-message that names a key path or a stage."""
+message that names a key path or a stage. A broken copy of a packaged
+catalog loads, or ends in a ``CatalogError`` that names the row and a field,
+or the header."""
 
 import contextlib
 import copy
+import csv
 import dataclasses
 import functools
 import io
@@ -22,7 +25,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from carboncast import cli
+from carboncast import catalog, cli
 from carboncast import (
     device_time,
     efficiency_at_count,
@@ -388,3 +391,62 @@ def test_every_config_document_ends_in_a_report_or_a_named_error(config_path, ca
     assert faults or err.startswith("model error: "), err
     for fault in faults or [err.removeprefix("model error: ")]:
         assert STAGE.match(fault), err
+
+
+# Each catalog that ships with the package or its examples, as rows of cells.
+CATALOGS = {path.name if path.parent == EXAMPLES else f"packaged {path.name}":
+            list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+            for path in (Path(catalog.__file__).parent / "data" / "hardware.csv",
+                         Path(catalog.__file__).parent / "data" / "datacenters.csv",
+                         EXAMPLES / "xlm_cluster_hardware.csv")}
+CELL_EDIT_DRAW = st.sampled_from([("set", v) for v in ["", "nan", "inf", "1e400", "-1", "x", "True"]]
+                                 + [("append",), ("drop",), ("capitalize role",)])
+CATALOG_FIELDS = "|".join(catalog.HARDWARE_FIELDS + catalog.DATACENTER_FIELDS + ["carbon_intensity"])
+# A row fault names the row, and a field (after the entry's name, or in an
+# invariant's words) or the row's length against the header's.
+ROW_FAULT = re.compile(rf"(hardware|data-center) catalog row \d+: "
+                       rf"((.*[ .(])?({CATALOG_FIELDS})[:, ]|\d+ cells, expected \d+$)")
+
+
+@st.composite
+def catalog_copies(draw):
+    """A shipped catalog's rows with one to three edits, header included: a
+    cell blanked or set to a broken number, text or ``True``; a non-blank
+    cell appended to a row or a cell dropped from it; or the role
+    capitalized."""
+    rows = copy.deepcopy(CATALOGS[draw(st.sampled_from(sorted(CATALOGS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if not row:
+            continue
+        edit = draw(CELL_EDIT_DRAW)
+        col = draw(st.integers(0, len(row) - 1))
+        if edit[0] == "set":
+            row[col] = edit[1]
+        elif edit[0] == "append":
+            row.append("7")
+        elif edit[0] == "drop":
+            del row[col]
+        elif "role" in rows[0]:
+            col = rows[0].index("role")
+            row[col:col + 1] = [c.capitalize() for c in row[col:col + 1]]
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(catalog_copies())
+def test_every_catalog_copy_loads_or_names_its_row_and_field(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "catalog.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    try:
+        units, centers = catalog.resolve_catalogs([path])
+    except CatalogError as exc:
+        assert (ROW_FAULT.match(str(exc))
+                or str(exc) == f"{path}: header matches no known catalog schema"), exc
+        return
+    # No cell beyond the header is dropped unread.
+    assert not any(any(row[len(rows[0]):]) for row in rows), rows
+    for entry in [*units.values(), *centers.values()]:
+        numbers = [v for v in vars(entry).values() if isinstance(v, float)]
+        assert all(finite(v) and v >= 0 for v in numbers), entry
