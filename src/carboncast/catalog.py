@@ -169,8 +169,9 @@ def _table(fh: TextIO, fields: list[str], label: str,
     An empty stream is an empty table. Otherwise the header's stripped cells
     must be ``fields``; blank rows are skipped, and ``build`` gets each
     other row as a mapping from column to stripped cell, blank cells left
-    out. A non-blank cell beyond the header, or a row that ``build``
-    rejects, raises CatalogError as ``<label> row N: <fault>``.
+    out. A row with fewer cells than the header, a non-blank cell beyond it,
+    or a row that ``build`` rejects raises CatalogError as ``<label> row N:
+    <fault>``.
     """
     rows = csv.reader(fh)
     header = next(rows, None)
@@ -184,7 +185,7 @@ def _table(fh: TextIO, fields: list[str], label: str,
         if not any(cells):
             continue
         try:
-            if any(cells[len(fields):]):
+            if len(cells) < len(fields) or any(cells[len(fields):]):
                 raise ValueError(f"{len(cells)} cells, expected {len(fields)}")
             out.append(build({f: c for f, c in zip(fields, cells) if c}))
         except ValueError as exc:

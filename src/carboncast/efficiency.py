@@ -17,7 +17,8 @@ on either side of it. Three pieces model this:
   which :func:`fit_anchors` checks and fits once per table. With
   three or more anchors it fits a degree-2 polynomial in log10(P) by least
   squares, solved by QR with modified Gram-Schmidt on centred log sizes
-  (Bjorck, BIT 1967); with one or two it interpolates linearly in log10(P),
+  (Bjorck, BIT 1967), unrolled for that basis with the bits of the loop
+  over its columns; with one or two it interpolates linearly in log10(P),
   flat beyond the ends. Every anchor is checked first: its param count must
   be finite and positive and used by no other anchor, and its efficiency
   must lie in (0, 1]; a bad anchor raises ModelError naming its index.
@@ -39,7 +40,6 @@ count differs from n or not).
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from .catalog import default_anchors
 from .types import (ModelError, ParallelismPlan, check_count, is_number, is_shape_count,
@@ -200,10 +200,7 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
 
 
 def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
-    if not anchors:
-        raise ModelError("efficiency anchor table is empty")
-
-    seen: dict[float, int] = {}  # log10(param_count) -> anchor index
+    seen: dict[float, float] = {}  # log10(param_count) -> efficiency
     for i, (p, e) in enumerate(anchors):
         if not (type(p) is float and type(e) is float and 0.0 < p < math.inf
                 and 0.0 < e <= 1.0):
@@ -212,13 +209,17 @@ def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
                 raise ModelError(f"{label}: param_count must be finite and > 0, got {p!r}")
             if not (is_number(e, f"{label}: efficiency", ModelError) and 0.0 < e <= 1.0):
                 raise ModelError(f"{label}: efficiency must lie in (0, 1], got {e!r}")
-        j = seen.setdefault(math.log10(p), i)
-        if j != i:
+        x = math.log10(p)
+        if x in seen:
+            j = list(seen).index(x)  # one key per earlier anchor, in order
             raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
+        seen[x] = e
+    if not seen:
+        raise ModelError("efficiency anchor table is empty")
 
     # The sizes are distinct, so sorting their logs sorts the anchors.
     xs = tuple(sorted(seen))
-    ys = tuple([anchors[seen[x]][1] for x in xs])
+    ys = tuple([seen[x] for x in xs])
     if len(xs) >= 3:
         return AnchorCurve(parabola=_quadratic_fit(xs, ys))
     return AnchorCurve(xs, ys)
@@ -251,26 +252,54 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
     t = xs - mean, with ys carried as a fourth column so that it meets the
     same rounding as the basis. Unlike the normal equations, this does not
     square the condition number of the fit.
+
+    The steps are unrolled for this basis, with every product, quotient and
+    sum of a loop over the columns, in its order, so the bits are its bits
+    (sums run from 0, as :func:`plain_sum` adds). The ones are one value c
+    when normalised, and their rank test cannot fire, so it is left out.
     """
     mean = plain_sum(xs) / len(xs)
-    ts = [xi - mean for xi in xs]
-    cols = [[1.0] * len(ts), ts, [t * t for t in ts], list(ys)]
-    scales = [math.sqrt(plain_sum(map(mul, col, col))) for col in cols[:3]]
-    r = [[0.0] * 4 for _ in range(3)]
-    for k in range(3):
-        col, rk = cols[k], r[k]
-        norm = math.sqrt(plain_sum(map(mul, col, col)))
-        if norm <= _RANK_TOL * scales[k]:
-            raise ModelError("efficiency anchors are too close in size to fit a parabola")
-        q = cols[k] = [v / norm for v in col]
-        rk[k] = norm
-        for j in range(k + 1, 4):
-            cj = cols[j]
-            rkj = rk[j] = plain_sum(map(mul, q, cj))
-            cols[j] = [b - rkj * a for a, b in zip(q, cj)]
-    c2 = r[2][3] / r[2][2]
-    c1 = (r[1][3] - r[1][2] * c2) / r[1][1]
-    c0 = (r[0][3] - r[0][1] * c1 - r[0][2] * c2) / r[0][0]
+    r00 = math.sqrt(len(xs))  # the norm of the ones, as 0 + 1.0 + ... + 1.0 is exact
+    c = 1.0 / r00
+    ts = [x - mean for x in xs]
+    tts = [t * t for t in ts]
+    s1 = s2 = r01 = r02 = r03 = 0  # s1 and s2 square the rank tests' scales
+    for t, tt, y in zip(ts, tts, ys):
+        s1 += tt
+        s2 += tt * tt
+        r01 += c * t
+        r02 += c * tt
+        r03 += c * y
+    # Step 0 takes the ones out of the other columns, step 1 takes t out.
+    d1, d2, d3 = r01 * c, r02 * c, r03 * c
+    us = [t - d1 for t in ts]
+    vs = [tt - d2 for tt in tts]
+    ws = [y - d3 for y in ys]
+    norm = 0
+    for u in us:
+        norm += u * u
+    r11 = math.sqrt(norm)
+    if r11 <= _RANK_TOL * math.sqrt(s1):
+        raise ModelError("efficiency anchors are too close in size to fit a parabola")
+    qs = [u / r11 for u in us]
+    r12 = r13 = 0
+    for q, v, w in zip(qs, vs, ws):
+        r12 += q * v
+        r13 += q * w
+    vs = [v - r12 * q for q, v in zip(qs, vs)]
+    norm = 0
+    for v in vs:
+        norm += v * v
+    r22 = math.sqrt(norm)
+    if r22 <= _RANK_TOL * math.sqrt(s2):
+        raise ModelError("efficiency anchors are too close in size to fit a parabola")
+    # Step 2 needs only the dot of t^2 with ys, as ys leaves step 1.
+    r23 = 0
+    for q, v, w in zip(qs, vs, ws):
+        r23 += v / r22 * (w - r13 * q)
+    c2 = r23 / r22
+    c1 = (r13 - r12 * c2) / r11
+    c0 = (r03 - r01 * c1 - r02 * c2) / r00
     return mean, c0, c1, c2
 
 

@@ -23,7 +23,7 @@ which carry two expert-replaceable FF blocks per counted layer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .types import ArchKind, LlmArchitecture, ModelError, plain_sum
 
@@ -39,8 +39,9 @@ class ParameterEquation(enum.Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class ParameterCount:
+class ParameterCount(NamedTuple):
+    """A parameter count and its sizing rule, as a named tuple."""
+
     total: int
     equation: ParameterEquation
 

@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from math import inf
+from typing import NamedTuple
 
 
 class CatalogError(ValueError):
@@ -409,9 +410,8 @@ class ParallelismPlan:
         return self.tensor * self.pipeline * self.data
 
 
-@dataclass(frozen=True)
-class LineItem:
-    """Per-hardware-unit slice of a report."""
+class LineItem(NamedTuple):
+    """Per-hardware-unit slice of a report, as a named tuple."""
 
     unit: str
     count: int

@@ -168,3 +168,39 @@ class TestDefaults:
         with pytest.raises(CatalogError, match=r"^anchor table: bad header \['size', 'eff'\], "
                                                r"expected \['param_count', 'efficiency'\]$"):
             catalog.load_anchors(io.StringIO("size,eff\n1e9,0.3\n"))
+
+
+# Every row of a table has the header's cell count (RFC 4180), give or take
+# trailing blank cells: a short row would put its cells in the wrong columns.
+HARDWARE_HEAD = ",".join(catalog.HARDWARE_FIELDS)
+DATACENTER_HEAD = ",".join(catalog.DATACENTER_FIELDS)
+ANCHOR_HEAD = ",".join(catalog.ANCHOR_FIELDS)
+
+
+class TestRowLength:
+    @pytest.mark.parametrize("load, text, message", [
+        (catalog.load_hardware, HARDWARE_HEAD + "\nXLM-SSD,ssd,,,,,,,576,5\n",
+         "hardware catalog row 2: 10 cells, expected 11"),
+        (catalog.load_hardware,
+         HARDWARE_HEAD + "\nV100,accelerator,125,300,,815,1.2,area,,,5,EXTRA\n",
+         "hardware catalog row 2: 12 cells, expected 11"),
+        (catalog.load_datacenters, DATACENTER_HEAD + "\ndc,1.1\n",
+         "data-center catalog row 2: 2 cells, expected 3"),
+        (catalog.load_datacenters, DATACENTER_HEAD + "\ndc,1.1,0.4\ndc2,1.1,0.4,0.5\n",
+         "data-center catalog row 3: 4 cells, expected 3"),
+        (catalog.load_anchors, ANCHOR_HEAD + "\n1e9\n", "anchor table row 2: 1 cells, expected 2"),
+        (catalog.load_anchors, ANCHOR_HEAD + "\n1e9,0.4,0.5\n",
+         "anchor table row 2: 3 cells, expected 2"),
+    ], ids=["hardware-short", "hardware-long", "datacenter-short", "datacenter-long",
+            "anchor-short", "anchor-long"])
+    def test_row_of_another_length_rejected(self, load, text, message):
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            load(io.StringIO(text))
+
+    @pytest.mark.parametrize("load, text, count", [
+        (catalog.load_hardware, HARDWARE_HEAD + "\n,,\nXLM-SSD,ssd,,,,,,,,576,5,,\n", 1),
+        (catalog.load_datacenters, DATACENTER_HEAD + "\n,\ndc,1.1,0.4,\n", 1),
+        (catalog.load_anchors, ANCHOR_HEAD + "\n\n1e9,0.4,,\n", 1),
+    ], ids=["hardware", "datacenter", "anchor"])
+    def test_blank_rows_and_trailing_blank_cells_load(self, load, text, count):
+        assert len(load(io.StringIO(text))) == count

@@ -445,8 +445,10 @@ def test_every_catalog_copy_loads_or_names_its_row_and_field(tmp_path_factory, r
         assert (ROW_FAULT.match(str(exc))
                 or str(exc) == f"{path}: header matches no known catalog schema"), exc
         return
-    # No cell beyond the header is dropped unread.
+    # No cell beyond the header is dropped unread, and no row short of the
+    # header has its cells read into the wrong columns.
     assert not any(any(row[len(rows[0]):]) for row in rows), rows
+    assert not any(any(row) and len(row) < len(rows[0]) for row in rows), rows
     for entry in [*units.values(), *centers.values()]:
         numbers = [v for v in vars(entry).values() if isinstance(v, float)]
         assert all(finite(v) and v >= 0 for v in numbers), entry
