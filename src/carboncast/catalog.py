@@ -11,7 +11,7 @@ header's stripped cells, skips blank rows and names the row of any fault.
 A row is a mapping from column to stripped cell, blank cells left out, so a
 blank cell means "absent". Hardware and data-center rows are read by
 :func:`_arguments`, as the CLI reads each YAML section: an absent cell takes
-the dataclass default, and a fault names the entry and field as a config
+the record field's default, and a fault names the entry and field as a config
 fault names its key path. :func:`resolve_catalogs` tells a user file's table
 by the header's cells.
 """
@@ -19,10 +19,8 @@ by the header's cells.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import enum
 import functools
-import inspect
 import io
 import math
 import os
@@ -33,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .types import (CatalogError, ConfigError, DataCenterProfile, HardwareRole, HardwareUnit,
-                    ModelError)
+                    ModelError, Record)
 
 HARDWARE_FIELDS = [
     "name", "role", "peak_tflops", "tdp_watts", "avg_system_power_watts",
@@ -47,12 +45,12 @@ CATALOG_DIR_ENV = "CARBONCAST_CATALOG_DIR"
 
 
 # --------------------------------------------------------------------------
-# The typed reader. Each config section or catalog row builds one dataclass,
-# or the arguments of one function (``sweep``): its keys are the parameters
-# and each value is coerced through the parameter's annotated type, so the
-# dataclasses and ``sweep()`` stay the one place that names keys and
-# defaults. Targets are named by ``__name__``, so this module need not
-# import the pipeline.
+# The typed reader. Each config section or catalog row builds one record
+# (a :class:`~carboncast.types.Record`), or the arguments of one function
+# (``sweep``): its keys are the fields or parameters and each value is
+# coerced through the annotated type, so the record types and ``sweep()``
+# stay the one place that names keys and defaults. Targets are named by
+# ``__name__``, so this module need not import the pipeline.
 # --------------------------------------------------------------------------
 
 # Config keys whose name differs from the field they fill.
@@ -95,14 +93,14 @@ def _coerce(tp, value, path: str):
         if value is None:
             return None
         (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
-    if dataclasses.is_dataclass(tp):
-        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         items = [] if value is None else value
         if not isinstance(items, list):
             raise ConfigError(f"{path}: expected a list")
         return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]")
                      for i, v in enumerate(items))
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         try:
             return tp(value)
@@ -118,17 +116,27 @@ def _coerce(tp, value, path: str):
 
 @functools.cache
 def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
-    """Config key -> (parameter name, resolved annotation, whether it has a
-    default) of a config dataclass or function; resolving hints is slow."""
+    """Config key -> (field or parameter name, resolved annotation, whether
+    it has a default) of a config record type or function; resolving hints
+    is slow."""
+    if isinstance(target, type) and issubclass(target, Record):
+        defaulted = [(name, name in target._defaults) for name in target._fields]
+    else:
+        # Imported here, as only functions need it: a record lists its own
+        # fields. ``inspect.signature`` follows ``__wrapped__`` through a
+        # wrapper to the function's own parameters.
+        import inspect
+
+        defaulted = [(name, p.default is not p.empty)
+                     for name, p in inspect.signature(target).parameters.items()]
     hints = typing.get_type_hints(target)
     owner = target.__name__
-    return {_CONFIG_KEYS.get((owner, name), name): (name, hints[name], p.default is not p.empty)
-            for name, p in inspect.signature(target).parameters.items()
-            if (owner, name) not in _NOT_CONFIG}
+    return {_CONFIG_KEYS.get((owner, name), name): (name, hints[name], has_default)
+            for name, has_default in defaulted if (owner, name) not in _NOT_CONFIG}
 
 
 def _arguments(target, doc, path: str, **special) -> dict:
-    """The arguments of config dataclass or function ``target`` from mapping
+    """The arguments of config record type or function ``target`` from mapping
     ``doc`` found at ``path``.
 
     ``special`` maps a config key to a ``reader(value, path)`` that replaces
@@ -149,7 +157,7 @@ def _arguments(target, doc, path: str, **special) -> dict:
 
 
 def _read(cls, doc, path: str, **special):
-    """Build config dataclass ``cls`` from mapping ``doc`` found at ``path``;
+    """Build config record type ``cls`` from mapping ``doc`` found at ``path``;
     see :func:`_arguments`."""
     kwargs = _arguments(cls, doc, path, **special)
     try:

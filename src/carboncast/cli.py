@@ -6,7 +6,7 @@ their full path so typos surface immediately. Exit codes: 0 success, 1
 validation failures, 2 config errors, 3 model errors.
 
 Each config section is read by the typed reader in :mod:`carboncast.catalog`,
-the one that reads catalog rows, so a section's keys are its dataclass's
+the one that reads catalog rows, so a section's keys are its record type's
 fields and a fault names its key path.
 
 Only the commands that read a config (estimate, lifecycle, sweep) import

@@ -201,7 +201,12 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
 
 def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
     seen: dict[float, float] = {}  # log10(param_count) -> efficiency
-    for i, (p, e) in enumerate(anchors):
+    for i, anchor in enumerate(anchors):
+        try:
+            p, e = anchor
+        except (TypeError, ValueError):  # not a pair
+            raise ModelError(f"efficiency anchor {i}: expected a (param_count, efficiency) "
+                             f"pair, got {_shown(anchor)}") from None
         if not (type(p) is float and type(e) is float and 0.0 < p < math.inf
                 and 0.0 < e <= 1.0):
             label = f"efficiency anchor {i}"
@@ -223,6 +228,15 @@ def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
     if len(xs) >= 3:
         return AnchorCurve(parabola=_quadratic_fit(xs, ys))
     return AnchorCurve(xs, ys)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or its type's name where Python cannot format it (an
+    int of more than 4,300 digits, say)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__}"
 
 
 def _interp(xs: tuple[float, ...], ys: tuple[float, ...], x: float) -> float:

@@ -9,16 +9,16 @@ full expert count, feeds these formulas; the pipeline enforces this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
-from .types import ModelError, is_number
+from .types import ModelError, Record, is_number
 
 INFERENCE_FLOPS_PER_PARAM_TOKEN = 2.0
 
 
-@dataclass(frozen=True)
-class FlopBudget:
+class FlopBudget(Record):
+    """A FLOP count for one phase of one model."""
+
     total_flops: float
 
 

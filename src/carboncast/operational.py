@@ -23,16 +23,14 @@ An inference batch takes the :func:`device_time` of its 2*P*D FLOPs, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from . import units
 from .types import (DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError,
-                    check_non_negative, is_number, is_shape_count)
+                    Record, check_non_negative, is_number, is_shape_count)
 
 
-@dataclass(frozen=True)
-class StorageWorkload:
+class StorageWorkload(Record):
     """Data at rest and in flight over a storage phase.
 
     Defaults: cloud storage draws 11.3 W per stored TB and intra-datacenter

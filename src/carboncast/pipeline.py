@@ -7,6 +7,10 @@ finally their sum. Any stage can be short-circuited by a measured override
 (FLOPs, efficiency, device count, per-device power); supplying the value the
 model would have computed changes nothing.
 
+A request is an ``EstimateRequest`` record (:class:`~carboncast.types.Record`),
+with its ``Overrides``; a lifecycle is a ``LifecyclePlan``. Each checks its
+own fields when it is built.
+
 Everything of a request but its architecture, token count and phase is
 made once, up front, in a ``_Setting``: the fleet priced per second of
 execution, the data center, the overrides, the scaling constants, the
@@ -30,7 +34,6 @@ and returns each as a ``SweepPoint`` named tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -62,6 +65,7 @@ from .types import (
     ModelError,
     ParallelismPlan,
     Phase,
+    Record,
     ScalingConstants,
     check_count,
     check_non_negative,
@@ -72,8 +76,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class Overrides:
+class Overrides(Record):
     """Measured values that replace the corresponding model stage."""
 
     measured_flops: float | None = None
@@ -92,8 +95,7 @@ class Overrides:
             check_count(self.device_count, "device_count", ModelError)
 
 
-@dataclass(frozen=True)
-class EstimateRequest:
+class EstimateRequest(Record):
     """Everything needed to project one phase of one model."""
 
     arch: LlmArchitecture
@@ -101,8 +103,8 @@ class EstimateRequest:
     fleet: HardwareFleet
     data_center: DataCenterProfile
     phase: Phase = Phase.TRAINING
-    scaling: ScalingConstants = field(default_factory=ScalingConstants)
-    overrides: Overrides = field(default_factory=Overrides)
+    scaling: ScalingConstants = ScalingConstants()
+    overrides: Overrides = Overrides()
     device_memory_gb: float = DEFAULT_DEVICE_MEMORY_GB
     server_size: int = DEFAULT_SERVER_SIZE
     anchors: list[tuple[float, float]] | None = None
@@ -114,8 +116,7 @@ class EstimateRequest:
                 self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
 
 
-@dataclass(frozen=True)
-class LifecyclePlan:
+class LifecyclePlan(Record):
     """A training run plus the activity that surrounds it.
 
     ``inference_share`` and ``experimentation_share`` scale the training
@@ -215,19 +216,10 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
         duration, hardware = duration + part_seconds, hardware + part_hardware
         facility, carbon = facility + part_facility, carbon + part_carbon
         items += (LineItem("storage", 1, stored), LineItem("transfer", 1, moved))
-    return CarbonReport(
-        phase=phase,
-        duration_seconds=duration,
-        hardware_energy_mwh=hardware,
-        operational_energy_mwh=facility,
-        operational_tco2=carbon,
-        embodied_tco2=embodied,
-        total_tco2=carbon + embodied,
-        hardware_efficiency=eff,
-        test_loss=loss,
-        parallelism=ParallelismPlan(*degrees),
-        line_items=tuple(items),
-    )
+    # By position, in field order: a record given every field that way is
+    # filled in without matching keywords to fields.
+    return CarbonReport(phase, duration, hardware, facility, carbon, embodied, carbon + embodied,
+                        eff, loss, ParallelismPlan(*degrees), tuple(items))
 
 
 class _Setting:

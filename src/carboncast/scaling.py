@@ -11,10 +11,9 @@ of P / 8 parameters, so the law is evaluated at that effective size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
-from .types import ModelError, ScalingConstants, is_number
+from .types import ModelError, Record, ScalingConstants, is_number
 
 DEFAULT_CONSTANTS = ScalingConstants()
 
@@ -22,8 +21,9 @@ DEFAULT_CONSTANTS = ScalingConstants()
 MOE_PARAM_DISCOUNT = 8.0
 
 
-@dataclass(frozen=True)
-class LossPrediction:
+class LossPrediction(Record):
+    """A predicted test loss, in nats."""
+
     loss: float
 
 

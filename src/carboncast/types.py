@@ -1,13 +1,15 @@
 """Shared domain types for the carbon projection pipeline.
 
 Everything here is an immutable value object: construct it once, share it
-freely across threads. Every type checks its fields when it is built, so a
-value that exists is a valid one and no stage checks it again. Hardware and
-data-center types raise :class:`CatalogError`, because a broken catalog row
-should stop a run immediately; the others raise :class:`ModelError`. An
-architecture lists every rule it breaks in one message (the CLI shows them
-all at once): these rules are all that the parameter model needs. A config
-value or catalog cell that cannot be read at all raises :class:`ConfigError`.
+freely across threads. The value types are :class:`Record` subclasses, or
+named tuples where a value unpacks. Every type checks its fields when it is
+built, so a value that exists is a valid one and no stage checks it again.
+Hardware and data-center types raise :class:`CatalogError`, because a
+broken catalog row should stop a run immediately; the others raise
+:class:`ModelError`. An architecture lists every rule it breaks in one
+message (the CLI shows them all at once): these rules are all that the
+parameter model needs. A config value or catalog cell that cannot be read at
+all raises :class:`ConfigError`.
 
 Caller numbers must be ints or floats, not bools, that a float can hold
 (:func:`is_number`). An architecture's shape counts must be ints >= 1, not
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from math import inf
 from typing import NamedTuple
 
@@ -73,6 +74,93 @@ def plain_sum(values):
     return total
 
 
+class Record:
+    """Base of the immutable value types.
+
+    A subclass's fields are its annotated names, in order, after those of a
+    record base; a field's default is the class attribute of that name. A
+    record is built by keyword or position, sets its fields in field order,
+    then runs ``__post_init__``, where a type checks itself. It compares,
+    hashes and prints by its fields (``Name(field=value, ...)``) and is equal
+    only to a record of its own type. No field can be assigned or deleted;
+    :meth:`replace` builds a changed copy, checked anew.
+
+    Unlike ``dataclasses``, this compiles no methods per class, so defining a
+    record type costs about what defining a plain class does.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._fields = fields = cls._fields + own
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._field_values(args, kwargs)
+        set_field = object.__setattr__
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _field_values(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in field order, from a call that did not
+        give them all by position; a missing, unknown or repeated field
+        raises ``TypeError``."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        for name in kwargs:  # what is left was not a field, or was given by position
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}"
+                            if name in fields else
+                            f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        """Check the fields; a type that has rules overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the fields in ``changes`` replaced, built and checked
+        as any new record is."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+
 class ArchKind(enum.Enum):
     """Transformer layout, which selects the parameter-count formula."""
 
@@ -97,8 +185,7 @@ class Phase(enum.Enum):
     LIFECYCLE = "lifecycle"
 
 
-@dataclass(frozen=True)
-class ExpertGroup:
+class ExpertGroup(Record):
     """A slice of a model's MoE layers sharing one expert count.
 
     ``layer_fraction`` is the fraction of the MoE layers in this group;
@@ -110,8 +197,7 @@ class ExpertGroup:
     expert_count: int
 
 
-@dataclass(frozen=True)
-class LlmArchitecture:
+class LlmArchitecture(Record):
     """Structural description of a dense or MoE LLM.
 
     Counts follow the usual transformer symbols: hidden size h, layer count
@@ -254,8 +340,7 @@ def _violations(arch: LlmArchitecture) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class HardwareUnit:
+class HardwareUnit(Record):
     """One kind of hardware in a fleet, with its power and embodied pricing.
 
     Embodied carbon is priced by exactly one basis, resolved in this order:
@@ -313,8 +398,9 @@ class HardwareUnit:
         return None
 
 
-@dataclass(frozen=True)
-class FleetEntry:
+class FleetEntry(Record):
+    """``count`` units of one kind of hardware in a fleet."""
+
     unit: HardwareUnit
     count: int
 
@@ -322,8 +408,7 @@ class FleetEntry:
         check_count(self.count, f"{self.unit.name}: fleet count", CatalogError)
 
 
-@dataclass(frozen=True)
-class HardwareFleet:
+class HardwareFleet(Record):
     """The hardware pool a workload runs on.
 
     At most one accelerator entry is allowed; it drives the throughput model.
@@ -349,8 +434,7 @@ class HardwareFleet:
         return HardwareFleet(tuple(FleetEntry(unit, count) for unit, count in pairs))
 
 
-@dataclass(frozen=True)
-class DataCenterProfile:
+class DataCenterProfile(Record):
     """Energy efficiency and grid carbon profile of a data center.
 
     ``carbon_intensity`` is kgCO2eq per kWh (note: some published tables
@@ -368,8 +452,7 @@ class DataCenterProfile:
         check_non_negative(self.carbon_intensity, f"{self.name}: carbon_intensity", CatalogError)
 
 
-@dataclass(frozen=True)
-class ScalingConstants:
+class ScalingConstants(Record):
     """Fitted constants of the parametric loss law L = A/P^alpha + B/D^beta + E.
 
     Defaults are the published Chinchilla fit (Hoffmann et al., 2022).
@@ -389,8 +472,7 @@ class ScalingConstants:
                 raise ModelError(f"{label} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ParallelismPlan:
+class ParallelismPlan(Record):
     """Degrees of pipeline/tensor/data/expert parallelism plus device count."""
 
     pipeline: int
@@ -447,8 +529,7 @@ def check_report_floats(*values: float | None) -> None:
             raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CarbonReport:
+class CarbonReport(Record):
     """Final projection for one phase (or a whole lifecycle).
 
     Invariants: total equals operational plus embodied exactly, and
@@ -465,7 +546,7 @@ class CarbonReport:
     hardware_efficiency: float = 1.0
     test_loss: float | None = None
     parallelism: ParallelismPlan | None = None
-    line_items: tuple[LineItem, ...] = field(default_factory=tuple)
+    line_items: tuple[LineItem, ...] = ()
 
     def __post_init__(self) -> None:
         # Checked first, since NaN or inf also breaks the additivity check

@@ -11,8 +11,6 @@ the architecture papers for each model's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import units
 from .catalog import default_hardware
 from .efficiency import efficiency_at_count
@@ -29,11 +27,13 @@ from .types import (
     HardwareUnit,
     LlmArchitecture,
     Phase,
+    Record,
 )
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(Record):
+    """One row of the validation matrix: a prediction against its published figure."""
+
     group: str
     name: str
     predicted: float
@@ -120,8 +120,9 @@ PARAMETER_FIXTURES: list[tuple[LlmArchitecture, ParameterEquation | None, float,
 # carbon only closes through the 6*P*D path leave the override unset there.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainingFixture:
+class TrainingFixture(Record):
+    """The published inputs and footprint of one training run."""
+
     name: str
     param_count_b: float            # full model size, billions
     base_param_count_b: float | None

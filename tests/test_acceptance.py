@@ -7,7 +7,6 @@ output). Tolerances are fixed here, not tuned: carbon rows at 3% (GPT-3 at
 efficiency calibration at 0.001.
 """
 
-import dataclasses
 import functools
 import random
 
@@ -220,8 +219,7 @@ def test_criterion_8g_determinism():
     fx = validation.TRAINING_FIXTURES[1]
     req = validation.training_request(fx)
     assert estimate(req) == estimate(req)
-    req2 = dataclasses.replace(req, overrides=dataclasses.replace(
-        req.overrides, measured_flops=None))
+    req2 = req.replace(overrides=req.overrides.replace(measured_flops=None))
     assert estimate(req2) == estimate(req2)
 
 

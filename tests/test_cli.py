@@ -619,14 +619,17 @@ class TestYamlLoaders:
         assert where in err
 
 
-def test_importing_the_cli_does_not_import_numpy():
+def test_importing_the_cli_loads_no_module_that_a_cold_start_does_not_use():
     # A fresh interpreter, so that no other test's imports count. YAML and
-    # the validation fixtures load only in the commands that use them.
+    # the validation fixtures load only in the commands that use them; the
+    # record types need neither ``dataclasses`` nor ``inspect``, which pull
+    # in ``ast``, ``dis`` and ``tokenize``.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     probe = ("import sys, carboncast.cli; "
-             "print([m for m in ('numpy', 'yaml', 'carboncast.validation') if m in sys.modules])")
+             "print([m for m in ('numpy', 'yaml', 'carboncast.validation', 'dataclasses', "
+             "'inspect') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -118,6 +118,14 @@ class TestOptimalEfficiency:
         ([(1e9, 0.4), (1e9, 0.5)], "anchor 1: param_count 1000000000.0 duplicates anchor 0"),
         ([(1e9, 0.4), (1e10, 0.5), (1e9, 0.45)], "anchor 2: .* duplicates anchor 0"),
         ([(1e9, 0.4), (1e9, 0.5), (1e9, 0.45)], "anchor 1: .* duplicates anchor 0"),
+        ([(1e9, 0.5, 1)], r"anchor 0: expected a \(param_count, efficiency\) pair, "
+                          r"got \(1000000000.0, 0.5, 1\)$"),
+        ([(1e9, 0.5), (1e9,)], r"anchor 1: expected a \(param_count, efficiency\) pair, "
+                               r"got \(1000000000.0,\)$"),
+        ([1e9], r"anchor 0: expected a \(param_count, efficiency\) pair, got 1000000000.0$"),
+        # Python formats no int of more than 4,300 digits.
+        ([(10 ** 5000, 0.5, 1)], r"anchor 0: expected a \(param_count, efficiency\) pair, "
+                                 r"got a tuple$"),
     ])
     def test_bad_anchor_is_named_by_index(self, anchors, message):
         with pytest.raises(ModelError, match=message):

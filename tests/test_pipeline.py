@@ -1,6 +1,5 @@
 """End-to-end pipeline: published rows, overrides, lifecycle, sweeps."""
 
-import dataclasses
 import inspect
 import math
 import random
@@ -141,12 +140,9 @@ class TestEstimate:
                                    data_center=dc())
         base = estimate(base_req)
         flops = 6 * 20e9 * 100e9
-        pinned = dataclasses.replace(
-            base_req,
-            overrides=Overrides(measured_flops=flops,
-                                efficiency=base.hardware_efficiency,
-                                device_count=171),
-        )
+        pinned = base_req.replace(overrides=Overrides(measured_flops=flops,
+                                                      efficiency=base.hardware_efficiency,
+                                                      device_count=171))
         again = estimate(pinned)
         assert again == base
 
@@ -181,7 +177,7 @@ class TestEstimate:
                 change = {**change, "overrides": Overrides(**change["overrides"])}
             if "scaling" in change:
                 change = {**change, "scaling": ScalingConstants(**change["scaling"])}
-            estimate(dataclasses.replace(req, **change))
+            estimate(req.replace(**change))
 
     @pytest.mark.parametrize("change, message", [
         ({"tokens": -1.0}, "tokens must be finite and >= 0, got -1.0"),
@@ -222,7 +218,7 @@ class TestEstimate:
         with pytest.raises(ModelError, match="^" + re.escape(message)):
             if "overrides" in change:
                 change = {**change, "overrides": Overrides(**change["overrides"])}
-            dataclasses.replace(req, **change)
+            req.replace(**change)
 
     @pytest.mark.parametrize("value", [1.5, 0.0, -0.1, math.inf])
     def test_efficiency_override_must_lie_in_zero_one(self, value):
@@ -282,7 +278,7 @@ class TestEstimate:
         opt_req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=100e9,
                                   fleet=HardwareFleet.of((v100(), 171)),
                                   data_center=dc())
-        big_req = dataclasses.replace(opt_req, fleet=HardwareFleet.of((v100(), 1710)))
+        big_req = opt_req.replace(fleet=HardwareFleet.of((v100(), 1710)))
         opt, big = estimate(opt_req), estimate(big_req)
         assert big.hardware_efficiency < opt.hardware_efficiency
         assert big.parallelism == opt.parallelism
@@ -374,7 +370,7 @@ class TestEstimate:
             # built, before any stage; then the error names its fields.
             if isinstance(change.get("arch"), dict):
                 change = {**change, "arch": LlmArchitecture(name="m", **change["arch"])}
-            estimate(dataclasses.replace(req, **change))
+            estimate(req.replace(**change))
 
     @pytest.mark.parametrize("anchors", [None, [(1e9, 1.5)]])
     def test_an_efficiency_override_touches_no_anchor_table(self, monkeypatch, anchors):
@@ -432,7 +428,7 @@ class TestLifecycle:
             storage=StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90),
         )
         doubled = LifecyclePlan(
-            training=dataclasses.replace(self.base_request(), tokens=400e9),
+            training=self.base_request().replace(tokens=400e9),
             inference_share=1.0, experimentation_share=0.5,
             storage=StorageWorkload(stored_tb=20, transferred_tb=80, duration_days=90),
         )
@@ -479,7 +475,7 @@ def mixed_request(**change):
     )
     req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9, fleet=fleet,
                           data_center=dc(), overrides=Overrides(device_count=200))
-    return dataclasses.replace(req, **change)
+    return req.replace(**change)
 
 
 def cpu_listed_twice():
@@ -522,7 +518,7 @@ class TestPhaseSum:
     def test_zero_shares_without_storage_is_the_training_report(self):
         req = mixed_request()
         lifecycle = estimate_lifecycle(LifecyclePlan(training=req))
-        assert lifecycle == dataclasses.replace(estimate(req), phase=Phase.LIFECYCLE)
+        assert lifecycle == estimate(req).replace(phase=Phase.LIFECYCLE)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(inference=st.floats(0, 5), experimentation=st.floats(0, 5),
@@ -666,7 +662,7 @@ class TestReportAssembly:
         assert calls == {"default_anchors": 100, "_fit": 1}
         # The same reports as with the packaged table given, and so fitted, each time.
         for req, report in zip(reqs[:10], reports):
-            assert report == estimate(dataclasses.replace(req, anchors=catalog.default_anchors()))
+            assert report == estimate(req.replace(anchors=catalog.default_anchors()))
 
     def test_another_packaged_table_is_fitted_afresh(self, monkeypatch):
         req = mixed_request(overrides=Overrides())
@@ -674,7 +670,7 @@ class TestReportAssembly:
         table = [(1e9, 0.2), (3e10, 0.3), (2e11, 0.25)]
         monkeypatch.setattr(efficiency, "default_anchors", lambda: list(table))
         other = estimate(req)
-        assert other == estimate(dataclasses.replace(req, anchors=table))
+        assert other == estimate(req.replace(anchors=table))
         assert other.hardware_efficiency != packaged.hardware_efficiency
         monkeypatch.undo()
         assert estimate(req) == packaged

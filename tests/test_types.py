@@ -1,6 +1,9 @@
-"""Domain-type invariants, unit conversions and the public surface."""
+"""Domain-type invariants, record semantics, unit conversions and the public
+surface."""
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -13,14 +16,24 @@ from carboncast.types import (
     CatalogError,
     DataCenterProfile,
     ExpertGroup,
+    FleetEntry,
     HardwareFleet,
     HardwareRole,
     HardwareUnit,
+    LineItem,
     LlmArchitecture,
     ModelError,
+    ParallelismPlan,
     Phase,
+    Record,
+    ScalingConstants,
     plain_sum,
 )
+from carboncast.flops import FlopBudget
+from carboncast.operational import StorageWorkload
+from carboncast.pipeline import EstimateRequest, LifecyclePlan, Overrides
+from carboncast.scaling import LossPrediction
+from carboncast.validation import TRAINING_FIXTURES, ValidationRow
 
 
 def gpt3_arch():
@@ -242,6 +255,162 @@ class TestCarbonReport:
                   "embodied_tco2": 1.0, "total_tco2": 3.0, fname: value}
         with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
             CarbonReport(phase=Phase.TRAINING, **fields)
+
+
+BOX = HardwareUnit(name="box", role=HardwareRole.OTHER, embodied_kg_override=1.0)
+GPU = HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, peak_tflops=125.0,
+                   die_area_mm2=815.0, cpa=1.2)
+ARCH = LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT, explicit_param_count=10 ** 9)
+STORAGE = StorageWorkload(1.0, 2.0, 3.0)
+
+
+def request(**change):
+    return EstimateRequest(**{"arch": ARCH, "tokens": 1e9, "fleet": HardwareFleet.of((GPU, 8)),
+                              "data_center": DataCenterProfile("dc", 1.1, 0.4), **change})
+
+
+def report(**change):
+    return CarbonReport(**{
+        "phase": Phase.TRAINING, "duration_seconds": 10.0, "hardware_energy_mwh": 1.0,
+        "operational_energy_mwh": 1.1, "operational_tco2": 0.5, "embodied_tco2": 0.25,
+        "total_tco2": 0.75, "parallelism": ParallelismPlan(1, 2, 3),
+        "line_items": (LineItem("box", 2, 1.0, 0.25),), **change})
+
+
+BOX_REPR = ("HardwareUnit(name='box', role=<HardwareRole.OTHER: 'other'>, peak_tflops=None, "
+            "tdp_watts=None, avg_system_power_watts=None, die_area_mm2=None, cpa=None, "
+            "cpa_basis=None, capacity_gb=None, embodied_kg_override=1.0, lifetime_years=5.0)")
+ARCH_REPR = ("LlmArchitecture(name='m', kind=<ArchKind.DENSE_GPT: 'dense_gpt'>, hidden_size=0, "
+             "layer_count=0, vocab_size=0, head_count=None, head_dim=None, ff_size=None, "
+             "moe_fraction=None, expert_groups=(), ff_stacks=1, "
+             "explicit_param_count=1000000000, base_model_param_count=None)")
+STORAGE_REPR = ("StorageWorkload(stored_tb=1.0, transferred_tb=2.0, duration_days=3.0, "
+                "storage_w_per_tb=11.3, transfer_w_per_tb=1.48)")
+REQUEST_REPR = (
+    f"EstimateRequest(arch={ARCH_REPR}, tokens=1000000000.0, fleet=HardwareFleet(entries=("
+    "FleetEntry(unit=HardwareUnit(name='gpu', role=<HardwareRole.ACCELERATOR: 'accelerator'>, "
+    "peak_tflops=125.0, tdp_watts=None, avg_system_power_watts=None, die_area_mm2=815.0, "
+    "cpa=1.2, cpa_basis=None, capacity_gb=None, embodied_kg_override=None, "
+    "lifetime_years=5.0), count=8),)), "
+    "data_center=DataCenterProfile(name='dc', pue=1.1, carbon_intensity=0.4), "
+    "phase=<Phase.TRAINING: 'training'>, "
+    "scaling=ScalingConstants(A=406.4, B=410.7, alpha=0.34, beta=0.28, E=1.69), "
+    "overrides=Overrides(measured_flops=None, efficiency=None, device_count=None, "
+    "system_power_watts=None), device_memory_gb=32.0, server_size=8, anchors=None)")
+
+# One value of each record type and its repr, the format ``dataclasses`` gave.
+REPRS = [
+    (lambda: ExpertGroup(0.5, 64), "ExpertGroup(layer_fraction=0.5, expert_count=64)"),
+    (lambda: ARCH, ARCH_REPR),
+    (lambda: BOX, BOX_REPR),
+    (lambda: FleetEntry(BOX, 2), f"FleetEntry(unit={BOX_REPR}, count=2)"),
+    (lambda: HardwareFleet.of((BOX, 2)),
+     f"HardwareFleet(entries=(FleetEntry(unit={BOX_REPR}, count=2),))"),
+    (lambda: DataCenterProfile("dc", 1.1, 0.4),
+     "DataCenterProfile(name='dc', pue=1.1, carbon_intensity=0.4)"),
+    (ScalingConstants, "ScalingConstants(A=406.4, B=410.7, alpha=0.34, beta=0.28, E=1.69)"),
+    (lambda: ParallelismPlan(2, 4, 8), "ParallelismPlan(pipeline=2, tensor=4, data=8, expert=1)"),
+    (report, "CarbonReport(phase=<Phase.TRAINING: 'training'>, duration_seconds=10.0, "
+             "hardware_energy_mwh=1.0, operational_energy_mwh=1.1, operational_tco2=0.5, "
+             "embodied_tco2=0.25, total_tco2=0.75, hardware_efficiency=1.0, test_loss=None, "
+             "parallelism=ParallelismPlan(pipeline=1, tensor=2, data=3, expert=1), "
+             "line_items=(LineItem(unit='box', count=2, energy_mwh=1.0, embodied_tco2=0.25),))"),
+    (lambda: LossPrediction(2.5), "LossPrediction(loss=2.5)"),
+    (lambda: FlopBudget(6e20), "FlopBudget(total_flops=6e+20)"),
+    (lambda: STORAGE, STORAGE_REPR),
+    (lambda: Overrides(efficiency=0.5),
+     "Overrides(measured_flops=None, efficiency=0.5, device_count=None, "
+     "system_power_watts=None)"),
+    (request, REQUEST_REPR),
+    (lambda: LifecyclePlan(request(), inference_share=0.5, storage=STORAGE),
+     f"LifecyclePlan(training={REQUEST_REPR}, inference_share=0.5, "
+     f"experimentation_share=0.0, storage={STORAGE_REPR})"),
+    (lambda: ValidationRow("params", "GPT3", 175.0, 175.0, 0.05, "B params"),
+     "ValidationRow(group='params', name='GPT3', predicted=175.0, expected=175.0, "
+     "tolerance=0.05, unit='B params')"),
+    (lambda: TRAINING_FIXTURES[0],
+     "TrainingFixture(name='T5', param_count_b=11, base_param_count_b=None, "
+     "tokens=500000000000.0, device_name='TPUv3', avg_system_power_watts=310, "
+     "device_count=512, efficiency=0.37, pue=1.12, carbon_intensity=0.545, "
+     "measured_zettaflops=40.5, use_measured_flops=True, expected_tco2=45.66, "
+     "tco2_rel_tol=0.03, expected_days=20.0, days_rel_tol=0.03)"),
+]
+
+
+class TestRecord:
+    """The value types are records: built by keyword or position, compared,
+    hashed and printed by their fields, and never changed in place."""
+
+    @pytest.mark.parametrize("build, expected", REPRS,
+                             ids=[text.split("(", 1)[0] for _, text in REPRS])
+    def test_repr_names_every_field_in_order(self, build, expected):
+        assert repr(build()) == expected
+
+    @pytest.mark.parametrize("build", [build for build, _ in REPRS],
+                             ids=[text.split("(", 1)[0] for _, text in REPRS])
+    def test_equal_fields_give_equal_values_and_hashes(self, build):
+        value = build()
+        twin = type(value)(*[getattr(value, name) for name in type(value)._fields])
+        assert twin is not value and twin == value and not twin != value
+        if not isinstance(getattr(value, "anchors", None), list):  # a list has no hash
+            assert hash(twin) == hash(value)
+
+    def test_different_fields_or_types_are_not_equal(self):
+        class Twin(Record):
+            layer_fraction: float
+            expert_count: int
+
+        group = ExpertGroup(0.5, 64)
+        assert Twin._fields == ExpertGroup._fields
+        assert group != Twin(0.5, 64) and Twin(0.5, 64) != group
+        assert group != ExpertGroup(0.5, 65)
+        assert group != (0.5, 64)
+
+    @pytest.mark.parametrize("name", ["tokens", "phase", "not_a_field"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        req = request()
+        with pytest.raises(AttributeError):
+            setattr(req, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(req, name)
+        assert req == request()
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((0.5,), {}, "missing required argument 'expert_count'"),
+        ((0.5, 64), {"experts": 64}, "unexpected keyword argument 'experts'"),
+        ((0.5,), {"layer_fraction": 0.5, "expert_count": 64},
+         "multiple values for argument 'layer_fraction'"),
+        ((0.5, 64, 1), {}, "takes 2 positional arguments but 3 were given"),
+    ])
+    def test_a_missing_unknown_or_repeated_field_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ExpertGroup(*args, **kwargs)
+
+    def test_defaults_are_the_class_attributes(self):
+        assert EstimateRequest._fields[:4] == ("arch", "tokens", "fleet", "data_center")
+        assert request().scaling == ScalingConstants() and request().overrides == Overrides()
+        assert report().line_items == (LineItem("box", 2, 1.0, 0.25),)
+        assert CarbonReport._defaults["line_items"] == ()
+
+    def test_replace_builds_a_checked_copy(self):
+        req = request()
+        assert req.replace(tokens=2e9) == request(tokens=2e9)
+        assert req.replace() == req and req.tokens == 1e9
+        with pytest.raises(ModelError, match="^tokens must be finite and >= 0, got -1$"):
+            req.replace(tokens=-1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'token'"):
+            req.replace(token=2e9)
+
+    @pytest.mark.parametrize("build", [request, report], ids=["EstimateRequest", "CarbonReport"])
+    @pytest.mark.parametrize("round_trip", [
+        lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_pickle_and_copy_round_trip(self, build, round_trip):
+        value = build()
+        again = round_trip(value)
+        assert again == value and repr(again) == repr(value) and hash(again) == hash(value)
+        with pytest.raises(AttributeError):
+            again.phase = Phase.INFERENCE
 
 
 class TestUnits:

@@ -12,7 +12,6 @@ or the header."""
 import contextlib
 import copy
 import csv
-import dataclasses
 import functools
 import io
 import math
@@ -59,6 +58,7 @@ from carboncast.types import (
     LlmArchitecture,
     ModelError,
     Phase,
+    Record,
     ScalingConstants,
 )
 
@@ -257,15 +257,15 @@ def stage_arguments(draw, function):
 
 def numbers_in(result):
     """Every int and float in a stage result, through tuples, lists and
-    dataclasses."""
+    records."""
     if isinstance(result, (int, float)):
         yield result
     elif isinstance(result, (tuple, list)):
         for item in result:
             yield from numbers_in(item)
-    elif dataclasses.is_dataclass(result):
-        for f in dataclasses.fields(result):
-            yield from numbers_in(getattr(result, f.name))
+    elif isinstance(result, Record):
+        for name in result._fields:
+            yield from numbers_in(getattr(result, name))
 
 
 # Per function: a draw over all ten gives the smaller ones too few examples.
@@ -308,8 +308,8 @@ EXAMPLE_DRAW = st.sampled_from(sorted(EXAMPLE_COMMANDS))
 KEY_PATH = re.compile(r"config error: (estimate|lifecycle|sweep)[.:\[]|config error: \S+\.yaml\.\w+: ")
 # A model fault names its stage or the report value it would have made; a
 # sweep point can also fail the sweep's own check of its tokens.
-STAGE = re.compile(r"\[[a-z-]+\] |sweep points need a finite positive token count|(" + "|".join(
-    f.name for f in dataclasses.fields(CarbonReport)) + ") must be ")
+STAGE = re.compile(r"\[[a-z-]+\] |sweep points need a finite positive token count|("
+                   + "|".join(CarbonReport._fields) + ") must be ")
 
 
 def key_paths(node, prefix=()):
