@@ -64,7 +64,7 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}: expected a mapping")
     unknown = set(mapping) - set(allowed)
     if unknown:
-        key = sorted(unknown)[0]
+        key = min(unknown, key=str)  # YAML keys can mix types, which do not order
         raise ConfigError(f"{path}.{key}: unknown key")
 
 

@@ -69,7 +69,12 @@ def _check_param_count(param_count: float) -> None:
 
 def _optimum(param_count: float) -> int:
     """Device count at the efficiency optimum, scaled from the 175 B anchor."""
-    return max(1, round(param_count * _OPTIMAL_DEVICES_PER_PARAM))
+    # This floor and those of _plan_degrees, AnchorCurve.at and _at_count are
+    # compares, not calls of the builtin max and min: on the per-point path a
+    # builtin call costs more than the compare it makes. Each returns what the
+    # call did, the bound on a tie or a NaN.
+    devices = round(param_count * _OPTIMAL_DEVICES_PER_PARAM)
+    return devices if devices > 1 else 1
 
 
 def plan_parallelism(
@@ -121,13 +126,18 @@ def _plan_degrees(param_count: float, is_moe: bool, device_memory_gb: float,
     if depth == math.inf:
         raise ModelError(f"the pipeline depth for {param_count:.6g} parameters in "
                          f"{device_memory_gb!r} GB devices overflows a float")
-    pipeline = max(1, math.ceil(depth))
+    # At least 1: a depth that underflows to 0 (a tiny model, or device
+    # memory that overflows to inf in bytes) still takes one stage.
+    pipeline = math.ceil(depth)
+    if pipeline < 1:
+        pipeline = 1
 
     if is_moe:
         # d pinned to 1: expert all-to-alls already saturate the fabric.
         return pipeline, tensor, 1, DEFAULT_EXPERT_PARALLELISM
 
-    return pipeline, tensor, max(1, round(_optimum(param_count) / (tensor * pipeline))), 1
+    data = round(_optimum(param_count) / (tensor * pipeline))
+    return pipeline, tensor, data if data > 1 else 1, 1
 
 
 def optimal_efficiency(
@@ -175,7 +185,7 @@ class AnchorCurve:
             eff = (c2 * t + c1) * t + c0
         if is_moe:
             eff *= MOE_EFFICIENCY_DISCOUNT
-        return min(1.0, max(1e-6, eff))
+        return (eff if eff < 1.0 else 1.0) if eff > 1e-6 else 1e-6
 
 
 _packaged_fit = (None, None)  # the packaged table as last read, and its curve
@@ -341,4 +351,4 @@ def _at_count(actual_devices: int, optimal_devices: int, optimal_eff: float) -> 
         eff = (re / n) * optimal_eff
     else:
         eff = (n / re) * optimal_eff + GAMMA2
-    return min(1.0, max(1e-9, eff))
+    return (eff if eff < 1.0 else 1.0) if eff > 1e-9 else 1e-9

@@ -72,7 +72,6 @@ from .types import (
     check_report_floats,
     is_number,
     is_shape_count,
-    plain_sum,
 )
 
 
@@ -333,9 +332,13 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
         stage = "operational-carbon"
         seconds = 0.0 if flops == 0 else _seconds(
             flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
-        energies = [(measured + tdp * eff) * seconds
-                    for _, measured, tdp, _ in setting.rates.values()]
-        hardware = plain_sum(energies)
+        # Summed as they are made, left to right from int 0 as plain_sum adds.
+        energies = []
+        hardware = 0
+        for _, measured, tdp, _ in setting.rates.values():
+            energy = (measured + tdp * eff) * seconds
+            energies.append(energy)
+            hardware += energy
         # Infinite seconds make the ``others`` row's energy 0 * inf, a NaN. An
         # energy that is not finite is not priced: the report check names it.
         facility, carbon = (operational_carbon(hardware, setting.data_center)

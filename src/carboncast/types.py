@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from math import inf
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -67,7 +68,8 @@ def check_count(value, label: str, error: type[ValueError]) -> None:
 def plain_sum(values):
     """``sum(values)`` as Python 3.11 adds floats: left to right from 0. From
     3.12 ``sum()`` compensates (gh-100425), which can change the last bits;
-    the package sums floats with this, so every interpreter gives its bits."""
+    the package sums floats with this, or a loop that adds as it does, so
+    every interpreter gives its bits."""
     total = 0
     for value in values:
         total += value
@@ -91,12 +93,18 @@ class Record:
 
     _fields = ()
     _defaults = {}
+    _values = staticmethod(lambda record: ())  # a record's field values, as a tuple
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
         cls._fields = fields = cls._fields + own
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        if len(fields) > 1:
+            cls._values = staticmethod(attrgetter(*fields))
+        elif fields:  # an attrgetter of one name gives the value itself
+            get = attrgetter(*fields)
+            cls._values = staticmethod(lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -133,16 +141,14 @@ class Record:
     def __post_init__(self) -> None:
         """Check the fields; a type that has rules overrides this."""
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -189,6 +189,11 @@ class TestEstimateCommand:
          "estimate.anchors: unknown key"),
         ("  tokens:", "  others_fraction: 0.1\n  tokens:", EXIT_CONFIG_ERROR,
          "estimate.others_fraction: unknown key"),
+        # YAML keys of types that do not order against each other.
+        pytest.param("estimate:\n", "estimate:\n  1: x\n  zz: y\n", EXIT_CONFIG_ERROR,
+                     "estimate.1: unknown key", id="unknown-int-and-str-keys"),
+        pytest.param("schema: 1", "~: x\nzz: y\nschema: 1", EXIT_CONFIG_ERROR,
+                     ".yaml.None: unknown key", id="unknown-null-and-str-keys"),
         # The schema tag is the YAML int 1; true and 1.0 compare equal to it.
         pytest.param("schema: 1", "schema: true", EXIT_CONFIG_ERROR,
                      ".schema: expected 1, got True", id="schema-true"),

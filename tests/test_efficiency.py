@@ -17,7 +17,7 @@ from carboncast.efficiency import (
     optimal_efficiency,
     plan_parallelism,
 )
-from carboncast.types import ModelError, plain_sum
+from carboncast.types import ModelError, ParallelismPlan, plain_sum
 
 
 class TestPlanner:
@@ -368,3 +368,68 @@ class TestOffOptimalEfficiency:
 def test_optimal_device_count_scales_from_published_anchor():
     assert efficiency._optimum(175e9) == 1500
     assert efficiency._optimum(350e9) == 3000
+
+
+def _edges(*bounds):
+    """Each bound with the floats either side of it, then 0 and the
+    non-finite floats."""
+    return ([x for b in bounds for x in (math.nextafter(b, -math.inf), b,
+                                           math.nextafter(b, math.inf))]
+            + [0.0, math.inf, -math.inf, math.nan])
+
+
+def _at_count_unclamped(re, n, eff):
+    if re == n:
+        return eff
+    return (re / n) * eff if re < n else (n / re) * eff + efficiency.GAMMA2
+
+
+def _planned_with_min_max(param_count, is_moe, device_memory_gb):
+    """The degrees of plan_parallelism, with its floors as the max calls
+    they replaced; the tensor degree is the planner's own."""
+    tensor = plan_parallelism(param_count, is_moe, device_memory_gb).tensor
+    depth = (efficiency.TRAINING_BYTES_PER_PARAM * param_count
+             / (tensor * (device_memory_gb * 1e9)))
+    pipeline = max(1, math.ceil(depth))
+    if is_moe:
+        return ParallelismPlan(pipeline, tensor, 1, efficiency.DEFAULT_EXPERT_PARALLELISM)
+    optimum = max(1, round(param_count * efficiency._OPTIMAL_DEVICES_PER_PARAM))
+    return ParallelismPlan(pipeline, tensor, max(1, round(optimum / (tensor * pipeline))), 1)
+
+
+def _clamp_cases():
+    """(new, old) pairs: a floor or clamp of the model and the min/max
+    expression it replaced, at values where the bound binds, ties or not."""
+    for c0 in _edges(1e-6, 1.0):
+        yield pytest.param(
+            lambda c0=c0: efficiency.AnchorCurve(parabola=(0.0, c0, 0.0, 0.0)).at(10.0),
+            lambda c0=c0: min(1.0, max(1e-6, 0.0 + c0)), id=f"AnchorCurve.at-{c0!r}")
+    # At the optimum the clamp meets the optimal efficiency itself.
+    counts = [(5, 5)] + [(1, 10 ** 9), (1, 10 ** 12), (10 ** 6 + 1, 10 ** 6), (10 ** 12, 1)]
+    for re, n in counts:
+        for eff in _edges(1e-9, 1.0) if re == n else [math.nextafter(1.0, 0.0), 1.0]:
+            yield pytest.param(
+                lambda re=re, n=n, eff=eff: (efficiency._at_count(re, n, eff) if re == n
+                                             else efficiency_at_count(re, n, eff)),
+                lambda re=re, n=n, eff=eff: min(1.0, max(1e-9, _at_count_unclamped(re, n, eff))),
+                id=f"efficiency_at_count-{re}-{n}-{eff!r}")
+    # Sizes whose optimum rounds to 0 and to 1, or to either side of 1.
+    for p in [5e-324, 1.0, 175e9 / 1500 / 2, 175e9 / 1500, 175e9 / 1500 * 1.4]:
+        yield pytest.param(
+            lambda p=p: efficiency._optimum(p),
+            lambda p=p: max(1, round(p * efficiency._OPTIMAL_DEVICES_PER_PARAM)),
+            id=f"_optimum-{p!r}")
+    # The pipeline floor binds where the depth is 0 or ties at 1; the data
+    # floor where the pipeline is deep enough for the optimum to round to 0.
+    for p, is_moe, gb in [(5e-324, False, 32.0), (1.0, False, 32.0), (1e9, False, 1e300),
+                          (175e9, False, 1e-3), (175e9, True, 1e-3), (5e-324, True, 32.0)]:
+        yield pytest.param(
+            lambda p=p, is_moe=is_moe, gb=gb: plan_parallelism(p, is_moe, gb),
+            lambda p=p, is_moe=is_moe, gb=gb: _planned_with_min_max(p, is_moe, gb),
+            id=f"plan_parallelism-{p!r}-{'moe' if is_moe else 'dense'}-{gb!r}GB")
+
+
+@pytest.mark.parametrize("new, old", _clamp_cases())
+def test_floors_and_clamps_return_what_min_and_max_did(new, old):
+    # repr tells an int from a float, and -0.0 from 0.0.
+    assert repr(new()) == repr(old())

@@ -343,7 +343,8 @@ def config_documents(draw):
             del container[key]
         elif edit[0] == "unknown key":
             if isinstance(container, dict):
-                container["unknown"] = 1
+                # YAML keys need not be strings, nor of one type.
+                container[draw(st.sampled_from(["unknown", 1, None, True]))] = 1
             else:
                 container.append(copy.deepcopy(container[key]))
         elif edit[0] == "nest":
