@@ -122,13 +122,16 @@ def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
     if isinstance(target, type) and issubclass(target, Record):
         defaulted = [(name, name in target._defaults) for name in target._fields]
     else:
-        # Imported here, as only functions need it: a record lists its own
-        # fields. ``inspect.signature`` follows ``__wrapped__`` through a
-        # wrapper to the function's own parameters.
-        import inspect
-
-        defaulted = [(name, p.default is not p.empty)
-                     for name, p in inspect.signature(target).parameters.items()]
+        # A function's own parameters, read from its code object after
+        # following ``__wrapped__`` through any wrapper, as
+        # ``inspect.signature`` does; importing ``inspect`` is slow.
+        while hasattr(target, "__wrapped__"):
+            target = target.__wrapped__
+        code, kwdefaults = target.__code__, target.__kwdefaults__ or {}
+        count = code.co_argcount
+        first_default = count - len(target.__defaults__ or ())
+        defaulted = [(name, first_default <= i if i < count else name in kwdefaults)
+                     for i, name in enumerate(code.co_varnames[:count + code.co_kwonlyargcount])]
     hints = typing.get_type_hints(target)
     owner = target.__name__
     return {_CONFIG_KEYS.get((owner, name), name): (name, hints[name], has_default)

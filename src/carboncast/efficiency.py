@@ -123,7 +123,8 @@ def _plan_degrees(param_count: float, is_moe: bool, device_memory_gb: float,
         tensor = server_size
 
     depth = state_bytes / (tensor * mem_bytes)
-    if depth == math.inf:
+    # NaN fails too: inf bytes of state over inf bytes of memory.
+    if not depth < math.inf:
         raise ModelError(f"the pipeline depth for {param_count:.6g} parameters in "
                          f"{device_memory_gb!r} GB devices overflows a float")
     # At least 1: a depth that underflows to 0 (a tiny model, or device
@@ -279,16 +280,17 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
 
     The steps are unrolled for this basis, with every product, quotient and
     sum of a loop over the columns, in its order, so the bits are its bits
-    (sums run from 0, as :func:`plain_sum` adds). The ones are one value c
-    when normalised, and their rank test cannot fire, so it is left out.
+    (sums run from 0, as :func:`plain_sum` adds), in five loops that each end
+    in a sum the next one needs. The ones are one value c when normalised,
+    and their rank test cannot fire, so it is left out.
     """
     mean = plain_sum(xs) / len(xs)
     r00 = math.sqrt(len(xs))  # the norm of the ones, as 0 + 1.0 + ... + 1.0 is exact
     c = 1.0 / r00
-    ts = [x - mean for x in xs]
-    tts = [t * t for t in ts]
     s1 = s2 = r01 = r02 = r03 = 0  # s1 and s2 square the rank tests' scales
-    for t, tt, y in zip(ts, tts, ys):
+    for x, y in zip(xs, ys):
+        t = x - mean
+        tt = t * t
         s1 += tt
         s2 += tt * tt
         r01 += c * t
@@ -296,30 +298,35 @@ def _quadratic_fit(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float,
         r03 += c * y
     # Step 0 takes the ones out of the other columns, step 1 takes t out.
     d1, d2, d3 = r01 * c, r02 * c, r03 * c
-    us = [t - d1 for t in ts]
-    vs = [tt - d2 for tt in tts]
-    ws = [y - d3 for y in ys]
+    rows = []
     norm = 0
-    for u in us:
+    for x, y in zip(xs, ys):
+        t = x - mean
+        u = t - d1
+        rows.append((u, t * t - d2, y - d3))
         norm += u * u
     r11 = math.sqrt(norm)
     if r11 <= _RANK_TOL * math.sqrt(s1):
         raise ModelError("efficiency anchors are too close in size to fit a parabola")
-    qs = [u / r11 for u in us]
     r12 = r13 = 0
-    for q, v, w in zip(qs, vs, ws):
+    qrows = []
+    for u, v, w in rows:
+        q = u / r11
+        qrows.append((q, v, w))
         r12 += q * v
         r13 += q * w
-    vs = [v - r12 * q for q, v in zip(qs, vs)]
     norm = 0
-    for v in vs:
+    rows = []
+    for q, v, w in qrows:
+        v -= r12 * q
+        rows.append((q, v, w))
         norm += v * v
     r22 = math.sqrt(norm)
     if r22 <= _RANK_TOL * math.sqrt(s2):
         raise ModelError("efficiency anchors are too close in size to fit a parabola")
     # Step 2 needs only the dot of t^2 with ys, as ys leaves step 1.
     r23 = 0
-    for q, v, w in zip(qs, vs, ws):
+    for q, v, w in rows:
         r23 += v / r22 * (w - r13 * q)
     c2 = r23 / r22
     c1 = (r13 - r12 * c2) / r11

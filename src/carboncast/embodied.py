@@ -19,7 +19,7 @@ them for each estimate.
 from __future__ import annotations
 
 from . import units
-from .types import HardwareFleet, HardwareUnit, ModelError, check_non_negative, plain_sum
+from .types import HardwareFleet, HardwareUnit, ModelError, check_non_negative
 
 OTHERS_FRACTION = 0.15
 
@@ -44,12 +44,14 @@ def fleet_embodied(fleet: HardwareFleet,
     """
     check_non_negative(execution_seconds, "execution_seconds", ModelError)
 
+    # Summed as they are made, left to right from int 0 as plain_sum adds.
     per_entry = []
+    named = 0
     for entry in fleet.entries:
         unit = entry.unit
         share = execution_seconds / units.years_to_seconds(unit.lifetime_years)
-        per_entry.append(entry.count * chip_embodied(unit) * share / 1000.0)
-
-    named = plain_sum(per_entry)
+        tco2 = entry.count * chip_embodied(unit) * share / 1000.0
+        per_entry.append(tco2)
+        named += tco2
     total = named / (1.0 - OTHERS_FRACTION)
     return per_entry, total - named, total

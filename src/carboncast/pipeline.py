@@ -199,11 +199,12 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
     would, then the sums."""
     setting = _Setting(req.fleet, req.data_center, req.anchors, req.device_memory_gb,
                        req.server_size, req.overrides, req.scaling)
-    _, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied = _stages(
+    _, loss, degrees, eff, seconds, hardware, facility, carbon, embodied = _stages(
         req.arch, req.tokens, req.phase, setting)
-    items = [LineItem(unit, count, weight * energy, weight * (unit_embodied * seconds))
-             for (unit, (count, _, _, unit_embodied)), energy
-             in zip(setting.rates.items(), energies)]
+    # Each unit's energy as _stages adds it into ``hardware``.
+    items = [LineItem(unit, count, weight * ((measured + tdp * eff) * seconds),
+                      weight * (unit_embodied * seconds))
+             for unit, (count, measured, tdp, unit_embodied) in setting.rates.items()]
     duration, hardware, facility, carbon, embodied = (
         weight * seconds, weight * hardware, weight * facility, weight * carbon, weight * embodied)
     if storage is not None:
@@ -282,9 +283,8 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
 
     Returns the stage values: the parameter count (an int), the test loss
     (``None`` for inference or zero tokens), the (pipeline, tensor, data,
-    expert) degrees, the hardware efficiency, the execution seconds, each
-    fleet unit's hardware MWh in the order of ``setting.rates``, the fleet's
-    hardware and facility MWh, the operational and the embodied tCO2. A
+    expert) degrees, the hardware efficiency, the execution seconds, the
+    fleet's hardware and facility MWh, the operational and the embodied tCO2. A
     stage's fault is named by its stage; a value a report would refuse fails
     last, with the report's message.
 
@@ -332,13 +332,10 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
         stage = "operational-carbon"
         seconds = 0.0 if flops == 0 else _seconds(
             flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
-        # Summed as they are made, left to right from int 0 as plain_sum adds.
-        energies = []
+        # Each unit's energy, summed left to right from int 0 as plain_sum adds.
         hardware = 0
         for _, measured, tdp, _ in setting.rates.values():
-            energy = (measured + tdp * eff) * seconds
-            energies.append(energy)
-            hardware += energy
+            hardware += (measured + tdp * eff) * seconds
         # Infinite seconds make the ``others`` row's energy 0 * inf, a NaN. An
         # energy that is not finite is not priced: the report check names it.
         facility, carbon = (operational_carbon(hardware, setting.data_center)
@@ -350,7 +347,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
     embodied = setting.embodied_rate * seconds
     check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied, eff,
                         loss)
-    return total, loss, degrees, eff, seconds, energies, hardware, facility, carbon, embodied
+    return total, loss, degrees, eff, seconds, hardware, facility, carbon, embodied
 
 
 def sweep(
@@ -382,7 +379,7 @@ def sweep(
         try:
             if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                 raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
-            count, loss, _, _, _, _, _, _, carbon, _ = _stages(
+            count, loss, _, _, _, _, _, carbon, _ = _stages(
                 arch, tokens, Phase.TRAINING, setting)
             rows.append((loss, carbon, arch.name, count, tokens))
         except ModelError as exc:

@@ -11,6 +11,10 @@ message (the CLI shows them all at once): these rules are all that the
 parameter model needs. A config value or catalog cell that cannot be read at
 all raises :class:`ConfigError`.
 
+A record may keep a value that its own check works out (a fleet's accelerator
+entry, say) as a plain attribute that is not a field, which no repr, equality
+or hash reads.
+
 Caller numbers must be ints or floats, not bools, that a float can hold
 (:func:`is_number`). An architecture's shape counts must be ints >= 1, not
 bools (:func:`is_shape_count`).
@@ -22,6 +26,7 @@ import enum
 import math
 from math import inf
 from operator import attrgetter
+from sys import float_info
 from typing import NamedTuple
 
 
@@ -85,7 +90,9 @@ class Record:
     then runs ``__post_init__``, where a type checks itself. It compares,
     hashes and prints by its fields (``Name(field=value, ...)``) and is equal
     only to a record of its own type. No field can be assigned or deleted;
-    :meth:`replace` builds a changed copy, checked anew.
+    :meth:`replace` builds a changed copy, checked anew. A ``__post_init__``
+    may keep what its check works out as a plain attribute, set with
+    ``object.__setattr__``; it is not a field, and copies and pickles carry it.
 
     Unlike ``dataclasses``, this compiles no methods per class, so defining a
     record type costs about what defining a plain class does.
@@ -351,7 +358,8 @@ class HardwareUnit(Record):
 
     Embodied carbon is priced by exactly one basis, resolved in this order:
     a direct per-unit override in kg, die area (mm^2) times CPA (kg per cm^2),
-    or capacity (GB) times CPA (kg per GB).
+    or capacity (GB) times CPA (kg per GB). ``embodied_basis`` names it
+    (``'override'``, ``'area'`` or ``'gb'``); it is not a field.
     """
 
     name: str
@@ -382,26 +390,22 @@ class HardwareUnit(Record):
             raise CatalogError(f"{self.name}: area basis needs die_area_mm2 and cpa")
         if self.cpa_basis == "gb" and (self.capacity_gb is None or self.cpa is None):
             raise CatalogError(f"{self.name}: gb basis needs capacity_gb and cpa")
-        if self.embodied_basis is None:
+        if self.embodied_kg_override is not None:
+            basis = "override"
+        elif self.cpa_basis == "area" or (
+            self.cpa_basis is None and self.die_area_mm2 is not None and self.cpa is not None
+        ):
+            basis = "area"
+        elif self.cpa_basis == "gb" or (
+            self.cpa_basis is None and self.capacity_gb is not None and self.cpa is not None
+        ):
+            basis = "gb"
+        else:
             raise CatalogError(
                 f"{self.name}: no embodied pricing basis "
                 "(need embodied_kg_override, area+cpa, or capacity+cpa)"
             )
-
-    @property
-    def embodied_basis(self) -> str | None:
-        """Which pricing basis is active: 'override', 'area' or 'gb'."""
-        if self.embodied_kg_override is not None:
-            return "override"
-        if self.cpa_basis == "area" or (
-            self.cpa_basis is None and self.die_area_mm2 is not None and self.cpa is not None
-        ):
-            return "area"
-        if self.cpa_basis == "gb" or (
-            self.cpa_basis is None and self.capacity_gb is not None and self.cpa is not None
-        ):
-            return "gb"
-        return None
+        object.__setattr__(self, "embodied_basis", basis)
 
 
 class FleetEntry(Record):
@@ -411,13 +415,17 @@ class FleetEntry(Record):
     count: int
 
     def __post_init__(self) -> None:
-        check_count(self.count, f"{self.unit.name}: fleet count", CatalogError)
+        count = self.count
+        # Only a count that may fail the check pays for formatting its label.
+        if not (type(count) is int and 1 <= count <= float_info.max):
+            check_count(count, f"{self.unit.name}: fleet count", CatalogError)
 
 
 class HardwareFleet(Record):
     """The hardware pool a workload runs on.
 
     At most one accelerator entry is allowed; it drives the throughput model.
+    ``accelerator`` is that entry itself, or ``None``; it is not a field.
     """
 
     entries: tuple[FleetEntry, ...]
@@ -427,13 +435,7 @@ class HardwareFleet(Record):
         if len(accels) > 1:
             names = ", ".join(e.unit.name for e in accels)
             raise CatalogError(f"fleet has multiple accelerator entries: {names}")
-
-    @property
-    def accelerator(self) -> FleetEntry | None:
-        for entry in self.entries:
-            if entry.unit.role is HardwareRole.ACCELERATOR:
-                return entry
-        return None
+        object.__setattr__(self, "accelerator", accels[0] if accels else None)
 
     @staticmethod
     def of(*pairs: tuple[HardwareUnit, int]) -> "HardwareFleet":

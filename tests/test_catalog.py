@@ -1,11 +1,13 @@
 """Catalog parsing, packaged defaults and catalog resolution."""
 
+import functools
+import inspect
 import io
 
 import pytest
 
-from carboncast import catalog
-from carboncast.types import CatalogError, HardwareRole
+from carboncast import catalog, cli, sweep
+from carboncast.types import CatalogError, HardwareRole, LlmArchitecture
 
 
 class TestHardwareCatalog:
@@ -204,3 +206,31 @@ class TestRowLength:
     ], ids=["hardware", "datacenter", "anchor"])
     def test_blank_rows_and_trailing_blank_cells_load(self, load, text, count):
         assert len(load(io.StringIO(text))) == count
+
+
+def _point(architecture: LlmArchitecture, tokens: float = 1.0, *, note: str = "",
+           tag: str) -> None:
+    """A function with every kind of parameter a config function can have."""
+
+
+@functools.wraps(_point)
+def _wrapped_point(*args, **kwargs):
+    return _point(*args, **kwargs)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("target", [sweep, cli._grid_point, _point, _wrapped_point],
+                             ids=["sweep", "_grid_point", "function", "wrapper"])
+    def test_parameters_and_defaults_are_those_inspect_reads(self, target):
+        params = inspect.signature(target).parameters
+        expected = [(name, p.default is not p.empty) for name, p in params.items()
+                    if (target.__name__, name) not in catalog._NOT_CONFIG]
+        assert [(name, has_default) for name, _, has_default
+                in catalog._config_fields(target).values()] == expected
+
+    def test_a_wrapper_gives_the_wrapped_function_s_own_parameters(self):
+        assert catalog._config_fields(_wrapped_point) == {
+            "architecture": ("architecture", LlmArchitecture, False),
+            "tokens": ("tokens", float, True),
+            "note": ("note", str, True),
+            "tag": ("tag", str, False)}

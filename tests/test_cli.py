@@ -236,6 +236,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", write_config(tmp_path, config)]) == code
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("memory", ["1.0e+3", "1.0e+300"], ids=["inf-depth", "nan-depth"])
+    def test_a_depth_a_float_cannot_hold_exits_3(self, tmp_path, capsys, memory):
+        config = (GPT3_CONFIG
+                  .replace("explicit_param_count: 175000000000", "explicit_param_count: 1.0e+308")
+                  .replace("  tokens:", f"  device_memory_gb: {memory}\n  tokens:"))
+        assert main(["estimate", "--config", write_config(tmp_path, config)]) == EXIT_MODEL_ERROR
+        assert capsys.readouterr().err == (
+            "model error: [efficiency-model] the pipeline depth for 1e+308 parameters in "
+            f"{float(memory)!r} GB devices overflows a float\n")
+
     @pytest.mark.parametrize("content, fault", [
         pytest.param(None, "[Errno 2] No such file or directory", id="missing"),
         pytest.param(b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0",
@@ -624,17 +634,30 @@ class TestYamlLoaders:
         assert where in err
 
 
-def test_importing_the_cli_loads_no_module_that_a_cold_start_does_not_use():
-    # A fresh interpreter, so that no other test's imports count. YAML and
-    # the validation fixtures load only in the commands that use them; the
-    # record types need neither ``dataclasses`` nor ``inspect``, which pull
-    # in ``ast``, ``dis`` and ``tokenize``.
+def run_probe(probe: str) -> str:
+    """The standard output of a fresh interpreter that runs ``probe``, so that
+    no other test's imports count."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, carboncast.cli; "
-             "print([m for m in ('numpy', 'yaml', 'carboncast.validation', 'dataclasses', "
-             "'inspect') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_importing_the_cli_loads_no_module_that_a_cold_start_does_not_use():
+    # YAML and the validation fixtures load only in the commands that use
+    # them; the record types need neither ``dataclasses`` nor ``inspect``,
+    # which pull in ``ast``, ``dis`` and ``tokenize``.
+    assert run_probe(
+        "import sys, carboncast.cli; "
+        "print([m for m in ('numpy', 'yaml', 'carboncast.validation', 'dataclasses', "
+        "'inspect') if m in sys.modules])") == "[]"
+
+
+def test_a_sweep_runs_without_importing_inspect(tmp_path):
+    # Its config keys are the parameters of functions, read from their code.
+    argv = ["sweep", "--config", str(DOCS_EXAMPLES / "sweep_grid.yaml"),
+            "--out", str(tmp_path / "sweep.csv")]
+    assert run_probe("import sys; from carboncast.cli import main; "
+                     f"print(main({argv!r}), 'inspect' in sys.modules)") == "0 False"
+    assert (tmp_path / "sweep.csv").read_text().startswith(",".join(cli.SWEEP_CSV_HEADER))

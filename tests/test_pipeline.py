@@ -234,6 +234,17 @@ class TestEstimate:
         with pytest.raises(ModelError, match="^" + re.escape(message)):
             estimate(req)
 
+    @pytest.mark.parametrize("phase", [Phase.TRAINING, Phase.INFERENCE])
+    def test_a_nan_pipeline_depth_names_the_stage(self, phase):
+        # Inf bytes of state over inf bytes of device memory.
+        req = EstimateRequest(arch=dense_arch("huge", 1e308), tokens=1e9,
+                              fleet=HardwareFleet.of((v100(), 8)), data_center=dc(),
+                              phase=phase, device_memory_gb=1e300)
+        with pytest.raises(ModelError, match="^" + re.escape(
+                "[efficiency-model] the pipeline depth for 1e+308 parameters in 1e+300 GB "
+                "devices overflows a float") + "$"):
+            estimate(req)
+
     @pytest.mark.parametrize("fleet_count, device_count, error, message", [
         pytest.param(10 ** 300, None, ModelError, "[operational-carbon] throughput is beyond "
                      "the float range (devices=1e+300, peak=125 TFLOP/s", id="fleet-1e300"),

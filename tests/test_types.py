@@ -412,6 +412,38 @@ class TestRecord:
         with pytest.raises(AttributeError):
             again.phase = Phase.INFERENCE
 
+    # What a record's own check works out, kept as a plain attribute that is
+    # not a field: a fleet's accelerator entry, a unit's pricing basis.
+    def test_derived_attributes_are_not_fields(self):
+        fleet = HardwareFleet.of((BOX, 3), (GPU, 8))
+        assert "accelerator" not in HardwareFleet._fields
+        assert "embodied_basis" not in HardwareUnit._fields
+        assert fleet.accelerator is fleet.entries[1] and GPU.embodied_basis == "area"
+        assert HardwareFleet.of((BOX, 2)).accelerator is None
+
+    @pytest.mark.parametrize("build, name, other", [
+        (lambda: HardwareFleet.of((BOX, 3), (GPU, 8)), "accelerator", None),
+        (lambda: GPU.replace(), "embodied_basis", "gb"),
+    ], ids=["accelerator", "embodied_basis"])
+    def test_derived_attributes_change_no_repr_equality_or_hash(self, build, name, other):
+        value, twin = build(), build()
+        object.__setattr__(twin, name, other)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        assert f"{name}=" not in repr(value)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy,
+        lambda value: value.replace(),
+    ], ids=["pickle", "deepcopy", "copy", "replace"])
+    def test_derived_attributes_survive_copies(self, round_trip):
+        fleet = round_trip(HardwareFleet.of((BOX, 3), (GPU, 8)))
+        # The setting finds the accelerator entry by identity.
+        assert fleet.accelerator is fleet.entries[1]
+        assert fleet.accelerator.unit.embodied_basis == "area"
+        assert round_trip(GPU).embodied_basis == "area"
+        assert round_trip(BOX).embodied_basis == "override"
+        assert round_trip(HardwareFleet.of((BOX, 2))).accelerator is None
+
 
 class TestUnits:
     def test_watt_seconds_to_mwh_and_back_is_identity(self):

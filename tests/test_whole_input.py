@@ -81,12 +81,14 @@ VALID = {
                 "transfer_w_per_tb": [1.48, 2]},
     "overrides": {"measured_flops": [None, 3.14e23], "system_power_watts": [None, 330.0],
                   "efficiency": [None, 0.197, 1], "device_count": [None, 10000]},
-    "request": {"tokens": [300e9, 0, 10 ** 9], "device_memory_gb": [32.0, 80],
+    # 1e308 parameters in 1e300 GB devices are inf bytes over inf bytes: a
+    # NaN pipeline depth.
+    "request": {"tokens": [300e9, 0, 10 ** 9], "device_memory_gb": [32.0, 80, 1e300],
                 "server_size": [8, 1]},
     "plan": {"inference_share": [0.0, 1.5], "experimentation_share": [0, 0.25]},
     "scaling": {"A": [406.4], "B": [410.7, 400], "alpha": [0.34], "beta": [0.28],
                 "E": [1.69, 2]},
-    "arch": {"explicit_param_count": [None, 175_000_000_000, 1.3e9, 0],
+    "arch": {"explicit_param_count": [None, 175_000_000_000, 1.3e9, 0, 1e308],
              "base_model_param_count": [None, 6_600_000_000, 2.5e9],
              "hidden_size": [12288, 64], "layer_count": [96, 2], "vocab_size": [51200, 1000],
              "head_count": [None, 96, 8], "head_dim": [None, 128, 8], "ff_size": [None, 4096],
