@@ -415,10 +415,14 @@ class FleetEntry(Record):
     count: int
 
     def __post_init__(self) -> None:
-        count = self.count
+        unit, count = self.unit, self.count
+        if not isinstance(unit, HardwareUnit):
+            # A name is shown; Python formats no int of more than 4,300 digits.
+            entry = f"fleet entry {unit!r}" if isinstance(unit, str) else "fleet entry"
+            raise CatalogError(f"{entry}: unit must be a HardwareUnit, got {type(unit).__name__}")
         # Only a count that may fail the check pays for formatting its label.
         if not (type(count) is int and 1 <= count <= float_info.max):
-            check_count(count, f"{self.unit.name}: fleet count", CatalogError)
+            check_count(count, f"{unit.name}: fleet count", CatalogError)
 
 
 class HardwareFleet(Record):

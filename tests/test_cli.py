@@ -654,6 +654,46 @@ def test_importing_the_cli_loads_no_module_that_a_cold_start_does_not_use():
         "'inspect') if m in sys.modules])") == "[]"
 
 
+MODEL_CHAIN = tuple(f"carboncast.{m}" for m in (
+    "params", "scaling", "flops", "efficiency", "operational", "embodied", "pipeline",
+    "validation"))
+
+
+@pytest.mark.parametrize("probe", [
+    "from carboncast.catalog import resolve_catalogs; resolve_catalogs()",
+    "import carboncast.types",
+])
+def test_the_catalog_and_the_types_load_no_model_module(probe):
+    # The package root loads a model module on the first use of one of its names.
+    assert run_probe(f"import sys; {probe}; "
+                     f"print([m for m in {MODEL_CHAIN!r} if m in sys.modules])") == "[]"
+
+
+def test_importing_the_cli_loads_the_pipeline():
+    # The benchmark's layer tracer wraps only modules already imported when it
+    # is installed, which is right after the CLI is.
+    assert run_probe("import sys, carboncast.cli; "
+                     "print('carboncast.pipeline' in sys.modules)") == "True"
+
+
+def test_a_root_name_loads_its_submodule_on_first_use():
+    assert run_probe(
+        "import sys, carboncast as cc; "
+        "print('estimate' in vars(cc), 'carboncast.pipeline' in sys.modules); "
+        "print(cc.estimate is cc.pipeline.estimate, 'estimate' in vars(cc)); "
+        "print(cc.validation is sys.modules['carboncast.validation'])"
+    ).splitlines() == ["False False", "True True", "True"]
+
+
+def test_a_submodules_names_are_bound_at_the_root_when_it_is_imported():
+    # Not at their first lookup there: a function replaced in its module in
+    # the meantime (the benchmark's tracer does this) would stay at the root.
+    assert run_probe(
+        "import carboncast as cc, carboncast.pipeline as p; original = p.estimate; "
+        "p.estimate = None; print(cc.estimate is original, 'count_params' in vars(cc))"
+    ) == "True True"
+
+
 def test_a_sweep_runs_without_importing_inspect(tmp_path):
     # Its config keys are the parameters of functions, read from their code.
     argv = ["sweep", "--config", str(DOCS_EXAMPLES / "sweep_grid.yaml"),

@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 
 import pytest
 
@@ -197,6 +198,22 @@ class TestFleet:
                             peak_tflops=125, die_area_mm2=815, cpa=1.2, cpa_basis="area")
         with pytest.raises(CatalogError, match="count"):
             HardwareFleet.of((v100, 0))
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: HardwareFleet.of(("V100", 8)),
+                     "fleet entry 'V100': unit must be a HardwareUnit, got str", id="fleet-of-name"),
+        pytest.param(lambda: FleetEntry("V100", 8),
+                     "fleet entry 'V100': unit must be a HardwareUnit, got str", id="entry-name"),
+        pytest.param(lambda: FleetEntry(None, 8),
+                     "fleet entry: unit must be a HardwareUnit, got NoneType", id="entry-none"),
+        # An int this long has no repr, so the message shows its type alone.
+        pytest.param(lambda: FleetEntry(10 ** 5000, 8),
+                     "fleet entry: unit must be a HardwareUnit, got int", id="entry-long-int"),
+    ])
+    def test_unit_must_be_a_hardware_unit(self, build, message):
+        with pytest.raises(CatalogError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 class TestDataCenter:
@@ -475,3 +492,22 @@ def test_star_import_gives_every_public_name_once():
     exec("from carboncast import *", namespace)
     assert len(set(carboncast.__all__)) == len(carboncast.__all__)
     assert set(carboncast.__all__) <= namespace.keys()
+
+
+class TestPackageRoot:
+    def test_every_public_name_is_its_defining_modules_object(self):
+        for name in carboncast.__all__:
+            value = getattr(carboncast, name)
+            assert value.__module__.startswith("carboncast."), name
+            assert value is getattr(sys.modules[value.__module__], name), name
+            # Bound when its submodule was imported, so a lookup is a dict hit.
+            assert vars(carboncast)[name] is value, name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(carboncast.__all__) <= set(dir(carboncast))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError) as caught:
+            carboncast.no_such_name
+        assert str(caught.value) == "module 'carboncast' has no attribute 'no_such_name'"
+        assert "no_such_name" not in vars(carboncast)
