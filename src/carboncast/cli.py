@@ -96,6 +96,39 @@ def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
             for i, point in enumerate(doc)]
 
 
+# PyYAML composes a document recursively: libyaml's composer in C, so a very
+# deep document crashes the process, and the pure-Python one in Python.
+MAX_NESTING = 2000
+
+
+def _nesting_bound(text: str) -> int:
+    """A bound on the nesting depth of the YAML ``text``: every level opens
+    with one of these characters (a flow collection, a block sequence entry
+    or a mapping key)."""
+    return sum(map(text.count, "[{-?:"))
+
+
+def _nesting_depth(text: str, loader) -> int:
+    """The nesting depth of the YAML ``text``, or ``MAX_NESTING + 1`` if it is
+    deeper, from its parse events, which PyYAML yields without recursing.
+    The walk stops there: in a flow collection, PyYAML's scanner takes time
+    linear in the depth for each token, so the whole of a 50,000-deep
+    ``[[…]]`` takes seconds."""
+    import yaml
+
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+                if depth > MAX_NESTING:
+                    break
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
 def _load_config(path: str, top_key: str) -> dict:
     import yaml
 
@@ -103,12 +136,22 @@ def _load_config(path: str, top_key: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    # libyaml's parser when PyYAML was built with it; both loaders share the
+    # Python constructor and resolver, so the values are the same.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    too_deep = f"{path}: nested deeper than {MAX_NESTING} levels"
     try:
-        # libyaml's parser when PyYAML was built with it; both loaders share
-        # the Python constructor and resolver, so the values are the same.
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        # libyaml's composer would crash the process on a text too deep, so a
+        # text that may be pays for the event pass. The pure-Python composer
+        # raises RecursionError a few hundred levels down instead.
+        if (loader is not yaml.SafeLoader and _nesting_bound(text) > MAX_NESTING
+                and _nesting_depth(text, loader) > MAX_NESTING):
+            raise ConfigError(too_deep)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    except RecursionError:
+        raise ConfigError(too_deep) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     _check_keys(doc, {"schema", top_key}, path)

@@ -201,10 +201,10 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
                        req.server_size, req.overrides, req.scaling)
     _, loss, degrees, eff, seconds, hardware, facility, carbon, embodied = _stages(
         req.arch, req.tokens, req.phase, setting)
-    # Each unit's energy as _stages adds it into ``hardware``.
+    # Each entry's energy as _stages adds it into ``hardware``.
     items = [LineItem(unit, count, weight * ((measured + tdp * eff) * seconds),
                       weight * (unit_embodied * seconds))
-             for unit, (count, measured, tdp, unit_embodied) in setting.rates.items()]
+             for unit, count, measured, tdp, unit_embodied in setting.rates]
     duration, hardware, facility, carbon, embodied = (
         weight * seconds, weight * hardware, weight * facility, weight * carbon, weight * embodied)
     if storage is not None:
@@ -230,10 +230,9 @@ class _Setting:
     overrides' device count and system power when they are given. ``sweep()``
     makes one setting for all its points, a report one per call.
 
-    ``rates`` maps each unit name to its [count, measured MWh/s, TDP MWh/s,
-    embodied tCO2/s] at full efficiency (powered units first, then the rest,
-    each in fleet order, then ``others``); ``embodied_rate`` is the fleet's
-    embodied tCO2/s.
+    ``rates`` has one (name, count, measured MWh/s, TDP MWh/s, embodied tCO2/s)
+    row per fleet entry, in fleet order, then the ``others`` share's; a report
+    has a line item per row. ``embodied_rate`` is the fleet's embodied tCO2/s.
     """
 
     __slots__ = ("accel", "device_count", "curve", "rates", "embodied_rate", "data_center",
@@ -257,23 +256,15 @@ class _Setting:
             fleet = HardwareFleet(tuple(resized if e is accel else e for e in fleet.entries))
             accel = resized
         per_entry, others, self.embodied_rate = fleet_embodied(fleet, 1.0)
-        self.rates = rates = {}
-        # Units without a power figure ride along for embodied accounting only;
-        # a measured accelerator system power already covers their draw (host
-        # CPU, DRAM, network and so on).
-        unpowered = []
+        # A unit without a power figure is a row at zero rates, for embodied carbon only: a
+        # measured accelerator system power already covers its draw (host CPU, DRAM, network).
+        self.rates = rates = []
         for e, tco2 in zip(fleet.entries, per_entry):
             power = unit_power(e.unit, overrides.system_power_watts if e is accel else None)
-            if power is None:
-                unpowered.append((e, tco2))
-                continue
-            watts, measured = power
-            row = rates.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])
-            row[1 if measured else 2] += units.joules_to_mwh(watts * e.count)
-            row[3] += tco2
-        for e, tco2 in unpowered:
-            rates.setdefault(e.unit.name, [e.count, 0.0, 0.0, 0.0])[3] += tco2
-        rates.setdefault("others", [0, 0.0, 0.0, 0.0])[3] += others
+            watts, measured = power or (0.0, False)
+            rate = units.joules_to_mwh(watts * e.count)
+            rates.append((e.unit.name, e.count, *((rate, 0.0) if measured else (0.0, rate)), tco2))
+        rates.append(("others", 0, 0.0, 0.0, others))
         self.data_center, self.overrides, self.scaling = data_center, overrides, scaling
         self.device_memory_gb, self.server_size = device_memory_gb, server_size
 
@@ -332,11 +323,11 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
         stage = "operational-carbon"
         seconds = 0.0 if flops == 0 else _seconds(
             flops, setting.device_count, setting.accel.unit.peak_tflops, eff)
-        # Each unit's energy, summed left to right from int 0 as plain_sum adds.
+        # Each entry's energy, summed left to right from int 0 as plain_sum adds.
         hardware = 0
-        for _, measured, tdp, _ in setting.rates.values():
+        for _, _, measured, tdp, _ in setting.rates:
             hardware += (measured + tdp * eff) * seconds
-        # Infinite seconds make the ``others`` row's energy 0 * inf, a NaN. An
+        # Infinite seconds make a zero-rate row's energy 0 * inf, a NaN. An
         # energy that is not finite is not priced: the report check names it.
         facility, carbon = (operational_carbon(hardware, setting.data_center)
                             if hardware < inf else (hardware, hardware))

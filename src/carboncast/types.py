@@ -505,7 +505,8 @@ class ParallelismPlan(Record):
 
 
 class LineItem(NamedTuple):
-    """Per-hardware-unit slice of a report, as a named tuple."""
+    """Per-fleet-entry slice of a report, as a named tuple: one per entry,
+    in fleet order, so a unit listed twice has two."""
 
     unit: str
     count: int

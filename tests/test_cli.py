@@ -591,6 +591,16 @@ def seeded_sweep_config(seed, points=100):
     return "\n".join(lines) + "\n"
 
 
+def nested_config(levels: int, flow: bool) -> str:
+    """The GPT-3 example with an ``estimate.deep`` key that holds ``levels``
+    nested sequences, so the document nests ``levels + 2`` deep: written
+    ``[[…]]``, or as block sequences ``- - … x``."""
+    deep = ("[" * levels + "]" * levels if flow
+            else "\n    " + "- " * levels + "x")
+    text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+    return text.replace("estimate:\n", f"estimate:\n  deep: {deep}\n", 1)
+
+
 class TestYamlLoaders:
     """Configs parse with libyaml's loader when PyYAML has it and with the
     pure-Python one otherwise; deleting ``CSafeLoader`` forces the second."""
@@ -633,15 +643,61 @@ class TestYamlLoaders:
         assert err.startswith(f"config error: {path}: not valid YAML: ")
         assert where in err
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    def test_a_document_just_over_the_nesting_limit_is_refused(self, tmp_path, capsys,
+                                                               monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 1, flow=False))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", f"config error: {path}: nested deeper than 2000 levels\n")
+
+    def test_libyaml_loads_a_document_at_the_nesting_limit(self, tmp_path, capsys):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 2, flow=False))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", "config error: estimate.deep: unknown key\n")
+
+    @pytest.mark.parametrize("name", ["gpt3_training.yaml", "lifecycle_green_grid.yaml",
+                                      "sweep_grid.yaml", "seeded sweep", "flow", "block"])
+    def test_the_character_count_bounds_the_nesting_depth(self, name):
+        # Only a text whose count is over the limit takes the event pass.
+        text = {"seeded sweep": seeded_sweep_config(3),
+                "flow": nested_config(cli.MAX_NESTING, flow=True),
+                "block": nested_config(cli.MAX_NESTING, flow=False)}.get(name)
+        if text is None:
+            text = (DOCS_EXAMPLES / name).read_text(encoding="utf-8")
+        depth = cli._nesting_depth(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert cli._nesting_bound(text) >= depth > 1
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that runs ``code`` on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+def test_a_config_nested_50000_deep_exits_2(tmp_path, libyaml):
+    # In a child: libyaml's composer recurses in C, and overflowing its stack
+    # would kill the test run.
+    path = write_config(tmp_path, nested_config(50_000, flow=True))
+    drop = "" if libyaml else "del yaml.CSafeLoader; "
+    result = run_python(f"import sys, yaml; {drop}from carboncast.cli import main; "
+                        f"sys.exit(main(['estimate', '--config', {path!r}]))")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_CONFIG_ERROR, "", f"config error: {path}: nested deeper than 2000 levels\n")
+
 
 def run_probe(probe: str) -> str:
     """The standard output of a fresh interpreter that runs ``probe``, so that
     no other test's imports count."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    result = run_python(probe)
+    result.check_returncode()
+    return result.stdout.strip()
 
 
 def test_importing_the_cli_loads_no_module_that_a_cold_start_does_not_use():

@@ -583,6 +583,40 @@ class TestPhaseSum:
                             rel_tol=1e-12)
 
 
+class TestLineItems:
+    """One line item per fleet entry, in fleet order, then ``others``."""
+
+    def test_a_unit_listed_twice_has_an_item_per_entry(self):
+        entries = mixed_request().fleet.entries
+        req = mixed_request(fleet=HardwareFleet(entries + (entries[1].replace(count=3),)))
+        items = estimate(req).line_items
+        assert [(i.unit, i.count) for i in items] == [
+            ("V100", 200), ("CPU", 16), ("SSD", 16), ("CPU", 3), ("others", 0)]
+        sixteen, three = items[1], items[3]
+        assert math.isclose(3 * sixteen.energy_mwh, 16 * three.energy_mwh, rel_tol=1e-14)
+        assert math.isclose(3 * sixteen.embodied_tco2, 16 * three.embodied_tco2, rel_tol=1e-14)
+
+    def test_a_fleet_unit_named_others_keeps_its_own_item(self):
+        def report(name):
+            box = HardwareUnit(name=name, role=HardwareRole.OTHER, embodied_kg_override=576.0)
+            return estimate(mixed_request(fleet=HardwareFleet.of((v100(330), 171), (box, 2))))
+
+        got, want = report("others"), report("box")
+        assert [(i.unit, i.count) for i in got.line_items] == [
+            ("V100", 200), ("others", 2), ("others", 0)]
+        assert got.line_items[1] == want.line_items[1]._replace(unit="others")
+        assert got.line_items[2] == want.line_items[2]
+        assert got.line_items[1].embodied_tco2 > 0.0
+
+    def test_an_unpowered_unit_keeps_its_fleet_position(self):
+        accel, cpu_, ssd = mixed_request().fleet.entries
+        got = estimate(mixed_request(fleet=HardwareFleet((accel, ssd, cpu_)))).line_items
+        want = estimate(mixed_request()).line_items
+        assert [i.unit for i in got] == ["V100", "SSD", "CPU", "others"]
+        assert got[1:3] == (want[2], want[1])
+        assert got[1].energy_mwh == 0.0 < got[2].energy_mwh
+
+
 def weighted_sum(parts):
     """The lifecycle report of (weight, phase report) parts: weighted sums
     added in phase order, each part's line items weighted, and the first
@@ -945,11 +979,21 @@ class TestFleetRates:
         r = estimate(req)
         at_count = [(accel, devices if devices is not None else count)] + units_
         powered = HardwareFleet.of(*((u, n) for u, n in at_count if u.name != "SSD"))
-        energy, _ = hardware_energy(powered, r.duration_seconds, r.hardware_efficiency,
-                                    power_override_watts=power)
-        _, _, embodied = fleet_embodied(HardwareFleet.of(*at_count), r.duration_seconds)
+        energy, powered_items = hardware_energy(powered, r.duration_seconds,
+                                                r.hardware_efficiency, power_override_watts=power)
+        per_entry, others, embodied = fleet_embodied(HardwareFleet.of(*at_count),
+                                                     r.duration_seconds)
         assert math.isclose(r.hardware_energy_mwh, energy, rel_tol=1e-14)
         assert math.isclose(r.embodied_tco2, embodied, rel_tol=1e-14)
+        # One item per entry, in fleet order, then the others share.
+        assert [(i.unit, i.count) for i in r.line_items] == [
+            *((u.name, n) for u, n in at_count), ("others", 0)]
+        powered_items = iter(powered_items)
+        for item, (unit, _), tco2 in zip(r.line_items, at_count, per_entry):
+            want = 0.0 if unit.name == "SSD" else next(powered_items).energy_mwh
+            assert math.isclose(item.energy_mwh, want, rel_tol=1e-14)
+            assert math.isclose(item.embodied_tco2, tco2, rel_tol=1e-14)
+        assert math.isclose(r.line_items[-1].embodied_tco2, others, rel_tol=1e-14)
 
 
 class TestSweepMatchesEstimate:

@@ -302,12 +302,17 @@ EXAMPLE_DOCS = {name: yaml.safe_load((EXAMPLES / name).read_text(encoding="utf-8
 # empty values. PyYAML writes no int of more than 4,300 digits either.
 BAD_VALUES = [None, True, "", "x", "1e9", [1, 2], {"a": 1}, 0, -1, 2.5, 10 ** 400,
               math.nan, math.inf, -math.inf]
-EDIT_DRAW = st.sampled_from([("delete",), ("unknown key",), ("nest",)]
+EDIT_DRAW = st.sampled_from([("delete",), ("unknown key",), ("nest",), ("nest deep",)]
                             + [("set", v) for v in BAD_VALUES])
+# What a "nest deep" edit puts in place of a value. PyYAML's representer
+# recurses in Python, so the dumped text gets block sequences nested just
+# past the config nesting limit in place of this marker.
+DEEP = "nested-past-the-limit"
 EXAMPLE_DRAW = st.sampled_from(sorted(EXAMPLE_COMMANDS))
 # A config fault names a key path: one under the section, or the file's own
-# ``schema`` or top key.
-KEY_PATH = re.compile(r"config error: (estimate|lifecycle|sweep)[.:\[]|config error: \S+\.yaml\.\w+: ")
+# ``schema`` or top key; a document nested too deep names the file.
+KEY_PATH = re.compile(r"config error: (estimate|lifecycle|sweep)[.:\[]|config error: \S+\.yaml\.\w+: "
+                      r"|config error: \S+\.yaml: nested deeper than 2000 levels$")
 # A model fault names its stage or the report value it would have made; a
 # sweep point can also fail the sweep's own check of its tokens.
 STAGE = re.compile(r"\[[a-z-]+\] |sweep points need a finite positive token count|("
@@ -331,7 +336,8 @@ def key_paths(node, prefix=()):
 def config_documents(draw):
     """A packaged example and a copy of its document with one to three edits:
     a key or item deleted, an unknown key or a repeated item added, a value
-    nested one level deeper, or a value replaced by a broken one."""
+    nested one level deeper or replaced by the ``DEEP`` marker, or a value
+    replaced by a broken one."""
     name = draw(EXAMPLE_DRAW)
     doc = copy.deepcopy(EXAMPLE_DOCS[name])
     for _ in range(draw(st.integers(1, 3))):
@@ -351,6 +357,8 @@ def config_documents(draw):
                 container.append(copy.deepcopy(container[key]))
         elif edit[0] == "nest":
             container[key] = [container[key]]
+        elif edit[0] == "nest deep":
+            container[key] = DEEP
         else:
             container[key] = copy.deepcopy(edit[1])
     return name, doc
@@ -366,8 +374,11 @@ def config_path(tmp_path_factory):
 def test_every_config_document_ends_in_a_report_or_a_named_error(config_path, case):
     name, doc = case
     # libyaml's emitter when PyYAML has it: the pure-Python one doubles the run.
-    config_path.write_text(yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)),
-                           encoding="utf-8")
+    text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    # Each marker's value: on a line of its own, indented past the marker's key.
+    text = re.sub(rf"^(.*){DEEP}$",
+                  lambda m: f"{m[1]}\n{' ' * len(m[1])}{'- ' * cli.MAX_NESTING}x", text, flags=re.M)
+    config_path.write_text(text, encoding="utf-8")
     argv = [*EXAMPLE_COMMANDS[name], "--config", str(config_path)]
     stderr = io.StringIO()
     # The formatters see what a run made: the report, or the sweep's points.
