@@ -141,17 +141,23 @@ def _load_config(path: str, top_key: str) -> dict:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     too_deep = f"{path}: nested deeper than {MAX_NESTING} levels"
     try:
-        # libyaml's composer would crash the process on a text too deep, so a
-        # text that may be pays for the event pass. The pure-Python composer
-        # raises RecursionError a few hundred levels down instead.
-        if (loader is not yaml.SafeLoader and _nesting_bound(text) > MAX_NESTING
-                and _nesting_depth(text, loader) > MAX_NESTING):
-            raise ConfigError(too_deep)
-        doc = yaml.load(text, Loader=loader)
+        try:
+            # libyaml's composer would crash the process on a text too deep,
+            # so a text that may be pays for the event pass. The pure-Python
+            # composer raises RecursionError a few hundred levels down instead.
+            if (loader is not yaml.SafeLoader and _nesting_bound(text) > MAX_NESTING
+                    and _nesting_depth(text, loader) > MAX_NESTING):
+                raise ConfigError(too_deep)
+            doc = yaml.load(text, Loader=loader)
+        except RecursionError:
+            # Say which limit the text passed: this one, or only the composer's.
+            # The walk reads on, so it may meet a syntax error first.
+            if _nesting_bound(text) > MAX_NESTING and _nesting_depth(text, loader) > MAX_NESTING:
+                raise ConfigError(too_deep) from None
+            raise ConfigError(f"{path}: nested deeper than the pure-Python YAML loader can "
+                              "compose") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
-    except RecursionError:
-        raise ConfigError(too_deep) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     _check_keys(doc, {"schema", top_key}, path)

@@ -153,7 +153,9 @@ def optimal_efficiency(
     :class:`AnchorCurve` that ``fit_anchors`` made earlier, so that callers
     evaluating many sizes against one table fit it once.
     """
-    _check_param_count(param_count)
+    # One chain for the common valid case; the check admits the rest or names a fault.
+    if not (type(param_count) is float and 0.0 < param_count < math.inf):
+        _check_param_count(param_count)
     curve = anchors if isinstance(anchors, AnchorCurve) else fit_anchors(anchors)
     return curve.at(param_count, is_moe)
 
@@ -179,7 +181,15 @@ class AnchorCurve:
         MoE discount applied and the result clamped to [1e-6, 1]."""
         x = math.log10(param_count)
         if self.parabola is None:
-            eff = _interp(self.xs, self.ys, x)
+            # Linear through the anchors, flat beyond both ends:
+            # numpy.interp's arithmetic, bit for bit.
+            xs, ys = self.xs, self.ys
+            if x <= xs[0]:
+                eff = ys[0]
+            elif x >= xs[-1]:
+                eff = ys[-1]
+            else:
+                eff = (ys[1] - ys[0]) / (xs[1] - xs[0]) * (x - xs[0]) + ys[0]
         else:
             mean, c0, c1, c2 = self.parabola
             t = x - mean
@@ -248,17 +258,6 @@ def _shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"a {type(value).__name__}"
-
-
-def _interp(xs: tuple[float, ...], ys: tuple[float, ...], x: float) -> float:
-    """Linear interpolation through one or two points with increasing
-    ``xs``, flat beyond both ends: ``numpy.interp``'s arithmetic, bit for bit."""
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-    return slope * (x - xs[0]) + ys[0]
 
 
 # A basis column that keeps no more than this share of its norm once the

@@ -23,6 +23,7 @@ which carry two expert-replaceable FF blocks per counted layer.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import NamedTuple
 
 from .types import ArchKind, LlmArchitecture, ModelError, plain_sum
@@ -50,10 +51,15 @@ class ParameterCount(NamedTuple):
         return self.total / 1e9
 
 
+# ParameterCount((total, equation)), built in C: the named tuple's own
+# __new__ is a Python function, and a sweep counts every point.
+_parameter_count = partial(tuple.__new__, ParameterCount)
+
+
 def count_dense_gpt(arch: LlmArchitecture) -> ParameterCount:
     """Conventional single-stack transformer: 12*l*h^2 + V*h."""
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
-    return ParameterCount(12 * l * h * h + v * h, ParameterEquation.DENSE_STANDARD)
+    return _parameter_count((12 * l * h * h + v * h, ParameterEquation.DENSE_STANDARD))
 
 
 def count_dense_encdec(arch: LlmArchitecture) -> ParameterCount:
@@ -61,7 +67,7 @@ def count_dense_encdec(arch: LlmArchitecture) -> ParameterCount:
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
     attn = arch.head_count * arch.head_dim
     per_layer = 12 * h * attn + 4 * h * arch.ff_size
-    return ParameterCount(per_layer * l + v * h, ParameterEquation.ENCODER_DECODER)
+    return _parameter_count((per_layer * l + v * h, ParameterEquation.ENCODER_DECODER))
 
 
 def count_dense_deconly(arch: LlmArchitecture) -> ParameterCount:
@@ -69,7 +75,7 @@ def count_dense_deconly(arch: LlmArchitecture) -> ParameterCount:
     h, l, v = arch.hidden_size, arch.layer_count, arch.vocab_size
     attn = arch.head_count * arch.head_dim
     per_layer = 8 * h * attn + 2 * h * arch.ff_size
-    return ParameterCount(per_layer * l + v * h, ParameterEquation.DECODER_ONLY)
+    return _parameter_count((per_layer * l + v * h, ParameterEquation.DECODER_ONLY))
 
 
 def _uses_conventional_dims(arch: LlmArchitecture) -> bool:
@@ -109,7 +115,7 @@ def count_moe(
             for g in arch.expert_groups
         )
         total = (1.0 - rho) * 12 * l * h * h + rho * l * per_moe_layer
-        return ParameterCount(round(total), ParameterEquation.MOE_STANDARD)
+        return _parameter_count((round(total), ParameterEquation.MOE_STANDARD))
 
     if arch.ff_size is None:  # only a forced general route gets here without it
         raise ModelError(f"{arch.name}: parameter model needs ff_size for kind moe")
@@ -118,7 +124,7 @@ def count_moe(
         for g in arch.expert_groups
     )
     total = rho * l * expert_per_layer * arch.ff_stacks
-    return ParameterCount(round(total), ParameterEquation.MOE_GENERAL)
+    return _parameter_count((round(total), ParameterEquation.MOE_GENERAL))
 
 
 def count_params(
@@ -131,21 +137,19 @@ def count_params(
     is a :class:`ModelError` here.
     """
     try:
-        pcount = _count(arch, force_moe_equation)
+        # LlmArchitecture checked every field this reads when it was built.
+        if arch.explicit_param_count is not None:
+            pcount = _parameter_count((int(arch.explicit_param_count),
+                                       ParameterEquation.EXPLICIT))
+        elif arch.kind is ArchKind.DENSE_GPT:
+            pcount = count_dense_gpt(arch)
+        elif arch.kind is ArchKind.DENSE_ENCDEC:
+            pcount = count_dense_encdec(arch)
+        elif arch.kind is ArchKind.DENSE_DECONLY:
+            pcount = count_dense_deconly(arch)
+        else:
+            pcount = count_moe(arch, force_equation=force_moe_equation)
         float(pcount.total)
     except OverflowError:
         raise ModelError(f"{arch.name}: parameter count is beyond the float range") from None
     return pcount
-
-
-def _count(arch: LlmArchitecture, force_moe_equation: ParameterEquation | None) -> ParameterCount:
-    # LlmArchitecture checked every field this reads when it was built.
-    if arch.explicit_param_count is not None:
-        return ParameterCount(int(arch.explicit_param_count), ParameterEquation.EXPLICIT)
-    if arch.kind is ArchKind.DENSE_GPT:
-        return count_dense_gpt(arch)
-    if arch.kind is ArchKind.DENSE_ENCDEC:
-        return count_dense_encdec(arch)
-    if arch.kind is ArchKind.DENSE_DECONLY:
-        return count_dense_deconly(arch)
-    return count_moe(arch, force_equation=force_moe_equation)

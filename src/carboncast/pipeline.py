@@ -18,11 +18,16 @@ fitted anchor curve and the checked device sizing. It raises a fault of its
 own once, as ``[efficiency-model]``.
 
 The model stages run in one chain, ``_stages(arch, tokens, phase,
-setting)``, on plain values from the private cores that the public stage
-functions wrap: ``scaling._loss`` (``test_loss``), ``flops._training`` and
-``flops._inference`` (the FLOP functions), ``efficiency._plan_degrees``
-(``plan_parallelism``), ``efficiency._at_count`` (``efficiency_at_count``)
-and ``operational._seconds`` (``device_time``). Their inputs are values the
+setting)``, on plain values. Three public stage functions run by their
+module-level names: ``count_params``, ``optimal_efficiency`` and
+``operational_carbon``. The benchmark's layer tracer (``bench/spans.py``)
+times a stage by rebinding such a name, so these stay visible to it; the two
+that take a float admit a checked one in one comparison chain. The rest runs
+on the private cores that the public functions wrap: ``scaling._loss``
+(``test_loss``), ``flops._training`` and ``flops._inference`` (the FLOP
+functions), ``efficiency._plan_degrees`` (``plan_parallelism``),
+``efficiency._at_count`` (``efficiency_at_count``) and
+``operational._seconds`` (``device_time``). Their inputs are values the
 chain or the setting has checked, so no core checks them again. The chain
 names every fault it meets by its stage, then checks the values a report
 would, with the same messages. ``estimate()`` and ``estimate_lifecycle()``
@@ -56,6 +61,7 @@ from .operational import StorageWorkload, _seconds, operational_carbon, storage_
 from .params import count_dense_gpt, count_params
 from .scaling import _loss
 from .types import (
+    ArchKind,
     CarbonReport,
     DataCenterProfile,
     FleetEntry,
@@ -150,11 +156,9 @@ class SweepPoint(NamedTuple):
     dominated: bool = False
 
 
-def _flop_param_count(arch, full_count: int, is_moe: bool) -> float:
-    """Parameter count that drives FLOPs and efficiency: the dense base model
-    for MoE (``is_moe``)."""
-    if not is_moe:
-        return float(full_count)
+def _moe_flop_param_count(arch) -> float:
+    """Parameter count that drives an MoE model's FLOPs and efficiency: its
+    dense base model's. A dense model's is its own count."""
     if arch.base_model_param_count is not None:  # a finite number, checked when built
         return float(arch.base_model_param_count)
     try:
@@ -280,15 +284,19 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
     last, with the report's message.
 
     The public ``count_params``, ``optimal_efficiency`` and
-    ``operational_carbon`` run by name; the rest runs on the private cores
-    ``_loss``, ``_training``/``_inference``, ``_plan_degrees``, ``_at_count``
-    and ``_seconds``, on values already checked.
+    ``operational_carbon`` run by their module-level names, so the layer
+    tracer, which rebinds those names, times them. The rest runs on the
+    private cores ``_loss``, ``_training``/``_inference``, ``_plan_degrees``,
+    ``_at_count`` and ``_seconds``, on values already checked. A sweep point
+    of a dense model runs 13 Python frames: this one, those eight functions,
+    its count formula's (12 with an explicit count), ``_optimum``,
+    ``AnchorCurve.at`` and the report check.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
     try:
         total = count_params(arch).total
-        is_moe = arch.is_moe
+        is_moe = arch.kind is ArchKind.MOE
 
         loss = None
         if phase is Phase.TRAINING and tokens > 0:
@@ -299,10 +307,13 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
             loss = _loss(total, tokens, setting.scaling, is_moe)
 
         stage = "flop-model"
-        p_flops = None  # worked out where a stage first needs it
+        # An MoE's base count is worked out where a stage first needs it: a
+        # fault in it is that stage's.
+        p_flops = None if is_moe else float(total)
         flops = setting.overrides.measured_flops
         if flops is None:
-            p_flops = _flop_param_count(arch, total, is_moe)
+            if p_flops is None:
+                p_flops = _moe_flop_param_count(arch)
             flops = (_training_flops(p_flops, tokens) if phase is Phase.TRAINING
                      else _inference_flops(p_flops, tokens))
 
@@ -315,7 +326,7 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
         eff = setting.overrides.efficiency
         if eff is None:
             if p_flops is None:
-                p_flops = _flop_param_count(arch, total, is_moe)
+                p_flops = _moe_flop_param_count(arch)
             opt = optimal_efficiency(p_flops, is_moe=is_moe, anchors=setting.curve)
             pipeline, tensor, data, _ = degrees
             eff = _at_count(setting.device_count, tensor * pipeline * data, opt)
@@ -368,8 +379,11 @@ def sweep(
     errors: list[tuple[str, str]] = []
     for arch, tokens in grid:
         try:
-            if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
-                raise ModelError(f"sweep points need a finite positive token count, got {tokens!r}")
+            # One chain for the common valid case; the check admits the rest or names a fault.
+            if not (type(tokens) is float and 0.0 < tokens < inf):
+                if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
+                    raise ModelError("sweep points need a finite positive token count, "
+                                     f"got {tokens!r}")
             count, loss, _, _, _, _, _, carbon, _ = _stages(
                 arch, tokens, Phase.TRAINING, setting)
             rows.append((loss, carbon, arch.name, count, tokens))
@@ -377,7 +391,9 @@ def sweep(
             errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
 
     rows.sort(key=itemgetter(0, 1, 2))
-    points = [SweepPoint(name, count, tokens, loss, carbon, dominated)
+    # tuple.__new__ builds each point in C; SweepPoint() would run the named
+    # tuple's __new__, a Python function.
+    points = [tuple.__new__(SweepPoint, (name, count, tokens, loss, carbon, dominated))
               for (loss, carbon, name, count, tokens), dominated
               in zip(rows, _dominance_flags(rows))]
     return points, errors

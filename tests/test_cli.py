@@ -246,6 +246,15 @@ class TestEstimateCommand:
             "model error: [efficiency-model] the pipeline depth for 1e+308 parameters in "
             f"{float(memory)!r} GB devices overflows a float\n")
 
+    def test_an_infinite_hardware_energy_exits_3(self, tmp_path, capsys):
+        text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+        assert "system_power_watts: 330\n" in text
+        config = write_config(tmp_path, text.replace("system_power_watts: 330\n",
+                                                     "system_power_watts: 1.0e+308\n"))
+        assert main(["estimate", "--config", config]) == EXIT_MODEL_ERROR
+        assert capsys.readouterr() == (
+            "", "model error: hardware_energy_mwh must be finite and >= 0, got inf\n")
+
     @pytest.mark.parametrize("content, fault", [
         pytest.param(None, "[Errno 2] No such file or directory", id="missing"),
         pytest.param(b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0",
@@ -651,6 +660,38 @@ class TestYamlLoaders:
         path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 1, flow=False))
         assert self.run(capsys, ["estimate", "--config", path]) == (
             EXIT_CONFIG_ERROR, "", f"config error: {path}: nested deeper than 2000 levels\n")
+
+    @pytest.mark.parametrize("libyaml, message", [
+        pytest.param(True, "estimate.deep: unknown key", id="as-is"),
+        pytest.param(False, "{path}: nested deeper than the pure-Python YAML loader can compose",
+                     id="pure-python"),
+    ])
+    def test_a_document_500_deep_is_refused_only_by_the_pure_python_loader(
+            self, tmp_path, capsys, monkeypatch, libyaml, message):
+        # The pure-Python composer recurses in Python and runs out of stack
+        # far short of the 2,000-level limit; its refusal says so.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        path = write_config(tmp_path, nested_config(498, flow=False))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", f"config error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    def test_a_syntax_error_past_a_deep_part_is_named(self, tmp_path, capsys, monkeypatch,
+                                                      libyaml):
+        # 500 deep, then over the character count's limit and malformed: the
+        # pure-Python loader's depth walk meets the syntax error.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        text = nested_config(498, flow=False) + "pad: [" + "a: 1, " * 2500 + "\nbad: ]: ]\n"
+        assert cli._nesting_bound(text) > cli.MAX_NESTING
+        path = write_config(tmp_path, text)
+        code, out, err = self.run(capsys, ["estimate", "--config", path])
+        assert (code, out) == (EXIT_CONFIG_ERROR, "")
+        assert err.startswith(f"config error: {path}: not valid YAML: ")
+        assert f"line {text.count(chr(10))}, column " in err
 
     def test_libyaml_loads_a_document_at_the_nesting_limit(self, tmp_path, capsys):
         if not hasattr(yaml, "CSafeLoader"):

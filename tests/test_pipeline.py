@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+import sys
 
 import pytest
 import seeded
@@ -178,6 +179,21 @@ class TestEstimate:
             if "scaling" in change:
                 change = {**change, "scaling": ScalingConstants(**change["scaling"])}
             estimate(req.replace(**change))
+
+    def test_an_infinite_hardware_energy_fails_the_report_check(self):
+        # The GPT-3 example (docs/examples/gpt3_training.yaml) at 1e308 W a
+        # device: 10,000 of them draw an energy beyond the float range, which
+        # is not priced, so the report's check names it, with no stage.
+        hardware, _ = catalog.resolve_catalogs()
+        req = EstimateRequest(
+            arch=dense_arch("gpt3", 175e9), tokens=3.0e11,
+            fleet=HardwareFleet.of((hardware["V100"], 10000)),
+            data_center=DataCenterProfile(name="openai-dc", pue=1.1, carbon_intensity=0.429),
+            overrides=Overrides(measured_flops=3.14e23, efficiency=0.197, device_count=10000,
+                                system_power_watts=1e308))
+        with pytest.raises(ModelError) as raised:
+            estimate(req)
+        assert str(raised.value) == "hardware_energy_mwh must be finite and >= 0, got inf"
 
     @pytest.mark.parametrize("change, message", [
         ({"tokens": -1.0}, "tokens must be finite and >= 0, got -1.0"),
@@ -1087,6 +1103,44 @@ class TestSweepCosts:
                                           fleet=HardwareFleet.of((v100(), 64)), data_center=dc()))
         assert calls == {"sizing": 2, "plans": 1}
         assert report.parallelism == efficiency.plan_parallelism(20e9)
+
+    def test_a_valid_dense_point_runs_at_most_13_python_frames(self):
+        # The sys.setprofile "call" events of a 2,000-point sweep less those
+        # of a 1,000-point one, per extra point: the stage chain, the
+        # functions it runs and the report check.
+        rng = random.Random(73)
+        kinds = (ArchKind.DENSE_GPT, ArchKind.DENSE_ENCDEC, ArchKind.DENSE_DECONLY)
+
+        def point(i):
+            if i % 4 == 0:
+                return dense_arch(f"m{i}", 10 ** rng.uniform(8, 12)), 10 ** rng.uniform(10, 12)
+            h = 64 * rng.randint(8, 128)
+            arch = LlmArchitecture(name=f"m{i}", kind=kinds[i % 3], hidden_size=h,
+                                   layer_count=rng.randint(4, 96), vocab_size=50257,
+                                   head_count=h // 64, head_dim=64, ff_size=4 * h)
+            return arch, float(round(10 ** rng.uniform(10, 12)))
+
+        fleet, center = HardwareFleet.of((v100(), 2048), (cpu(), 256)), dc()
+
+        def calls(grid):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                points, errors = sweep(grid, fleet, center)
+            finally:
+                sys.setprofile(previous)
+            assert len(points) == len(grid) and errors == []
+            return count
+
+        small, large = [point(i) for i in range(1000)], [point(i) for i in range(2000)]
+        calls(small)  # the first sweep reads and fits the packaged anchor table
+        assert (calls(large) - calls(small)) / 1000 <= 13
 
     def test_estimate_is_the_same_before_and_after_the_anchor_cache_is_warm(self):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
