@@ -97,7 +97,7 @@ def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
 
 
 # PyYAML composes a document recursively: libyaml's composer in C, so a very
-# deep document crashes the process, and the pure-Python one in Python.
+# deep document would crash the process. Either loader refuses one deeper than this.
 MAX_NESTING = 2000
 
 
@@ -139,23 +139,16 @@ def _load_config(path: str, top_key: str) -> dict:
     # libyaml's parser when PyYAML was built with it; both loaders share the
     # Python constructor and resolver, so the values are the same.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    too_deep = f"{path}: nested deeper than {MAX_NESTING} levels"
     try:
-        try:
-            # libyaml's composer would crash the process on a text too deep,
-            # so a text that may be pays for the event pass. The pure-Python
-            # composer raises RecursionError a few hundred levels down instead.
-            if (loader is not yaml.SafeLoader and _nesting_bound(text) > MAX_NESTING
-                    and _nesting_depth(text, loader) > MAX_NESTING):
-                raise ConfigError(too_deep)
-            doc = yaml.load(text, Loader=loader)
-        except RecursionError:
-            # Say which limit the text passed: this one, or only the composer's.
-            # The walk reads on, so it may meet a syntax error first.
-            if _nesting_bound(text) > MAX_NESTING and _nesting_depth(text, loader) > MAX_NESTING:
-                raise ConfigError(too_deep) from None
-            raise ConfigError(f"{path}: nested deeper than the pure-Python YAML loader can "
-                              "compose") from None
+        # A text that may be too deep pays for the event pass before either
+        # composer sees it; the pass stops at its first syntax error too.
+        if _nesting_bound(text) > MAX_NESTING and _nesting_depth(text, loader) > MAX_NESTING:
+            raise ConfigError(f"{path}: nested deeper than {MAX_NESTING} levels")
+        doc = yaml.load(text, Loader=loader)
+    except RecursionError:
+        # The pure-Python composer recurses in Python and gives out first.
+        raise ConfigError(f"{path}: nested deeper than the pure-Python YAML loader can "
+                          "compose") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

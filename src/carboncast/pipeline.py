@@ -76,6 +76,7 @@ from .types import (
     check_count,
     check_non_negative,
     check_report_floats,
+    check_type,
     is_number,
     is_shape_count,
 )
@@ -115,10 +116,15 @@ class EstimateRequest(Record):
     anchors: list[tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
+        check_type(self.arch, "arch", LlmArchitecture, ModelError)
         check_non_negative(self.tokens, "tokens", ModelError)
+        check_type(self.fleet, "fleet", HardwareFleet, ModelError)
+        check_type(self.data_center, "data_center", DataCenterProfile, ModelError)
         if self.phase not in (Phase.TRAINING, Phase.INFERENCE):
             raise ModelError("phase must be training or inference, got " + (
                 self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
+        check_type(self.scaling, "scaling", ScalingConstants, ModelError)
+        check_type(self.overrides, "overrides", Overrides, ModelError)
 
 
 class LifecyclePlan(Record):
@@ -137,8 +143,11 @@ class LifecyclePlan(Record):
     storage: StorageWorkload | None = None
 
     def __post_init__(self) -> None:
+        check_type(self.training, "training", EstimateRequest, ModelError)
         for fname in ("inference_share", "experimentation_share"):
             check_non_negative(getattr(self, fname), fname, ModelError)
+        if self.storage is not None:
+            check_type(self.storage, "storage", StorageWorkload, ModelError)
         if self.training.phase is not Phase.TRAINING:
             raise ModelError(f"training request has phase {self.training.phase.value}, "
                              "expected training")

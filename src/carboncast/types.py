@@ -70,6 +70,13 @@ def check_count(value, label: str, error: type[ValueError]) -> None:
         raise error(f"{label} must be an integer >= 1, got {value!r}")
 
 
+def check_type(value, label: str, kind: type, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind``; the message names its type."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{label} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def plain_sum(values):
     """``sum(values)`` as Python 3.11 adds floats: left to right from 0. From
     3.12 ``sum()`` compensates (gh-100425), which can change the last bits;
@@ -419,7 +426,7 @@ class FleetEntry(Record):
         if not isinstance(unit, HardwareUnit):
             # A name is shown; Python formats no int of more than 4,300 digits.
             entry = f"fleet entry {unit!r}" if isinstance(unit, str) else "fleet entry"
-            raise CatalogError(f"{entry}: unit must be a HardwareUnit, got {type(unit).__name__}")
+            check_type(unit, f"{entry}: unit", HardwareUnit, CatalogError)
         # Only a count that may fail the check pays for formatting its label.
         if not (type(count) is int and 1 <= count <= float_info.max):
             check_count(count, f"{unit.name}: fleet count", CatalogError)
@@ -435,7 +442,12 @@ class HardwareFleet(Record):
     entries: tuple[FleetEntry, ...]
 
     def __post_init__(self) -> None:
-        accels = [e for e in self.entries if e.unit.role is HardwareRole.ACCELERATOR]
+        entries = self.entries
+        check_type(entries, "entries", tuple, CatalogError)
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, FleetEntry):  # only then is the label formatted
+                check_type(entry, f"entries[{i}]", FleetEntry, CatalogError)
+        accels = [e for e in entries if e.unit.role is HardwareRole.ACCELERATOR]
         if len(accels) > 1:
             names = ", ".join(e.unit.name for e in accels)
             raise CatalogError(f"fleet has multiple accelerator entries: {names}")
@@ -493,11 +505,14 @@ class ParallelismPlan(Record):
     expert: int = 1
 
     def __post_init__(self) -> None:
-        if self.pipeline >= 1 and self.tensor >= 1 and self.data >= 1 and self.expert >= 1:
+        pipeline, tensor, data, expert = self.pipeline, self.tensor, self.data, self.expert
+        top = float_info.max  # the chain admits the ints check_count admits
+        if (type(pipeline) is int and type(tensor) is int and type(data) is int
+                and type(expert) is int and 1 <= pipeline <= top and 1 <= tensor <= top
+                and 1 <= data <= top and 1 <= expert <= top):
             return  # one chain for the valid case; the loop names the fault
         for fname in ("pipeline", "tensor", "data", "expert"):
-            if getattr(self, fname) < 1:
-                raise ModelError(f"parallelism degree {fname} must be >= 1")
+            check_count(getattr(self, fname), f"parallelism degree {fname}", ModelError)
 
     @property
     def device_count(self) -> int:

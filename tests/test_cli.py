@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -692,6 +693,26 @@ class TestYamlLoaders:
         assert (code, out) == (EXIT_CONFIG_ERROR, "")
         assert err.startswith(f"config error: {path}: not valid YAML: ")
         assert f"line {text.count(chr(10))}, column " in err
+
+    def test_both_loaders_name_the_first_fault_of_a_text_over_the_bound(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # Over the character count's limit, then a second document that is
+        # malformed: the depth walk meets the syntax error before either
+        # composer could refuse the second document. The two parsers word
+        # the fault differently, so only its position is compared.
+        text = ((DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+                + "pad: [" + "a: 1, " * 2500 + "]\n---\nbad: ]: ]\n")
+        assert cli._nesting_bound(text) > cli.MAX_NESTING
+        path = write_config(tmp_path, text)
+        positions = []
+        for libyaml in (True, False):
+            if not libyaml:
+                monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+            code, out, err = self.run(capsys, ["estimate", "--config", path])
+            assert (code, out) == (EXIT_CONFIG_ERROR, "")
+            assert err.startswith(f"config error: {path}: not valid YAML: ")
+            positions.append(re.findall(r"line \d+, column \d+", err))
+        assert positions == [[f"line {text.count(chr(10))}, column 6"]] * 2
 
     def test_libyaml_loads_a_document_at_the_nesting_limit(self, tmp_path, capsys):
         if not hasattr(yaml, "CSafeLoader"):

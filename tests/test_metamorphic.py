@@ -1,0 +1,95 @@
+"""Metamorphic relations of the whole estimate chain.
+
+The golden pins show that the bits did not move, not that the model is
+right. These relations need no oracle: changing one input by a factor k must
+change certain outputs by exactly k, up to the rounding of the float chain,
+and leave others alone. They run over the seeded training requests of
+``seeded.inputs(11, 3000)`` that the chain prices and that carry no
+measured-FLOPs override (1,309 of them), each estimated once as drawn and
+once per k.
+
+- Tokens: training FLOPs are 6·P·D, so the duration, the hardware energy and
+  both the operational and the embodied tCO2 scale with the token count, and
+  more tokens never raise the loss.
+- Data center: operational tCO2 scales with the carbon intensity and
+  operational energy with the PUE; embodied tCO2 does not read the data
+  center at all, so it stays bit-identical.
+
+A relative error is given in units of 2**-52, the spacing of floats at 1.0.
+"""
+
+import pytest
+import seeded
+
+from carboncast.pipeline import EstimateRequest, estimate
+from carboncast.types import ModelError, Phase
+
+FACTORS = (0.1, 0.5, 2.0, 3.0, 7.3, 10.0)
+ULP = 2.0 ** -52
+
+# The token count passes through a few more roundings (FLOPs, seconds,
+# energy, carbon) than a data-center factor (one product each); the worst
+# seen over these inputs was about 3.2 and 1.4.
+TOKENS_BOUND = 4 * ULP
+DATA_CENTER_BOUND = 2 * ULP
+
+SCALED_BY_TOKENS = ("duration_seconds", "hardware_energy_mwh", "operational_tco2",
+                    "embodied_tco2", "total_tco2")
+
+
+@pytest.fixture(scope="module")
+def priced():
+    """(request, report) for each eligible seeded training request."""
+    pairs = []
+    for req in seeded.inputs(11, 3000):
+        if (isinstance(req, EstimateRequest) and req.phase is Phase.TRAINING
+                and req.overrides.measured_flops is None):
+            try:
+                pairs.append((req, estimate(req)))
+            except ModelError:
+                pass  # a seeded broken input
+    assert len(pairs) >= 500
+    return pairs
+
+
+def relative_error(scaled: float, base: float, k: float) -> float:
+    """How far ``scaled`` is from ``k * base``, relative to it."""
+    want = k * base
+    return abs(scaled - want) / want if want else abs(scaled)
+
+
+@pytest.mark.parametrize("k", FACTORS)
+def test_scaling_tokens_scales_carbon_energy_and_duration(priced, k):
+    for req, base in priced:
+        report = estimate(req.replace(tokens=req.tokens * k))
+        for field in SCALED_BY_TOKENS:
+            error = relative_error(getattr(report, field), getattr(base, field), k)
+            assert error <= TOKENS_BOUND, (
+                f"{req.arch.name}: {field} off by {error / ULP:.2f} ulp at k={k}")
+        # More tokens never raise the loss; fewer never lower it.
+        assert (report.test_loss <= base.test_loss if k > 1
+                else report.test_loss >= base.test_loss), req.arch.name
+
+
+@pytest.mark.parametrize("k", FACTORS)
+def test_scaling_carbon_intensity_scales_operational_carbon(priced, k):
+    for req, base in priced:
+        center = req.data_center
+        report = estimate(req.replace(
+            data_center=center.replace(carbon_intensity=center.carbon_intensity * k)))
+        error = relative_error(report.operational_tco2, base.operational_tco2, k)
+        assert error <= DATA_CENTER_BOUND, (
+            f"{req.arch.name}: operational_tco2 off by {error / ULP:.2f} ulp at k={k}")
+        assert report.embodied_tco2 == base.embodied_tco2, req.arch.name
+
+
+# A PUE below 1 is refused, and the seeded PUEs lie in [1.05, 1.6].
+@pytest.mark.parametrize("k", [k for k in FACTORS if k > 1])
+def test_scaling_pue_scales_operational_energy(priced, k):
+    for req, base in priced:
+        center = req.data_center
+        report = estimate(req.replace(data_center=center.replace(pue=center.pue * k)))
+        error = relative_error(report.operational_energy_mwh, base.operational_energy_mwh, k)
+        assert error <= DATA_CENTER_BOUND, (
+            f"{req.arch.name}: operational_energy_mwh off by {error / ULP:.2f} ulp at k={k}")
+        assert report.embodied_tco2 == base.embodied_tco2, req.arch.name

@@ -354,6 +354,54 @@ REPRS = [
 ]
 
 
+class TestFieldTypes:
+    """A record field of the wrong type fails when the record is built, with
+    the record's own error, not later as an AttributeError in a stage."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: request(arch="x"), ModelError,
+                     "arch must be a LlmArchitecture, got str", id="request-arch"),
+        pytest.param(lambda: request(fleet=[1]), ModelError,
+                     "fleet must be a HardwareFleet, got list", id="request-fleet"),
+        pytest.param(lambda: request(data_center="us-central1"), ModelError,
+                     "data_center must be a DataCenterProfile, got str", id="request-data-center"),
+        pytest.param(lambda: request(scaling={}), ModelError,
+                     "scaling must be a ScalingConstants, got dict", id="request-scaling"),
+        pytest.param(lambda: request(overrides={}), ModelError,
+                     "overrides must be an Overrides, got dict", id="request-overrides"),
+        # Fields are checked in field order.
+        pytest.param(lambda: request(arch="x", tokens=-1.0), ModelError,
+                     "arch must be a LlmArchitecture, got str", id="request-arch-before-tokens"),
+        pytest.param(lambda: request(tokens=-1.0, fleet=[1]), ModelError,
+                     "tokens must be finite and >= 0, got -1.0", id="request-tokens-before-fleet"),
+        pytest.param(lambda: LifecyclePlan(training="x"), ModelError,
+                     "training must be an EstimateRequest, got str", id="lifecycle-training"),
+        pytest.param(lambda: LifecyclePlan(request(), storage={}), ModelError,
+                     "storage must be a StorageWorkload, got dict", id="lifecycle-storage"),
+        pytest.param(lambda: HardwareFleet([FleetEntry(GPU, 8)]), CatalogError,
+                     "entries must be a tuple, got list", id="fleet-list"),
+        pytest.param(lambda: HardwareFleet((FleetEntry(GPU, 8), 1)), CatalogError,
+                     "entries[1] must be a FleetEntry, got int", id="fleet-entry"),
+        pytest.param(lambda: ParallelismPlan("x", 1, 1), ModelError,
+                     "parallelism degree pipeline must be an integer >= 1, got 'x'",
+                     id="plan-str"),
+        pytest.param(lambda: ParallelismPlan(True, 1, 1), ModelError,
+                     "parallelism degree pipeline must be an integer >= 1, got True",
+                     id="plan-bool"),
+        pytest.param(lambda: ParallelismPlan(1, 1, 2.5), ModelError,
+                     "parallelism degree data must be an integer >= 1, got 2.5", id="plan-float"),
+        pytest.param(lambda: ParallelismPlan(1, 0, 1), ModelError,
+                     "parallelism degree tensor must be an integer >= 1, got 0", id="plan-zero"),
+        pytest.param(lambda: ParallelismPlan(1, 1, 1, 10 ** 400), ModelError,
+                     "parallelism degree expert is beyond the float range", id="plan-long-int"),
+    ])
+    def test_a_field_of_the_wrong_type_is_refused_by_name(self, build, error, message):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
 class TestRecord:
     """The value types are records: built by keyword or position, compared,
     hashed and printed by their fields, and never changed in place."""
