@@ -4,7 +4,7 @@ the typed reader of config sections and catalog rows.
 Catalog files are plain UTF-8 CSV with a header row, '.' decimals and no
 thousands separators. The packaged defaults in ``carboncast/data`` cover the
 commonly published accelerators and Google Cloud regions; user catalogs can
-extend or shadow them (later wins, by name).
+extend or shadow them (later wins, by name), each file giving a name once.
 
 Every loader reads a text stream through one row reader: it checks the
 header's stripped cells, skips blank rows and names the row of any fault.
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .types import (CatalogError, ConfigError, DataCenterProfile, HardwareRole, HardwareUnit,
-                    ModelError, Record)
+                    ModelError, Record, shown)
 
 HARDWARE_FIELDS = [
     "name", "role", "peak_tflops", "tdp_watts", "avg_system_power_watts",
@@ -71,18 +71,18 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
 def _num(tp: type, value, path: str):
     """A finite float, or a whole int when ``tp`` is int; numeric strings count."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {shown(value)}")
     try:
         number = float(value)
     except ValueError:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+        raise ConfigError(f"{path}: expected a number, got {shown(value)}") from None
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {shown(value)}")
     if tp is int:
         if not number.is_integer():
-            raise ConfigError(f"{path}: expected a whole number, got {value!r}")
+            raise ConfigError(f"{path}: expected a whole number, got {shown(value)}")
         return int(number)
     return number
 
@@ -109,7 +109,7 @@ def _coerce(tp, value, path: str):
             raise ConfigError(f"{path}: must be one of {valid}") from None
     if tp is str:  # a name; YAML reads an unquoted 123, null or .nan as no string
         if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
+            raise ConfigError(f"{path}: expected a string, got {shown(value)}")
         return value
     return _num(tp, value, path)
 
@@ -181,8 +181,8 @@ def _table(fh: TextIO, fields: list[str], label: str,
     must be ``fields``; blank rows are skipped, and ``build`` gets each
     other row as a mapping from column to stripped cell, blank cells left
     out. A row with fewer cells than the header, a non-blank cell beyond it,
-    or a row that ``build`` rejects raises CatalogError as ``<label> row N:
-    <fault>``.
+    a row that ``build`` rejects, or a row whose ``name`` an earlier row of
+    the table gives raises CatalogError as ``<label> row N: <fault>``.
     """
     rows = csv.reader(fh)
     header = next(rows, None)
@@ -191,6 +191,7 @@ def _table(fh: TextIO, fields: list[str], label: str,
     if [c.strip() for c in header] != fields:
         raise CatalogError(f"{label}: bad header {header!r}, expected {fields!r}")
     out = []
+    row_of = {}  # name -> the row that gives it
     for lineno, row in enumerate(rows, start=2):
         cells = [c.strip() for c in row]
         if not any(cells):
@@ -198,7 +199,14 @@ def _table(fh: TextIO, fields: list[str], label: str,
         try:
             if len(cells) < len(fields) or any(cells[len(fields):]):
                 raise ValueError(f"{len(cells)} cells, expected {len(fields)}")
-            out.append(build({f: c for f, c in zip(fields, cells) if c}))
+            by_column = {f: c for f, c in zip(fields, cells) if c}
+            name = by_column.get("name")
+            out.append(build(by_column))
+            if name is not None:
+                if name in row_of:
+                    # Later wins across files; within one, a repeat is a slip.
+                    raise ValueError(f"repeats the name {name!r} of row {row_of[name]}")
+                row_of[name] = lineno
         except ValueError as exc:
             raise CatalogError(f"{label} row {lineno}: {exc}") from exc
     return out

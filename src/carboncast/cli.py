@@ -35,6 +35,7 @@ from .types import (
     HardwareFleet,
     LlmArchitecture,
     ModelError,
+    shown,
 )
 
 SCHEMA_VERSION = 1
@@ -156,7 +157,7 @@ def _load_config(path: str, top_key: str) -> dict:
     _check_keys(doc, {"schema", top_key}, path)
     version = doc.get("schema")
     if type(version) is not int or version != SCHEMA_VERSION:  # YAML true and 1.0 are no 1
-        raise ConfigError(f"{path}.schema: expected {SCHEMA_VERSION}, got {version!r}")
+        raise ConfigError(f"{path}.schema: expected {SCHEMA_VERSION}, got {shown(version)}")
     if top_key not in doc:
         raise ConfigError(f"{path}.{top_key}: required")
     return doc[top_key]

@@ -40,10 +40,11 @@ count differs from n or not).
 from __future__ import annotations
 
 import math
+from sys import float_info
 
 from .catalog import default_anchors
 from .types import (ModelError, ParallelismPlan, check_count, is_number, is_shape_count,
-                    plain_sum)
+                    plain_sum, shown)
 
 DEFAULT_SERVER_SIZE = 8           # devices per server sharing fast interconnect
 DEFAULT_DEVICE_MEMORY_GB = 32.0   # published 175 B optimum assumed 32 GB parts
@@ -99,6 +100,10 @@ def plan_parallelism(
 def _check_sizing(device_memory_gb: float, server_size: int) -> None:
     """Raise a ``ModelError`` unless the device memory is a finite positive
     number of GB and the server size a count."""
+    # One chain for the common valid case; the checks below name a fault.
+    if (type(device_memory_gb) is float and 0.0 < device_memory_gb < math.inf
+            and type(server_size) is int and 1 <= server_size <= float_info.max):
+        return
     if not (is_number(device_memory_gb, "device_memory_gb", ModelError)
             and device_memory_gb > 0.0):
         raise ModelError("device_memory_gb must be positive")
@@ -227,7 +232,7 @@ def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
             p, e = anchor
         except (TypeError, ValueError):  # not a pair
             raise ModelError(f"efficiency anchor {i}: expected a (param_count, efficiency) "
-                             f"pair, got {_shown(anchor)}") from None
+                             f"pair, got {shown(anchor)}") from None
         if not (type(p) is float and type(e) is float and 0.0 < p < math.inf
                 and 0.0 < e <= 1.0):
             label = f"efficiency anchor {i}"
@@ -249,15 +254,6 @@ def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
     if len(xs) >= 3:
         return AnchorCurve(parabola=_quadratic_fit(xs, ys))
     return AnchorCurve(xs, ys)
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or its type's name where Python cannot format it (an
-    int of more than 4,300 digits, say)."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"a {type(value).__name__}"
 
 
 # A basis column that keeps no more than this share of its norm once the

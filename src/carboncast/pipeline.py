@@ -15,7 +15,9 @@ Everything of a request but its architecture, token count and phase is
 made once, up front, in a ``_Setting``: the fleet priced per second of
 execution, the data center, the overrides, the scaling constants, the
 fitted anchor curve and the checked device sizing. It raises a fault of its
-own once, as ``[efficiency-model]``.
+own once, as ``[efficiency-model]``. Pricing the fleet reads each unit's
+kg and lifetime seconds, which the unit worked out when it was built, and
+converts its watts to MWh inline.
 
 The model stages run in one chain, ``_stages(arch, tokens, phase,
 setting)``, on plain values. Three public stage functions run by their
@@ -34,7 +36,9 @@ would, with the same messages. ``estimate()`` and ``estimate_lifecycle()``
 build their report in one pass from the stage values (``_report``): the
 lifecycle weights them and adds its storage part, the one place storage is
 priced. ``sweep()`` builds no report; it flags the Pareto-dominated points
-and returns each as a ``SweepPoint`` named tuple.
+and returns each as a ``SweepPoint`` named tuple. Both build their named
+tuples (a report's line items, the sweep's points) with
+``tuple.__new__``, in C, not through the named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
@@ -214,9 +218,10 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
                        req.server_size, req.overrides, req.scaling)
     _, loss, degrees, eff, seconds, hardware, facility, carbon, embodied = _stages(
         req.arch, req.tokens, req.phase, setting)
-    # Each entry's energy as _stages adds it into ``hardware``.
-    items = [LineItem(unit, count, weight * ((measured + tdp * eff) * seconds),
-                      weight * (unit_embodied * seconds))
+    # Each entry's energy as _stages adds it into ``hardware``. tuple.__new__
+    # builds each item in C, as sweep() builds its points.
+    items = [tuple.__new__(LineItem, (unit, count, weight * ((measured + tdp * eff) * seconds),
+                                      weight * (unit_embodied * seconds)))
              for unit, count, measured, tdp, unit_embodied in setting.rates]
     duration, hardware, facility, carbon, embodied = (
         weight * seconds, weight * hardware, weight * facility, weight * carbon, weight * embodied)
@@ -228,7 +233,8 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
                             part_carbon, 1.0, None)
         duration, hardware = duration + part_seconds, hardware + part_hardware
         facility, carbon = facility + part_facility, carbon + part_carbon
-        items += (LineItem("storage", 1, stored), LineItem("transfer", 1, moved))
+        items += (tuple.__new__(LineItem, ("storage", 1, stored, 0.0)),
+                  tuple.__new__(LineItem, ("transfer", 1, moved, 0.0)))
     # By position, in field order: a record given every field that way is
     # filled in without matching keywords to fields.
     return CarbonReport(phase, duration, hardware, facility, carbon, embodied, carbon + embodied,
@@ -275,7 +281,7 @@ class _Setting:
         for e, tco2 in zip(fleet.entries, per_entry):
             power = unit_power(e.unit, overrides.system_power_watts if e is accel else None)
             watts, measured = power or (0.0, False)
-            rate = units.joules_to_mwh(watts * e.count)
+            rate = watts * e.count / units.JOULES_PER_MWH  # joules_to_mwh, bit for bit
             rates.append((e.unit.name, e.count, *((rate, 0.0) if measured else (0.0, rate)), tco2))
         rates.append(("others", 0, 0.0, 0.0, others))
         self.data_center, self.overrides, self.scaling = data_center, overrides, scaling

@@ -29,6 +29,8 @@ from operator import attrgetter
 from sys import float_info
 from typing import NamedTuple
 
+from .units import SECONDS_PER_YEAR
+
 
 class CatalogError(ValueError):
     """A hardware unit or data-center profile violates its invariants."""
@@ -73,8 +75,29 @@ def check_count(value, label: str, error: type[ValueError]) -> None:
 def check_type(value, label: str, kind: type, error: type[ValueError]) -> None:
     """Raise ``error`` unless ``value`` is a ``kind``; the message names its type."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise error(f"{label} must be {article} {kind.__name__}, got {type(value).__name__}")
+        raise error(f"{label} must be {_with_article(kind)}, got {type(value).__name__}")
+
+
+def _with_article(kind: type) -> str:
+    """The name of ``kind`` after its indefinite article: ``an int``, ``a tuple``."""
+    name = kind.__name__
+    return f"{'an' if name[0] in 'AEIOUaeiou' else 'a'} {name}"
+
+
+# The longest repr of a value that a message shows.
+SHOWN_LIMIT = 80
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message, at most ``SHOWN_LIMIT`` characters long.
+    A value with a longer repr, or one Python cannot format (an int of more
+    than 4,300 digits, or a list nested past the recursion limit), is named
+    by its type: ``a list``."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):
+        return _with_article(type(value))
+    return text if len(text) <= SHOWN_LIMIT else _with_article(type(value))
 
 
 def plain_sum(values):
@@ -366,7 +389,10 @@ class HardwareUnit(Record):
     Embodied carbon is priced by exactly one basis, resolved in this order:
     a direct per-unit override in kg, die area (mm^2) times CPA (kg per cm^2),
     or capacity (GB) times CPA (kg per GB). ``embodied_basis`` names it
-    (``'override'``, ``'area'`` or ``'gb'``); it is not a field.
+    (``'override'``, ``'area'`` or ``'gb'``), ``embodied_kg`` is one unit's
+    manufacturing kgCO2eq by it and ``lifetime_seconds`` its lifetime in
+    seconds; they are not fields. A kg that overflows to inf builds: pricing
+    the unit's entry fails, with the report's message.
     """
 
     name: str
@@ -398,21 +424,24 @@ class HardwareUnit(Record):
         if self.cpa_basis == "gb" and (self.capacity_gb is None or self.cpa is None):
             raise CatalogError(f"{self.name}: gb basis needs capacity_gb and cpa")
         if self.embodied_kg_override is not None:
-            basis = "override"
+            basis, kg = "override", float(self.embodied_kg_override)
         elif self.cpa_basis == "area" or (
             self.cpa_basis is None and self.die_area_mm2 is not None and self.cpa is not None
         ):
-            basis = "area"
+            basis, kg = "area", (self.die_area_mm2 / 100.0) * self.cpa  # mm^2 -> cm^2
         elif self.cpa_basis == "gb" or (
             self.cpa_basis is None and self.capacity_gb is not None and self.cpa is not None
         ):
-            basis = "gb"
+            basis, kg = "gb", self.capacity_gb * self.cpa
         else:
             raise CatalogError(
                 f"{self.name}: no embodied pricing basis "
                 "(need embodied_kg_override, area+cpa, or capacity+cpa)"
             )
-        object.__setattr__(self, "embodied_basis", basis)
+        set_attribute = object.__setattr__
+        set_attribute(self, "embodied_basis", basis)
+        set_attribute(self, "embodied_kg", kg)
+        set_attribute(self, "lifetime_seconds", self.lifetime_years * SECONDS_PER_YEAR)
 
 
 class FleetEntry(Record):

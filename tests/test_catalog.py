@@ -3,11 +3,14 @@
 import functools
 import inspect
 import io
+from pathlib import Path
 
 import pytest
 
 from carboncast import catalog, cli, sweep
 from carboncast.types import CatalogError, HardwareRole, LlmArchitecture
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 class TestHardwareCatalog:
@@ -206,6 +209,40 @@ class TestRowLength:
     ], ids=["hardware", "datacenter", "anchor"])
     def test_blank_rows_and_trailing_blank_cells_load(self, load, text, count):
         assert len(load(io.StringIO(text))) == count
+
+
+# Within one file a name is given once; across files the later one wins.
+class TestRepeatedNames:
+    @pytest.mark.parametrize("load, text, message", [
+        (catalog.load_hardware,
+         HARDWARE_HEAD + "\nXLM-DRAM,dram,,,,,,,,102.4,5\nXLM-SSD,ssd,,,,,,,,576,5\n"
+         "XLM-DRAM,dram,,,,,,,,102.4,3\n",
+         "hardware catalog row 4: repeats the name 'XLM-DRAM' of row 2"),
+        (catalog.load_datacenters, DATACENTER_HEAD + "\n dc ,1.1,0.4\n\ndc,1.2,0.3\n",
+         "data-center catalog row 4: repeats the name 'dc' of row 2"),
+    ], ids=["hardware", "datacenter"])
+    def test_a_name_given_twice_in_one_file_is_refused(self, load, text, message):
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            load(io.StringIO(text))
+
+    def test_a_repeated_row_in_a_user_catalog_exits_2(self, tmp_path, capsys):
+        text = (EXAMPLES / "xlm_cluster_hardware.csv").read_text(encoding="utf-8")
+        path = tmp_path / "hw.csv"
+        path.write_text(text + "XLM-DRAM,dram,,,,,,,,102.4,3\n", encoding="utf-8")
+        code = cli.main(["lifecycle", "--config", str(EXAMPLES / "lifecycle_green_grid.yaml"),
+                         "--catalog", str(path)])
+        assert (code, capsys.readouterr().err) == (
+            cli.EXIT_CONFIG_ERROR,
+            "catalog error: hardware catalog row 4: repeats the name 'XLM-DRAM' of row 3\n")
+
+    def test_across_files_the_later_row_still_wins(self, tmp_path):
+        paths = []
+        for i, lifetime in enumerate((5, 3)):
+            paths.append(tmp_path / f"hw{i}.csv")
+            paths[-1].write_text(HARDWARE_HEAD + f"\nXLM-DRAM,dram,,,,,,,,102.4,{lifetime}\n",
+                                 encoding="utf-8")
+        units, _ = catalog.resolve_catalogs(paths)
+        assert units["XLM-DRAM"].lifetime_years == 3
 
 
 def _point(architecture: LlmArchitecture, tokens: float = 1.0, *, note: str = "",

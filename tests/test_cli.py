@@ -714,6 +714,25 @@ class TestYamlLoaders:
             positions.append(re.findall(r"line \d+, column \d+", err))
         assert positions == [[f"line {text.count(chr(10))}, column 6"]] * 2
 
+    @pytest.mark.parametrize("libyaml, message", [
+        pytest.param(True, "estimate.tokens: expected a number, got a list", id="as-is"),
+        pytest.param(False, "{path}: nested deeper than the pure-Python YAML loader can compose",
+                     id="pure-python"),
+    ])
+    def test_a_number_field_nested_1000_deep_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     libyaml, message):
+        # Within the nesting limit, so libyaml composes it; the message names
+        # the value by its type, as its repr would run past the recursion limit.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+        deep = "[" * 1000 + "3.0e+11" + "]" * 1000
+        path = write_config(tmp_path, text.replace("tokens: 3.0e+11", f"tokens: {deep}"))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", f"config error: {message.format(path=path)}\n")
+
     def test_libyaml_loads_a_document_at_the_nesting_limit(self, tmp_path, capsys):
         if not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML is built without libyaml")

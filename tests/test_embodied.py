@@ -1,15 +1,42 @@
 """Embodied carbon: per-chip pricing and fleet attribution."""
 
+import io
 import math
+import pickle
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from carboncast import units
+from carboncast import catalog, units
 from carboncast.embodied import chip_embodied, fleet_embodied
-from carboncast.types import HardwareFleet, HardwareRole, HardwareUnit, ModelError
+from carboncast.pipeline import EstimateRequest, estimate
+from carboncast.types import (ArchKind, DataCenterProfile, HardwareFleet, HardwareRole,
+                              HardwareUnit, LlmArchitecture, ModelError)
 from carboncast.validation import XLM_EMBODIED_FLEET, XLM_TRAINING_DAYS
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+def every_catalog_unit() -> list[HardwareUnit]:
+    """The packaged units and those of the example catalogs."""
+    found = catalog.default_hardware()
+    for path in sorted(EXAMPLES.glob("*.csv")):
+        found += catalog.load_hardware(io.StringIO(path.read_text(encoding="utf-8")))
+    return found
+
+
+def priced_as_before(unit: HardwareUnit) -> tuple[float, float]:
+    """A unit's kg and lifetime seconds by the formulas pricing once ran on
+    every call: the reference for the constants a unit now keeps."""
+    if unit.embodied_kg_override is not None:
+        kg = float(unit.embodied_kg_override)
+    elif unit.embodied_basis == "area":
+        kg = (unit.die_area_mm2 / 100.0) * unit.cpa
+    else:
+        kg = unit.capacity_gb * unit.cpa
+    return kg, units.years_to_seconds(unit.lifetime_years)
 
 
 class TestChipEmbodied:
@@ -39,6 +66,40 @@ class TestChipEmbodied:
                            capacity_gb=32768, cpa=0.4, cpa_basis="gb",
                            embodied_kg_override=576.0)
         assert chip_embodied(ssd) == 576.0
+
+
+class TestUnitConstants:
+    """A unit's kg and lifetime seconds are worked out once, when it is built."""
+
+    @pytest.mark.parametrize("unit", every_catalog_unit(), ids=lambda unit: unit.name)
+    def test_stored_constants_are_the_old_formulas_bit_for_bit(self, unit):
+        kg, seconds = priced_as_before(unit)
+        assert chip_embodied(unit) is unit.embodied_kg
+        # A pickled copy carries them; replace() works them out anew.
+        for again in (unit, pickle.loads(pickle.dumps(unit)), unit.replace()):
+            assert again.embodied_kg.hex() == kg.hex()
+            assert again.lifetime_seconds.hex() == seconds.hex()
+
+    def test_replace_works_them_out_anew(self):
+        v100 = catalog.resolve_catalogs()[0]["V100"]
+        changed = v100.replace(cpa=2.4, lifetime_years=2.5)
+        assert changed.embodied_kg == priced_as_before(changed)[0] == 2 * v100.embodied_kg
+        assert changed.lifetime_seconds == v100.lifetime_seconds / 2
+
+    def test_a_kg_that_overflows_builds_and_fails_only_when_priced(self):
+        # die area times CPA overflows to inf: the unit builds, as it always
+        # has, and an estimate on it stops at the report check.
+        big = HardwareUnit(name="big", role=HardwareRole.ACCELERATOR, peak_tflops=125,
+                           tdp_watts=300, die_area_mm2=1e300, cpa=1e300, cpa_basis="area")
+        assert big.embodied_kg == math.inf
+        req = EstimateRequest(
+            arch=LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT,
+                                 explicit_param_count=20_000_000_000),
+            tokens=200e9, fleet=HardwareFleet.of((big, 8)),
+            data_center=DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.429))
+        with pytest.raises(ModelError,
+                           match=r"^embodied_tco2 must be finite and >= 0, got inf$"):
+            estimate(req)
 
 
 class TestFleetEmbodied:

@@ -1150,6 +1150,32 @@ class TestSweepCosts:
         assert estimate(req) == cold
 
 
+class TestEstimateCosts:
+    def test_a_packaged_anchor_dense_estimate_runs_at_most_28_python_frames(self):
+        # The sys.setprofile "call" events of one estimate() on a three-entry
+        # fleet: the setting prices each entry with one unit_power and reads
+        # its unit's stored kg and lifetime, and the line items are built in C.
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
+                              fleet=HardwareFleet.of((v100(), 64), (cpu(), 8),
+                                                     (HOST_UNITS["ssd"], 4)),
+                              data_center=dc())
+        estimate(req)  # the first estimate reads and fits the packaged anchor table
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            report = estimate(req)
+        finally:
+            sys.setprofile(previous)
+        assert [item.unit for item in report.line_items] == ["V100", "CPU", "SSD", "others"]
+        assert count <= 28
+
+
 class TestAcceleratorComparison:
     def test_newer_accelerators_cut_operational_carbon(self):
         # Same workload, different chip: TDP per delivered FLOP decides.

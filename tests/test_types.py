@@ -29,6 +29,7 @@ from carboncast.types import (
     Record,
     ScalingConstants,
     plain_sum,
+    shown,
 )
 from carboncast.flops import FlopBudget
 from carboncast.operational import StorageWorkload
@@ -521,6 +522,30 @@ class TestUnits:
         assert units.days_to_seconds(1) == 86_400
         assert units.seconds_to_days(units.days_to_seconds(20.4)) == pytest.approx(20.4)
         assert units.years_to_seconds(5) == pytest.approx(5 * 365.25 * 86_400)
+
+
+class TestShown:
+    @pytest.mark.parametrize("value", [None, True, "low", "", [1, 2], {"a": 1}, 2.5, math.nan,
+                                       10 ** 79, "x" * 78])
+    def test_an_ordinary_value_is_its_repr(self, value):
+        assert shown(value) == repr(value)
+
+    @pytest.mark.parametrize("value, name", [
+        (10 ** 80, "an int"),  # 81 digits: past the limit
+        (10 ** 5000, "an int"),  # Python formats no int of more than 4,300 digits
+        ("x" * 79, "a str"),
+        (list(range(100)), "a list"),
+    ], ids=["int-81-digits", "int-5001-digits", "str", "list"])
+    def test_a_value_past_the_limit_is_named_by_its_type(self, value, name):
+        assert shown(value) == name
+
+    def test_a_list_nested_past_the_recursion_limit_is_named_by_its_type(self):
+        deep = []
+        for _ in range(sys.getrecursionlimit() + 10):
+            deep = [deep]
+        with pytest.raises(RecursionError):
+            repr(deep)
+        assert shown(deep) == "a list"
 
 
 class TestPlainSum:
