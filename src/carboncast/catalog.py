@@ -266,7 +266,8 @@ def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[
     """Build name-indexed catalogs: packaged defaults, then the directory
     named by $CARBONCAST_CATALOG_DIR (hardware.csv / datacenters.csv), then
     any explicit extra paths. Later sources win on name collisions. A file
-    that cannot be read as UTF-8 text raises CatalogError naming its path.
+    that cannot be read as UTF-8 text, or whose header or rows are at fault,
+    raises CatalogError naming its path.
     """
     units = {u.name: u for u in default_hardware()}
     centers = {p.name: p for p in default_datacenters()}
@@ -287,10 +288,13 @@ def resolve_catalogs(extra_paths: Iterable[str | Path] = ()) -> tuple[
             raise CatalogError(f"{path}: cannot read catalog: {exc}") from None
         # The same stripped header cells that the loaders check.
         header = [c.strip() for c in next(csv.reader(io.StringIO(text)), [])]
-        if header == HARDWARE_FIELDS:
-            units.update((u.name, u) for u in load_hardware(io.StringIO(text)))
-        elif header == DATACENTER_FIELDS:
-            centers.update((p.name, p) for p in load_datacenters(io.StringIO(text)))
-        else:
-            raise CatalogError(f"{path}: header matches no known catalog schema")
+        try:
+            if header == HARDWARE_FIELDS:
+                units.update((u.name, u) for u in load_hardware(io.StringIO(text)))
+            elif header == DATACENTER_FIELDS:
+                centers.update((p.name, p) for p in load_datacenters(io.StringIO(text)))
+            else:
+                raise CatalogError("header matches no known catalog schema")
+        except CatalogError as exc:
+            raise CatalogError(f"{path}: {exc}") from None
     return units, centers

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: estimate, lifecycle, sweep, validate, catalog. Configs are YAML
-documents with a ``schema: 1`` version tag; unknown keys are rejected with
+documents with a ``schema: 1`` version tag, nested at most ``MAX_NESTING``
+levels deep, that give no mapping key twice; unknown keys are rejected with
 their full path so typos surface immediately. Exit codes: 0 success, 1
 validation failures, 2 config errors, 3 model errors.
 
@@ -97,37 +98,45 @@ def _read_grid(doc, path: str) -> list[tuple[LlmArchitecture, float]]:
             for i, point in enumerate(doc)]
 
 
-# PyYAML composes a document recursively: libyaml's composer in C, so a very
-# deep document would crash the process. Either loader refuses one deeper than this.
-MAX_NESTING = 2000
+# Real configs nest 4 to 7 levels. The composer recurses in Python, about
+# four frames a level, so this keeps a document far from the recursion limit.
+MAX_NESTING = 64
 
 
-def _nesting_bound(text: str) -> int:
-    """A bound on the nesting depth of the YAML ``text``: every level opens
-    with one of these characters (a flow collection, a block sequence entry
-    or a mapping key)."""
-    return sum(map(text.count, "[{-?:"))
-
-
-def _nesting_depth(text: str, loader) -> int:
-    """The nesting depth of the YAML ``text``, or ``MAX_NESTING + 1`` if it is
-    deeper, from its parse events, which PyYAML yields without recursing.
-    The walk stops there: in a flow collection, PyYAML's scanner takes time
-    linear in the depth for each token, so the whole of a 50,000-deep
-    ``[[…]]`` takes seconds."""
+@functools.cache
+def _loader(base: type) -> type:
+    """PyYAML's loader ``base`` on PyYAML's Python composer, refusing a document nested
+    deeper than ``MAX_NESTING`` or a mapping that gives a key twice; one class per base."""
     import yaml
 
-    depth = deepest = 0
-    for event in yaml.parse(text, Loader=loader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > deepest:
-                deepest = depth
-                if depth > MAX_NESTING:
-                    break
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-    return deepest
+    class Bounded(yaml.composer.Composer):
+        def get_single_node(self):
+            self.anchors, self.depth = {}, 0  # CSafeLoader never runs Composer.__init__
+            return super().get_single_node()
+
+        def compose_sequence_node(self, anchor):
+            return self.nested(super().compose_sequence_node, anchor)
+
+        def compose_mapping_node(self, anchor):
+            node = self.nested(super().compose_mapping_node, anchor)
+            lines = {}  # (tag, text) -> the line of the key's first spelling
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (spelling := (key.tag, key.value)) in lines:
+                        raise ConfigError(f"key {shown(key.value)} given twice (lines "
+                                          f"{lines[spelling]} and {key.start_mark.line + 1})")
+                    lines[spelling] = key.start_mark.line + 1
+            return node
+
+        def nested(self, compose, anchor):
+            if self.depth == MAX_NESTING:
+                raise ConfigError(f"nested deeper than {MAX_NESTING} levels")
+            self.depth += 1
+            node = compose(anchor)
+            self.depth -= 1
+            return node
+
+    return type("Loader", (Bounded, base), {"__init__": base.__init__})
 
 
 def _load_config(path: str, top_key: str) -> dict:
@@ -137,19 +146,10 @@ def _load_config(path: str, top_key: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    # libyaml's parser when PyYAML was built with it; both loaders share the
-    # Python constructor and resolver, so the values are the same.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        # A text that may be too deep pays for the event pass before either
-        # composer sees it; the pass stops at its first syntax error too.
-        if _nesting_bound(text) > MAX_NESTING and _nesting_depth(text, loader) > MAX_NESTING:
-            raise ConfigError(f"{path}: nested deeper than {MAX_NESTING} levels")
-        doc = yaml.load(text, Loader=loader)
-    except RecursionError:
-        # The pure-Python composer recurses in Python and gives out first.
-        raise ConfigError(f"{path}: nested deeper than the pure-Python YAML loader can "
-                          "compose") from None
+    try:  # libyaml's parser when PyYAML was built with it
+        doc = yaml.load(text, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -65,7 +65,7 @@ GAMMA2 = 0.1265  # oversupply floor, calibrated from the 10K-device 175 B point
 
 def _check_param_count(param_count: float) -> None:
     if not (is_number(param_count, "param_count", ModelError) and 0.0 < param_count < math.inf):
-        raise ModelError(f"param_count must be finite and positive, got {param_count!r}")
+        raise ModelError(f"param_count must be finite and positive, got {shown(param_count)}")
 
 
 def _optimum(param_count: float) -> int:
@@ -237,13 +237,13 @@ def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
                 and 0.0 < e <= 1.0):
             label = f"efficiency anchor {i}"
             if not (is_number(p, f"{label}: param_count", ModelError) and 0.0 < p < math.inf):
-                raise ModelError(f"{label}: param_count must be finite and > 0, got {p!r}")
+                raise ModelError(f"{label}: param_count must be finite and > 0, got {shown(p)}")
             if not (is_number(e, f"{label}: efficiency", ModelError) and 0.0 < e <= 1.0):
-                raise ModelError(f"{label}: efficiency must lie in (0, 1], got {e!r}")
+                raise ModelError(f"{label}: efficiency must lie in (0, 1], got {shown(e)}")
         x = math.log10(p)
         if x in seen:
             j = list(seen).index(x)  # one key per earlier anchor, in order
-            raise ModelError(f"efficiency anchor {i}: param_count {p!r} duplicates anchor {j}")
+            raise ModelError(f"efficiency anchor {i}: param_count {shown(p)} duplicates anchor {j}")
         seen[x] = e
     if not seen:
         raise ModelError("efficiency anchor table is empty")
@@ -340,7 +340,7 @@ def efficiency_at_count(actual_devices: int, optimal_devices: int,
     if not (is_shape_count(actual_devices) and is_shape_count(optimal_devices)):
         raise ModelError("device counts must be integers >= 1")
     if not (is_number(optimal_eff, "optimal_eff", ModelError) and 0.0 < optimal_eff <= 1.0):
-        raise ModelError(f"optimal_eff must lie in (0, 1], got {optimal_eff!r}")
+        raise ModelError(f"optimal_eff must lie in (0, 1], got {shown(optimal_eff)}")
     return _at_count(actual_devices, optimal_devices, optimal_eff)
 
 

@@ -27,7 +27,7 @@ from math import inf
 
 from . import units
 from .types import (DataCenterProfile, HardwareFleet, HardwareUnit, LineItem, ModelError,
-                    Record, check_non_negative, is_number, is_shape_count)
+                    Record, check_non_negative, is_number, is_shape_count, shown)
 
 
 class StorageWorkload(Record):
@@ -57,13 +57,13 @@ def device_time(total_flops: float, device_count: int,
     report refuses."""
     # Written so that NaN fails too.
     if not (is_number(total_flops, "total_flops", ModelError) and total_flops >= 0):
-        raise ModelError(f"total_flops must be >= 0, got {total_flops!r}")
+        raise ModelError(f"total_flops must be >= 0, got {shown(total_flops)}")
     for label, value in (("device_count", device_count), ("peak_tflops", peak_tflops),
                          ("efficiency", efficiency)):
         if not is_number(value, label, ModelError):
-            raise ModelError(f"{label} must be a number, got {value!r}")
+            raise ModelError(f"{label} must be a number, got {shown(value)}")
     if not is_shape_count(device_count):
-        raise ModelError(f"device_count must be an integer >= 1, got {device_count!r}")
+        raise ModelError(f"device_count must be an integer >= 1, got {shown(device_count)}")
     if not 0.0 < efficiency <= 1.0:
         raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
     return _seconds(total_flops, device_count, peak_tflops, efficiency)

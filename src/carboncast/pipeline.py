@@ -83,6 +83,7 @@ from .types import (
     check_type,
     is_number,
     is_shape_count,
+    shown,
 )
 
 
@@ -100,7 +101,7 @@ class Overrides(Record):
                 check_non_negative(value, fname, ModelError)
         eff = self.efficiency
         if eff is not None and not (is_number(eff, "efficiency", ModelError) and 0 < eff <= 1):
-            raise ModelError(f"efficiency must lie in (0, 1], got {eff!r}")
+            raise ModelError(f"efficiency must lie in (0, 1], got {shown(eff)}")
         if self.device_count is not None:
             check_count(self.device_count, "device_count", ModelError)
 
@@ -126,7 +127,7 @@ class EstimateRequest(Record):
         check_type(self.data_center, "data_center", DataCenterProfile, ModelError)
         if self.phase not in (Phase.TRAINING, Phase.INFERENCE):
             raise ModelError("phase must be training or inference, got " + (
-                self.phase.value if isinstance(self.phase, Phase) else repr(self.phase)))
+                self.phase.value if isinstance(self.phase, Phase) else shown(self.phase)))
         check_type(self.scaling, "scaling", ScalingConstants, ModelError)
         check_type(self.overrides, "overrides", Overrides, ModelError)
 
@@ -398,7 +399,7 @@ def sweep(
             if not (type(tokens) is float and 0.0 < tokens < inf):
                 if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                     raise ModelError("sweep points need a finite positive token count, "
-                                     f"got {tokens!r}")
+                                     f"got {shown(tokens)}")
             count, loss, _, _, _, _, _, carbon, _ = _stages(
                 arch, tokens, Phase.TRAINING, setting)
             rows.append((loss, carbon, arch.name, count, tokens))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .types import ModelError, Record, ScalingConstants, is_number
+from .types import ModelError, Record, ScalingConstants, is_number, shown
 
 DEFAULT_CONSTANTS = ScalingConstants()
 
@@ -40,7 +40,7 @@ def test_loss(
     for label, value in (("param_count", param_count), ("token_count", token_count)):
         # Written so that NaN fails too.
         if not (is_number(value, label, ModelError) and value > 0):
-            raise ModelError(f"{label} must be positive, got {value!r}")
+            raise ModelError(f"{label} must be positive, got {shown(value)}")
     return LossPrediction(_loss(param_count, token_count, constants, moe))
 
 

@@ -63,13 +63,13 @@ def check_non_negative(value, label: str, error: type[ValueError]) -> None:
     """Raise ``error`` unless ``value`` is a finite number >= 0."""
     # Written so that NaN fails too.
     if not (is_number(value, label, error) and 0.0 <= value < math.inf):
-        raise error(f"{label} must be finite and >= 0, got {value!r}")
+        raise error(f"{label} must be finite and >= 0, got {shown(value)}")
 
 
 def check_count(value, label: str, error: type[ValueError]) -> None:
     """Raise ``error`` unless ``value`` is an int >= 1 that a float can hold."""
     if not (is_number(value, label, error) and isinstance(value, int) and value >= 1):
-        raise error(f"{label} must be an integer >= 1, got {value!r}")
+        raise error(f"{label} must be an integer >= 1, got {shown(value)}")
 
 
 def check_type(value, label: str, kind: type, error: type[ValueError]) -> None:
@@ -309,9 +309,9 @@ def _violations(arch: LlmArchitecture) -> list[str]:
     violations: list[str] = []
     # The sweep sorts points by name, and error rows and messages quote it.
     if not isinstance(arch.name, str):
-        violations.append(f"architecture name must be a str, got {arch.name!r}")
+        violations.append(f"architecture name must be a str, got {shown(arch.name)}")
     if not isinstance(arch.kind, ArchKind):
-        violations.append(f"kind: must be an ArchKind, got {arch.kind!r}")
+        violations.append(f"kind: must be an ArchKind, got {shown(arch.kind)}")
 
     explicit = arch.explicit_param_count
     has_explicit = explicit is not None and _is_real(explicit) and 1 <= explicit < math.inf
@@ -501,7 +501,7 @@ class DataCenterProfile(Record):
     def __post_init__(self) -> None:
         pue = self.pue
         if not (is_number(pue, f"{self.name}: pue", CatalogError) and 1.0 <= pue < math.inf):
-            raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {pue!r}")
+            raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {shown(pue)}")
         check_non_negative(self.carbon_intensity, f"{self.name}: carbon_intensity", CatalogError)
 
 
@@ -522,7 +522,7 @@ class ScalingConstants(Record):
             value = getattr(self, fname)
             label = f"scaling constant {fname}"
             if not (is_number(value, label, ModelError) and 0.0 < value < math.inf):
-                raise ModelError(f"{label} must be positive and finite, got {value!r}")
+                raise ModelError(f"{label} must be positive and finite, got {shown(value)}")
 
 
 class ParallelismPlan(Record):
@@ -583,7 +583,7 @@ def check_report_floats(*values: float | None) -> None:
         # Written so that NaN fails too.
         if not (isinstance(value, (int, float)) and 0.0 <= value < inf
                 or value is None and fname == "test_loss"):
-            raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+            raise ModelError(f"{fname} must be finite and >= 0, got {shown(value)}")
 
 
 class CarbonReport(Record):

@@ -233,7 +233,21 @@ class TestRepeatedNames:
                          "--catalog", str(path)])
         assert (code, capsys.readouterr().err) == (
             cli.EXIT_CONFIG_ERROR,
-            "catalog error: hardware catalog row 4: repeats the name 'XLM-DRAM' of row 3\n")
+            f"catalog error: {path}: hardware catalog row 4: "
+            "repeats the name 'XLM-DRAM' of row 3\n")
+
+    def test_a_fault_names_the_one_of_two_files_it_is_in(self, tmp_path, monkeypatch, capsys):
+        # Both files give XLM-SSD in row 2; only the second has a word in a number cell.
+        monkeypatch.chdir(tmp_path)
+        good = EXAMPLES / "xlm_cluster_hardware.csv"
+        text = good.read_text(encoding="utf-8")
+        assert text.splitlines()[1] == "XLM-SSD,ssd,,,,,,,,576,5"
+        Path("bad.csv").write_text(text.replace(",576,", ",lots,"), encoding="utf-8")
+        code = cli.main(["lifecycle", "--config", str(EXAMPLES / "lifecycle_green_grid.yaml"),
+                         "--catalog", str(good), "--catalog", "bad.csv"])
+        assert (code, capsys.readouterr().err) == (
+            cli.EXIT_CONFIG_ERROR, "catalog error: bad.csv: hardware catalog row 2: "
+            "XLM-SSD.embodied_kg_override: expected a number, got 'lots'\n")
 
     def test_across_files_the_later_row_still_wins(self, tmp_path):
         paths = []

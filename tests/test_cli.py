@@ -652,105 +652,118 @@ class TestYamlLoaders:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: not valid YAML: ")
         assert where in err
+        # Only the pure-Python parser quotes the line, with a caret under the fault.
+        assert ("^" in err) == (not hasattr(yaml, "CSafeLoader"))
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
-    def test_a_document_just_over_the_nesting_limit_is_refused(self, tmp_path, capsys,
-                                                               monkeypatch, libyaml):
-        if not libyaml:
-            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 1, flow=False))
-        assert self.run(capsys, ["estimate", "--config", path]) == (
-            EXIT_CONFIG_ERROR, "", f"config error: {path}: nested deeper than 2000 levels\n")
-
-    @pytest.mark.parametrize("libyaml, message", [
-        pytest.param(True, "estimate.deep: unknown key", id="as-is"),
-        pytest.param(False, "{path}: nested deeper than the pure-Python YAML loader can compose",
-                     id="pure-python"),
+    @pytest.mark.parametrize("levels", [
+        pytest.param(cli.MAX_NESTING - 1, id="just-over"),
+        pytest.param(498, id="500-deep"),
     ])
-    def test_a_document_500_deep_is_refused_only_by_the_pure_python_loader(
-            self, tmp_path, capsys, monkeypatch, libyaml, message):
-        # The pure-Python composer recurses in Python and runs out of stack
-        # far short of the 2,000-level limit; its refusal says so.
+    def test_a_document_over_the_nesting_limit_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                          libyaml, levels):
         if not libyaml:
             monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        elif not hasattr(yaml, "CSafeLoader"):
-            pytest.skip("PyYAML is built without libyaml")
-        path = write_config(tmp_path, nested_config(498, flow=False))
+        path = write_config(tmp_path, nested_config(levels, flow=False))
         assert self.run(capsys, ["estimate", "--config", path]) == (
-            EXIT_CONFIG_ERROR, "", f"config error: {message.format(path=path)}\n")
+            EXIT_CONFIG_ERROR, "",
+            f"config error: {path}: nested deeper than {cli.MAX_NESTING} levels\n")
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    def test_a_document_at_the_nesting_limit_loads(self, tmp_path, capsys, monkeypatch,
+                                                   libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 2, flow=False))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", "config error: estimate.deep: unknown key\n")
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
     def test_a_syntax_error_past_a_deep_part_is_named(self, tmp_path, capsys, monkeypatch,
                                                       libyaml):
-        # 500 deep, then over the character count's limit and malformed: the
-        # pure-Python loader's depth walk meets the syntax error.
+        # At the nesting limit, then malformed.
         if not libyaml:
             monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        text = nested_config(498, flow=False) + "pad: [" + "a: 1, " * 2500 + "\nbad: ]: ]\n"
-        assert cli._nesting_bound(text) > cli.MAX_NESTING
+        text = nested_config(cli.MAX_NESTING - 2, flow=False) + "bad: ]: ]\n"
         path = write_config(tmp_path, text)
         code, out, err = self.run(capsys, ["estimate", "--config", path])
         assert (code, out) == (EXIT_CONFIG_ERROR, "")
         assert err.startswith(f"config error: {path}: not valid YAML: ")
         assert f"line {text.count(chr(10))}, column " in err
 
-    def test_both_loaders_name_the_first_fault_of_a_text_over_the_bound(self, tmp_path, capsys,
-                                                                       monkeypatch):
-        # Over the character count's limit, then a second document that is
-        # malformed: the depth walk meets the syntax error before either
-        # composer could refuse the second document. The two parsers word
-        # the fault differently, so only its position is compared.
+    def test_both_loaders_name_the_first_fault_of_a_two_document_text(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # A second document, then a malformed line: the second document's
+        # start is the first fault, and both loaders name it the same way.
         text = ((DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
-                + "pad: [" + "a: 1, " * 2500 + "]\n---\nbad: ]: ]\n")
-        assert cli._nesting_bound(text) > cli.MAX_NESTING
+                + "---\nbad: ]: ]\n")
         path = write_config(tmp_path, text)
-        positions = []
+        errors = []
         for libyaml in (True, False):
             if not libyaml:
                 monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
             code, out, err = self.run(capsys, ["estimate", "--config", path])
             assert (code, out) == (EXIT_CONFIG_ERROR, "")
-            assert err.startswith(f"config error: {path}: not valid YAML: ")
-            positions.append(re.findall(r"line \d+, column \d+", err))
-        assert positions == [[f"line {text.count(chr(10))}, column 6"]] * 2
+            assert err.startswith(f"config error: {path}: not valid YAML: "
+                                  "expected a single document in the stream")
+            errors.append(re.findall(r"line \d+, column \d+", err))
+        assert errors == [["line 4, column 1", f"line {text.count(chr(10)) - 1}, column 1"]] * 2
 
-    @pytest.mark.parametrize("libyaml, message", [
-        pytest.param(True, "estimate.tokens: expected a number, got a list", id="as-is"),
-        pytest.param(False, "{path}: nested deeper than the pure-Python YAML loader can compose",
-                     id="pure-python"),
-    ])
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
     def test_a_number_field_nested_1000_deep_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                     libyaml, message):
-        # Within the nesting limit, so libyaml composes it; the message names
-        # the value by its type, as its repr would run past the recursion limit.
+                                                     libyaml):
         if not libyaml:
             monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        elif not hasattr(yaml, "CSafeLoader"):
-            pytest.skip("PyYAML is built without libyaml")
         text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
         deep = "[" * 1000 + "3.0e+11" + "]" * 1000
         path = write_config(tmp_path, text.replace("tokens: 3.0e+11", f"tokens: {deep}"))
         assert self.run(capsys, ["estimate", "--config", path]) == (
-            EXIT_CONFIG_ERROR, "", f"config error: {message.format(path=path)}\n")
+            EXIT_CONFIG_ERROR, "",
+            f"config error: {path}: nested deeper than {cli.MAX_NESTING} levels\n")
 
-    def test_libyaml_loads_a_document_at_the_nesting_limit(self, tmp_path, capsys):
-        if not hasattr(yaml, "CSafeLoader"):
-            pytest.skip("PyYAML is built without libyaml")
-        path = write_config(tmp_path, nested_config(cli.MAX_NESTING - 2, flow=False))
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    def test_a_number_field_nested_to_the_limit_is_named_by_its_type(
+            self, tmp_path, capsys, monkeypatch, libyaml):
+        # Its repr is too long for a message, so the value is named by its type.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+        levels = cli.MAX_NESTING - 2
+        deep = "[" * levels + "3.0e+11" + "]" * levels
+        path = write_config(tmp_path, text.replace("tokens: 3.0e+11", f"tokens: {deep}"))
         assert self.run(capsys, ["estimate", "--config", path]) == (
-            EXIT_CONFIG_ERROR, "", "config error: estimate.deep: unknown key\n")
+            EXIT_CONFIG_ERROR, "", "config error: estimate.tokens: expected a number, got a list\n")
 
-    @pytest.mark.parametrize("name", ["gpt3_training.yaml", "lifecycle_green_grid.yaml",
-                                      "sweep_grid.yaml", "seeded sweep", "flow", "block"])
-    def test_the_character_count_bounds_the_nesting_depth(self, name):
-        # Only a text whose count is over the limit takes the event pass.
-        text = {"seeded sweep": seeded_sweep_config(3),
-                "flow": nested_config(cli.MAX_NESTING, flow=True),
-                "block": nested_config(cli.MAX_NESTING, flow=False)}.get(name)
-        if text is None:
-            text = (DOCS_EXAMPLES / name).read_text(encoding="utf-8")
-        depth = cli._nesting_depth(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        assert cli._nesting_bound(text) >= depth > 1
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param("  tokens: 3.0e+11\n", "  tokens: 3.0e+11\n  tokens: 1.0e+9\n",
+                     "key 'tokens' given twice (lines 11 and 12)", id="block"),
+        pytest.param("  tokens: 3.0e+11\n", "  tokens: 3.0e+11\n  'tokens': 1.0e+9\n",
+                     "key 'tokens' given twice (lines 11 and 12)", id="plain-and-quoted"),
+        pytest.param("  data_center:\n    name: openai-dc\n    pue: 1.1\n"
+                     "    carbon_intensity: 0.429\n",
+                     "  data_center: {name: openai-dc, pue: 1.1, name: dc, "
+                     "carbon_intensity: 0.429}\n",
+                     "key 'name' given twice (lines 15 and 15)", id="one-line-flow"),
+    ])
+    def test_a_key_given_twice_is_refused(self, tmp_path, capsys, monkeypatch, libyaml, old,
+                                          new, message):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        text = (DOCS_EXAMPLES / "gpt3_training.yaml").read_text(encoding="utf-8")
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, new, 1))
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", f"config error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
+    def test_an_int_key_and_its_quoted_digits_are_two_keys(self, tmp_path, capsys, monkeypatch,
+                                                           libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = write_config(tmp_path, "schema: 1\nestimate:\n  1: x\n  '1': y\n")
+        assert self.run(capsys, ["estimate", "--config", path]) == (
+            EXIT_CONFIG_ERROR, "", "config error: estimate.1: unknown key\n")
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -763,14 +776,15 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["as-is", "pure-python"])
 def test_a_config_nested_50000_deep_exits_2(tmp_path, libyaml):
-    # In a child: libyaml's composer recurses in C, and overflowing its stack
-    # would kill the test run.
+    # In a fresh interpreter, as the command runs: the composer stops at the
+    # first level past the limit, so neither parser reads the rest.
     path = write_config(tmp_path, nested_config(50_000, flow=True))
     drop = "" if libyaml else "del yaml.CSafeLoader; "
     result = run_python(f"import sys, yaml; {drop}from carboncast.cli import main; "
                         f"sys.exit(main(['estimate', '--config', {path!r}]))")
     assert (result.returncode, result.stdout, result.stderr) == (
-        EXIT_CONFIG_ERROR, "", f"config error: {path}: nested deeper than 2000 levels\n")
+        EXIT_CONFIG_ERROR, "",
+        f"config error: {path}: nested deeper than {cli.MAX_NESTING} levels\n")
 
 
 def run_probe(probe: str) -> str:

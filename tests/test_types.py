@@ -31,10 +31,11 @@ from carboncast.types import (
     plain_sum,
     shown,
 )
+from carboncast.efficiency import efficiency_at_count, optimal_efficiency
 from carboncast.flops import FlopBudget
-from carboncast.operational import StorageWorkload
-from carboncast.pipeline import EstimateRequest, LifecyclePlan, Overrides
-from carboncast.scaling import LossPrediction
+from carboncast.operational import StorageWorkload, device_time
+from carboncast.pipeline import EstimateRequest, LifecyclePlan, Overrides, sweep
+from carboncast.scaling import LossPrediction, test_loss as predict_loss
 from carboncast.validation import TRAINING_FIXTURES, ValidationRow
 
 
@@ -524,6 +525,14 @@ class TestUnits:
         assert units.years_to_seconds(5) == pytest.approx(5 * 365.25 * 86_400)
 
 
+def deep_list(levels=1200):
+    """A list nested ``levels`` deep; the default is past ``repr``'s recursion limit."""
+    deep = []
+    for _ in range(levels):
+        deep = [deep]
+    return deep
+
+
 class TestShown:
     @pytest.mark.parametrize("value", [None, True, "low", "", [1, 2], {"a": 1}, 2.5, math.nan,
                                        10 ** 79, "x" * 78])
@@ -540,12 +549,63 @@ class TestShown:
         assert shown(value) == name
 
     def test_a_list_nested_past_the_recursion_limit_is_named_by_its_type(self):
-        deep = []
-        for _ in range(sys.getrecursionlimit() + 10):
-            deep = [deep]
+        deep = deep_list(sys.getrecursionlimit() + 10)
         with pytest.raises(RecursionError):
             repr(deep)
         assert shown(deep) == "a list"
+
+
+class TestBoundedMessages:
+    """A check that refuses a caller's value names it through ``shown``, so a
+    value whose repr cannot be made still ends in the check's own error."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda deep: optimal_efficiency(1e9, anchors=[(1e9, deep)]), ModelError,
+         "efficiency anchor 0: efficiency must lie in (0, 1], got a list"),
+        (lambda deep: Overrides(efficiency=deep), ModelError,
+         "efficiency must lie in (0, 1], got a list"),
+        (lambda deep: DataCenterProfile(name="x", pue=1.1, carbon_intensity=deep), CatalogError,
+         "x: carbon_intensity must be finite and >= 0, got a list"),
+        (lambda deep: DataCenterProfile(name="x", pue=deep, carbon_intensity=0.4), CatalogError,
+         "x: pue must be finite and >= 1.0, got a list"),
+        (lambda deep: Overrides(device_count=deep), ModelError,
+         "device_count must be an integer >= 1, got a list"),
+        (lambda deep: CarbonReport(Phase.TRAINING, deep, 1.0, 1.0, 1.0, 0.0, 1.0, 0.5),
+         ModelError, "duration_seconds must be finite and >= 0, got a list"),
+        (lambda deep: ScalingConstants(A=deep), ModelError,
+         "scaling constant A must be positive and finite, got a list"),
+        (lambda deep: LlmArchitecture(name=deep, kind=ArchKind.DENSE_GPT,
+                                      explicit_param_count=1e9), ModelError,
+         "architecture name must be a str, got a list"),
+        (lambda deep: LlmArchitecture(name="x", kind=deep, explicit_param_count=1e9), ModelError,
+         "kind: must be an ArchKind, got a list"),
+        (lambda deep: predict_loss(deep, 1e9), ModelError,
+         "param_count must be positive, got a list"),
+        (lambda deep: device_time(deep, 1, 1.0, 0.5), ModelError,
+         "total_flops must be >= 0, got a list"),
+        (lambda deep: device_time(1e9, deep, 1.0, 0.5), ModelError,
+         "device_count must be a number, got a list"),
+        (lambda deep: optimal_efficiency(deep), ModelError,
+         "param_count must be finite and positive, got a list"),
+        (lambda deep: efficiency_at_count(1, 1, deep), ModelError,
+         "optimal_eff must lie in (0, 1], got a list"),
+    ], ids=["efficiency-fit", "overrides", "data-center", "pue", "check-count", "report",
+            "scaling-constants", "architecture-name", "architecture-kind", "test-loss",
+            "device-time-flops", "device-time-count", "optimal-efficiency",
+            "efficiency-at-count"])
+    def test_a_value_nested_past_the_recursion_limit_is_named_by_its_type(self, call, error,
+                                                                          message):
+        with pytest.raises(error) as raised:
+            call(deep_list())
+        assert str(raised.value) == message
+
+    def test_a_sweep_point_with_such_tokens_is_an_error_row(self):
+        arch = LlmArchitecture(name="a", kind=ArchKind.DENSE_GPT, explicit_param_count=1e9)
+        v100 = HardwareUnit(name="V100", role=HardwareRole.ACCELERATOR, peak_tflops=125.0,
+                            tdp_watts=300.0, die_area_mm2=815.0, cpa=1.2)
+        dc = DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4)
+        assert sweep([(arch, deep_list())], HardwareFleet.of((v100, 8)), dc) == (
+            [], [("a", "sweep points need a finite positive token count, got a list")])
 
 
 class TestPlainSum:

@@ -312,7 +312,10 @@ EXAMPLE_DRAW = st.sampled_from(sorted(EXAMPLE_COMMANDS))
 # A config fault names a key path: one under the section, or the file's own
 # ``schema`` or top key; a document nested too deep names the file.
 KEY_PATH = re.compile(r"config error: (estimate|lifecycle|sweep)[.:\[]|config error: \S+\.yaml\.\w+: "
-                      r"|config error: \S+\.yaml: nested deeper than 2000 levels$")
+                      rf"|config error: \S+\.yaml: nested deeper than {cli.MAX_NESTING} levels$")
+# A line of dumped text that gives a mapping key, other than a sequence
+# entry's first key: written twice in a row, the mapping gives that key twice.
+KEY_LINE = re.compile(r" *([\w.]+):( |$)")
 # A model fault names its stage or the report value it would have made; a
 # sweep point can also fail the sweep's own check of its tokens.
 STAGE = re.compile(r"\[[a-z-]+\] |sweep points need a finite positive token count|("
@@ -334,10 +337,11 @@ def key_paths(node, prefix=()):
 
 @st.composite
 def config_documents(draw):
-    """A packaged example and a copy of its document with one to three edits:
-    a key or item deleted, an unknown key or a repeated item added, a value
+    """A packaged example, a copy of its document with one to three edits
+    (a key or item deleted, an unknown key or a repeated item added, a value
     nested one level deeper or replaced by the ``DEEP`` marker, or a value
-    replaced by a broken one."""
+    replaced by a broken one), and, for one case in four, a "repeat a key"
+    edit of the dumped text: which of its ``KEY_LINE`` lines to write twice."""
     name = draw(EXAMPLE_DRAW)
     doc = copy.deepcopy(EXAMPLE_DOCS[name])
     for _ in range(draw(st.integers(1, 3))):
@@ -361,7 +365,8 @@ def config_documents(draw):
             container[key] = DEEP
         else:
             container[key] = copy.deepcopy(edit[1])
-    return name, doc
+    repeat = draw(st.integers(0, 999)) if draw(st.integers(0, 3)) == 0 else None
+    return name, doc, repeat
 
 
 @pytest.fixture(scope="module")
@@ -372,12 +377,23 @@ def config_path(tmp_path_factory):
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(config_documents())
 def test_every_config_document_ends_in_a_report_or_a_named_error(config_path, case):
-    name, doc = case
+    name, doc, repeat = case
     # libyaml's emitter when PyYAML has it: the pure-Python one doubles the run.
     text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    deep = DEEP in text
     # Each marker's value: on a line of its own, indented past the marker's key.
     text = re.sub(rf"^(.*){DEEP}$",
                   lambda m: f"{m[1]}\n{' ' * len(m[1])}{'- ' * cli.MAX_NESTING}x", text, flags=re.M)
+    lines = text.splitlines(keepends=True)
+    keyed = [i for i, line in enumerate(lines) if KEY_LINE.match(line)]
+    if not keyed:  # every key deleted
+        repeat = None
+    if repeat is not None:
+        i = keyed[repeat % len(keyed)]
+        lines.insert(i, lines[i])
+        text = "".join(lines)
+        twice = (f"config error: {config_path}: key {KEY_LINE.match(lines[i])[1]!r} given twice "
+                 f"(lines {i + 1} and {i + 2})\n")
     config_path.write_text(text, encoding="utf-8")
     argv = [*EXAMPLE_COMMANDS[name], "--config", str(config_path)]
     stderr = io.StringIO()
@@ -387,6 +403,11 @@ def test_every_config_document_ends_in_a_report_or_a_named_error(config_path, ca
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     err = stderr.getvalue()
+    if repeat is not None:
+        # The repeated key is the fault, unless a part nested too deep comes first.
+        too_deep = f"config error: {config_path}: nested deeper than {cli.MAX_NESTING} levels\n"
+        assert code == cli.EXIT_CONFIG_ERROR and (err == twice or deep and err == too_deep), err
+        return
     if code == cli.EXIT_CONFIG_ERROR:
         assert KEY_PATH.match(err), err
         return
@@ -456,8 +477,10 @@ def test_every_catalog_copy_loads_or_names_its_row_and_field(tmp_path_factory, r
     try:
         units, centers = catalog.resolve_catalogs([path])
     except CatalogError as exc:
-        assert (ROW_FAULT.match(str(exc))
-                or str(exc) == f"{path}: header matches no known catalog schema"), exc
+        # A fault names the file, then its row or its header.
+        fault = str(exc).removeprefix(f"{path}: ")
+        assert fault != str(exc), exc
+        assert ROW_FAULT.match(fault) or fault == "header matches no known catalog schema", exc
         return
     # No cell beyond the header is dropped unread, and no row short of the
     # header has its cells read into the wrong columns.
