@@ -33,11 +33,7 @@ from typing import Callable, Iterable, TextIO
 from .types import (CatalogError, ConfigError, DataCenterProfile, HardwareRole, HardwareUnit,
                     ModelError, Record, shown)
 
-HARDWARE_FIELDS = [
-    "name", "role", "peak_tflops", "tdp_watts", "avg_system_power_watts",
-    "die_area_mm2", "cpa", "cpa_basis", "capacity_gb",
-    "embodied_kg_override", "lifetime_years",
-]
+HARDWARE_FIELDS = list(HardwareUnit._fields)
 DATACENTER_FIELDS = ["name", "pue", "carbon_intensity_kg_per_kwh"]
 ANCHOR_FIELDS = ["param_count", "efficiency"]
 
@@ -87,8 +83,9 @@ def _num(tp: type, value, path: str):
     return number
 
 
-def _coerce(tp, value, path: str):
-    """Convert one config value to the annotated field type ``tp``."""
+def _coerce(tp, value, path: str, special: dict = {}):
+    """Convert one config value to the annotated field type ``tp``; a record
+    nested in it is read with the readers ``special``, see :func:`_arguments`."""
     if typing.get_origin(tp) is types.UnionType:  # X | None
         if value is None:
             return None
@@ -97,10 +94,10 @@ def _coerce(tp, value, path: str):
         items = [] if value is None else value
         if not isinstance(items, list):
             raise ConfigError(f"{path}: expected a list")
-        return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]")
+        return tuple(_coerce(typing.get_args(tp)[0], v, f"{path}[{i}]", special)
                      for i, v in enumerate(items))
     if isinstance(tp, type) and issubclass(tp, Record):
-        return _read(tp, {} if value is None else value, path)  # `overrides:` left empty
+        return _read(tp, {} if value is None else value, path, **special)  # `overrides:` empty
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         try:
             return tp(value)
@@ -118,21 +115,18 @@ def _coerce(tp, value, path: str):
 def _config_fields(target) -> dict[str, tuple[str, object, bool]]:
     """Config key -> (field or parameter name, resolved annotation, whether
     it has a default) of a config record type or function; resolving hints
-    is slow."""
+    is slow. A function's parameters are its annotated ones, in order, after
+    following ``__wrapped__`` through any wrapper; a config function
+    annotates every parameter and has no keyword-only one."""
+    while hasattr(target, "__wrapped__"):
+        target = target.__wrapped__
+    hints = typing.get_type_hints(target)
     if isinstance(target, type) and issubclass(target, Record):
         defaulted = [(name, name in target._defaults) for name in target._fields]
     else:
-        # A function's own parameters, read from its code object after
-        # following ``__wrapped__`` through any wrapper, as
-        # ``inspect.signature`` does; importing ``inspect`` is slow.
-        while hasattr(target, "__wrapped__"):
-            target = target.__wrapped__
-        code, kwdefaults = target.__code__, target.__kwdefaults__ or {}
-        count = code.co_argcount
-        first_default = count - len(target.__defaults__ or ())
-        defaulted = [(name, first_default <= i if i < count else name in kwdefaults)
-                     for i, name in enumerate(code.co_varnames[:count + code.co_kwonlyargcount])]
-    hints = typing.get_type_hints(target)
+        names = [name for name in hints if name != "return"]
+        first_default = len(names) - len(target.__defaults__ or ())
+        defaulted = [(name, first_default <= i) for i, name in enumerate(names)]
     owner = target.__name__
     return {_CONFIG_KEYS.get((owner, name), name): (name, hints[name], has_default)
             for name, has_default in defaulted if (owner, name) not in _NOT_CONFIG}
@@ -144,7 +138,8 @@ def _arguments(target, doc, path: str, **special) -> dict:
 
     ``special`` maps a config key to a ``reader(value, path)`` that replaces
     the type-driven coercion, for values that are catalog lookups or lists,
-    and for a catalog row's role, which is read in any case.
+    and for a catalog row's role, which is read in any case. A reader applies
+    at every depth of the section: a record nested in it is read with them.
     """
     fields = _config_fields(target)
     _check_keys(doc, fields, path)
@@ -153,7 +148,8 @@ def _arguments(target, doc, path: str, **special) -> dict:
         kpath = f"{path}.{key}" if path else key
         if key in doc:
             reader = special.get(key)
-            kwargs[name] = reader(doc[key], kpath) if reader else _coerce(tp, doc[key], kpath)
+            kwargs[name] = (reader(doc[key], kpath) if reader
+                            else _coerce(tp, doc[key], kpath, special))
         elif not has_default:
             raise ConfigError(f"{kpath}: required")
     return kwargs

@@ -242,22 +242,14 @@ def _emit(text: str, out_path: str | None) -> None:
 # Subcommands.
 # --------------------------------------------------------------------------
 
-def _cmd_estimate(args) -> int:
-    catalogs = resolve_catalogs(args.catalog)
-    doc = _load_config(args.config, "estimate")
-    req = _read(EstimateRequest, doc, "estimate", **_catalog_readers(catalogs))
-    report = estimate(req)
-    text = _format_report_csv(report) if args.format == "csv" else _format_report_table(report)
-    _emit(text, args.out)
-    return EXIT_OK
-
-
-def _cmd_lifecycle(args) -> int:
+def _cmd_report(args) -> int:
+    # Looked up per call, so a caller that rebinds a pricing function (the
+    # benchmark's layer tracer) sees its own.
+    record, price = {"estimate": (EstimateRequest, estimate),
+                     "lifecycle": (LifecyclePlan, estimate_lifecycle)}[args.command]
     readers = _catalog_readers(resolve_catalogs(args.catalog))
-    doc = _load_config(args.config, "lifecycle")
-    plan = _read(LifecyclePlan, doc, "lifecycle",
-                 training=lambda value, p: _read(EstimateRequest, value, p, **readers))
-    report = estimate_lifecycle(plan)
+    report = price(_read(record, _load_config(args.config, args.command), args.command,
+                         **readers))
     text = _format_report_csv(report) if args.format == "csv" else _format_report_table(report)
     _emit(text, args.out)
     return EXIT_OK
@@ -326,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, run, text in (("estimate", _cmd_estimate, "project one phase"),
-                            ("lifecycle", _cmd_lifecycle, "project a whole lifecycle"),
+    for name, run, text in (("estimate", _cmd_report, "project one phase"),
+                            ("lifecycle", _cmd_report, "project a whole lifecycle"),
                             ("sweep", _cmd_sweep,
                              "evaluate a design grid with Pareto flags (CSV)")):
         p = sub.add_parser(name, help=text)

@@ -227,7 +227,12 @@ def fit_anchors(anchors: list[tuple[float, float]] | None = None) -> AnchorCurve
 
 def _fit(anchors: list[tuple[float, float]]) -> AnchorCurve:
     seen: dict[float, float] = {}  # log10(param_count) -> efficiency
-    for i, anchor in enumerate(anchors):
+    try:
+        numbered = enumerate(anchors)
+    except TypeError:  # not iterable
+        raise ModelError("efficiency anchor table: expected a list of (param_count, efficiency) "
+                         f"pairs, got {shown(anchors)}") from None
+    for i, anchor in numbered:
         try:
             p, e = anchor
         except (TypeError, ValueError):  # not a pair

@@ -382,7 +382,8 @@ def sweep(
     optimal efficiency and training carbon. A fault of the shared fleet,
     device sizing or anchor table raises its ``ModelError`` once, the one
     ``estimate()`` raises for a valid point. Failing points are returned as
-    (name, reason) alongside the successes, never silently dropped. Past
+    (name, reason) alongside the successes, never silently dropped; a point
+    that is not an (``LlmArchitecture``, tokens) pair is named ``grid[i]``. Past
     its check for a finite positive token count, a point fails exactly when
     ``estimate()`` on it would, with the same message. Points come back
     sorted by (loss, carbon, name) and carry Pareto dominance flags.
@@ -393,9 +394,17 @@ def sweep(
 
     rows: list[tuple[float, float, str, int, float]] = []
     errors: list[tuple[str, str]] = []
-    for arch, tokens in grid:
+    for i, point in enumerate(grid):
+        arch = None
         try:
-            # One chain for the common valid case; the check admits the rest or names a fault.
+            try:
+                arch, tokens = point
+            except (TypeError, ValueError):  # not a pair
+                raise ModelError("sweep points need an (architecture, tokens) pair, "
+                                 f"got {shown(point)}") from None
+            # One test for the common valid case; the check admits the rest or names a fault.
+            if type(arch) is not LlmArchitecture:
+                check_type(arch, "architecture", LlmArchitecture, ModelError)
             if not (type(tokens) is float and 0.0 < tokens < inf):
                 if not (is_number(tokens, "tokens", ModelError) and 0 < tokens < inf):
                     raise ModelError("sweep points need a finite positive token count, "
@@ -404,7 +413,8 @@ def sweep(
                 arch, tokens, Phase.TRAINING, setting)
             rows.append((loss, carbon, arch.name, count, tokens))
         except ModelError as exc:
-            errors.append((getattr(arch, "name", "<unnamed>"), str(exc)))
+            errors.append((arch.name if isinstance(arch, LlmArchitecture) else f"grid[{i}]",
+                           str(exc)))
 
     rows.sort(key=itemgetter(0, 1, 2))
     # tuple.__new__ builds each point in C; SweepPoint() would run the named

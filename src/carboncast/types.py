@@ -409,9 +409,10 @@ class HardwareUnit(Record):
 
     def __post_init__(self) -> None:
         for fname in ("peak_tflops", "tdp_watts", "avg_system_power_watts", "die_area_mm2",
-                      "cpa", "capacity_gb", "embodied_kg_override", "lifetime_years"):
+                      "cpa", "capacity_gb", "embodied_kg_override"):
             if (value := getattr(self, fname)) is not None:
                 check_non_negative(value, f"{self.name}: {fname}", CatalogError)
+        check_non_negative(self.lifetime_years, f"{self.name}: lifetime_years", CatalogError)
         if self.role is HardwareRole.ACCELERATOR:
             if self.peak_tflops is None or self.peak_tflops <= 0:
                 raise CatalogError(f"{self.name}: peak_tflops must be > 0 for accelerators")

@@ -259,9 +259,9 @@ class TestRepeatedNames:
         assert units["XLM-DRAM"].lifetime_years == 3
 
 
-def _point(architecture: LlmArchitecture, tokens: float = 1.0, *, note: str = "",
-           tag: str) -> None:
-    """A function with every kind of parameter a config function can have."""
+def _point(architecture: LlmArchitecture, tokens: float = 1.0) -> None:
+    """A function with every kind of parameter a config function can have:
+    annotated, with and without a default, none keyword-only."""
 
 
 @functools.wraps(_point)
@@ -282,6 +282,4 @@ class TestConfigFields:
     def test_a_wrapper_gives_the_wrapped_function_s_own_parameters(self):
         assert catalog._config_fields(_wrapped_point) == {
             "architecture": ("architecture", LlmArchitecture, False),
-            "tokens": ("tokens", float, True),
-            "note": ("note", str, True),
-            "tag": ("tag", str, False)}
+            "tokens": ("tokens", float, True)}

@@ -296,6 +296,9 @@ class TestEstimateCommand:
 
 
 DOCS_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+LIFECYCLE_TEXT = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
+TRAINING_BLOCK = LIFECYCLE_TEXT[LIFECYCLE_TEXT.index("  training:\n"):
+                                LIFECYCLE_TEXT.index("  inference_share:")]
 
 
 class TestLifecycleCommand:
@@ -321,6 +324,21 @@ class TestLifecycleCommand:
         pytest.param("  storage:\n    stored_tb: 5\n    transferred_tb: 20\n    duration_days: 180\n",
                      "  storage: {}\n", "config error: lifecycle.storage.stored_tb: required",
                      id="empty-storage"),
+        # The section's catalog lookups reach the training request nested in it.
+        pytest.param("      - unit: V100\n", "      - unit: H9000\n",
+                     "config error: lifecycle.training.fleet[0].unit: unknown hardware unit "
+                     "'H9000'", id="unknown-unit"),
+        pytest.param("    data_center:\n      name: green-grid\n      pue: 1.1\n"
+                     "      carbon_intensity: 0.016   # kg/kWh; ~97% carbon-free supply\n",
+                     "    data_center: mars\n",
+                     "config error: lifecycle.training.data_center: unknown data center 'mars'",
+                     id="unknown-data-center"),
+        # An empty training request reads as an empty mapping, as an empty
+        # `architecture:` or `overrides:` does.
+        pytest.param(TRAINING_BLOCK, "  training: null\n",
+                     "config error: lifecycle.training.architecture: required", id="null-training"),
+        pytest.param(TRAINING_BLOCK, "  training:\n",
+                     "config error: lifecycle.training.architecture: required", id="empty-training"),
     ])
     def test_training_request_checked(self, tmp_path, capsys, old, new, message):
         text = (DOCS_EXAMPLES / "lifecycle_green_grid.yaml").read_text(encoding="utf-8")
@@ -487,11 +505,30 @@ class TestInvalidArchitecture:
                      "hidden_size: must be a positive integer; "
                      "layer_count: must be a positive integer; "
                      "vocab_size: must be a positive integer", id="explicit-0"),
+        pytest.param("moe", "hidden_size: 512, layer_count: 4, vocab_size: 100",
+                     "estimate.architecture: moe_fraction: required for MoE architectures; "
+                     "expert_groups: required for MoE architectures", id="moe-without-experts"),
+        pytest.param("dense_gpt", "hidden_size: 512, layer_count: 4, vocab_size: 100, "
+                     "expert_groups: [{layer_fraction: 1, expert_count: 8}]",
+                     "estimate.architecture: expert_groups: only valid for MoE architectures",
+                     id="dense-with-experts"),
+        pytest.param("moe", "hidden_size: 512, layer_count: 4, moe_fraction: 0.5, "
+                     "expert_groups: 5", "estimate.architecture.expert_groups: expected a list",
+                     id="expert-groups-not-a-list"),
     ])
     def test_estimate(self, tmp_path, capsys, kind, fields, message):
         config = write_config(tmp_path, ESTIMATE_ARCH_CONFIG.format(kind=kind, fields=fields))
         assert self.run(capsys, ["estimate", "--config", config]) == (
             EXIT_CONFIG_ERROR, "", f"config error: {message}\n")
+
+    def test_a_null_head_count_reads_as_absent(self, tmp_path, capsys):
+        fields = "hidden_size: 512, layer_count: 4, vocab_size: 100"
+        outputs = []
+        for name, extra in (("absent.yaml", ""), ("null.yaml", ", head_count: null")):
+            config = write_config(tmp_path, ESTIMATE_ARCH_CONFIG.format(
+                kind="dense_gpt", fields=fields + extra), name=name)
+            outputs.append(self.run(capsys, ["estimate", "--config", config]))
+        assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
     def test_one_bad_sweep_point_fails_the_config(self, tmp_path, capsys):
         config = sweep_config([("a", 1_000_000_000, 2.0e10), ("b", 5_000_000_000, 1.0e11)])

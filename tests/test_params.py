@@ -183,3 +183,10 @@ class TestProperties:
         assert count_params(arch).equation is ParameterEquation.MOE_STANDARD
         with pytest.raises(ModelError, match="^m: parameter model needs ff_size for kind moe$"):
             count_params(arch, force_moe_equation=ParameterEquation.MOE_GENERAL)
+
+    def test_an_moe_cannot_be_forced_onto_a_dense_equation(self):
+        arch = LlmArchitecture(name="m", kind=ArchKind.MOE, hidden_size=512, layer_count=4,
+                               moe_fraction=0.5, expert_groups=(ExpertGroup(1.0, 4),))
+        with pytest.raises(ModelError, match=r"^m: cannot force ParameterEquation\.DENSE_STANDARD "
+                                             r"for an MoE model$"):
+            count_params(arch, force_moe_equation=ParameterEquation.DENSE_STANDARD)

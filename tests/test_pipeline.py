@@ -825,6 +825,22 @@ class TestSweep:
                    f"sweep points need a finite positive token count, got {tokens!r}")
         assert errors == [("bad", message)]
 
+    @pytest.mark.parametrize("point, message", [
+        pytest.param(("x", 1e9), "architecture must be a LlmArchitecture, got str",
+                     id="name-for-architecture"),
+        pytest.param(dense_arch("lone", 5e9),
+                     "sweep points need an (architecture, tokens) pair, got a LlmArchitecture",
+                     id="architecture-alone"),
+        pytest.param(5, "sweep points need an (architecture, tokens) pair, got 5", id="int"),
+        pytest.param((dense_arch("three", 5e9), 1e9, 2),
+                     "sweep points need an (architecture, tokens) pair, got a tuple", id="triple"),
+    ])
+    def test_a_point_that_is_no_pair_is_an_error_row_named_by_its_index(self, point, message):
+        grid = [(dense_arch("fine", 5e9), 100e9), point, (dense_arch("also-fine", 6e9), 100e9)]
+        points, errors = sweep(grid, self.fleet(), self.grid_dc())
+        assert sorted(p.name for p in points) == ["also-fine", "fine"]
+        assert errors == [("grid[1]", message)]
+
     @pytest.mark.parametrize("setting, fault", [
         pytest.param({"fleet": HardwareFleet.of((cpu(), 8))}, "fleet has no accelerator entry",
                      id="no-accelerator"),
@@ -832,6 +848,10 @@ class TestSweep:
                      "efficiency anchor 1: efficiency must lie in (0, 1], got 1.5",
                      id="anchor-efficiency-1.5"),
         pytest.param({"anchors": []}, "efficiency anchor table is empty", id="anchors-empty"),
+        *(pytest.param({"anchors": table}, "efficiency anchor table: expected a list of "
+                       f"(param_count, efficiency) pairs, got {types.shown(table)}",
+                       id=f"anchors-{type(table).__name__}")
+          for table in (True, object(), 1j)),
         pytest.param({"device_memory_gb": 0}, "device_memory_gb must be positive", id="memory-0"),
         pytest.param({"device_memory_gb": math.nan}, "device_memory_gb must be positive",
                      id="memory-nan"),

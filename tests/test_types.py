@@ -165,6 +165,14 @@ class TestHardwareUnit:
                          embodied_kg_override=576.0)
         assert u.embodied_basis == "override"
 
+    @pytest.mark.parametrize("basis, size, message", [
+        ("area", {"capacity_gb": 80.0}, "x: area basis needs die_area_mm2 and cpa"),
+        ("gb", {"die_area_mm2": 815.0}, "x: gb basis needs capacity_gb and cpa"),
+    ])
+    def test_a_named_basis_needs_its_own_size(self, basis, size, message):
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            HardwareUnit(name="x", role=HardwareRole.OTHER, cpa=1.2, cpa_basis=basis, **size)
+
     def test_lifetime_must_be_positive(self):
         with pytest.raises(CatalogError, match="lifetime"):
             HardwareUnit(name="x", role=HardwareRole.OTHER,
@@ -174,7 +182,7 @@ class TestHardwareUnit:
         ("peak_tflops", math.nan), ("tdp_watts", math.inf), ("tdp_watts", -5.0),
         ("avg_system_power_watts", math.nan), ("die_area_mm2", math.inf), ("cpa", -1.0),
         ("capacity_gb", math.nan), ("embodied_kg_override", -math.inf),
-        ("lifetime_years", math.nan), ("lifetime_years", math.inf),
+        ("lifetime_years", math.nan), ("lifetime_years", math.inf), ("lifetime_years", None),
         ("tdp_watts", "5"), ("avg_system_power_watts", True),
         pytest.param("embodied_kg_override", 10 ** 400, id="embodied_kg_override-1e400"),
     ])
