@@ -9,7 +9,9 @@ model would have computed changes nothing.
 
 A request is an ``EstimateRequest`` record (:class:`~carboncast.types.Record`),
 with its ``Overrides``; a lifecycle is a ``LifecyclePlan``. Each checks its
-own fields when it is built.
+own fields when it is built. The outputs are named tuples: a
+``CarbonReport`` with its ``ParallelismPlan``, and ``sweep()``'s
+``SweepPoint`` rows.
 
 Everything of a request but its architecture, token count and phase is
 made once, up front, in a ``_Setting``: the fleet priced per second of
@@ -35,10 +37,13 @@ names every fault it meets by its stage, then checks the values a report
 would, with the same messages. ``estimate()`` and ``estimate_lifecycle()``
 build their report in one pass from the stage values (``_report``): the
 lifecycle weights them and adds its storage part, the one place storage is
-priced. ``sweep()`` builds no report; it flags the Pareto-dominated points
-and returns each as a ``SweepPoint`` named tuple. Both build their named
-tuples (a report's line items, the sweep's points) with
-``tuple.__new__``, in C, not through the named tuple's Python ``__new__``.
+priced. The report and its plan are checked named tuples, built through
+their own ``__new__``, which runs the report's checks once more on the
+summed values. ``sweep()`` checks its grid, fleet and data center once per
+call, builds no report, flags the Pareto-dominated points and returns each
+as a ``SweepPoint`` named tuple. The named tuples that no check guards (a
+report's line items, the sweep's points) are built with ``tuple.__new__``,
+in C, not through the named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
@@ -236,8 +241,7 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
         facility, carbon = facility + part_facility, carbon + part_carbon
         items += (tuple.__new__(LineItem, ("storage", 1, stored, 0.0)),
                   tuple.__new__(LineItem, ("transfer", 1, moved, 0.0)))
-    # By position, in field order: a record given every field that way is
-    # filled in without matching keywords to fields.
+    # By position, in field order: no keyword is matched to a parameter.
     return CarbonReport(phase, duration, hardware, facility, carbon, embodied, carbon + embodied,
                         eff, loss, ParallelismPlan(*degrees), tuple(items))
 
@@ -383,13 +387,20 @@ def sweep(
     device sizing or anchor table raises its ``ModelError`` once, the one
     ``estimate()`` raises for a valid point. Failing points are returned as
     (name, reason) alongside the successes, never silently dropped; a point
-    that is not an (``LlmArchitecture``, tokens) pair is named ``grid[i]``. Past
+    that is not an (``LlmArchitecture``, tokens) pair is named ``grid[i]``. A
+    grid that is not a list or tuple, or a fleet or data center of the wrong
+    type, raises a ``ModelError`` naming the argument, before any point. Past
     its check for a finite positive token count, a point fails exactly when
     ``estimate()`` on it would, with the same message. Points come back
     sorted by (loss, carbon, name) and carry Pareto dominance flags.
     """
+    # The shared arguments, checked once per call as a request checks them.
+    if not isinstance(grid, (list, tuple)):
+        check_type(grid, "grid", list, ModelError)
     if not grid:
         raise ModelError("sweep grid is empty")
+    check_type(fleet, "fleet", HardwareFleet, ModelError)
+    check_type(data_center, "data_center", DataCenterProfile, ModelError)
     setting = _Setting(fleet, data_center, anchors, device_memory_gb, server_size)
 
     rows: list[tuple[float, float, str, int, float]] = []

@@ -1,8 +1,14 @@
 """Shared domain types for the carbon projection pipeline.
 
 Everything here is an immutable value object: construct it once, share it
-freely across threads. The value types are :class:`Record` subclasses, or
-named tuples where a value unpacks. Every type checks its fields when it is
+freely across threads. The inputs (an architecture, a fleet, a data center)
+are :class:`Record` subclasses, which the chain reads by attribute. The
+outputs are named tuples. A :class:`CarbonReport` and its
+:class:`ParallelismPlan` are checked ones: each runs its checks in its own
+``__new__``, however it is built (by keyword or position, ``_make``,
+``_replace``, ``replace``, pickle or copy). A report's line items
+(:class:`LineItem`), which the chain builds from values it has checked, are
+plain ones. Every record and checked tuple checks its fields when it is
 built, so a value that exists is a valid one and no stage checks it again.
 Hardware and data-center types raise :class:`CatalogError`, because a
 broken catalog row should stop a run immediately; the others raise
@@ -526,23 +532,56 @@ class ScalingConstants(Record):
                 raise ModelError(f"{label} must be positive and finite, got {shown(value)}")
 
 
-class ParallelismPlan(Record):
-    """Degrees of pipeline/tensor/data/expert parallelism plus device count."""
+# Bound once: a report and its plan are built on every estimate.
+_tuple_new = tuple.__new__
 
+
+class _CheckedTuple:
+    """What makes a checked named tuple: every way to build one runs the
+    type's own ``__new__``, which checks the fields and then builds the tuple
+    with ``tuple.__new__``. A subclass lists this before its named tuple field
+    base, whose ``_make`` (which ``_replace`` calls) would build the tuple
+    unchecked, as pickle protocols 0 and 1 would; ``__reduce__`` has pickle,
+    ``copy`` and ``deepcopy`` call the type with the fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def replace(self, **changes):
+        """A copy with the fields in ``changes`` replaced, built and checked
+        as any new value is; an unknown field is a ``TypeError``."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _ParallelismPlanFields(NamedTuple):
     pipeline: int
     tensor: int
     data: int
     expert: int = 1
 
-    def __post_init__(self) -> None:
-        pipeline, tensor, data, expert = self.pipeline, self.tensor, self.data, self.expert
+
+class ParallelismPlan(_CheckedTuple, _ParallelismPlanFields):
+    """Degrees of pipeline/tensor/data/expert parallelism plus device count:
+    a checked named tuple, whose degrees must be ints >= 1 that a float can
+    hold, not bools or floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, pipeline: int, tensor: int, data: int, expert: int = 1):
         top = float_info.max  # the chain admits the ints check_count admits
-        if (type(pipeline) is int and type(tensor) is int and type(data) is int
+        # One chain for the valid case; the loop names the fault.
+        if not (type(pipeline) is int and type(tensor) is int and type(data) is int
                 and type(expert) is int and 1 <= pipeline <= top and 1 <= tensor <= top
                 and 1 <= data <= top and 1 <= expert <= top):
-            return  # one chain for the valid case; the loop names the fault
-        for fname in ("pipeline", "tensor", "data", "expert"):
-            check_count(getattr(self, fname), f"parallelism degree {fname}", ModelError)
+            for fname, value in zip(cls._fields, (pipeline, tensor, data, expert)):
+                check_count(value, f"parallelism degree {fname}", ModelError)
+        return _tuple_new(cls, (pipeline, tensor, data, expert))
 
     @property
     def device_count(self) -> int:
@@ -587,13 +626,7 @@ def check_report_floats(*values: float | None) -> None:
             raise ModelError(f"{fname} must be finite and >= 0, got {shown(value)}")
 
 
-class CarbonReport(Record):
-    """Final projection for one phase (or a whole lifecycle).
-
-    Invariants: total equals operational plus embodied exactly, and
-    operational energy equals hardware energy times PUE.
-    """
-
+class _CarbonReportFields(NamedTuple):
     phase: Phase
     duration_seconds: float
     hardware_energy_mwh: float
@@ -606,12 +639,42 @@ class CarbonReport(Record):
     parallelism: ParallelismPlan | None = None
     line_items: tuple[LineItem, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class CarbonReport(_CheckedTuple, _CarbonReportFields):
+    """Final projection for one phase (or a whole lifecycle): a checked
+    named tuple.
+
+    Invariants: total equals operational plus embodied exactly, and
+    operational energy equals hardware energy times PUE. Building one checks
+    the first, and that every float field is a finite number >= 0 and not a
+    bool; only ``test_loss`` may be ``None``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phase: Phase, duration_seconds: float, hardware_energy_mwh: float,
+                operational_energy_mwh: float, operational_tco2: float, embodied_tco2: float,
+                total_tco2: float, hardware_efficiency: float = 1.0,
+                test_loss: float | None = None, parallelism: ParallelismPlan | None = None,
+                line_items: tuple[LineItem, ...] = ()):
         # Checked first, since NaN or inf also breaks the additivity check
         # below with a misleading message.
-        check_report_floats(self.duration_seconds, self.hardware_energy_mwh,
-                            self.operational_energy_mwh, self.operational_tco2,
-                            self.embodied_tco2, self.total_tco2, self.hardware_efficiency,
-                            self.test_loss)
-        if self.total_tco2 != self.operational_tco2 + self.embodied_tco2:
+        check_report_floats(duration_seconds, hardware_energy_mwh, operational_energy_mwh,
+                            operational_tco2, embodied_tco2, total_tco2, hardware_efficiency,
+                            test_loss)
+        # The check admits a bool, as a number; a report refuses one.
+        if (type(duration_seconds) is bool or type(hardware_energy_mwh) is bool
+                or type(operational_energy_mwh) is bool or type(operational_tco2) is bool
+                or type(embodied_tco2) is bool or type(total_tco2) is bool
+                or type(hardware_efficiency) is bool or type(test_loss) is bool):
+            for fname, value in zip(_REPORT_FLOATS, (
+                    duration_seconds, hardware_energy_mwh, operational_energy_mwh,
+                    operational_tco2, embodied_tco2, total_tco2, hardware_efficiency, test_loss)):
+                if type(value) is bool:
+                    raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+        if total_tco2 != operational_tco2 + embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")
+        return _tuple_new(cls, (phase, duration_seconds, hardware_energy_mwh,
+                                operational_energy_mwh, operational_tco2, embodied_tco2,
+                                total_tco2, hardware_efficiency, test_loss, parallelism,
+                                line_items))

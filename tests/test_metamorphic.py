@@ -14,6 +14,10 @@ once per k.
 - Data center: operational tCO2 scales with the carbon intensity and
   operational energy with the PUE; embodied tCO2 does not read the data
   center at all, so it stays bit-identical.
+- Lifecycle: inference and experimentation shares a and b weight the
+  training estimate by 1 + a + b, its line items included, and a storage
+  workload adds its own part once, priced alone from the public stage
+  functions. The efficiency, loss and plan are the training estimate's.
 
 A relative error is given in units of 2**-52, the spacing of floats at 1.0.
 """
@@ -21,8 +25,10 @@ A relative error is given in units of 2**-52, the spacing of floats at 1.0.
 import pytest
 import seeded
 
-from carboncast.pipeline import EstimateRequest, estimate
-from carboncast.types import ModelError, Phase
+from carboncast.operational import StorageWorkload, operational_carbon, storage_energy
+from carboncast.pipeline import EstimateRequest, LifecyclePlan, estimate, estimate_lifecycle
+from carboncast.types import LineItem, ModelError, Phase
+from carboncast.units import days_to_seconds
 
 FACTORS = (0.1, 0.5, 2.0, 3.0, 7.3, 10.0)
 ULP = 2.0 ** -52
@@ -32,6 +38,16 @@ ULP = 2.0 ** -52
 # seen over these inputs was about 3.2 and 1.4.
 TOKENS_BOUND = 4 * ULP
 DATA_CENTER_BOUND = 2 * ULP
+
+# Each weighted field and line item is one product (plus one sum with a
+# storage part) on either side, so it matches exactly. The lifecycle total
+# adds two weighted products where the relation weights the training total:
+# five roundings of at most half an ulp each, and the worst seen is 1.9.
+LIFECYCLE_TOTAL_BOUND = 2.5 * ULP
+# (inference_share, experimentation_share) pairs.
+SHARES = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.25), (1.7, 0.3), (9.0, 4.5))
+WEIGHTED = ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
+            "operational_tco2", "embodied_tco2")
 
 SCALED_BY_TOKENS = ("duration_seconds", "hardware_energy_mwh", "operational_tco2",
                     "embodied_tco2", "total_tco2")
@@ -93,3 +109,40 @@ def test_scaling_pue_scales_operational_energy(priced, k):
         assert error <= DATA_CENTER_BOUND, (
             f"{req.arch.name}: operational_energy_mwh off by {error / ULP:.2f} ulp at k={k}")
         assert report.embodied_tco2 == base.embodied_tco2, req.arch.name
+
+
+def storage_part(storage: StorageWorkload, center) -> tuple:
+    """``storage`` priced alone: its seconds, hardware MWh, facility MWh and
+    operational tCO2, then its stored and moved MWh."""
+    stored, moved = storage_energy(storage)
+    facility, carbon = operational_carbon(stored + moved, center)
+    return days_to_seconds(storage.duration_days), stored + moved, facility, carbon, stored, moved
+
+
+@pytest.mark.parametrize("shares", SHARES, ids=lambda shares: "a={}-b={}".format(*shares))
+@pytest.mark.parametrize("storage", [None, StorageWorkload(12.5, 80.0, 90.0)],
+                         ids=["no-storage", "storage"])
+def test_a_lifecycle_is_the_weighted_estimate_plus_its_storage(priced, shares, storage):
+    weight = 1.0 + shares[0] + shares[1]  # summed as estimate_lifecycle sums it
+    for req, base in priced:
+        report = estimate_lifecycle(LifecyclePlan(req, *shares, storage=storage))
+        want = [weight * getattr(base, field) for field in WEIGHTED]
+        want_total = weight * base.total_tco2
+        items = [LineItem(item.unit, item.count, weight * item.energy_mwh,
+                          weight * item.embodied_tco2) for item in base.line_items]
+        if storage is not None:
+            seconds, hardware, facility, carbon, stored, moved = storage_part(
+                storage, req.data_center)
+            want = [value + part for value, part in zip(want, (seconds, hardware, facility,
+                                                                carbon, 0.0))]
+            want_total += carbon
+            items += [LineItem("storage", 1, stored), LineItem("transfer", 1, moved)]
+        for field, value in zip(WEIGHTED, want):
+            assert getattr(report, field) == value, f"{req.arch.name}: {field}"
+        assert report.line_items == tuple(items), req.arch.name
+        error = relative_error(report.total_tco2, want_total, 1.0)
+        assert error <= LIFECYCLE_TOTAL_BOUND, (
+            f"{req.arch.name}: total_tco2 off by {error / ULP:.2f} ulp")
+        assert report.phase is Phase.LIFECYCLE
+        assert (report.hardware_efficiency, report.test_loss, report.parallelism) == (
+            base.hardware_efficiency, base.test_loss, base.parallelism), req.arch.name

@@ -2,6 +2,7 @@
 surface."""
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -275,6 +276,10 @@ class TestCarbonReport:
         ("operational_tco2", math.nan), ("embodied_tco2", math.inf), ("total_tco2", math.inf),
         # Only the test loss may be None; a None carbon would fail additivity as a TypeError.
         ("duration_seconds", None), ("operational_tco2", None),
+        # A bool compares as a number, but is refused; a bool total is named
+        # for what it is, not as an additivity fault.
+        ("duration_seconds", True), ("embodied_tco2", False), ("total_tco2", True),
+        ("hardware_efficiency", True), ("test_loss", False),
     ])
     def test_numbers_must_be_finite_and_non_negative(self, fname, value):
         fields = {"duration_seconds": 1.0, "hardware_energy_mwh": 1.0,
@@ -413,8 +418,9 @@ class TestFieldTypes:
 
 
 class TestRecord:
-    """The value types are records: built by keyword or position, compared,
-    hashed and printed by their fields, and never changed in place."""
+    """The value types, records and checked named tuples alike: built by
+    keyword or position, compared, hashed and printed by their fields, and
+    never changed in place."""
 
     @pytest.mark.parametrize("build, expected", REPRS,
                              ids=[text.split("(", 1)[0] for _, text in REPRS])
@@ -465,7 +471,15 @@ class TestRecord:
         assert EstimateRequest._fields[:4] == ("arch", "tokens", "fleet", "data_center")
         assert request().scaling == ScalingConstants() and request().overrides == Overrides()
         assert report().line_items == (LineItem("box", 2, 1.0, 0.25),)
-        assert CarbonReport._defaults["line_items"] == ()
+        assert CarbonReport._field_defaults["line_items"] == ()
+        # A checked named tuple states its defaults twice, in its field base
+        # and in its __new__: they must agree.
+        for kind in (CarbonReport, ParallelismPlan):
+            signature = inspect.signature(kind)
+            assert list(signature.parameters) == list(kind._fields)
+            assert kind._field_defaults == {
+                name: parameter.default for name, parameter in signature.parameters.items()
+                if parameter.default is not parameter.empty}
 
     def test_replace_builds_a_checked_copy(self):
         req = request()
@@ -476,16 +490,20 @@ class TestRecord:
         with pytest.raises(TypeError, match="unexpected keyword argument 'token'"):
             req.replace(token=2e9)
 
-    @pytest.mark.parametrize("build", [request, report], ids=["EstimateRequest", "CarbonReport"])
+    @pytest.mark.parametrize("build", [request, report, lambda: ParallelismPlan(1, 2, 3)],
+                             ids=["EstimateRequest", "CarbonReport", "ParallelismPlan"])
     @pytest.mark.parametrize("round_trip", [
         lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy,
     ], ids=["pickle", "deepcopy", "copy"])
     def test_pickle_and_copy_round_trip(self, build, round_trip):
         value = build()
         again = round_trip(value)
+        assert type(again) is type(value)
         assert again == value and repr(again) == repr(value) and hash(again) == hash(value)
         with pytest.raises(AttributeError):
             again.phase = Phase.INFERENCE
+        with pytest.raises(AttributeError):
+            setattr(again, type(value)._fields[1], 1)
 
     # What a record's own check works out, kept as a plain attribute that is
     # not a field: a fleet's accelerator entry, a unit's pricing basis.
@@ -518,6 +536,59 @@ class TestRecord:
         assert round_trip(GPU).embodied_basis == "area"
         assert round_trip(BOX).embodied_basis == "override"
         assert round_trip(HardwareFleet.of((BOX, 2))).accelerator is None
+
+
+def forged(value, change: dict):
+    """``value`` with ``change`` made, built by ``tuple.__new__``, which runs
+    no check: what an unchecked path would make."""
+    return tuple.__new__(type(value), {**value._asdict(), **change}.values())
+
+
+class TestCheckedTuples:
+    """A report and a plan are named tuples that check their fields in their
+    own ``__new__``; no way to build one skips it."""
+
+    def test_they_unpack_iterate_and_equal_the_tuple_of_their_fields(self):
+        plan = ParallelismPlan(1, 2, 3)
+        assert plan == (1, 2, 3, 1) and tuple(plan) == (1, 2, 3, 1)
+        pipeline, tensor, data, expert = plan
+        assert (pipeline, tensor, data, expert, plan.device_count) == (1, 2, 3, 1, 6)
+        value = report()
+        assert list(value) == [getattr(value, name) for name in CarbonReport._fields]
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
+        assert ParallelismPlan._field_defaults == {"expert": 1}
+        assert CarbonReport(*value[:7]) == value.replace(
+            hardware_efficiency=1.0, parallelism=None, line_items=())
+
+    @pytest.mark.parametrize("value, change", [
+        (report(), {"duration_seconds": math.nan}),
+        (report(), {"test_loss": True}),
+        (ParallelismPlan(1, 2, 3), {"tensor": math.nan}),
+        (ParallelismPlan(1, 2, 3), {"expert": True}),
+    ], ids=["report-nan", "report-bool", "plan-nan", "plan-bool"])
+    @pytest.mark.parametrize("build", [
+        lambda value, change: type(value)._make(forged(value, change)),
+        lambda value, change: value._replace(**change),
+        lambda value, change: value.replace(**change),
+        *[lambda value, change, protocol=protocol:
+          pickle.loads(pickle.dumps(forged(value, change), protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+        lambda value, change: copy.copy(forged(value, change)),
+        lambda value, change: copy.deepcopy(forged(value, change)),
+    ], ids=["_make", "_replace", "replace",
+            *[f"pickle-{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+            "copy", "deepcopy"])
+    def test_every_way_to_build_one_runs_its_checks(self, value, change, build):
+        with pytest.raises(ModelError) as expected:
+            type(value)(**{**value._asdict(), **change})
+        with pytest.raises(ModelError) as raised:
+            build(value, change)
+        assert type(raised.value) is ModelError
+        assert str(raised.value) == str(expected.value)
+
+    def test_replace_refuses_an_unknown_field(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'pipe'"):
+            ParallelismPlan(1, 2, 3).replace(pipe=2)
 
 
 class TestUnits:
