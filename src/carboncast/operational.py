@@ -65,7 +65,7 @@ def device_time(total_flops: float, device_count: int,
     if not is_shape_count(device_count):
         raise ModelError(f"device_count must be an integer >= 1, got {shown(device_count)}")
     if not 0.0 < efficiency <= 1.0:
-        raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+        raise ModelError(f"efficiency must lie in (0, 1], got {shown(efficiency)}")
     return _seconds(total_flops, device_count, peak_tflops, efficiency)
 
 
@@ -118,7 +118,7 @@ def hardware_energy(
     """
     check_non_negative(execution_seconds, "execution_seconds", ModelError)
     if not (is_number(efficiency, "efficiency", ModelError) and 0 < efficiency <= 1):
-        raise ModelError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+        raise ModelError(f"efficiency must lie in (0, 1], got {shown(efficiency)}")
     if power_override_watts is not None:
         check_non_negative(power_override_watts, "power_override_watts", ModelError)
     total_j = 0.0

@@ -609,7 +609,8 @@ def check_report_floats(*values: float | None) -> None:
     or negative, or not a number. ``values`` are a report's float fields in
     ``CarbonReport`` order, from duration to test loss; only the test loss may
     be ``None``. The model stages check their values with this, so they fail
-    exactly as their reports would."""
+    exactly as their reports would. A bool passes, as the number it compares
+    as; only the report itself refuses one, since no stage makes one."""
     duration, hardware, facility, operational, embodied, total, efficiency, loss = values
     # One chain for the valid case; the loop names a fault.
     try:
@@ -624,6 +625,28 @@ def check_report_floats(*values: float | None) -> None:
         if not (isinstance(value, (int, float)) and 0.0 <= value < inf
                 or value is None and fname == "test_loss"):
             raise ModelError(f"{fname} must be finite and >= 0, got {shown(value)}")
+
+
+def _check_report_fields(phase, floats: tuple, parallelism, line_items) -> None:
+    """Raise a ``ModelError`` naming a report's first field, in field order,
+    that is of the wrong type or, for a float field, out of range or a bool.
+    The additivity of the totals is the report's own check."""
+    check_type(phase, "phase", Phase, ModelError)
+    check_report_floats(*floats)
+    for fname, value in zip(_REPORT_FLOATS, floats):
+        if type(value) is bool:
+            raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+    if parallelism is not None:
+        check_type(parallelism, "parallelism", ParallelismPlan, ModelError)
+    check_type(line_items, "line_items", tuple, ModelError)
+    _check_line_items(line_items)
+
+
+def _check_line_items(line_items: tuple) -> None:
+    """Raise a ``ModelError`` naming the first of ``line_items`` that is not a
+    :class:`LineItem`."""
+    for i, item in enumerate(line_items):
+        check_type(item, f"line_items[{i}]", LineItem, ModelError)
 
 
 class _CarbonReportFields(NamedTuple):
@@ -646,8 +669,10 @@ class CarbonReport(_CheckedTuple, _CarbonReportFields):
 
     Invariants: total equals operational plus embodied exactly, and
     operational energy equals hardware energy times PUE. Building one checks
-    the first, and that every float field is a finite number >= 0 and not a
-    bool; only ``test_loss`` may be ``None``.
+    the first; that the phase is a :class:`Phase`; that every float field is
+    a finite number >= 0 and not a bool, where only ``test_loss`` may be
+    ``None``; that ``parallelism`` is ``None`` or a :class:`ParallelismPlan`;
+    and that ``line_items`` is a tuple of :class:`LineItem`.
     """
 
     __slots__ = ()
@@ -657,21 +682,31 @@ class CarbonReport(_CheckedTuple, _CarbonReportFields):
                 total_tco2: float, hardware_efficiency: float = 1.0,
                 test_loss: float | None = None, parallelism: ParallelismPlan | None = None,
                 line_items: tuple[LineItem, ...] = ()):
-        # Checked first, since NaN or inf also breaks the additivity check
-        # below with a misleading message.
-        check_report_floats(duration_seconds, hardware_energy_mwh, operational_energy_mwh,
-                            operational_tco2, embodied_tco2, total_tco2, hardware_efficiency,
-                            test_loss)
-        # The check admits a bool, as a number; a report refuses one.
-        if (type(duration_seconds) is bool or type(hardware_energy_mwh) is bool
-                or type(operational_energy_mwh) is bool or type(operational_tco2) is bool
-                or type(embodied_tco2) is bool or type(total_tco2) is bool
-                or type(hardware_efficiency) is bool or type(test_loss) is bool):
-            for fname, value in zip(_REPORT_FLOATS, (
-                    duration_seconds, hardware_energy_mwh, operational_energy_mwh,
-                    operational_tco2, embodied_tco2, total_tco2, hardware_efficiency, test_loss)):
-                if type(value) is bool:
-                    raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
+        # One chain for the valid case, whose float fields are floats, then
+        # one loop over the items (cheaper than any expression over them in
+        # the chain); each fallback names the first fault in field order, or
+        # admits the rest (an int field, a subclass). The totals are checked
+        # last, since NaN or inf also breaks additivity, misleadingly.
+        if not (type(phase) is Phase
+                and type(duration_seconds) is float and 0.0 <= duration_seconds < inf
+                and type(hardware_energy_mwh) is float and 0.0 <= hardware_energy_mwh < inf
+                and type(operational_energy_mwh) is float
+                and 0.0 <= operational_energy_mwh < inf
+                and type(operational_tco2) is float and 0.0 <= operational_tco2 < inf
+                and type(embodied_tco2) is float and 0.0 <= embodied_tco2 < inf
+                and type(total_tco2) is float and 0.0 <= total_tco2 < inf
+                and type(hardware_efficiency) is float and 0.0 <= hardware_efficiency < inf
+                and (test_loss is None or type(test_loss) is float and 0.0 <= test_loss < inf)
+                and (parallelism is None or type(parallelism) is ParallelismPlan)
+                and type(line_items) is tuple):
+            _check_report_fields(phase, (duration_seconds, hardware_energy_mwh,
+                                         operational_energy_mwh, operational_tco2, embodied_tco2,
+                                         total_tco2, hardware_efficiency, test_loss),
+                                 parallelism, line_items)
+        for item in line_items:
+            if type(item) is not LineItem:
+                _check_line_items(line_items)
+                break
         if total_tco2 != operational_tco2 + embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")
         return _tuple_new(cls, (phase, duration_seconds, hardware_energy_mwh,

@@ -202,6 +202,19 @@ class TestRowLength:
         with pytest.raises(CatalogError, match=f"^{message}$"):
             load(io.StringIO(text))
 
+    def test_a_short_row_in_a_user_catalog_exits_2(self, tmp_path, capsys):
+        # A row one cell short would load its cells into the wrong columns.
+        text = (EXAMPLES / "xlm_cluster_hardware.csv").read_text(encoding="utf-8")
+        assert "\nXLM-SSD,ssd,,,,,,,,576,5\n" in text
+        path = tmp_path / "hw.csv"
+        path.write_text(text.replace("XLM-SSD,ssd,,,,,,,,576,5", "XLM-SSD,ssd,,,,,,,576,5"),
+                        encoding="utf-8")
+        code = cli.main(["lifecycle", "--config", str(EXAMPLES / "lifecycle_green_grid.yaml"),
+                         "--catalog", str(path)])
+        assert (code, capsys.readouterr().err) == (
+            cli.EXIT_CONFIG_ERROR, f"catalog error: {path}: hardware catalog row 2: "
+            "10 cells, expected 11\n")
+
     @pytest.mark.parametrize("load, text, count", [
         (catalog.load_hardware, HARDWARE_HEAD + "\n,,\nXLM-SSD,ssd,,,,,,,,576,5,,\n", 1),
         (catalog.load_datacenters, DATACENTER_HEAD + "\n,\ndc,1.1,0.4,\n", 1),

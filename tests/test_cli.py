@@ -166,6 +166,10 @@ class TestEstimateCommand:
                      "estimate.data_center.name: required", id="no-data-center-name"),
         pytest.param("  tokens: 3.0e+11\n", "", EXIT_CONFIG_ERROR,
                      "estimate.tokens: required", id="no-tokens"),
+        pytest.param("      count: 10000\n",
+                     "      count: 10000\n    - unit: A100\n      count: 8\n", EXIT_CONFIG_ERROR,
+                     "estimate.fleet: fleet has multiple accelerator entries: V100, A100",
+                     id="two-accelerators"),
         ("  tokens:", "  device_memory_gb: 0\n  tokens:", EXIT_MODEL_ERROR,
          "[efficiency-model] device_memory_gb must be positive"),
         ("  tokens:", "  scaling: {alpha: 0}\n  tokens:", EXIT_CONFIG_ERROR,
@@ -207,6 +211,12 @@ class TestEstimateCommand:
         config = write_config(tmp_path, GPT3_CONFIG.replace(old, new))
         assert main(["estimate", "--config", config]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", "42\n", ""], ids=["list", "scalar", "empty"])
+    def test_a_top_level_that_is_not_a_mapping_exits_2(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        assert main(["estimate", "--config", path]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"config error: {path}: top level must be a mapping\n")
 
     @pytest.mark.parametrize("fleet_count, device_count, code, message", [
         pytest.param(10 ** 300, None, EXIT_MODEL_ERROR,
@@ -455,6 +465,17 @@ class TestSweepCommand:
         assert out.splitlines()[0] == ",".join(cli.SWEEP_CSV_HEADER)
         assert len(out.splitlines()) == 7
         assert "skipped" not in err
+
+    def test_a_failing_point_is_skipped_and_the_rest_written(self, tmp_path, capsys):
+        config = sweep_config([("a", 1_000_000_000, 2.0e10), ("no-tokens", 1_000_000_000, 0.0),
+                               ("b", 5_000_000_000, 1.0e11)])
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert code == EXIT_MODEL_ERROR
+        assert capsys.readouterr() == ("", (
+            "skipped no-tokens: sweep points need a finite positive token count, got 0.0\n"
+            "2 points, 2 nondominated\n"))
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["name", "b", "a"]
 
     def test_a_bad_setting_fails_once(self, tmp_path, capsys):
         config = sweep_config([("a", 1_000_000_000, 2.0e10), ("b", 5_000_000_000, 1.0e11),
@@ -871,6 +892,14 @@ def test_a_root_name_loads_its_submodule_on_first_use():
         "print(cc.estimate is cc.pipeline.estimate, 'estimate' in vars(cc)); "
         "print(cc.validation is sys.modules['carboncast.validation'])"
     ).splitlines() == ["False False", "True True", "True"]
+
+
+def test_after_the_catalog_a_root_name_still_loads_its_submodule():
+    # The catalog loads no model module, so the root loads the pipeline for ``cc.estimate``.
+    assert run_probe(
+        "import sys, carboncast.catalog, carboncast as cc; "
+        "print('carboncast.pipeline' in sys.modules, cc.estimate.__module__)"
+    ) == "False carboncast.pipeline"
 
 
 def test_a_submodules_names_are_bound_at_the_root_when_it_is_imported():

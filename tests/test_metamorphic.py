@@ -11,6 +11,12 @@ once per k.
 - Tokens: training FLOPs are 6·P·D, so the duration, the hardware energy and
   both the operational and the embodied tCO2 scale with the token count, and
   more tokens never raise the loss.
+- FLOPs: the duration, the hardware energy and both the operational and the
+  embodied tCO2 scale with a measured-FLOPs override, from a base of the
+  chain's own 6·P·D at the request's full count P; the loss, the efficiency
+  and the plan do not read it.
+- Parameters: at a fixed token count, a larger explicit parameter count never
+  raises the loss, and a smaller one never lowers it.
 - Data center: operational tCO2 scales with the carbon intensity and
   operational energy with the PUE; embodied tCO2 does not read the data
   center at all, so it stays bit-identical.
@@ -25,7 +31,9 @@ A relative error is given in units of 2**-52, the spacing of floats at 1.0.
 import pytest
 import seeded
 
+from carboncast.flops import training_flops
 from carboncast.operational import StorageWorkload, operational_carbon, storage_energy
+from carboncast.params import count_params
 from carboncast.pipeline import EstimateRequest, LifecyclePlan, estimate, estimate_lifecycle
 from carboncast.types import LineItem, ModelError, Phase
 from carboncast.units import days_to_seconds
@@ -38,6 +46,9 @@ ULP = 2.0 ** -52
 # seen over these inputs was about 3.2 and 1.4.
 TOKENS_BOUND = 4 * ULP
 DATA_CENTER_BOUND = 2 * ULP
+# A measured FLOP count passes through the same roundings as the token
+# count, less the FLOP product; the worst seen was about 2.8.
+FLOPS_BOUND = 4 * ULP
 
 # Each weighted field and line item is one product (plus one sum with a
 # storage part) on either side, so it matches exactly. The lifecycle total
@@ -85,6 +96,32 @@ def test_scaling_tokens_scales_carbon_energy_and_duration(priced, k):
         # More tokens never raise the loss; fewer never lower it.
         assert (report.test_loss <= base.test_loss if k > 1
                 else report.test_loss >= base.test_loss), req.arch.name
+
+
+@pytest.mark.parametrize("k", FACTORS)
+def test_scaling_measured_flops_scales_carbon_energy_and_duration(priced, k):
+    for req, _ in priced:
+        flops = training_flops(count_params(req.arch).total, req.tokens).total_flops
+        base, report = (estimate(req.replace(overrides=req.overrides.replace(measured_flops=f)))
+                        for f in (flops, flops * k))
+        for field in SCALED_BY_TOKENS:
+            error = relative_error(getattr(report, field), getattr(base, field), k)
+            assert error <= FLOPS_BOUND, (
+                f"{req.arch.name}: {field} off by {error / ULP:.2f} ulp at k={k}")
+        assert (report.test_loss, report.hardware_efficiency, report.parallelism) == (
+            base.test_loss, base.hardware_efficiency, base.parallelism), req.arch.name
+
+
+# The loss law is checked exactly: no ulp of slack. The smallest change of
+# the loss seen over these inputs was about 1.6e13 ulp of the loss.
+@pytest.mark.parametrize("k", FACTORS)
+def test_more_parameters_never_raise_the_loss(priced, k):
+    for req, base in priced:
+        count = k * count_params(req.arch).total
+        report = estimate(req.replace(arch=req.arch.replace(explicit_param_count=count)))
+        assert (report.test_loss <= base.test_loss if k > 1
+                else report.test_loss >= base.test_loss), (
+            f"{req.arch.name}: loss {report.test_loss!r} at k={k}, {base.test_loss!r} at 1")
 
 
 @pytest.mark.parametrize("k", FACTORS)

@@ -73,6 +73,7 @@ class TestDeviceTime:
         ((1e20, -1, 125.0, -1), "device_count must be an integer >= 1, got -1"),
         ((1e20, 2.5, 125.0, 0.5), "device_count must be an integer >= 1, got 2.5"),
         ((1e20, 8, 125.0, 7.0), "efficiency must lie in (0, 1], got 7.0"),
+        ((1e20, 8, 125.0, 10 ** 300), "efficiency must lie in (0, 1], got an int"),
         ((1e20, 8, -125, 0.5),
          "throughput must be positive (devices=8, peak=-125 TFLOP/s, efficiency=0.5)"),
         ((1e20, 8, math.inf, 0.5),
@@ -137,6 +138,9 @@ class TestHardwareEnergy:
         (10.0, 1.5, "efficiency must lie in (0, 1], got 1.5"),
         (10.0, True, "efficiency must lie in (0, 1], got True"),
         (10.0, 10 ** 400, "efficiency is beyond the float range"),
+        # A value whose repr is too long for a message is named by its type.
+        (10.0, 10 ** 300, "efficiency must lie in (0, 1], got an int"),
+        (10.0, "x" * 200, "efficiency must lie in (0, 1], got a str"),
     ])
     def test_inputs_fail_by_name(self, seconds, efficiency, message):
         fleet = HardwareFleet.of((v100(avg_watts=330), 8))

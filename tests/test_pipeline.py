@@ -72,6 +72,11 @@ def shaped_arch(**change):
     return LlmArchitecture(**{"name": "m", **SHAPE, **change})
 
 
+# Its shape selects the general MoE route, whose count rounds to 0.
+TINY_MOE = {"kind": ArchKind.MOE, "hidden_size": 1, "layer_count": 1, "vocab_size": 1,
+            "head_count": 1, "head_dim": 2, "ff_size": 1, "moe_fraction": 1e-9,
+            "expert_groups": (ExpertGroup(1.0, 1),), "base_model_param_count": 1}
+
 STORAGE = StorageWorkload(stored_tb=10, transferred_tb=40, duration_days=90)
 
 
@@ -388,6 +393,13 @@ class TestEstimate:
                                               layer_count=2, vocab_size=100)},
                      "[flop-model] m: MoE FLOPs need base_model_param_count (or h, l, V to "
                      "derive the dense counterpart)", id="explicit-moe-hidden-str"),
+        # An MoE whose general-route count rounds to 0: inference has no loss
+        # stage, so the planner's own check names it; training fails first at the loss.
+        pytest.param({"arch": TINY_MOE, "phase": Phase.INFERENCE},
+                     "[efficiency-model] param_count must be finite and positive, got 0",
+                     id="moe-count-0-inference"),
+        pytest.param({"arch": TINY_MOE, "phase": Phase.TRAINING},
+                     "[scaling-law] param_count must be positive, got 0", id="moe-count-0-training"),
     ])
     def test_errors_name_the_failing_stage(self, change, message):
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=1e9,

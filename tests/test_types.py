@@ -34,7 +34,7 @@ from carboncast.types import (
 )
 from carboncast.efficiency import efficiency_at_count, optimal_efficiency
 from carboncast.flops import FlopBudget
-from carboncast.operational import StorageWorkload, device_time
+from carboncast.operational import StorageWorkload, device_time, hardware_energy
 from carboncast.pipeline import EstimateRequest, LifecyclePlan, Overrides, sweep
 from carboncast.scaling import LossPrediction, test_loss as predict_loss
 from carboncast.validation import TRAINING_FIXTURES, ValidationRow
@@ -288,6 +288,15 @@ class TestCarbonReport:
         with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
             CarbonReport(phase=Phase.TRAINING, **fields)
 
+    def test_int_fields_and_subclasses_are_admitted(self):
+        # Past the one chain for float fields and exact types, the fallback admits them.
+        class Item(LineItem):
+            __slots__ = ()
+
+        for numbers in ((10, 1, 1, 2, 1, 3, 1, 2), (10.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0)):
+            value = CarbonReport(Phase.INFERENCE, *numbers, None, (LineItem("a", 1), Item("b", 2)))
+            assert value.total_tco2 == 3 and type(value.line_items[1]) is Item
+
 
 BOX = HardwareUnit(name="box", role=HardwareRole.OTHER, embodied_kg_override=1.0)
 GPU = HardwareUnit(name="gpu", role=HardwareRole.ACCELERATOR, peak_tflops=125.0,
@@ -409,6 +418,26 @@ class TestFieldTypes:
                      "parallelism degree tensor must be an integer >= 1, got 0", id="plan-zero"),
         pytest.param(lambda: ParallelismPlan(1, 1, 1, 10 ** 400), ModelError,
                      "parallelism degree expert is beyond the float range", id="plan-long-int"),
+        pytest.param(lambda: report(phase="training"), ModelError,
+                     "phase must be a Phase, got str", id="report-phase"),
+        pytest.param(lambda: report(parallelism=(1, 2, 3, 1)), ModelError,
+                     "parallelism must be a ParallelismPlan, got tuple", id="report-parallelism"),
+        pytest.param(lambda: report(line_items=5), ModelError,
+                     "line_items must be a tuple, got int", id="report-line-items-int"),
+        pytest.param(lambda: report(line_items=[LineItem("box", 2)]), ModelError,
+                     "line_items must be a tuple, got list", id="report-line-items-list"),
+        pytest.param(lambda: report(line_items=(LineItem("box", 2), ("gpu", 8))), ModelError,
+                     "line_items[1] must be a LineItem, got tuple", id="report-line-item"),
+        # Fields are checked in field order: the phase, the floats, then the rest.
+        pytest.param(lambda: CarbonReport("x", 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, parallelism="plan",
+                                          line_items=5), ModelError,
+                     "phase must be a Phase, got str", id="report-phase-first"),
+        pytest.param(lambda: report(duration_seconds=True, parallelism="plan"), ModelError,
+                     "duration_seconds must be finite and >= 0, got True",
+                     id="report-floats-before-parallelism"),
+        pytest.param(lambda: report(parallelism="plan", line_items=5), ModelError,
+                     "parallelism must be a ParallelismPlan, got str",
+                     id="report-parallelism-before-line-items"),
     ])
     def test_a_field_of_the_wrong_type_is_refused_by_name(self, build, error, message):
         with pytest.raises(error) as caught:
@@ -563,9 +592,12 @@ class TestCheckedTuples:
     @pytest.mark.parametrize("value, change", [
         (report(), {"duration_seconds": math.nan}),
         (report(), {"test_loss": True}),
+        (report(), {"phase": "training"}),
+        (report(), {"line_items": (("box", 2, 1.0, 0.25),)}),
         (ParallelismPlan(1, 2, 3), {"tensor": math.nan}),
         (ParallelismPlan(1, 2, 3), {"expert": True}),
-    ], ids=["report-nan", "report-bool", "plan-nan", "plan-bool"])
+    ], ids=["report-nan", "report-bool", "report-phase", "report-line-item", "plan-nan",
+            "plan-bool"])
     @pytest.mark.parametrize("build", [
         lambda value, change: type(value)._make(forged(value, change)),
         lambda value, change: value._replace(**change),
@@ -668,10 +700,12 @@ class TestBoundedMessages:
          "param_count must be finite and positive, got a list"),
         (lambda deep: efficiency_at_count(1, 1, deep), ModelError,
          "optimal_eff must lie in (0, 1], got a list"),
+        (lambda deep: hardware_energy(HardwareFleet.of((GPU, 8)), 1.0, deep), ModelError,
+         "efficiency must lie in (0, 1], got a list"),
     ], ids=["efficiency-fit", "overrides", "data-center", "pue", "check-count", "report",
             "scaling-constants", "architecture-name", "architecture-kind", "test-loss",
             "device-time-flops", "device-time-count", "optimal-efficiency",
-            "efficiency-at-count"])
+            "efficiency-at-count", "hardware-energy"])
     def test_a_value_nested_past_the_recursion_limit_is_named_by_its_type(self, call, error,
                                                                           message):
         with pytest.raises(error) as raised:

@@ -8,6 +8,8 @@ inference rows still ran through their own latency function and the
 embodied rows read per-unit result objects.
 """
 
+import pytest
+
 from carboncast.validation import run_validation
 
 MATRIX = [
@@ -56,3 +58,11 @@ def test_every_validate_row_is_pinned_bit_for_bit():
             for r in run_validation()]
     assert rows == MATRIX
     assert all(r.passed for r in run_validation())
+
+
+def test_an_unknown_group_is_refused_with_the_seven_it_could_be():
+    with pytest.raises(ValueError) as raised:
+        run_validation(only="nonsense")
+    assert str(raised.value) == (
+        "unknown validation group 'nonsense'; choose from days, efficiency, embodied, "
+        "inference, parameters, storage, training")
