@@ -131,7 +131,7 @@ def _plan_degrees(param_count: float, is_moe: bool, device_memory_gb: float,
     # NaN fails too: inf bytes of state over inf bytes of memory.
     if not depth < math.inf:
         raise ModelError(f"the pipeline depth for {param_count:.6g} parameters in "
-                         f"{device_memory_gb!r} GB devices overflows a float")
+                         f"{float(device_memory_gb)!r} GB devices overflows a float")
     # At least 1: a depth that underflows to 0 (a tiny model, or device
     # memory that overflows to inf in bytes) still takes one stage.
     pipeline = math.ceil(depth)

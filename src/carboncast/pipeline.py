@@ -34,16 +34,17 @@ functions), ``efficiency._plan_degrees`` (``plan_parallelism``),
 ``operational._seconds`` (``device_time``). Their inputs are values the
 chain or the setting has checked, so no core checks them again. The chain
 names every fault it meets by its stage, then checks the values a report
-would, with the same messages. ``estimate()`` and ``estimate_lifecycle()``
-build their report in one pass from the stage values (``_report``): the
-lifecycle weights them and adds its storage part, the one place storage is
-priced. The report and its plan are checked named tuples, built through
-their own ``__new__``, which runs the report's checks once more on the
-summed values. ``sweep()`` checks its grid, fleet and data center once per
-call, builds no report, flags the Pareto-dominated points and returns each
-as a ``SweepPoint`` named tuple. The named tuples that no check guards (a
-report's line items, the sweep's points) are built with ``tuple.__new__``,
-in C, not through the named tuple's Python ``__new__``.
+would with the report's own rule, ``check_report_floats``. ``estimate()``
+and ``estimate_lifecycle()`` check that they were given a request or a
+plan, then build their report in one pass from the stage values
+(``_report``): the lifecycle weights them and adds its storage part, the
+one place storage is priced. The report and its plan are checked named
+tuples, built through their own ``__new__``, which runs the report's checks
+once more on the summed values. ``sweep()`` checks its grid, fleet and data
+center once per call, builds no report, flags the Pareto-dominated points
+and returns each as a ``SweepPoint`` named tuple. The named tuples that no
+check guards (a report's line items, the sweep's points) are built with
+``tuple.__new__``, in C, not through the named tuple's Python ``__new__``.
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ def _moe_flop_param_count(arch) -> float:
 
 def estimate(req: EstimateRequest) -> CarbonReport:
     """Project one phase end to end. See module docstring for the flow."""
+    if type(req) is not EstimateRequest:
+        check_type(req, "request", EstimateRequest, ModelError)
     return _report(req, req.phase, 1.0)
 
 
@@ -209,6 +212,8 @@ def estimate_lifecycle(plan: LifecyclePlan) -> CarbonReport:
     zero and no storage the numbers are the training estimate's. A training
     fault is the one ``estimate()`` raises.
     """
+    if type(plan) is not LifecyclePlan:
+        check_type(plan, "plan", LifecyclePlan, ModelError)
     activity = 1.0 + plan.inference_share + plan.experimentation_share
     return _report(plan.training, Phase.LIFECYCLE, activity, plan.storage)
 

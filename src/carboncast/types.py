@@ -10,6 +10,8 @@ outputs are named tuples. A :class:`CarbonReport` and its
 (:class:`LineItem`), which the chain builds from values it has checked, are
 plain ones. Every record and checked tuple checks its fields when it is
 built, so a value that exists is a valid one and no stage checks it again.
+A report's float fields are held to one rule, :func:`check_report_floats`,
+which the model stages also run on the values they hand a report.
 Hardware and data-center types raise :class:`CatalogError`, because a
 broken catalog row should stop a run immediately; the others raise
 :class:`ModelError`. An architecture lists every rule it breaks in one
@@ -414,6 +416,9 @@ class HardwareUnit(Record):
     lifetime_years: float = 5.0
 
     def __post_init__(self) -> None:
+        # Checked before any label formats the name.
+        check_type(self.name, "hardware unit name", str, CatalogError)
+        check_type(self.role, f"{self.name}: role", HardwareRole, CatalogError)
         for fname in ("peak_tflops", "tdp_watts", "avg_system_power_watts", "die_area_mm2",
                       "cpa", "capacity_gb", "embodied_kg_override"):
             if (value := getattr(self, fname)) is not None:
@@ -506,6 +511,7 @@ class DataCenterProfile(Record):
     carbon_intensity: float
 
     def __post_init__(self) -> None:
+        check_type(self.name, "data center name", str, CatalogError)
         pue = self.pue
         if not (is_number(pue, f"{self.name}: pue", CatalogError) and 1.0 <= pue < math.inf):
             raise CatalogError(f"{self.name}: pue must be finite and >= 1.0, got {shown(pue)}")
@@ -598,57 +604,6 @@ class LineItem(NamedTuple):
     embodied_tco2: float = 0.0
 
 
-# CarbonReport's float fields, in the order they are checked.
-_REPORT_FLOATS = ("duration_seconds", "hardware_energy_mwh", "operational_energy_mwh",
-                  "operational_tco2", "embodied_tco2", "total_tco2", "hardware_efficiency",
-                  "test_loss")
-
-
-def check_report_floats(*values: float | None) -> None:
-    """Raise a ``ModelError`` naming the first of ``values`` that is NaN, inf
-    or negative, or not a number. ``values`` are a report's float fields in
-    ``CarbonReport`` order, from duration to test loss; only the test loss may
-    be ``None``. The model stages check their values with this, so they fail
-    exactly as their reports would. A bool passes, as the number it compares
-    as; only the report itself refuses one, since no stage makes one."""
-    duration, hardware, facility, operational, embodied, total, efficiency, loss = values
-    # One chain for the valid case; the loop names a fault.
-    try:
-        if (0.0 <= duration < inf and 0.0 <= hardware < inf and 0.0 <= facility < inf
-                and 0.0 <= operational < inf and 0.0 <= embodied < inf and 0.0 <= total < inf
-                and 0.0 <= efficiency < inf and (loss is None or 0.0 <= loss < inf)):
-            return
-    except TypeError:
-        pass
-    for fname, value in zip(_REPORT_FLOATS, values):
-        # Written so that NaN fails too.
-        if not (isinstance(value, (int, float)) and 0.0 <= value < inf
-                or value is None and fname == "test_loss"):
-            raise ModelError(f"{fname} must be finite and >= 0, got {shown(value)}")
-
-
-def _check_report_fields(phase, floats: tuple, parallelism, line_items) -> None:
-    """Raise a ``ModelError`` naming a report's first field, in field order,
-    that is of the wrong type or, for a float field, out of range or a bool.
-    The additivity of the totals is the report's own check."""
-    check_type(phase, "phase", Phase, ModelError)
-    check_report_floats(*floats)
-    for fname, value in zip(_REPORT_FLOATS, floats):
-        if type(value) is bool:
-            raise ModelError(f"{fname} must be finite and >= 0, got {value!r}")
-    if parallelism is not None:
-        check_type(parallelism, "parallelism", ParallelismPlan, ModelError)
-    check_type(line_items, "line_items", tuple, ModelError)
-    _check_line_items(line_items)
-
-
-def _check_line_items(line_items: tuple) -> None:
-    """Raise a ``ModelError`` naming the first of ``line_items`` that is not a
-    :class:`LineItem`."""
-    for i, item in enumerate(line_items):
-        check_type(item, f"line_items[{i}]", LineItem, ModelError)
-
-
 class _CarbonReportFields(NamedTuple):
     phase: Phase
     duration_seconds: float
@@ -663,16 +618,47 @@ class _CarbonReportFields(NamedTuple):
     line_items: tuple[LineItem, ...] = ()
 
 
+# CarbonReport's float fields, in field order.
+_REPORT_FLOATS = _CarbonReportFields._fields[1:9]
+
+
+def check_report_floats(duration_seconds, hardware_energy_mwh, operational_energy_mwh,
+                        operational_tco2, embodied_tco2, total_tco2, hardware_efficiency,
+                        test_loss) -> None:
+    """Raise a ``ModelError`` naming the first of a report's float fields, in
+    field order, that is not a finite number >= 0 under :func:`is_number`;
+    only ``test_loss`` may be ``None``. A report checks its fields with this, and
+    the model stages their values, so they fail exactly as a report would."""
+    # One chain for the valid case, whose values are floats; the loop names
+    # the first fault, or admits the rest (an int, a float subclass).
+    if (type(duration_seconds) is float and 0.0 <= duration_seconds < inf
+            and type(hardware_energy_mwh) is float and 0.0 <= hardware_energy_mwh < inf
+            and type(operational_energy_mwh) is float and 0.0 <= operational_energy_mwh < inf
+            and type(operational_tco2) is float and 0.0 <= operational_tco2 < inf
+            and type(embodied_tco2) is float and 0.0 <= embodied_tco2 < inf
+            and type(total_tco2) is float and 0.0 <= total_tco2 < inf
+            and type(hardware_efficiency) is float and 0.0 <= hardware_efficiency < inf
+            and (test_loss is None or type(test_loss) is float and 0.0 <= test_loss < inf)):
+        return
+    for fname, value in zip(_REPORT_FLOATS, (
+            duration_seconds, hardware_energy_mwh, operational_energy_mwh, operational_tco2,
+            embodied_tco2, total_tco2, hardware_efficiency, test_loss)):
+        # Written so that NaN fails too.
+        if not (is_number(value, fname, ModelError) and 0.0 <= value < inf
+                or value is None and fname == "test_loss"):
+            raise ModelError(f"{fname} must be finite and >= 0, got {shown(value)}")
+
+
 class CarbonReport(_CheckedTuple, _CarbonReportFields):
     """Final projection for one phase (or a whole lifecycle): a checked
     named tuple.
 
     Invariants: total equals operational plus embodied exactly, and
-    operational energy equals hardware energy times PUE. Building one checks
-    the first; that the phase is a :class:`Phase`; that every float field is
-    a finite number >= 0 and not a bool, where only ``test_loss`` may be
-    ``None``; that ``parallelism`` is ``None`` or a :class:`ParallelismPlan`;
-    and that ``line_items`` is a tuple of :class:`LineItem`.
+    operational energy equals hardware energy times PUE. Building one checks,
+    in field order, that the phase is a :class:`Phase`; the float fields with
+    :func:`check_report_floats`; that ``parallelism`` is ``None`` or a
+    :class:`ParallelismPlan`; that ``line_items`` is a tuple of
+    :class:`LineItem`; and then the first invariant.
     """
 
     __slots__ = ()
@@ -682,31 +668,21 @@ class CarbonReport(_CheckedTuple, _CarbonReportFields):
                 total_tco2: float, hardware_efficiency: float = 1.0,
                 test_loss: float | None = None, parallelism: ParallelismPlan | None = None,
                 line_items: tuple[LineItem, ...] = ()):
-        # One chain for the valid case, whose float fields are floats, then
-        # one loop over the items (cheaper than any expression over them in
-        # the chain); each fallback names the first fault in field order, or
-        # admits the rest (an int field, a subclass). The totals are checked
-        # last, since NaN or inf also breaks additivity, misleadingly.
-        if not (type(phase) is Phase
-                and type(duration_seconds) is float and 0.0 <= duration_seconds < inf
-                and type(hardware_energy_mwh) is float and 0.0 <= hardware_energy_mwh < inf
-                and type(operational_energy_mwh) is float
-                and 0.0 <= operational_energy_mwh < inf
-                and type(operational_tco2) is float and 0.0 <= operational_tco2 < inf
-                and type(embodied_tco2) is float and 0.0 <= embodied_tco2 < inf
-                and type(total_tco2) is float and 0.0 <= total_tco2 < inf
-                and type(hardware_efficiency) is float and 0.0 <= hardware_efficiency < inf
-                and (test_loss is None or type(test_loss) is float and 0.0 <= test_loss < inf)
-                and (parallelism is None or type(parallelism) is ParallelismPlan)
-                and type(line_items) is tuple):
-            _check_report_fields(phase, (duration_seconds, hardware_energy_mwh,
-                                         operational_energy_mwh, operational_tco2, embodied_tco2,
-                                         total_tco2, hardware_efficiency, test_loss),
-                                 parallelism, line_items)
-        for item in line_items:
+        # Each test admits the valid case in one comparison; only a value
+        # that fails it pays for its label. The totals are checked last,
+        # since NaN or inf also breaks additivity, misleadingly.
+        if type(phase) is not Phase:
+            check_type(phase, "phase", Phase, ModelError)
+        check_report_floats(duration_seconds, hardware_energy_mwh, operational_energy_mwh,
+                            operational_tco2, embodied_tco2, total_tco2, hardware_efficiency,
+                            test_loss)
+        if parallelism is not None and type(parallelism) is not ParallelismPlan:
+            check_type(parallelism, "parallelism", ParallelismPlan, ModelError)
+        if type(line_items) is not tuple:
+            check_type(line_items, "line_items", tuple, ModelError)
+        for i, item in enumerate(line_items):
             if type(item) is not LineItem:
-                _check_line_items(line_items)
-                break
+                check_type(item, f"line_items[{i}]", LineItem, ModelError)
         if total_tco2 != operational_tco2 + embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")
         return _tuple_new(cls, (phase, duration_seconds, hardware_energy_mwh,

@@ -20,6 +20,7 @@ from .pipeline import EstimateRequest, Overrides, estimate
 from .embodied import fleet_embodied
 from .types import (
     ArchKind,
+    ConfigError,
     DataCenterProfile,
     ExpertGroup,
     HardwareFleet,
@@ -28,6 +29,7 @@ from .types import (
     LlmArchitecture,
     Phase,
     Record,
+    shown,
 )
 
 
@@ -332,9 +334,10 @@ GROUPS = {
 
 
 def run_validation(only: str | None = None) -> list[ValidationRow]:
-    """Evaluate every embedded fixture (or one group) and return the matrix."""
-    if only is not None and only not in GROUPS:
-        raise ValueError(f"unknown validation group {only!r}; "
+    """Evaluate every embedded fixture (or one group) and return the matrix.
+    A group that is not one of ``GROUPS`` raises ``ConfigError``."""
+    if only is not None and not (isinstance(only, str) and only in GROUPS):
+        raise ConfigError(f"unknown validation group {shown(only)}; "
                          f"choose from {', '.join(sorted(GROUPS))}")
     rows: list[ValidationRow] = []
     for group, fn in GROUPS.items():

@@ -182,9 +182,9 @@ def outputs(items: list) -> list[str]:
     return lines
 
 
-def sweep_text(seed, n: int, anchors) -> list[str]:
-    """A seeded sweep of ``n`` points on one fleet, dense and expert, some
-    broken, as one line per point and per error row."""
+def sweep_inputs(seed, n: int) -> tuple:
+    """The ``(grid, fleet, data_center)`` of a seeded sweep of ``n`` points
+    on one fleet, dense and expert, some broken."""
     rng = random.Random(seed)
     grid = []
     for i in range(n):
@@ -192,7 +192,12 @@ def sweep_text(seed, n: int, anchors) -> list[str]:
         tokens = 10 ** rng.uniform(10, 12.5) if rng.random() > 0.05 else 0.0
         grid.append((arch, tokens))
     fleet = HardwareFleet.of((ACCELERATORS[0], 1024), (HOSTS[0], 128), (HOSTS[1], 128))
-    points, errors = sweep(grid, fleet, DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4),
-                           anchors=anchors)
+    return grid, fleet, DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4)
+
+
+def sweep_text(seed, n: int, anchors) -> list[str]:
+    """The sweep of :func:`sweep_inputs` as one line per point and per error
+    row."""
+    points, errors = sweep(*sweep_inputs(seed, n), anchors=anchors)
     return ([f"{p.name} {p.param_count} {p.test_loss.hex()} {p.training_tco2.hex()} {p.dominated}"
              for p in points] + [f"{name}: {reason}" for name, reason in errors])

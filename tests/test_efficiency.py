@@ -56,10 +56,15 @@ class TestPlanner:
             plan_parallelism(param_count)
 
     # 1e3 GB leaves an inf depth; 1e300 GB is inf bytes, like the state of
-    # 1e308 parameters, and inf over inf is a NaN depth.
-    @pytest.mark.parametrize("device_memory_gb", [1e3, 1e300], ids=["inf-depth", "nan-depth"])
-    def test_a_depth_a_float_cannot_hold_is_a_model_error(self, device_memory_gb):
-        message = (f"the pipeline depth for 1e+308 parameters in {device_memory_gb!r} GB "
+    # 1e308 parameters, and inf over inf is a NaN depth. An int size is
+    # shown as the float it is priced as, not in all its digits.
+    @pytest.mark.parametrize("device_memory_gb, shown_as", [
+        pytest.param(1e3, "1000.0", id="inf-depth"),
+        pytest.param(1e300, "1e+300", id="nan-depth"),
+        pytest.param(10 ** 300, "1e+300", id="int-nan-depth"),
+    ])
+    def test_a_depth_a_float_cannot_hold_is_a_model_error(self, device_memory_gb, shown_as):
+        message = (f"the pipeline depth for 1e+308 parameters in {shown_as} GB "
                    "devices overflows a float")
         with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
             plan_parallelism(1e308, device_memory_gb=device_memory_gb)

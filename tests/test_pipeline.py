@@ -1200,7 +1200,8 @@ class TestEstimateCosts:
         # The sys.setprofile "call" events of one estimate() on a three-entry
         # fleet: the setting prices each entry with one unit_power and reads
         # its unit's stored kg and lifetime, the line items are built in C,
-        # and the plan and the report each run one __new__ that checks them.
+        # and the plan and the report each run one __new__ that checks them,
+        # the report's calling check_report_floats as the chain does.
         req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
                               fleet=HardwareFleet.of((v100(), 64), (cpu(), 8),
                                                      (HOST_UNITS["ssd"], 4)),
@@ -1220,6 +1221,47 @@ class TestEstimateCosts:
             sys.setprofile(previous)
         assert [item.unit for item in report.line_items] == ["V100", "CPU", "SSD", "others"]
         assert count <= 26
+
+
+def opcode_count(function, *args) -> int:
+    """The opcodes that ``function(*args)`` runs, as ``sys.settrace`` counts
+    them with ``f_trace_opcodes`` in each Python frame it opens."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+# Another interpreter compiles other bytecode, so another count.
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the budgets count CPython 3.11 opcodes")
+class TestOpcodeBudgets:
+    """Budgets on the opcodes an estimate and a sweep point run, so that a
+    change that adds work to every call shows here, where frames alone may
+    not. Each budget is the count the code ran when it was set."""
+
+    def test_a_published_training_estimate_runs_at_most_1295_opcodes(self):
+        req = training_request(TRAINING_FIXTURES[1])
+        estimate(req)  # the first estimate reads and fits the packaged anchor table
+        assert opcode_count(estimate, req) <= 1295
+
+    def test_a_seeded_sweep_runs_at_most_880_8_opcodes_a_point(self):
+        grid, fleet, center = seeded.sweep_inputs(0, 300)
+        sweep(grid, fleet, center)
+        assert opcode_count(sweep, grid, fleet, center) <= 880.8 * 300
 
 
 class TestAcceleratorComparison:

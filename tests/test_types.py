@@ -29,6 +29,7 @@ from carboncast.types import (
     Phase,
     Record,
     ScalingConstants,
+    check_report_floats,
     plain_sum,
     shown,
 )
@@ -288,6 +289,21 @@ class TestCarbonReport:
         with pytest.raises(ModelError, match=f"^{fname} must be finite and >= 0"):
             CarbonReport(phase=Phase.TRAINING, **fields)
 
+    # An int a float cannot hold is refused by the number rule, before any
+    # message formats it.
+    @pytest.mark.parametrize("value", [10 ** 400, 10 ** 5000], ids=["1e400", "1e5000"])
+    def test_an_int_beyond_the_float_range_is_refused(self, value):
+        with pytest.raises(ModelError, match="^duration_seconds is beyond the float range$"):
+            CarbonReport(Phase.TRAINING, value, 1.0, 1.1, 2.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_the_stage_check_refuses_a_bool_as_the_report_does(self, value):
+        floats = dict(zip(CarbonReport._fields[1:9], (1.0, 1.0, 1.1, 2.0, 1.0, 3.0, 0.5, None)))
+        message = f"embodied_tco2 must be finite and >= 0, got {value}"
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            check_report_floats(**{**floats, "embodied_tco2": value})
+        check_report_floats(**floats)
+
     def test_int_fields_and_subclasses_are_admitted(self):
         # Past the one chain for float fields and exact types, the fallback admits them.
         class Item(LineItem):
@@ -438,6 +454,21 @@ class TestFieldTypes:
         pytest.param(lambda: report(parallelism="plan", line_items=5), ModelError,
                      "parallelism must be a ParallelismPlan, got str",
                      id="report-parallelism-before-line-items"),
+        pytest.param(lambda: CarbonReport(Phase.TRAINING, True, math.nan, 1.0, 1.0, 0.0, 1.0),
+                     ModelError, "duration_seconds must be finite and >= 0, got True",
+                     id="report-bool-before-nan"),
+        pytest.param(lambda: HardwareUnit(name=[1], role=HardwareRole.OTHER,
+                                          embodied_kg_override=1.0), CatalogError,
+                     "hardware unit name must be a str, got list", id="unit-name-list"),
+        pytest.param(lambda: HardwareUnit(name=None, role=HardwareRole.OTHER,
+                                          embodied_kg_override=1.0), CatalogError,
+                     "hardware unit name must be a str, got NoneType", id="unit-name-none"),
+        pytest.param(lambda: HardwareUnit(name="box", role="accelerator", peak_tflops=125.0,
+                                          embodied_kg_override=1.0), CatalogError,
+                     "box: role must be a HardwareRole, got str", id="unit-role-str"),
+        pytest.param(lambda: DataCenterProfile(name=5, pue=1.1, carbon_intensity=0.4),
+                     CatalogError, "data center name must be a str, got int",
+                     id="data-center-name-int"),
     ])
     def test_a_field_of_the_wrong_type_is_refused_by_name(self, build, error, message):
         with pytest.raises(error) as caught:
@@ -702,10 +733,14 @@ class TestBoundedMessages:
          "optimal_eff must lie in (0, 1], got a list"),
         (lambda deep: hardware_energy(HardwareFleet.of((GPU, 8)), 1.0, deep), ModelError,
          "efficiency must lie in (0, 1], got a list"),
+        (lambda deep: HardwareUnit(name=deep, role=HardwareRole.OTHER, embodied_kg_override=1.0),
+         CatalogError, "hardware unit name must be a str, got list"),
+        (lambda deep: DataCenterProfile(name=deep, pue=1.1, carbon_intensity=0.4), CatalogError,
+         "data center name must be a str, got list"),
     ], ids=["efficiency-fit", "overrides", "data-center", "pue", "check-count", "report",
             "scaling-constants", "architecture-name", "architecture-kind", "test-loss",
             "device-time-flops", "device-time-count", "optimal-efficiency",
-            "efficiency-at-count", "hardware-energy"])
+            "efficiency-at-count", "hardware-energy", "hardware-unit-name", "data-center-name"])
     def test_a_value_nested_past_the_recursion_limit_is_named_by_its_type(self, call, error,
                                                                           message):
         with pytest.raises(error) as raised:

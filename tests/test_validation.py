@@ -10,6 +10,7 @@ embodied rows read per-unit result objects.
 
 import pytest
 
+from carboncast.types import ConfigError
 from carboncast.validation import run_validation
 
 MATRIX = [
@@ -65,4 +66,15 @@ def test_an_unknown_group_is_refused_with_the_seven_it_could_be():
         run_validation(only="nonsense")
     assert str(raised.value) == (
         "unknown validation group 'nonsense'; choose from days, efficiency, embodied, "
+        "inference, parameters, storage, training")
+
+
+@pytest.mark.parametrize("group, shown_as", [
+    ("nonsense", "'nonsense'"), ([1], "[1]"), (10 ** 5000, "an int"),
+], ids=["unknown-name", "list", "int-5001-digits"])
+def test_a_group_that_is_not_a_group_name_is_a_config_error(group, shown_as):
+    with pytest.raises(ConfigError) as raised:
+        run_validation(only=group)
+    assert str(raised.value) == (
+        f"unknown validation group {shown_as}; choose from days, efficiency, embodied, "
         "inference, parameters, storage, training")

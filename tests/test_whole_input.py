@@ -288,6 +288,31 @@ def test_every_stage_function_number_ends_in_a_number_or_a_named_error(function,
         assert all(x < math.inf for x in numbers)
 
 
+ENTRY_REQUEST = EstimateRequest(
+    arch=LlmArchitecture(name="m", kind=ArchKind.DENSE_GPT, explicit_param_count=10 ** 9),
+    tokens=1e9, fleet=STAGE_FLEET,
+    data_center=DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4))
+ENTRY_PLAN = LifecyclePlan(ENTRY_REQUEST)
+
+
+# Each entry point names its argument; the other entry point's record is refused too.
+@pytest.mark.parametrize("entry, name, kind, valid, other", [
+    (estimate, "request", "an EstimateRequest", ENTRY_REQUEST, ENTRY_PLAN),
+    (estimate_lifecycle, "plan", "a LifecyclePlan", ENTRY_PLAN, ENTRY_REQUEST),
+], ids=["estimate", "estimate_lifecycle"])
+@pytest.mark.parametrize("value", BAD_NUMBERS + [None, "other"], ids=[
+    "0", "-1.0", "nan", "inf", "-inf", "1e400", "-1e5000", "str", "True", "None", "other"])
+def test_an_entry_point_refuses_an_argument_of_the_wrong_type(entry, name, kind, valid, other,
+                                                              value):
+    if value == "other":
+        value = other
+    with pytest.raises(ModelError) as raised:
+        entry(value)
+    assert type(raised.value) is ModelError
+    assert str(raised.value) == f"{name} must be {kind}, got {type(value).__name__}"
+    assert entry(valid).total_tco2 > 0
+
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 # Each packaged example config and the command line that runs it.
 EXAMPLE_COMMANDS = {
