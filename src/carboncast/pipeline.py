@@ -33,18 +33,18 @@ functions), ``efficiency._plan_degrees`` (``plan_parallelism``),
 ``efficiency._at_count`` (``efficiency_at_count``) and
 ``operational._seconds`` (``device_time``). Their inputs are values the
 chain or the setting has checked, so no core checks them again. The chain
-names every fault it meets by its stage, then checks the values a report
-would with the report's own rule, ``check_report_floats``. ``estimate()``
-and ``estimate_lifecycle()`` check that they were given a request or a
-plan, then build their report in one pass from the stage values
-(``_report``): the lifecycle weights them and adds its storage part, the
-one place storage is priced. The report and its plan are checked named
-tuples, built through their own ``__new__``, which runs the report's checks
-once more on the summed values. ``sweep()`` checks its grid, fleet and data
-center once per call, builds no report, flags the Pareto-dominated points
-and returns each as a ``SweepPoint`` named tuple. The named tuples that no
-check guards (a report's line items, the sweep's points) are built with
-``tuple.__new__``, in C, not through the named tuple's Python ``__new__``.
+names every fault it meets by its stage, then holds the values a report
+would to one range test; a value that fails it meets the report's own rule,
+``check_report_floats``, which names it. ``estimate()`` and
+``estimate_lifecycle()`` check that they were given a request or a plan,
+then build their report in one pass from the stage values (``_report``):
+the lifecycle weights them and adds its storage part, the one place storage
+is priced, and checks the sums once more, since either can push a finite
+value to inf. ``sweep()`` checks its grid, fleet and data center once per
+call, builds no report, flags the Pareto-dominated points and returns each
+as a ``SweepPoint`` named tuple. Every named tuple the library returns is
+built with ``tuple.__new__``, in C, from checked values; a report or plan
+that a caller builds runs the checks of its Python ``__new__``.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
     ``req`` count ``weight`` times, and a lifecycle's ``storage`` part once,
     with a storage and a transfer item. The stage values are checked in
     ``_stages``; a lifecycle then checks the storage part as its own report
-    would, then the sums."""
+    would, then the sums. The report and its plan are built in C."""
     setting = _Setting(req.fleet, req.data_center, req.anchors, req.device_memory_gb,
                        req.server_size, req.overrides, req.scaling)
     _, loss, degrees, eff, seconds, hardware, facility, carbon, embodied = _stages(
@@ -246,9 +246,15 @@ def _report(req: EstimateRequest, phase: Phase, weight: float,
         facility, carbon = facility + part_facility, carbon + part_carbon
         items += (tuple.__new__(LineItem, ("storage", 1, stored, 0.0)),
                   tuple.__new__(LineItem, ("transfer", 1, moved, 0.0)))
-    # By position, in field order: no keyword is matched to a parameter.
-    return CarbonReport(phase, duration, hardware, facility, carbon, embodied, carbon + embodied,
-                        eff, loss, ParallelismPlan(*degrees), tuple(items))
+    total = carbon + embodied
+    # A weight of 1.0 keeps the checked values bit for bit; another weight or
+    # a storage part can push a finite value to inf.
+    if weight != 1.0 or storage is not None:
+        check_report_floats(duration, hardware, facility, carbon, embodied, total, eff, loss)
+    # By position, in field order; __new__ would check the values once more.
+    return tuple.__new__(CarbonReport, (phase, duration, hardware, facility, carbon, embodied,
+                                        total, eff, loss, tuple.__new__(ParallelismPlan, degrees),
+                                        tuple(items)))
 
 
 class _Setting:
@@ -313,9 +319,9 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
     tracer, which rebinds those names, times them. The rest runs on the
     private cores ``_loss``, ``_training``/``_inference``, ``_plan_degrees``,
     ``_at_count`` and ``_seconds``, on values already checked. A sweep point
-    of a dense model runs 13 Python frames: this one, those eight functions,
-    its count formula's (12 with an explicit count), ``_optimum``,
-    ``AnchorCurve.at`` and the report check.
+    of a dense model runs 12 Python frames: this one, those eight functions,
+    its count formula's (11 with an explicit count), ``_optimum`` and
+    ``AnchorCurve.at``; the report check runs only on a fault.
     """
     # A model error is re-raised with the stage it was met in named.
     stage = "parameter-model"
@@ -370,10 +376,15 @@ def _stages(arch: LlmArchitecture, tokens: float, phase: Phase, setting: _Settin
     except ModelError as exc:
         raise ModelError(f"[{stage}] {exc}") from exc
 
-    # Outside the handler: a report's messages name no stage.
+    # Outside the handler: a report's messages name no stage. Every value is
+    # a float computed here (or an int efficiency override of 1), so one range
+    # chain admits the valid case; the report's rule names a fault.
     embodied = setting.embodied_rate * seconds
-    check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied, eff,
-                        loss)
+    if not (0.0 <= seconds < inf and 0.0 <= hardware < inf and 0.0 <= facility < inf
+            and 0.0 <= carbon < inf and 0.0 <= embodied < inf and 0.0 <= carbon + embodied < inf
+            and 0.0 <= eff < inf and (loss is None or 0.0 <= loss < inf)):
+        check_report_floats(seconds, hardware, facility, carbon, embodied, carbon + embodied, eff,
+                            loss)
     return total, loss, degrees, eff, seconds, hardware, facility, carbon, embodied
 
 

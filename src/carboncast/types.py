@@ -4,14 +4,16 @@ Everything here is an immutable value object: construct it once, share it
 freely across threads. The inputs (an architecture, a fleet, a data center)
 are :class:`Record` subclasses, which the chain reads by attribute. The
 outputs are named tuples. A :class:`CarbonReport` and its
-:class:`ParallelismPlan` are checked ones: each runs its checks in its own
-``__new__``, however it is built (by keyword or position, ``_make``,
-``_replace``, ``replace``, pickle or copy). A report's line items
-(:class:`LineItem`), which the chain builds from values it has checked, are
-plain ones. Every record and checked tuple checks its fields when it is
-built, so a value that exists is a valid one and no stage checks it again.
-A report's float fields are held to one rule, :func:`check_report_floats`,
-which the model stages also run on the values they hand a report.
+:class:`ParallelismPlan` are checked ones: one that a caller builds runs its
+checks in its own ``__new__``, however it is built (by keyword or position,
+``_make``, ``_replace``, ``replace``, pickle or copy). A report's line items
+(:class:`LineItem`) are plain ones. ``estimate()`` and
+``estimate_lifecycle()`` build a report, its plan and its items in C from
+values the model chain has checked, and re-check a lifecycle's weighted
+sums. Every record and checked tuple checks its fields when it is built, so
+a value that exists is a valid one and no stage checks it again. A report's
+float fields are held to one rule, :func:`check_report_floats`, which the
+model chain also runs on any value of its own that fails a range test.
 Hardware and data-center types raise :class:`CatalogError`, because a
 broken catalog row should stop a run immediately; the others raise
 :class:`ModelError`. An architecture lists every rule it breaks in one
