@@ -89,12 +89,13 @@ def plan_parallelism(
     Dense plans reach the published devices-per-param optimum
     (:func:`_optimum`) through data parallelism. The inputs are
     checked in order, ``param_count`` first, then the device sizing; the
-    degrees come from :func:`_plan_degrees`, which the pipeline calls
-    directly on inputs it has already checked.
+    degrees of :func:`_plan_degrees` (which the pipeline calls on inputs it
+    has checked) are valid ones, so the plan is built in C, unchecked.
     """
     _check_param_count(param_count)
     _check_sizing(device_memory_gb, server_size)
-    return ParallelismPlan(*_plan_degrees(param_count, is_moe, device_memory_gb, server_size))
+    return tuple.__new__(ParallelismPlan,
+                         _plan_degrees(param_count, is_moe, device_memory_gb, server_size))
 
 
 def _check_sizing(device_memory_gb: float, server_size: int) -> None:

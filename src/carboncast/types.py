@@ -13,7 +13,8 @@ values the model chain has checked, and re-check a lifecycle's weighted
 sums. Every record and checked tuple checks its fields when it is built, so
 a value that exists is a valid one and no stage checks it again. A report's
 float fields are held to one rule, :func:`check_report_floats`, which the
-model chain also runs on any value of its own that fails a range test.
+model chain also runs on any value of its own that fails a range test; a
+tuple of records (fleet entries, line items, expert groups) to :func:`check_items`.
 Hardware and data-center types raise :class:`CatalogError`, because a
 broken catalog row should stop a run immediately; the others raise
 :class:`ModelError`. An architecture lists every rule it breaks in one
@@ -86,6 +87,14 @@ def check_type(value, label: str, kind: type, error: type[ValueError]) -> None:
     """Raise ``error`` unless ``value`` is a ``kind``; the message names its type."""
     if not isinstance(value, kind):
         raise error(f"{label} must be {_with_article(kind)}, got {type(value).__name__}")
+
+
+def check_items(values, label: str, kind: type, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``values`` is a tuple of ``kind``s, naming the first other item."""
+    check_type(values, label, tuple, error)
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):  # only then is the label formatted
+            check_type(value, f"{label}[{i}]", kind, error)
 
 
 def _with_article(kind: type) -> str:
@@ -367,10 +376,16 @@ def _violations(arch: LlmArchitecture) -> list[str]:
                 violations.append("moe_fraction: required for MoE architectures")
             elif not (_is_real(rho) and 0.0 < rho <= 1.0):
                 violations.append("moe_fraction: must lie in (0, 1]")
-            if not arch.expert_groups:
-                violations.append("expert_groups: required for MoE architectures")
-        if arch.expert_groups:
-            fractions = [g.layer_fraction for g in arch.expert_groups]
+        groups = arch.expert_groups
+        try:
+            check_items(groups, "expert_groups", ExpertGroup, ModelError)
+        except ModelError as fault:
+            violations.append(str(fault))
+            groups = None  # not read: its groups may have no fields
+        if groups == () and not has_explicit:
+            violations.append("expert_groups: required for MoE architectures")
+        if groups:
+            fractions = [g.layer_fraction for g in groups]
             # Only numbers are summed; a fraction that is not one is named below.
             if all(map(_is_real, fractions)):
                 total = plain_sum(fractions)
@@ -378,7 +393,7 @@ def _violations(arch: LlmArchitecture) -> list[str]:
                     violations.append(
                         f"expert_groups: layer fractions sum to {total!r}, expected 1"
                     )
-            for i, g in enumerate(arch.expert_groups):
+            for i, g in enumerate(groups):
                 if not (_is_real(g.layer_fraction) and g.layer_fraction > 0):
                     violations.append(f"expert_groups[{i}].layer_fraction: must be positive")
                 if not is_shape_count(g.expert_count):
@@ -486,10 +501,7 @@ class HardwareFleet(Record):
 
     def __post_init__(self) -> None:
         entries = self.entries
-        check_type(entries, "entries", tuple, CatalogError)
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, FleetEntry):  # only then is the label formatted
-                check_type(entry, f"entries[{i}]", FleetEntry, CatalogError)
+        check_items(entries, "entries", FleetEntry, CatalogError)
         accels = [e for e in entries if e.unit.role is HardwareRole.ACCELERATOR]
         if len(accels) > 1:
             names = ", ".join(e.unit.name for e in accels)
@@ -540,17 +552,15 @@ class ScalingConstants(Record):
                 raise ModelError(f"{label} must be positive and finite, got {shown(value)}")
 
 
-# Bound once: a report and its plan are built on every estimate.
-_tuple_new = tuple.__new__
-
-
 class _CheckedTuple:
     """What makes a checked named tuple: every way to build one runs the
     type's own ``__new__``, which checks the fields and then builds the tuple
-    with ``tuple.__new__``. A subclass lists this before its named tuple field
-    base, whose ``_make`` (which ``_replace`` calls) would build the tuple
-    unchecked, as pickle protocols 0 and 1 would; ``__reduce__`` has pickle,
-    ``copy`` and ``deepcopy`` call the type with the fields."""
+    with ``tuple.__new__``, one plain call per check; the package builds its
+    own from checked values with ``tuple.__new__``, and so never runs it. A
+    subclass lists this before its named tuple field base, whose ``_make``
+    (which ``_replace`` calls) would build the tuple unchecked, as pickle
+    protocols 0 and 1 would; ``__reduce__`` has pickle, ``copy`` and
+    ``deepcopy`` call the type with the fields."""
 
     __slots__ = ()
 
@@ -576,20 +586,15 @@ class _ParallelismPlanFields(NamedTuple):
 
 class ParallelismPlan(_CheckedTuple, _ParallelismPlanFields):
     """Degrees of pipeline/tensor/data/expert parallelism plus device count:
-    a checked named tuple, whose degrees must be ints >= 1 that a float can
-    hold, not bools or floats."""
+    a checked named tuple, whose degrees must each pass :func:`check_count`,
+    ints >= 1 that a float can hold, not bools or floats."""
 
     __slots__ = ()
 
     def __new__(cls, pipeline: int, tensor: int, data: int, expert: int = 1):
-        top = float_info.max  # the chain admits the ints check_count admits
-        # One chain for the valid case; the loop names the fault.
-        if not (type(pipeline) is int and type(tensor) is int and type(data) is int
-                and type(expert) is int and 1 <= pipeline <= top and 1 <= tensor <= top
-                and 1 <= data <= top and 1 <= expert <= top):
-            for fname, value in zip(cls._fields, (pipeline, tensor, data, expert)):
-                check_count(value, f"parallelism degree {fname}", ModelError)
-        return _tuple_new(cls, (pipeline, tensor, data, expert))
+        for fname, value in zip(cls._fields, (pipeline, tensor, data, expert)):
+            check_count(value, f"parallelism degree {fname}", ModelError)
+        return tuple.__new__(cls, (pipeline, tensor, data, expert))
 
     @property
     def device_count(self) -> int:
@@ -660,7 +665,7 @@ class CarbonReport(_CheckedTuple, _CarbonReportFields):
     in field order, that the phase is a :class:`Phase`; the float fields with
     :func:`check_report_floats`; that ``parallelism`` is ``None`` or a
     :class:`ParallelismPlan`; that ``line_items`` is a tuple of
-    :class:`LineItem`; and then the first invariant.
+    :class:`LineItem` (:func:`check_items`); and then the first invariant.
     """
 
     __slots__ = ()
@@ -670,24 +675,17 @@ class CarbonReport(_CheckedTuple, _CarbonReportFields):
                 total_tco2: float, hardware_efficiency: float = 1.0,
                 test_loss: float | None = None, parallelism: ParallelismPlan | None = None,
                 line_items: tuple[LineItem, ...] = ()):
-        # Each test admits the valid case in one comparison; only a value
-        # that fails it pays for its label. The totals are checked last,
-        # since NaN or inf also breaks additivity, misleadingly.
-        if type(phase) is not Phase:
-            check_type(phase, "phase", Phase, ModelError)
+        # The totals are checked last: NaN or inf also breaks additivity, misleadingly.
+        check_type(phase, "phase", Phase, ModelError)
         check_report_floats(duration_seconds, hardware_energy_mwh, operational_energy_mwh,
                             operational_tco2, embodied_tco2, total_tco2, hardware_efficiency,
                             test_loss)
-        if parallelism is not None and type(parallelism) is not ParallelismPlan:
+        if parallelism is not None:
             check_type(parallelism, "parallelism", ParallelismPlan, ModelError)
-        if type(line_items) is not tuple:
-            check_type(line_items, "line_items", tuple, ModelError)
-        for i, item in enumerate(line_items):
-            if type(item) is not LineItem:
-                check_type(item, f"line_items[{i}]", LineItem, ModelError)
+        check_items(line_items, "line_items", LineItem, ModelError)
         if total_tco2 != operational_tco2 + embodied_tco2:
             raise ModelError("total_tco2 must equal operational_tco2 + embodied_tco2")
-        return _tuple_new(cls, (phase, duration_seconds, hardware_energy_mwh,
-                                operational_energy_mwh, operational_tco2, embodied_tco2,
-                                total_tco2, hardware_efficiency, test_loss, parallelism,
-                                line_items))
+        return tuple.__new__(cls, (phase, duration_seconds, hardware_energy_mwh,
+                                   operational_energy_mwh, operational_tco2, embodied_tco2,
+                                   total_tco2, hardware_efficiency, test_loss, parallelism,
+                                   line_items))

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carboncast import catalog, efficiency
+from carboncast import catalog, efficiency, validation
 from carboncast.efficiency import (
     efficiency_at_count,
     fit_anchors,
@@ -377,6 +377,37 @@ class TestOffOptimalEfficiency:
 
     def test_counts_beyond_the_float_range_are_counts(self):
         assert efficiency_at_count(10 ** 400, 10 ** 400, 0.47) == 0.47
+
+
+def calibration(params, optimal_devices, optimal_eff, actual_devices, actual_eff):
+    """The efficiency model's hand-set values, derived from one published
+    point: a model of ``params`` parameters at its optimum of
+    ``optimal_devices`` devices runs at ``optimal_eff``, and on
+    ``actual_devices`` at ``actual_eff``."""
+    return {
+        "devices per parameter": optimal_devices / params,
+        # Above the optimum, eff = (n / re) * eff_n + GAMMA2.
+        "oversupply floor": actual_eff - optimal_devices / actual_devices * optimal_eff,
+        "anchor table": [(params, optimal_eff)],
+        "fixture": {"optimal_devices": optimal_devices, "optimal_eff": optimal_eff,
+                    "actual_devices": actual_devices, "expected": actual_eff},
+    }
+
+
+def test_the_packaged_calibration_is_derived_from_the_published_175b_point():
+    # GPT-3: 1,500 devices at 0.47 at its optimum, 0.197 on 10,000.
+    derived = calibration(175e9, 1500, 0.47, 10000, 0.197)
+    fixture = {k: v for k, v in validation.EFFICIENCY_FIXTURE.items() if k != "tol"}
+    assert {
+        "devices per parameter": efficiency._OPTIMAL_DEVICES_PER_PARAM,
+        "oversupply floor": efficiency.GAMMA2,
+        "anchor table": catalog.default_anchors(),
+        "fixture": fixture,
+    } == derived
+    # The floor is the decimal it is written as, bit for bit in binary64,
+    # and the rule above the optimum gives back the published point.
+    assert 0.197 - 1500 / 10000 * 0.47 == 0.1265 == efficiency.GAMMA2
+    assert efficiency.efficiency_at_count(10000, 1500, 0.47) == 0.197
 
 
 def test_optimal_device_count_scales_from_published_anchor():

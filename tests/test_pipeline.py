@@ -1181,37 +1181,41 @@ class TestSweepCosts:
         assert sorted(calls) == sorted(p.name for p in points)
 
     def test_sizing_is_checked_once_and_only_estimate_builds_a_plan(self, monkeypatch):
-        # A plan is built only with its report, in C from degrees the chain
-        # made, so its own __new__, the caller's check, never runs here.
-        calls = {"sizing": 0, "reports": 0, "plan checks": 0}
-        real_check, real_report = pipeline._check_sizing, pipeline._report
-        real_new = types.ParallelismPlan.__new__
+        # A report and its plan are built in C, from values the chain checked,
+        # so their own __new__, the caller's check, runs on no library path.
+        calls = {"sizing": 0, "reports": 0, "plan checks": 0, "report checks": 0}
 
-        def checking(*args):
-            calls["sizing"] += 1
-            return real_check(*args)
+        def counting(key, real):
+            def count(*args):
+                calls[key] += 1
+                return real(*args)
+            return count
 
-        def reporting(*args):
-            calls["reports"] += 1
-            return real_report(*args)
-
-        def building(cls, *args):
-            calls["plan checks"] += 1
-            return real_new(cls, *args)
-
-        monkeypatch.setattr(pipeline, "_check_sizing", checking)
-        monkeypatch.setattr(pipeline, "_report", reporting)
-        monkeypatch.setattr(types.ParallelismPlan, "__new__", building)
+        monkeypatch.setattr(pipeline, "_check_sizing", counting("sizing", pipeline._check_sizing))
+        monkeypatch.setattr(pipeline, "_report", counting("reports", pipeline._report))
+        for key, cls in (("plan checks", types.ParallelismPlan),
+                         ("report checks", types.CarbonReport)):
+            monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
         grid = [(dense_arch(f"m{i}", 10 ** (9 + i / 10)), 1e11) for i in range(20)]
         points, errors = sweep(grid, HardwareFleet.of((v100(), 64)), dc())
         assert len(points) == 20 and errors == []
-        assert calls == {"sizing": 1, "reports": 0, "plan checks": 0}
-        report = estimate(EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
-                                          fleet=HardwareFleet.of((v100(), 64)), data_center=dc()))
-        assert calls == {"sizing": 2, "reports": 1, "plan checks": 0}
+        assert calls == {"sizing": 1, "reports": 0, "plan checks": 0, "report checks": 0}
+        req = EstimateRequest(arch=dense_arch("m", 20e9), tokens=200e9,
+                              fleet=HardwareFleet.of((v100(), 64)), data_center=dc())
+        report = estimate(req)
+        assert calls == {"sizing": 2, "reports": 1, "plan checks": 0, "report checks": 0}
+        lifecycle = estimate_lifecycle(LifecyclePlan(req, inference_share=0.5, storage=STORAGE))
+        plan = efficiency.plan_parallelism(20e9)
+        assert calls == {"sizing": 3, "reports": 2, "plan checks": 0, "report checks": 0}
+        # The counters see a value that a caller builds.
+        types.CarbonReport(*report[:9], types.ParallelismPlan(*plan), report.line_items)
+        assert calls == {"sizing": 3, "reports": 2, "plan checks": 1, "report checks": 1}
         monkeypatch.undo()
-        assert type(report.parallelism) is types.ParallelismPlan
-        assert report.parallelism == efficiency.plan_parallelism(20e9)
+        for value in (report, lifecycle):
+            assert type(value) is types.CarbonReport
+            assert type(value.parallelism) is types.ParallelismPlan
+            assert value == types.CarbonReport(*value)
+        assert type(plan) is types.ParallelismPlan and report.parallelism == plan
 
     def test_a_valid_dense_point_keeps_its_frame_budget(self):
         # The sys.setprofile "call" events of a 2,000-point sweep less those
@@ -1332,6 +1336,12 @@ class TestOpcodeBudgets:
                              experimentation_share=0.5, storage=STORAGE)
         estimate_lifecycle(plan)
         assert opcode_count(estimate_lifecycle, plan) <= 1380
+
+    @pytest.mark.parametrize("param_count, is_moe, budget", [
+        pytest.param(175e9, False, 209, id="dense"), pytest.param(1.5e12, True, 178, id="moe")])
+    def test_a_plan_keeps_its_opcode_budget(self, param_count, is_moe, budget):
+        # The degrees of checked inputs make the plan, in C.
+        assert opcode_count(efficiency.plan_parallelism, param_count, is_moe) <= budget
 
 
 class TestAcceleratorComparison:

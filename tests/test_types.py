@@ -141,6 +141,16 @@ class TestValidateArchitecture:
         assert arch_error(kind=ArchKind.DENSE_GPT, hidden_size=8, layer_count=2, vocab_size=16,
                           moe_fraction=0.5) == "moe_fraction: only valid for MoE architectures"
 
+    def test_a_fault_in_the_groups_is_listed_with_the_others_and_they_are_not_read(self):
+        assert arch_error(kind=ArchKind.MOE, hidden_size=0, layer_count=2,
+                          expert_groups=(ExpertGroup(0.5, 8), (0.5, 8))).split("; ") == [
+            "hidden_size: must be a positive integer",
+            "moe_fraction: required for MoE architectures",
+            "expert_groups[1] must be an ExpertGroup, got tuple",
+        ]
+        assert arch_error(kind=ArchKind.MOE, hidden_size=64, layer_count=2, moe_fraction=0.5
+                          ) == "expert_groups: required for MoE architectures"
+
     def test_kind_must_be_an_arch_kind(self):
         assert arch_error(kind="dense_gpt", explicit_param_count=10 ** 9
                           ) == "kind: must be an ArchKind, got 'dense_gpt'"
@@ -326,6 +336,11 @@ def request(**change):
                               "data_center": DataCenterProfile("dc", 1.1, 0.4), **change})
 
 
+def moe(**change):
+    return LlmArchitecture(**{"name": "m", "kind": ArchKind.MOE, "hidden_size": 64,
+                              "layer_count": 2, "moe_fraction": 0.5, **change})
+
+
 def report(**change):
     return CarbonReport(**{
         "phase": Phase.TRAINING, "duration_seconds": 10.0, "hardware_energy_mwh": 1.0,
@@ -422,6 +437,23 @@ class TestFieldTypes:
                      "entries must be a tuple, got list", id="fleet-list"),
         pytest.param(lambda: HardwareFleet((FleetEntry(GPU, 8), 1)), CatalogError,
                      "entries[1] must be a FleetEntry, got int", id="fleet-entry"),
+        # Each escaped as an AttributeError or a TypeError, or built an
+        # architecture that could not be hashed, until an MoE's expert groups
+        # were held to the rule of a fleet's entries.
+        pytest.param(lambda: moe(expert_groups=((1.0, 8),)), ModelError,
+                     "expert_groups[0] must be an ExpertGroup, got tuple",
+                     id="arch-expert-groups-of-pairs"),
+        pytest.param(lambda: moe(expert_groups=(1.0, 8), explicit_param_count=10 ** 9),
+                     ModelError, "expert_groups[0] must be an ExpertGroup, got float",
+                     id="arch-expert-groups-bare-pair"),
+        pytest.param(lambda: moe(expert_groups=8), ModelError,
+                     "expert_groups must be a tuple, got int", id="arch-expert-groups-int"),
+        pytest.param(lambda: moe(expert_groups="x", explicit_param_count=10 ** 9), ModelError,
+                     "expert_groups must be a tuple, got str", id="arch-expert-groups-str"),
+        pytest.param(lambda: moe(expert_groups={"a": 1}), ModelError,
+                     "expert_groups must be a tuple, got dict", id="arch-expert-groups-dict"),
+        pytest.param(lambda: moe(expert_groups=[ExpertGroup(1.0, 8)]), ModelError,
+                     "expert_groups must be a tuple, got list", id="arch-expert-groups-list"),
         pytest.param(lambda: ParallelismPlan("x", 1, 1), ModelError,
                      "parallelism degree pipeline must be an integer >= 1, got 'x'",
                      id="plan-str"),
