@@ -88,7 +88,6 @@ from .types import (
     check_report_floats,
     check_type,
     is_number,
-    is_shape_count,
     shown,
 )
 
@@ -182,8 +181,7 @@ def _moe_flop_param_count(arch) -> float:
     if arch.base_model_param_count is not None:  # a finite number, checked when built
         return float(arch.base_model_param_count)
     try:
-        if (is_shape_count(arch.hidden_size) and is_shape_count(arch.layer_count)
-                and is_shape_count(arch.vocab_size)):
+        if arch.hidden_size and arch.layer_count and arch.vocab_size:  # each 0 or >= 1
             # Dense counterpart of the expert model.
             return float(count_dense_gpt(arch).total)
     except OverflowError:

@@ -28,7 +28,7 @@ or hash reads.
 
 Caller numbers must be ints or floats, not bools, that a float can hold
 (:func:`is_number`). An architecture's shape counts must be ints >= 1, not
-bools (:func:`is_shape_count`).
+bools (:func:`is_shape_count`); one the parameter model does not read may be 0.
 """
 
 from __future__ import annotations
@@ -322,8 +322,10 @@ def _violations(arch: LlmArchitecture) -> list[str]:
     field, so that the CLI can point at config paths; empty when the
     parameter model can count it (or it carries an explicit count).
 
-    Shape counts must pass :func:`is_shape_count`; parameter counts and
-    fractions must be finite numbers under :func:`is_number`.
+    Each field has one rule for every kind. Shape counts must pass
+    :func:`is_shape_count`, or keep their default ``0`` where the parameter
+    model does not read them; parameter counts and fractions must be finite
+    numbers under :func:`is_number`; ``expert_groups`` must pass :func:`check_items`.
     """
     violations: list[str] = []
     # The sweep sorts points by name, and error rows and messages quote it.
@@ -344,15 +346,15 @@ def _violations(arch: LlmArchitecture) -> list[str]:
     if base is not None and not (_is_real(base) and 0 < base < math.inf):
         violations.append("base_model_param_count: must be a positive number")
 
-    if not has_explicit:
-        if not is_shape_count(arch.hidden_size):
-            violations.append("hidden_size: must be a positive integer")
-        if not is_shape_count(arch.layer_count):
-            violations.append("layer_count: must be a positive integer")
+    is_moe = arch.kind is ArchKind.MOE
+    for fname, value in (("hidden_size", arch.hidden_size),
+                         ("layer_count", arch.layer_count),
+                         ("vocab_size", arch.vocab_size)):
         # Vocabulary embeddings enter the dense formulas only; MoE sizing
         # needs just h, l and the expert data.
-        if arch.kind is not ArchKind.MOE and not is_shape_count(arch.vocab_size):
-            violations.append("vocab_size: must be a positive integer")
+        unread = has_explicit or (is_moe and fname == "vocab_size")
+        if not (is_shape_count(value) or (unread and type(value) is int and value == 0)):
+            violations.append(f"{fname}: must be a positive integer")
 
     # The layer-pair formulas price the attention heads and the FF width.
     layer_pair = not has_explicit and arch.kind in (ArchKind.DENSE_ENCDEC,
@@ -369,42 +371,40 @@ def _violations(arch: LlmArchitecture) -> list[str]:
     if not is_shape_count(arch.ff_stacks):
         violations.append("ff_stacks: must be an integer >= 1")
 
-    if arch.kind is ArchKind.MOE:
-        rho = arch.moe_fraction
-        if not has_explicit:
-            if rho is None:
-                violations.append("moe_fraction: required for MoE architectures")
-            elif not (_is_real(rho) and 0.0 < rho <= 1.0):
-                violations.append("moe_fraction: must lie in (0, 1]")
-        groups = arch.expert_groups
-        try:
-            check_items(groups, "expert_groups", ExpertGroup, ModelError)
-        except ModelError as fault:
-            violations.append(str(fault))
-            groups = None  # not read: its groups may have no fields
-        if groups == () and not has_explicit:
-            violations.append("expert_groups: required for MoE architectures")
-        if groups:
-            fractions = [g.layer_fraction for g in groups]
-            # Only numbers are summed; a fraction that is not one is named below.
-            if all(map(_is_real, fractions)):
-                total = plain_sum(fractions)
-                if abs(total - 1.0) > _FRACTION_SUM_TOL:
-                    violations.append(
-                        f"expert_groups: layer fractions sum to {total!r}, expected 1"
-                    )
-            for i, g in enumerate(groups):
-                if not (_is_real(g.layer_fraction) and g.layer_fraction > 0):
-                    violations.append(f"expert_groups[{i}].layer_fraction: must be positive")
-                if not is_shape_count(g.expert_count):
-                    violations.append(
-                        f"expert_groups[{i}].expert_count: must be a positive integer")
-    else:
-        if arch.moe_fraction is not None:
-            violations.append("moe_fraction: only valid for MoE architectures")
-        if arch.expert_groups:
-            violations.append("expert_groups: only valid for MoE architectures")
+    # The MoE formulas read the expert fields unless a count is given.
+    needs_experts = is_moe and not has_explicit
+    rho = arch.moe_fraction
+    if rho is None:
+        if needs_experts:
+            violations.append("moe_fraction: required for MoE architectures")
+    elif not is_moe:
+        violations.append("moe_fraction: only valid for MoE architectures")
+    elif not (_is_real(rho) and 0.0 < rho <= 1.0):
+        violations.append("moe_fraction: must lie in (0, 1]")
 
+    groups = arch.expert_groups
+    if not is_moe and groups:
+        violations.append("expert_groups: only valid for MoE architectures")
+        return violations
+    try:
+        check_items(groups, "expert_groups", ExpertGroup, ModelError)
+    except ModelError as fault:
+        violations.append(str(fault))
+        return violations  # not read: its groups may have no fields
+    if groups == () and needs_experts:
+        violations.append("expert_groups: required for MoE architectures")
+    elif groups:
+        fractions = [g.layer_fraction for g in groups]
+        # Only numbers are summed; a fraction that is not one is named below.
+        if all(map(_is_real, fractions)):
+            total = plain_sum(fractions)
+            if abs(total - 1.0) > _FRACTION_SUM_TOL:
+                violations.append(f"expert_groups: layer fractions sum to {total!r}, expected 1")
+        for i, g in enumerate(groups):
+            if not (_is_real(g.layer_fraction) and g.layer_fraction > 0):
+                violations.append(f"expert_groups[{i}].layer_fraction: must be positive")
+            if not is_shape_count(g.expert_count):
+                violations.append(f"expert_groups[{i}].expert_count: must be a positive integer")
     return violations
 
 

@@ -593,6 +593,9 @@ class TestValidateCommand:
 
     def test_unknown_group_rejected(self, capsys):
         assert main(["validate", "--only", "nonsense"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == (
+            "", "config error: --only: unknown validation group 'nonsense'; choose from days, "
+                "efficiency, embodied, inference, parameters, storage, training\n")
 
     def test_key_error_from_a_bug_propagates(self, monkeypatch):
         def broken(only=None):

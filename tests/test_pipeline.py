@@ -390,11 +390,10 @@ class TestEstimate:
                                "base_model_param_count": "5"}},
                      "base_model_param_count: must be a positive number",
                      id="explicit-moe-base-str"),
-        pytest.param({"arch": LlmArchitecture(name="m", kind=ArchKind.MOE,
-                                              explicit_param_count=10 ** 11, hidden_size="5",
-                                              layer_count=2, vocab_size=100)},
-                     "[flop-model] m: MoE FLOPs need base_model_param_count (or h, l, V to "
-                     "derive the dense counterpart)", id="explicit-moe-hidden-str"),
+        # A shape count beside an explicit count is 0 or a positive int too.
+        pytest.param({"arch": {"kind": ArchKind.MOE, "explicit_param_count": 10 ** 11,
+                               "hidden_size": "5", "layer_count": 2, "vocab_size": 100}},
+                     "hidden_size: must be a positive integer", id="explicit-moe-hidden-str"),
         # An MoE whose general-route count rounds to 0: inference has no loss
         # stage, so the planner's own check names it; training fails first at the loss.
         pytest.param({"arch": TINY_MOE, "phase": Phase.INFERENCE},
@@ -1328,7 +1327,7 @@ class TestOpcodeBudgets:
     def test_a_seeded_sweep_keeps_its_opcode_budget_a_point(self):
         grid, fleet, center = seeded.sweep_inputs(0, 300)
         sweep(grid, fleet, center)
-        assert opcode_count(sweep, grid, fleet, center) <= 814.3 * 300
+        assert opcode_count(sweep, grid, fleet, center) <= 809.1 * 300
 
     def test_a_weighted_lifecycle_with_storage_keeps_its_opcode_budget(self):
         # Both shares and the storage part: the sums are checked once more.

@@ -454,6 +454,17 @@ class TestFieldTypes:
                      "expert_groups must be a tuple, got dict", id="arch-expert-groups-dict"),
         pytest.param(lambda: moe(expert_groups=[ExpertGroup(1.0, 8)]), ModelError,
                      "expert_groups must be a tuple, got list", id="arch-expert-groups-list"),
+        # Each built an architecture that could not be hashed, or one that
+        # the chain read as lacking the field, until every architecture field
+        # was checked on one path for every kind.
+        pytest.param(lambda: ARCH.replace(expert_groups=[]), ModelError,
+                     "expert_groups must be a tuple, got list", id="arch-dense-expert-groups-list"),
+        pytest.param(lambda: moe(vocab_size="x", expert_groups=(ExpertGroup(1.0, 8),)),
+                     ModelError, "vocab_size: must be a positive integer", id="arch-moe-vocab-str"),
+        pytest.param(lambda: ARCH.replace(hidden_size="5"), ModelError,
+                     "hidden_size: must be a positive integer", id="arch-explicit-hidden-str"),
+        pytest.param(lambda: moe(explicit_param_count=10 ** 9, moe_fraction=2.0), ModelError,
+                     "moe_fraction: must lie in (0, 1]", id="arch-explicit-moe-fraction-2"),
         pytest.param(lambda: ParallelismPlan("x", 1, 1), ModelError,
                      "parallelism degree pipeline must be an integer >= 1, got 'x'",
                      id="plan-str"),

@@ -60,6 +60,7 @@ from carboncast.types import (
     Phase,
     Record,
     ScalingConstants,
+    shown,
 )
 
 # What each number field is tried with instead of a valid value. Python
@@ -311,6 +312,50 @@ def test_an_entry_point_refuses_an_argument_of_the_wrong_type(entry, name, kind,
     assert type(raised.value) is ModelError
     assert str(raised.value) == f"{name} must be {kind}, got {type(value).__name__}"
     assert entry(valid).total_tco2 > 0
+
+
+# What every field of an architecture is tried with: wrong types, broken
+# numbers, empty and one-item sequences, and records of the wrong kind.
+FIELD_POOL = [None, "x", 2.5, True, False, 0, -1, math.nan, 10 ** 400, [], {}, (), [1], (1,),
+              ExpertGroup(1.0, 8), DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4),
+              object()]
+# One architecture of each way the parameter model reads the fields.
+FIELD_ARCHS = {
+    "decoder-only": {"kind": ArchKind.DENSE_DECONLY, "hidden_size": 64, "layer_count": 2,
+                     "vocab_size": 1000, "head_count": 8, "head_dim": 8, "ff_size": 256},
+    "shaped-moe": {"kind": ArchKind.MOE, "hidden_size": 64, "layer_count": 2, "vocab_size": 1000,
+                   "moe_fraction": 0.5, "expert_groups": (ExpertGroup(1.0, 8),)},
+    "explicit-dense": {"kind": ArchKind.DENSE_GPT, "explicit_param_count": 10 ** 9},
+    "explicit-moe": {"kind": ArchKind.MOE, "explicit_param_count": 10 ** 10,
+                     "base_model_param_count": 10 ** 9},
+}
+
+
+@pytest.mark.parametrize("fname", LlmArchitecture._fields)
+@pytest.mark.parametrize("arch", FIELD_ARCHS)
+def test_every_architecture_field_value_is_refused_or_hashes_and_runs(arch, fname):
+    # Each value is refused when built, or builds an architecture that
+    # hashes and that estimate() and a one-point sweep() run to a report or
+    # point or to a named error.
+    dc = DataCenterProfile(name="dc", pue=1.1, carbon_intensity=0.4)
+    escapes = []
+    for value in FIELD_POOL:
+        try:
+            built = LlmArchitecture(**{"name": "m", **FIELD_ARCHS[arch], fname: value})
+        except ModelError:
+            continue
+        try:
+            hash(built)
+            try:
+                check_report(estimate(EstimateRequest(arch=built, tokens=1e9, fleet=STAGE_FLEET,
+                                                      data_center=dc)))
+            except (ModelError, CatalogError):
+                pass
+            points, errors = sweep([(built, 1e9)], STAGE_FLEET, dc)
+            assert len(points) + len(errors) == 1
+        except Exception as escape:  # listed, so that one run names every escape
+            escapes.append(f"{shown(value)}: {type(escape).__name__}: {escape}")
+    assert escapes == []
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
